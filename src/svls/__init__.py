@@ -4,9 +4,9 @@ from .calibration import CalibrationReport, ReliabilityBin, calibrate_report, ec
 from .kernel import SvlsKernel, gaussian_taps, normalize_taps, svls_weights
 from .loss import LogitVolume, LossReport, ce_gradient, cross_entropy, softmax
 from .phantom import PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
-from .seg_metrics import SegmentationScores, boundary_voxels, dice, score_segmentation, surface_dice
-from .smoothing import RaterSet, SmoothingSpec, label_smooth, moh_fuse, msvls_fuse, svls_smooth
-from .volume import LabelVolume, PaddedView, SoftLabelVolume, argmax_labels, one_hot_encode, replicate_pad
+from .seg_metrics import SegmentationScores, dice, score_segmentation, surface_dice
+from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, svls_smooth
+from .volume import LabelVolume, SoftLabelVolume, argmax_labels, one_hot_encode
 
 __version__ = "0.1.0"
 
@@ -15,16 +15,13 @@ __all__ = [
     "LabelVolume",
     "LogitVolume",
     "LossReport",
-    "PaddedView",
     "PhantomSpec",
     "RaterSet",
     "ReliabilityBin",
     "SegmentationScores",
-    "SmoothingSpec",
     "SoftLabelVolume",
     "SvlsKernel",
     "argmax_labels",
-    "boundary_voxels",
     "calibrate_report",
     "ce_gradient",
     "cross_entropy",
@@ -40,7 +37,6 @@ __all__ = [
     "normalize_taps",
     "one_hot_encode",
     "reliability",
-    "replicate_pad",
     "score_segmentation",
     "softmax",
     "surface_dice",

@@ -1,9 +1,9 @@
 """Command-line frontend: one executable, one subcommand per pipeline stage.
 
 Every subcommand accepts --config PATH (JSON whose keys mirror the flag
-names, with flags given on the command line taking precedence) and --threads
-(numba thread cap; results never depend on it). Any input path may be a
-directory, which batches over the contained `.svlv` volumes and mirrors
+names, with flags given on the command line taking precedence; a key that
+matches no flag of the subcommand is a validation error). Any input path may
+be a directory, which batches over the contained `.svlv` volumes and mirrors
 outputs by filename.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Errors also emit one
@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from . import engine, tensor_io
+from . import tensor_io
 from .calibration import calibrate_report
 from .kernel import svls_weights
 from .loss import cross_entropy, softmax
@@ -75,8 +75,8 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", default=argparse.SUPPRESS, metavar="PATH",
                        help="JSON config whose keys mirror the flags; flags win (default: none)")
-        p.add_argument("--threads", type=int, default=argparse.SUPPRESS, metavar="N",
-                       help="numba thread cap; outputs do not depend on it (default: available cores)")
+        # the keys a --config file may set: every flag of this subcommand
+        p.set_defaults(config_keys=frozenset(a.dest for a in p._actions) - {"help", "config"})
 
     p = sub.add_parser("kernel", help="dump the smoothing stencil taps")
     p.add_argument("--rank", type=int, choices=(2, 3), required=True, help="stencil rank (no default)")
@@ -156,6 +156,7 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
     """Merge explicit flags over config-file values over built-in defaults."""
     given = dict(vars(ns))
     given.pop("command", None)
+    config_keys = given.pop("config_keys")
     config = {}
     config_path = given.pop("config", None)
     if config_path:
@@ -166,11 +167,13 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
                 raise CliError(f"unparseable config {config_path}: {exc}")
         if not isinstance(config, dict):
             raise CliError(f"config {config_path} must hold a JSON object")
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    unknown = sorted(set(config) - config_keys)
+    if unknown:
+        raise CliError(f"config {config_path} has keys matching no {command} flag: {', '.join(unknown)}")
     plan = dict(_DEFAULTS.get(command, {}))
-    for key, value in config.items():
-        plan[key.replace("-", "_")] = value
+    plan.update(config)
     plan.update(given)
-    plan.setdefault("threads", os.cpu_count() or 1)
     _reject_exclusive_flags(command, given, plan)
     log.info("run plan %s: %s", command, json.dumps(plan, sort_keys=True, default=str))
     return plan
@@ -402,7 +405,6 @@ def main(argv=None) -> int:
         if not getattr(ns, "command", None):
             raise CliError("a subcommand is required (see svls --help)")
         plan = _resolve(ns, ns.command)
-        engine.set_thread_count(int(plan["threads"]))
         return _HANDLERS[ns.command](plan)
     except (CliError, tensor_io.VolumeFormatError, ValueError) as exc:
         _emit_error("validation", str(exc))

@@ -1,126 +1,20 @@
-"""Hot stencil-correlation kernels: numba-jitted with a pure-numpy fallback.
-
-Backend selection is driven by the SVLS_BACKEND environment variable:
-  - unset or "auto": numba when importable, numpy otherwise
-  - "numba": force the jitted kernels (errors if numba is missing)
-  - "numpy": force the vectorized fallback
-
-Both backends accumulate in float64 and visit the 27 (or 9) taps in the same
-order, so their outputs are bit-identical and independent of thread count.
-"""
+"""Stencil correlation: one 3^rank stencil over a replicated 1-voxel border."""
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-ENV_BACKEND = "SVLS_BACKEND"
+from scipy import ndimage
 
 
-def active_backend() -> str:
-    """Resolve the backend name ("numba" or "numpy") for the current process."""
-    choice = os.environ.get(ENV_BACKEND, "auto").strip().lower() or "auto"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba":
-        if not HAVE_NUMBA:
-            raise RuntimeError("SVLS_BACKEND=numba but numba is not importable")
-        return "numba"
-    if choice == "auto":
-        return "numba" if HAVE_NUMBA else "numpy"
-    raise ValueError(f"unknown {ENV_BACKEND} value {choice!r} (use auto, numba, or numpy)")
+def correlate_padded(grid: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Correlate a 2D/3D grid with a 3^rank tap stencil in float64.
 
-
-def set_thread_count(n: int) -> int:
-    """Cap the numba thread pool; a no-op for the numpy backend.
-
-    Returns the thread count actually in effect. Output values never depend
-    on this (every voxel is reduced sequentially in a fixed order).
+    Reads past the edge take the nearest in-range voxel (a replicated
+    border), so the result has the shape of `grid`.
     """
-    if n < 1:
-        raise ValueError(f"thread count must be >= 1, got {n}")
-    if not HAVE_NUMBA:
-        return 1
-    capped = min(n, numba.config.NUMBA_NUM_THREADS)
-    numba.set_num_threads(capped)
-    return capped
-
-
-def _correlate2_numpy(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    nx, ny = padded.shape[0] - 2, padded.shape[1] - 2
-    out = np.zeros((nx, ny), dtype=np.float64)
-    for dx in range(3):
-        for dy in range(3):
-            out += taps[dx, dy] * padded[dx : dx + nx, dy : dy + ny]
-    return out
-
-
-def _correlate3_numpy(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    nx, ny, nz = (s - 2 for s in padded.shape)
-    out = np.zeros((nx, ny, nz), dtype=np.float64)
-    for dx in range(3):
-        for dy in range(3):
-            for dz in range(3):
-                out += taps[dx, dy, dz] * padded[dx : dx + nx, dy : dy + ny, dz : dz + nz]
-    return out
-
-
-if HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _correlate2_numba(padded, taps, out):  # pragma: no cover - jitted
-        nx, ny = out.shape
-        for i in prange(nx):
-            for j in range(ny):
-                acc = 0.0
-                for dx in range(3):
-                    for dy in range(3):
-                        acc += taps[dx, dy] * padded[i + dx, j + dy]
-                out[i, j] = acc
-
-    @njit(cache=True, parallel=True)
-    def _correlate3_numba(padded, taps, out):  # pragma: no cover - jitted
-        nx, ny, nz = out.shape
-        for i in prange(nx):
-            for j in range(ny):
-                for k in range(nz):
-                    acc = 0.0
-                    for dx in range(3):
-                        for dy in range(3):
-                            for dz in range(3):
-                                acc += taps[dx, dy, dz] * padded[i + dx, j + dy, k + dz]
-                    out[i, j, k] = acc
-
-
-def correlate_padded(padded: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Correlate an edge-padded float64 grid with a 3^rank tap stencil.
-
-    `padded` must already carry a 1-voxel replicated border; the result has
-    the original (unpadded) shape.
-    """
-    padded = np.ascontiguousarray(padded, dtype=np.float64)
-    taps = np.ascontiguousarray(taps, dtype=np.float64)
-    rank = padded.ndim
+    grid = np.asarray(grid, dtype=np.float64)
+    taps = np.asarray(taps, dtype=np.float64)
+    rank = grid.ndim
     if rank not in (2, 3) or taps.shape != (3,) * rank:
         raise ValueError(f"rank-{rank} grid does not match taps of shape {taps.shape}")
-    if any(s < 3 for s in padded.shape):
-        raise ValueError(f"padded grid too small: {padded.shape}")
-    if active_backend() == "numba":
-        out = np.empty(tuple(s - 2 for s in padded.shape), dtype=np.float64)
-        if rank == 2:
-            _correlate2_numba(padded, taps, out)
-        else:
-            _correlate3_numba(padded, taps, out)
-        return out
-    if rank == 2:
-        return _correlate2_numpy(padded, taps)
-    return _correlate3_numpy(padded, taps)
+    return ndimage.correlate(grid, taps, mode="nearest")

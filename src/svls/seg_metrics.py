@@ -57,11 +57,6 @@ def boundary_mask(mask: np.ndarray) -> np.ndarray:
     return mask & ~interior
 
 
-def boundary_voxels(mask: np.ndarray) -> np.ndarray:
-    """Coordinates (K, rank) of the boundary voxels, in lexicographic order."""
-    return np.argwhere(boundary_mask(mask))
-
-
 def surface_dice_masks(
     mask_t: np.ndarray, mask_p: np.ndarray, spacing, tolerance_mm: float
 ) -> float:

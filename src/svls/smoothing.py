@@ -23,28 +23,6 @@ from . import engine
 from .kernel import SvlsKernel
 from .volume import LabelVolume, SoftLabelVolume, one_hot_encode
 
-METHODS = ("one_hot", "ls", "svls", "msvls", "moh")
-
-
-@dataclass(frozen=True)
-class SmoothingSpec:
-    """Validated choice of soft-label method and its parameters."""
-
-    method: str
-    alpha: float | None = None
-    sigma: float = 1.0
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == "ls":
-            if self.alpha is None:
-                raise ValueError("method 'ls' requires alpha")
-            if not (0.0 <= self.alpha <= 1.0):
-                raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-
 
 @dataclass(frozen=True)
 class RaterSet:
@@ -86,7 +64,7 @@ def svls_smooth(labels: LabelVolume, kernel: SvlsKernel) -> SoftLabelVolume:
     """Spatially varying soft targets for one annotation.
 
     Each class plane of the one-hot encoding is correlated with the stencil
-    over a replicate-padded grid and divided by the total weight (2). The
+    over a replicated border and divided by the total weight (2). The
     stencil is reflection-symmetric, so correlation and convolution agree.
     """
     if kernel.rank != labels.rank:
@@ -95,8 +73,7 @@ def svls_smooth(labels: LabelVolume, kernel: SvlsKernel) -> SoftLabelVolume:
     out = np.empty((n,) + labels.dims, dtype=np.float32)
     for c in range(n):
         plane = (labels.data == c).astype(np.float64)
-        padded = np.pad(plane, 1, mode="edge")
-        out[c] = engine.correlate_padded(padded, kernel.taps) / kernel.total_weight
+        out[c] = engine.correlate_padded(plane, kernel.taps) / kernel.total_weight
     return SoftLabelVolume(out, labels.spacing)
 
 

@@ -133,44 +133,6 @@ class SoftLabelVolume:
         return self.data.ndim - 1
 
 
-class PaddedView:
-    """Clamped-index window over a scalar grid.
-
-    Reads at indices in [-width, dim + width) per axis return the nearest
-    in-range voxel, i.e. view[i] == grid[clamp(i, 0, dim - 1)]. Reads beyond
-    the declared border raise IndexError.
-    """
-
-    __slots__ = ("grid", "width")
-
-    def __init__(self, grid: np.ndarray, width: int):
-        if width < 0:
-            raise ValueError(f"pad width must be >= 0, got {width}")
-        self.grid = np.asarray(grid)
-        self.width = int(width)
-
-    def __getitem__(self, idx):
-        if not isinstance(idx, tuple):
-            idx = (idx,)
-        if len(idx) != self.grid.ndim:
-            raise IndexError(f"expected {self.grid.ndim} indices, got {len(idx)}")
-        clamped = []
-        for i, n in zip(idx, self.grid.shape):
-            if not (-self.width <= i < n + self.width):
-                raise IndexError(f"index {i} outside padded range [{-self.width}, {n + self.width})")
-            clamped.append(min(max(i, 0), n - 1))
-        return self.grid[tuple(clamped)]
-
-    def to_array(self) -> np.ndarray:
-        """Materialize the padded grid (replicated borders) as a new array."""
-        return np.pad(self.grid, self.width, mode="edge")
-
-
-def replicate_pad(grid: np.ndarray, width: int) -> PaddedView:
-    """Wrap a scalar grid in a border of the given width with replicated edges."""
-    return PaddedView(grid, width)
-
-
 def one_hot_encode(labels: LabelVolume) -> SoftLabelVolume:
     """Expand a label volume into indicator probability planes, one per class."""
     if labels.num_classes < 2:

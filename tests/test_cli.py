@@ -308,6 +308,27 @@ def test_bad_flag_is_validation_error(capsys):
     assert last_error(err)["error"] == "validation"
 
 
+@pytest.mark.parametrize("config", [{"threads": 2}, {"sd_tolerence": 3}])
+def test_config_key_matching_no_flag_is_rejected(tmp_path, capsys, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    # the inputs do not exist: a config accepted by mistake would exit 2 on the read
+    code, _, err = run(
+        ["evaluate", "--ref", str(tmp_path / "ref.svlv"), "--pred", str(tmp_path / "pred.svlv"),
+         "--config", str(path), "--out", str(tmp_path / "eval")], capsys,
+    )
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert next(iter(config)) in error["message"]
+
+
+def test_threads_flag_is_gone(capsys):
+    code, _, err = run(["kernel", "--rank", "3", "--threads", "2"], capsys)
+    assert code == 1
+    assert last_error(err)["error"] == "validation"
+
+
 def test_unknown_subcommand(capsys):
     code, _, err = run(["frobnicate"], capsys)
     assert code == 1

@@ -4,58 +4,36 @@ import pytest
 from svls import engine
 
 
-@pytest.mark.parametrize("rank", [2, 3])
-def test_backends_bit_identical(rng, monkeypatch, rank):
-    if not engine.HAVE_NUMBA:
-        pytest.skip("numba not available")
-    taps = rng.random((3,) * rank) + 0.1
-    padded = rng.random(tuple(rng.integers(3, 12, size=rank)))
-    monkeypatch.setenv(engine.ENV_BACKEND, "numpy")
-    via_numpy = engine.correlate_padded(padded, taps)
-    monkeypatch.setenv(engine.ENV_BACKEND, "numba")
-    via_numba = engine.correlate_padded(padded, taps)
-    assert np.array_equal(via_numpy, via_numba)
+def clamped_correlation(grid, taps):
+    """Explicit per-voxel correlation; out-of-range reads clamp to the nearest voxel."""
+    out = np.zeros(grid.shape)
+    for idx in np.ndindex(*grid.shape):
+        for off in np.ndindex(*taps.shape):
+            src = tuple(min(max(i + o - 1, 0), n - 1) for i, o, n in zip(idx, off, grid.shape))
+            out[idx] += taps[off] * grid[src]
+    return out
 
 
-def test_numpy_backend_matches_manual_stencil(monkeypatch):
-    monkeypatch.setenv(engine.ENV_BACKEND, "numpy")
-    padded = np.arange(25.0).reshape(5, 5)
+def test_identity_stencil_returns_grid():
+    grid = np.arange(25.0).reshape(5, 5)
     taps = np.zeros((3, 3))
-    taps[1, 1] = 1.0  # identity stencil
-    out = engine.correlate_padded(padded, taps)
-    assert np.array_equal(out, padded[1:-1, 1:-1])
+    taps[1, 1] = 1.0
+    assert np.array_equal(engine.correlate_padded(grid, taps), grid)
 
 
-def test_backend_env_parsing(monkeypatch):
-    monkeypatch.setenv(engine.ENV_BACKEND, "numpy")
-    assert engine.active_backend() == "numpy"
-    monkeypatch.delenv(engine.ENV_BACKEND)
-    assert engine.active_backend() in ("numba", "numpy")
-    monkeypatch.setenv(engine.ENV_BACKEND, "cuda")
-    with pytest.raises(ValueError, match="SVLS_BACKEND"):
-        engine.active_backend()
+def test_asymmetric_taps_match_clamped_index_loop(rng):
+    # asymmetric taps tell correlation from convolution; extents 1-2 are all border
+    for _ in range(40):
+        rank = int(rng.integers(2, 4))
+        grid = rng.random(tuple(rng.integers(1, 7, size=rank)))
+        taps = rng.random((3,) * rank)
+        got = engine.correlate_padded(grid, taps)
+        assert got.shape == grid.shape
+        np.testing.assert_allclose(got, clamped_correlation(grid, taps), rtol=1e-13, atol=0)
 
 
 def test_correlate_rejects_mismatched_taps(rng):
     with pytest.raises(ValueError):
         engine.correlate_padded(rng.random((4, 4, 4)), rng.random((3, 3)))
-
-
-def test_set_thread_count_clamps():
-    assert engine.set_thread_count(1) == 1
-    assert engine.set_thread_count(10_000) >= 1
     with pytest.raises(ValueError):
-        engine.set_thread_count(0)
-
-
-def test_thread_count_does_not_change_results(rng, monkeypatch):
-    if not engine.HAVE_NUMBA:
-        pytest.skip("numba not available")
-    monkeypatch.setenv(engine.ENV_BACKEND, "numba")
-    padded = rng.random((20, 20, 20))
-    taps = rng.random((3, 3, 3))
-    engine.set_thread_count(1)
-    single = engine.correlate_padded(padded, taps)
-    engine.set_thread_count(8)
-    many = engine.correlate_padded(padded, taps)
-    assert np.array_equal(single, many)
+        engine.correlate_padded(rng.random(4), rng.random(3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svls import LabelVolume, boundary_voxels, dice, score_segmentation, surface_dice
+from svls import LabelVolume, dice, score_segmentation, surface_dice
 from svls.seg_metrics import boundary_mask, surface_dice_masks
 
 from oracles import naive_boundary, naive_surface_dice
@@ -75,7 +75,7 @@ def test_dice_shape_mismatch():
 def test_boundary_cube_sheds_center():
     mask = np.zeros((5, 5, 5), dtype=bool)
     mask[1:4, 1:4, 1:4] = True
-    coords = boundary_voxels(mask)
+    coords = np.argwhere(boundary_mask(mask))
     assert len(coords) == 26
     assert [2, 2, 2] not in coords.tolist()
 
@@ -83,23 +83,23 @@ def test_boundary_cube_sheds_center():
 def test_boundary_single_voxel():
     mask = np.zeros((3, 3), dtype=bool)
     mask[1, 2] = True
-    assert boundary_voxels(mask).tolist() == [[1, 2]]
+    assert np.argwhere(boundary_mask(mask)).tolist() == [[1, 2]]
 
 
 def test_boundary_empty_mask():
-    assert boundary_voxels(np.zeros((3, 3, 3), dtype=bool)).size == 0
+    assert np.argwhere(boundary_mask(np.zeros((3, 3, 3), dtype=bool))).size == 0
 
 
 def test_boundary_volume_border_counts_as_outside():
     # a mask filling the whole volume is all boundary except the interior core
     mask = np.ones((3, 3, 3), dtype=bool)
-    assert len(boundary_voxels(mask)) == 26
+    assert len(np.argwhere(boundary_mask(mask))) == 26
 
 
 def test_boundary_matches_naive(rng):
     for _ in range(10):
         mask = rng.random(tuple(rng.integers(2, 8, size=3))) < 0.4
-        got = set(map(tuple, boundary_voxels(mask)))
+        got = set(map(tuple, np.argwhere(boundary_mask(mask))))
         assert got == set(naive_boundary(mask))
 
 

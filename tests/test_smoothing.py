@@ -4,7 +4,6 @@ import pytest
 from svls import (
     LabelVolume,
     RaterSet,
-    SmoothingSpec,
     argmax_labels,
     label_smooth,
     moh_fuse,
@@ -219,14 +218,3 @@ def test_rater_set_validation(rng):
     c = LabelVolume(np.zeros((3, 3), dtype=np.uint8), (2.0, 1.0), 2)
     with pytest.raises(ValueError, match="spacing"):
         RaterSet((a, c))
-
-
-def test_smoothing_spec_validation():
-    SmoothingSpec(method="svls", sigma=2.0)
-    SmoothingSpec(method="ls", alpha=0.2)
-    with pytest.raises(ValueError, match="alpha"):
-        SmoothingSpec(method="ls")
-    with pytest.raises(ValueError, match="method"):
-        SmoothingSpec(method="blur")
-    with pytest.raises(ValueError, match="sigma"):
-        SmoothingSpec(method="svls", sigma=0.0)

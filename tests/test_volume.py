@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svls import LabelVolume, SoftLabelVolume, argmax_labels, one_hot_encode, replicate_pad
+from svls import LabelVolume, SoftLabelVolume, argmax_labels, one_hot_encode
 
 from conftest import random_labels
 
@@ -33,43 +33,6 @@ def test_one_hot_sums_to_one(rng):
     vol = random_labels(rng, (4, 5, 6), 5)
     soft = one_hot_encode(vol)
     assert np.all(soft.data.sum(axis=0) == 1.0)
-
-
-def test_replicate_pad_1d_examples():
-    view = replicate_pad(np.array([5.0, 7.0, 9.0]), 1)
-    assert view[-1] == 5.0
-    assert view[3] == 9.0
-    assert view[1] == 7.0
-
-
-def test_replicate_pad_width_zero_identity():
-    grid = np.arange(6.0).reshape(2, 3)
-    view = replicate_pad(grid, 0)
-    for i in range(2):
-        for j in range(3):
-            assert view[i, j] == grid[i, j]
-
-
-def test_replicate_pad_constant_grid():
-    view = replicate_pad(np.full((3, 3), 0.4), 1)
-    values = [view[i, j] for i in range(-1, 4) for j in range(-1, 4)]
-    assert len(values) == 25
-    assert all(v == 0.4 for v in values)
-
-
-def test_replicate_pad_preserves_min_max(rng):
-    grid = rng.random((4, 4, 4))
-    padded = replicate_pad(grid, 1).to_array()
-    assert padded.min() == grid.min()
-    assert padded.max() == grid.max()
-
-
-def test_replicate_pad_out_of_border_raises():
-    view = replicate_pad(np.array([1.0, 2.0]), 1)
-    with pytest.raises(IndexError):
-        view[-2]
-    with pytest.raises(IndexError):
-        view[3]
 
 
 def test_argmax_strict_maximum():

@@ -1,5 +1,8 @@
 """Soft segmentation labels and calibration metrics for 2D/3D label volumes."""
 
+# set before the submodule imports, so a submodule may import it
+__version__ = "0.1.0"
+
 from .calibration import CalibrationReport, ReliabilityBin, calibrate_report, ece, reliability, tace
 from .kernel import SvlsKernel, gaussian_taps, normalize_taps, svls_weights
 from .loss import LogitVolume, LossReport, ce_gradient, cross_entropy, softmax
@@ -7,8 +10,6 @@ from .phantom import PhantomSpec, generate_labels, generate_miscalibrated, gener
 from .seg_metrics import SegmentationScores, dice, score_segmentation, surface_dice
 from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, svls_smooth
 from .volume import LabelVolume, SoftLabelVolume, argmax_labels, one_hot_encode
-
-__version__ = "0.1.0"
 
 __all__ = [
     "CalibrationReport",

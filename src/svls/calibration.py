@@ -51,9 +51,10 @@ def _confidence_correct(reference: LabelVolume, predicted: SoftLabelVolume):
         raise ValueError(
             f"class count mismatch: {reference.num_classes} vs {predicted.num_classes}"
         )
-    probs = predicted.data.astype(np.float64)
-    confidence = probs.max(axis=0).ravel()
-    correct = (np.argmax(probs, axis=0) == reference.data).ravel()
+    # float32 -> float64 is exact and keeps order, so max and argmax of the
+    # stored planes equal those of a float64 copy, without the copy
+    confidence = predicted.data.max(axis=0).astype(np.float64).ravel()
+    correct = (np.argmax(predicted.data, axis=0) == reference.data).ravel()
     return confidence, correct
 
 
@@ -129,11 +130,10 @@ def tace(
         raise ValueError(f"num_ranges must be >= 1, got {num_ranges}")
     if reference.dims != predicted.dims:
         raise ValueError(f"shape mismatch: {reference.dims} vs {predicted.dims}")
-    probs = predicted.data.astype(np.float64)
     ref = reference.data.ravel()
     class_errors = []
     for c in range(predicted.num_classes):
-        p = probs[c].ravel()
+        p = predicted.data[c].astype(np.float64).ravel()
         hit = (ref == c).astype(np.float64)
         keep = p > threshold
         p, hit = p[keep], hit[keep]

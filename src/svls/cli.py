@@ -299,19 +299,31 @@ def run_loss(plan: dict) -> int:
     return 0
 
 
-def _merged_scores(scores: SegmentationScores, reference, hard_pred, plan: dict) -> SegmentationScores:
+def _load_regions(path: str) -> dict:
+    """Read a --region-merge file: a JSON object mapping names to lists of class ids."""
+    with open(path, "r", encoding="utf-8") as fh:
+        regions = json.load(fh)
+    if not isinstance(regions, dict):
+        raise CliError(f"region map {path} must hold a JSON object of name -> class id list")
+    for name, ids in regions.items():
+        if not (isinstance(ids, list) and ids and all(type(i) is int for i in ids)):
+            raise CliError(f"region {name!r} in {path} must map to a non-empty list of integer class ids")
+    return regions
+
+
+def _merged_scores(
+    scores: SegmentationScores, reference, hard_pred, regions: dict, composite: bool
+) -> SegmentationScores:
     dsc = dict(scores.per_class_dsc)
     sd = dict(scores.per_class_sd)
-    if plan.get("region_merge"):
-        with open(plan["region_merge"], "r", encoding="utf-8") as fh:
-            regions = json.load(fh)
-        for name, ids in regions.items():
-            ids = [int(i) for i in ids]
-            mask_t = np.isin(reference.data, ids)
-            mask_p = np.isin(hard_pred.data, ids)
-            dsc[name] = dice_masks(mask_t, mask_p)
-            sd[name] = surface_dice_masks(mask_t, mask_p, reference.spacing, scores.tolerance_mm)
-    if plan.get("composite"):
+    for name, ids in regions.items():
+        if not all(0 <= i < reference.num_classes for i in ids):
+            raise CliError(f"region {name!r} has class ids outside [0, {reference.num_classes}): {ids}")
+        mask_t = np.isin(reference.data, ids)
+        mask_p = np.isin(hard_pred.data, ids)
+        dsc[name] = dice_masks(mask_t, mask_p)
+        sd[name] = surface_dice_masks(mask_t, mask_p, reference.spacing, scores.tolerance_mm)
+    if composite:
         foreground = [c for c in scores.per_class_dsc if isinstance(c, int) and c != 0]
         if foreground:
             dsc["comp"] = float(np.mean([scores.per_class_dsc[c] for c in foreground]))
@@ -321,6 +333,7 @@ def _merged_scores(scores: SegmentationScores, reference, hard_pred, plan: dict)
 
 def run_evaluate(plan: dict) -> int:
     batching = os.path.isdir(plan["pred"])
+    regions = _load_regions(plan["region_merge"]) if plan.get("region_merge") else {}
     for src, dst in _iter_in_out(plan["pred"], plan["out"]):
         ref_path = plan["ref"]
         if os.path.isdir(ref_path):
@@ -334,7 +347,7 @@ def run_evaluate(plan: dict) -> int:
 
         hard = argmax_labels(predicted)
         scores = score_segmentation(reference, hard, tolerance_mm=plan["sd_tolerance"])
-        scores = _merged_scores(scores, reference, hard, plan)
+        scores = _merged_scores(scores, reference, hard, regions, plan["composite"])
         calib = calibrate_report(
             reference,
             predicted,

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import __version__
 from .calibration import CalibrationReport
 from .loss import LogitVolume, LossReport
 from .seg_metrics import SegmentationScores
@@ -37,8 +38,6 @@ MAGIC = b"SVLV"
 VERSION = 1
 DTYPE_LABELS = 0
 DTYPE_PROBS = 1
-
-TOOL_VERSION = "0.1.0"
 
 
 class VolumeFormatError(ValueError):
@@ -145,7 +144,7 @@ def write_volume(volume, path, class_names=None, provenance=None) -> None:
         "class_names": {str(k): v for k, v in (class_names or _default_class_names(num_classes)).items()},
         "provenance": dict(provenance or {}),
     }
-    meta["provenance"].setdefault("tool_version", TOOL_VERSION)
+    meta["provenance"].setdefault("tool_version", __version__)
     atomic_write_text(sidecar_path(path), json.dumps(meta, indent=2) + "\n")
 
 

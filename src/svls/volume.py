@@ -108,7 +108,8 @@ class SoftLabelVolume:
             raise ValueError(f"all dims must be >= 1, got {arr.shape[1:]}")
         dtype = np.float64 if arr.dtype == np.float64 else np.float32
         arr = np.array(arr, dtype=dtype, order="C")
-        if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
+        # written so that NaN, which fails every comparison, is rejected too
+        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError(
                 f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
             )

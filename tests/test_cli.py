@@ -1,4 +1,5 @@
 import json
+import struct
 import subprocess
 import sys
 
@@ -201,6 +202,57 @@ def test_evaluate_rejects_label_predictions(tmp_path, rng, capsys):
     code, _, err = run(["evaluate", "--ref", str(src), "--pred", str(src), "--out", str(tmp_path / "e")], capsys)
     assert code == 1
     assert "probability" in last_error(err)["message"]
+
+
+def test_evaluate_rejects_nan_probabilities(tmp_path, rng, capsys):
+    src, vol = make_labels(tmp_path, rng)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    blob = bytearray(pred.read_bytes())
+    struct.pack_into("<f", blob, 16 + 4 * 4, float("nan"))  # first value after the 4 extents
+    pred.write_bytes(bytes(blob))
+    code, _, err = run(["evaluate", "--ref", str(src), "--pred", str(pred), "--out", str(tmp_path / "e")], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "[0, 1]" in error["message"]
+
+
+@pytest.mark.parametrize(
+    "regions",
+    [[1, 2], {"fg": 1}, {"fg": ["1"]}, {"fg": [1.0]}, {"fg": []}],
+    ids=["list", "id-not-list", "string-id", "float-id", "empty-ids"],
+)
+def test_evaluate_rejects_malformed_region_map(tmp_path, rng, capsys, regions):
+    src, vol = make_labels(tmp_path, rng)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    merge = tmp_path / "regions.json"
+    merge.write_text(json.dumps(regions))
+    code, _, err = run(
+        ["evaluate", "--ref", str(src), "--pred", str(pred), "--region-merge", str(merge),
+         "--out", str(tmp_path / "e")], capsys,
+    )
+    assert code == 1
+    assert last_error(err)["error"] == "validation"
+    assert not (tmp_path / "e" / "segmentation.json").exists()
+
+
+@pytest.mark.parametrize("ids", [[7], [1, 3], [-1]])
+def test_evaluate_rejects_region_ids_outside_class_range(tmp_path, rng, capsys, ids):
+    src, vol = make_labels(tmp_path, rng, n=3)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    merge = tmp_path / "regions.json"
+    merge.write_text(json.dumps({"bad": ids}))
+    code, _, err = run(
+        ["evaluate", "--ref", str(src), "--pred", str(pred), "--region-merge", str(merge),
+         "--out", str(tmp_path / "e")], capsys,
+    )
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "[0, 3)" in error["message"]
 
 
 def test_phantom_writes_labels(tmp_path, capsys):

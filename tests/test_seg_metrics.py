@@ -4,7 +4,7 @@ import pytest
 from svls import LabelVolume, dice, score_segmentation, surface_dice
 from svls.seg_metrics import boundary_mask, surface_dice_masks
 
-from oracles import naive_boundary, naive_surface_dice
+from oracles import edt_surface_dice, naive_boundary, naive_surface_dice
 
 
 def volume(data, num_classes=2, spacing=None):
@@ -159,6 +159,40 @@ def test_surface_dice_equals_brute_force(rng):
         assert got == expected
 
 
+def lattice_distance(offset, spacing) -> float:
+    """Length of a lattice offset, in the float operations scipy's EDT uses."""
+    scaled = np.asarray(offset, dtype=np.float64).reshape(-1, 1) * np.reshape(spacing, (-1, 1))
+    return float(np.sqrt(np.add.reduce(scaled**2, axis=0))[0])
+
+
+def test_surface_dice_equals_edt_at_lattice_tolerances(rng):
+    spacings = [0.3, 0.5, 0.7, 1.0, 1.1, 2.0, 3.6]
+    for _ in range(300):
+        rank = int(rng.integers(2, 4))
+        dims = tuple(int(d) for d in rng.integers(1, 11, size=rank))
+        spacing = tuple(float(rng.choice(spacings)) for _ in range(rank))
+        mask_t = rng.random(dims) < rng.uniform(0.05, 0.6)
+        mask_p = rng.random(dims) < rng.uniform(0.05, 0.6)
+        # a tolerance equal to a lattice distance puts voxel pairs exactly on it
+        tol = lattice_distance(rng.integers(0, 5, size=rank), spacing)
+        got = surface_dice_masks(mask_t, mask_p, spacing, tol)
+        assert got == edt_surface_dice(mask_t, mask_p, spacing, tol), (dims, spacing, tol)
+
+
+def test_surface_dice_counts_pair_exactly_at_tolerance():
+    # 3 * 0.3 == 0.8999999999999999 and 0.8999999999999999 // 0.3 == 2: a
+    # search reach of tol // spacing alone would miss the voxel 3 steps away
+    mask_t = np.zeros((6, 1), dtype=bool)
+    mask_p = np.zeros((6, 1), dtype=bool)
+    mask_t[1, 0] = True
+    mask_p[4, 0] = True
+    spacing = (0.3, 0.7)
+    tol = 3 * 0.3
+    assert tol // spacing[0] == 2
+    assert edt_surface_dice(mask_t, mask_p, spacing, tol) == 1.0
+    assert surface_dice_masks(mask_t, mask_p, spacing, tol) == 1.0
+
+
 def test_surface_dice_spacing_mismatch():
     a = volume(np.zeros((3, 3), dtype=np.uint8), spacing=(1.0, 1.0))
     b = volume(np.zeros((3, 3), dtype=np.uint8), spacing=(2.0, 1.0))
@@ -170,6 +204,13 @@ def test_surface_dice_rejects_negative_tolerance():
     a = volume(np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(ValueError, match="tolerance"):
         surface_dice_masks(a.data == 1, a.data == 1, a.spacing, -1.0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf")])
+def test_surface_dice_rejects_non_finite_tolerance(tol):
+    mask = np.ones((3, 3), dtype=bool)
+    with pytest.raises(ValueError, match="tolerance"):
+        surface_dice_masks(mask, mask, (1.0, 1.0), tol)
 
 
 def test_score_segmentation_all_classes(rng):

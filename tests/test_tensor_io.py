@@ -5,11 +5,11 @@ import struct
 import numpy as np
 import pytest
 
+import svls
 from svls import LabelVolume, LogitVolume, SoftLabelVolume, one_hot_encode
 from svls.calibration import CalibrationReport, ReliabilityBin
 from svls.loss import LossReport
 from svls.seg_metrics import SegmentationScores
-from svls import tensor_io
 from svls.tensor_io import (
     BadMagicError,
     PayloadValidationError,
@@ -159,7 +159,7 @@ def test_provenance_recorded(tmp_path, rng):
     write_volume(random_labels(rng, (2, 2), 2), path, provenance={"method": "svls", "sigma": 1.0})
     meta = json.loads((tmp_path / "v.svlv.json").read_text())
     assert meta["provenance"]["method"] == "svls"
-    assert meta["provenance"]["tool_version"] == tensor_io.TOOL_VERSION
+    assert meta["provenance"]["tool_version"] == svls.__version__
 
 
 def _sample_calibration(num_bins=3):

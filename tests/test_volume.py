@@ -91,6 +91,14 @@ def test_soft_volume_rejects_out_of_range():
         SoftLabelVolume(data, (1.0, 1.0))
 
 
+def test_soft_volume_rejects_nan():
+    # NaN fails every comparison and poisons the voxel sum, so only a range
+    # check written as "not (min >= 0 and max <= 1)" catches it
+    data = np.array([[[np.nan, 0.0]], [[1.0, 1.0]]], dtype=np.float32)
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SoftLabelVolume(data, (1.0, 1.0))
+
+
 def test_volumes_are_immutable(rng):
     vol = random_labels(rng, (3, 3), 2)
     with pytest.raises(ValueError):

@@ -8,8 +8,8 @@ from .kernel import SvlsKernel, gaussian_taps, normalize_taps, svls_weights
 from .loss import LogitVolume, LossReport, ce_gradient, cross_entropy, softmax
 from .phantom import PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import SegmentationScores, dice, score_segmentation, surface_dice
-from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, svls_smooth
-from .volume import LabelVolume, SoftLabelVolume, argmax_labels, one_hot_encode
+from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
+from .volume import LabelVolume, SoftLabelVolume, argmax_labels
 
 __all__ = [
     "CalibrationReport",

@@ -2,7 +2,8 @@
 
 Every subcommand accepts --config PATH (JSON whose keys mirror the flag
 names, with flags given on the command line taking precedence; a key that
-matches no flag of the subcommand is a validation error). Any input path may
+matches no flag of the subcommand, or a value its flag would reject, is a
+validation error). Any input path may
 be a directory, which batches over the contained `.svlv` volumes and mirrors
 outputs by filename.
 
@@ -29,9 +30,9 @@ from .calibration import calibrate_report
 from .kernel import svls_weights
 from .loss import cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
-from .seg_metrics import SegmentationScores, dice_masks, score_segmentation, surface_dice_masks
-from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, svls_smooth
-from .volume import LabelVolume, argmax_labels, one_hot_encode
+from .seg_metrics import SegmentationScores, check_tolerance, dice_masks, score_segmentation, surface_dice_masks
+from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
+from .volume import LabelVolume, argmax_labels
 
 log = logging.getLogger("svls")
 
@@ -76,7 +77,7 @@ def build_parser() -> _Parser:
         p.add_argument("--config", default=argparse.SUPPRESS, metavar="PATH",
                        help="JSON config whose keys mirror the flags; flags win (default: none)")
         # the keys a --config file may set: every flag of this subcommand
-        p.set_defaults(config_keys=frozenset(a.dest for a in p._actions) - {"help", "config"})
+        p.set_defaults(config_actions={a.dest: a for a in p._actions if a.dest not in ("help", "config")})
 
     p = sub.add_parser("kernel", help="dump the smoothing stencil taps")
     p.add_argument("--rank", type=int, choices=(2, 3), required=True, help="stencil rank (no default)")
@@ -156,7 +157,7 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
     """Merge explicit flags over config-file values over built-in defaults."""
     given = dict(vars(ns))
     given.pop("command", None)
-    config_keys = given.pop("config_keys")
+    config_actions = given.pop("config_actions")
     config = {}
     config_path = given.pop("config", None)
     if config_path:
@@ -168,15 +169,41 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
         if not isinstance(config, dict):
             raise CliError(f"config {config_path} must hold a JSON object")
     config = {key.replace("-", "_"): value for key, value in config.items()}
-    unknown = sorted(set(config) - config_keys)
+    unknown = sorted(set(config) - config_actions.keys())
     if unknown:
         raise CliError(f"config {config_path} has keys matching no {command} flag: {', '.join(unknown)}")
+    config = {key: _config_value(config_actions[key], value, config_path) for key, value in config.items()}
     plan = dict(_DEFAULTS.get(command, {}))
     plan.update(config)
     plan.update(given)
     _reject_exclusive_flags(command, given, plan)
     log.info("run plan %s: %s", command, json.dumps(plan, sort_keys=True, default=str))
     return plan
+
+
+def _config_value(action: argparse.Action, value, config_path: str):
+    """Give a config value the checks its flag gives a command-line string:
+    the flag's type and choices, or a JSON boolean for an on/off flag."""
+    flag = action.option_strings[0]
+    if action.nargs == 0:
+        if type(value) is not bool:
+            raise CliError(f"config {config_path}: {flag} must be true or false, got {value!r}")
+        return value
+    if action.nargs == "+":
+        if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
+            raise CliError(f"config {config_path}: {flag} must be a non-empty list of strings, got {value!r}")
+        return value
+    if action.type is not None:
+        try:
+            value = action.type(str(value))
+        except ValueError:
+            raise CliError(f"config {config_path}: {flag} must be {action.type.__name__}, got {value!r}")
+    elif not isinstance(value, str):
+        raise CliError(f"config {config_path}: {flag} must be a string, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise CliError(f"config {config_path}: {flag} must be one of {', '.join(map(str, action.choices))}, "
+                       f"got {value!r}")
+    return value
 
 
 def _reject_exclusive_flags(command: str, given: dict, plan: dict) -> None:
@@ -311,14 +338,22 @@ def _load_regions(path: str) -> dict:
     return regions
 
 
+def _check_regions(regions: dict, num_classes: int, composite: bool) -> None:
+    """Region ids must be classes, and region names must not take the row of a class or of 'comp'."""
+    taken = {str(c) for c in range(num_classes)} | ({"comp"} if composite else set())
+    for name, ids in regions.items():
+        if not all(0 <= i < num_classes for i in ids):
+            raise CliError(f"region {name!r} has class ids outside [0, {num_classes}): {ids}")
+        if name in taken:
+            raise CliError(f"region name {name!r} collides with the {name!r} row of the report")
+
+
 def _merged_scores(
     scores: SegmentationScores, reference, hard_pred, regions: dict, composite: bool
 ) -> SegmentationScores:
     dsc = dict(scores.per_class_dsc)
     sd = dict(scores.per_class_sd)
     for name, ids in regions.items():
-        if not all(0 <= i < reference.num_classes for i in ids):
-            raise CliError(f"region {name!r} has class ids outside [0, {reference.num_classes}): {ids}")
         mask_t = np.isin(reference.data, ids)
         mask_p = np.isin(hard_pred.data, ids)
         dsc[name] = dice_masks(mask_t, mask_p)
@@ -332,6 +367,7 @@ def _merged_scores(
 
 
 def run_evaluate(plan: dict) -> int:
+    check_tolerance(plan["sd_tolerance"])
     batching = os.path.isdir(plan["pred"])
     regions = _load_regions(plan["region_merge"]) if plan.get("region_merge") else {}
     for src, dst in _iter_in_out(plan["pred"], plan["out"]):
@@ -339,6 +375,7 @@ def run_evaluate(plan: dict) -> int:
         if os.path.isdir(ref_path):
             ref_path = os.path.join(ref_path, os.path.basename(src))
         reference = tensor_io.read_volume(ref_path)
+        _check_regions(regions, reference.num_classes, plan["composite"])
         predicted = tensor_io.read_volume(src)
         if isinstance(predicted, LabelVolume):
             raise CliError(f"{src} holds labels; evaluate needs a probability volume")

@@ -77,6 +77,12 @@ def _tolerance_ball(shape, spacing, tolerance_mm: float) -> np.ndarray:
     return np.sqrt(np.add.reduce((offsets * spacing.reshape(column)) ** 2, axis=0)) <= tolerance_mm
 
 
+def check_tolerance(tolerance_mm: float) -> None:
+    """Reject a Surface DSC tolerance that is negative, NaN or infinite."""
+    if not 0 <= tolerance_mm < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance_mm}")
+
+
 def surface_dice_masks(
     mask_t: np.ndarray, mask_p: np.ndarray, spacing, tolerance_mm: float
 ) -> float:
@@ -91,8 +97,7 @@ def surface_dice_masks(
     O(boundary voxels x ball offsets), not O(volume): the ball grows with
     (tolerance / spacing) ** rank, so tolerances many voxels wide are slow.
     """
-    if not 0 <= tolerance_mm < math.inf:
-        raise ValueError(f"tolerance must be finite and >= 0, got {tolerance_mm}")
+    check_tolerance(tolerance_mm)
     b_t = boundary_mask(mask_t)
     b_p = boundary_mask(mask_p)
     n_t = int(np.count_nonzero(b_t))

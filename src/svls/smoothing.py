@@ -1,15 +1,20 @@
 """Soft-label generation from expert label volumes.
 
-Four ways to turn hard annotations into per-class probability targets:
+Every soft target is built by one loop over classes: for each class it takes
+the share of raters that label each voxel with that class (0 or 1 for a
+single annotation), transforms that vote plane, and stores it as float32.
 
-  - label_smooth: mix each one-hot vector with the uniform distribution.
-  - svls_smooth:  correlate each class plane with the normalized Gaussian
+  - one_hot_encode: the vote plane of one annotation as is.
+  - label_smooth:   mix each one-hot vector with the uniform distribution.
+  - svls_smooth:    correlate each class plane with the normalized Gaussian
     stencil over a 1-voxel replicated border, so probability mass spreads
     only across spatial neighborhoods. Homogeneous regions stay exactly
     one-hot; an isolated center voxel splits 50/50 with its surroundings.
-  - msvls_fuse:   smooth each rater's annotation, then average the soft
-    labels across raters (in that order).
-  - moh_fuse:     per-voxel rater vote fractions, ignoring all spatial
+    It is msvls_fuse of a single rater.
+  - msvls_fuse:     SVLS of the rater vote shares. The stencil is linear, so
+    this equals the mean of the per-rater SVLS maps, but it takes one
+    stencil pass per class whatever the number of raters.
+  - moh_fuse:       per-voxel rater vote shares, ignoring all spatial
     context.
 """
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import engine
 from .kernel import SvlsKernel
-from .volume import LabelVolume, SoftLabelVolume, one_hot_encode
+from .volume import LabelVolume, SoftLabelVolume
 
 
 @dataclass(frozen=True)
@@ -48,53 +53,53 @@ class RaterSet:
         return len(self.raters)
 
 
+def _class_planes(raters: RaterSet, transform) -> SoftLabelVolume:
+    """Apply `transform` to each class's float64 rater vote share; store float32."""
+    first, *rest = raters.raters
+    out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
+    for c in range(first.num_classes):
+        votes = (first.data == c).astype(np.float64)
+        for rater in rest:
+            votes += rater.data == c
+        if rest:  # one rater's 0/1 plane already is its share: no extra pass
+            votes /= len(raters)
+        out[c] = transform(votes)
+    return SoftLabelVolume(out, first.spacing)
+
+
+def moh_fuse(raters: RaterSet) -> SoftLabelVolume:
+    """Per-voxel fraction of raters voting for each class."""
+    return _class_planes(raters, lambda votes: votes)
+
+
+def msvls_fuse(raters: RaterSet, kernel: SvlsKernel) -> SoftLabelVolume:
+    """SVLS of the rater vote shares, equal by linearity to the mean of the
+    per-rater SVLS maps.
+
+    Each class plane is correlated with the stencil over a replicated border
+    and divided by the total weight (2). The stencil is reflection-symmetric,
+    so correlation and convolution agree.
+    """
+    rank = raters.raters[0].rank
+    if kernel.rank != rank:
+        raise ValueError(f"kernel rank {kernel.rank} does not match volume rank {rank}")
+    return _class_planes(raters, lambda votes: engine.correlate_padded(votes, kernel.taps) / kernel.total_weight)
+
+
+def svls_smooth(labels: LabelVolume, kernel: SvlsKernel) -> SoftLabelVolume:
+    """Spatially varying soft targets for one annotation."""
+    return msvls_fuse(RaterSet((labels,)), kernel)
+
+
 def label_smooth(labels: LabelVolume, alpha: float) -> SoftLabelVolume:
     """Uniformly smoothed targets: annotated class gets (1-alpha)+alpha/N,
     every other class gets alpha/N."""
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     n = labels.num_classes
-    planes = np.full((n,) + labels.dims, alpha / n, dtype=np.float64)
-    class_ids = np.arange(n, dtype=np.uint8).reshape((-1,) + (1,) * labels.rank)
-    planes += (labels.data[None, ...] == class_ids) * (1.0 - alpha)
-    return SoftLabelVolume(planes.astype(np.float32), labels.spacing)
+    return _class_planes(RaterSet((labels,)), lambda votes: alpha / n + votes * (1.0 - alpha))
 
 
-def svls_smooth(labels: LabelVolume, kernel: SvlsKernel) -> SoftLabelVolume:
-    """Spatially varying soft targets for one annotation.
-
-    Each class plane of the one-hot encoding is correlated with the stencil
-    over a replicated border and divided by the total weight (2). The
-    stencil is reflection-symmetric, so correlation and convolution agree.
-    """
-    if kernel.rank != labels.rank:
-        raise ValueError(f"kernel rank {kernel.rank} does not match volume rank {labels.rank}")
-    n = labels.num_classes
-    out = np.empty((n,) + labels.dims, dtype=np.float32)
-    for c in range(n):
-        plane = (labels.data == c).astype(np.float64)
-        out[c] = engine.correlate_padded(plane, kernel.taps) / kernel.total_weight
-    return SoftLabelVolume(out, labels.spacing)
-
-
-def msvls_fuse(raters: RaterSet, kernel: SvlsKernel) -> SoftLabelVolume:
-    """Smooth each rater independently, then average the soft labels."""
-    acc = None
-    for rater in raters.raters:
-        soft = svls_smooth(rater, kernel)
-        if acc is None:
-            acc = soft.data.astype(np.float64)
-        else:
-            acc += soft.data
-    acc /= len(raters)
-    return SoftLabelVolume(acc.astype(np.float32), raters.raters[0].spacing)
-
-
-def moh_fuse(raters: RaterSet) -> SoftLabelVolume:
-    """Per-voxel fraction of raters voting for each class."""
-    first = raters.raters[0]
-    acc = np.zeros((first.num_classes,) + first.dims, dtype=np.float64)
-    for rater in raters.raters:
-        acc += one_hot_encode(rater).data
-    acc /= len(raters)
-    return SoftLabelVolume(acc.astype(np.float32), first.spacing)
+def one_hot_encode(labels: LabelVolume) -> SoftLabelVolume:
+    """Expand a label volume into indicator probability planes, one per class."""
+    return moh_fuse(RaterSet((labels,)))

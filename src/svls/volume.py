@@ -134,15 +134,6 @@ class SoftLabelVolume:
         return self.data.ndim - 1
 
 
-def one_hot_encode(labels: LabelVolume) -> SoftLabelVolume:
-    """Expand a label volume into indicator probability planes, one per class."""
-    if labels.num_classes < 2:
-        raise ValueError("one-hot encoding needs at least 2 classes")
-    class_ids = np.arange(labels.num_classes, dtype=np.uint8)
-    planes = (labels.data[None, ...] == class_ids.reshape((-1,) + (1,) * labels.rank))
-    return SoftLabelVolume(planes.astype(np.float32), labels.spacing)
-
-
 def argmax_labels(probs: SoftLabelVolume) -> LabelVolume:
     """Collapse a probability volume to hard labels (ties go to the lowest class).
 

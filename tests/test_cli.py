@@ -375,6 +375,87 @@ def test_config_key_matching_no_flag_is_rejected(tmp_path, capsys, config):
     assert next(iter(config)) in error["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["encode", "--in", "labels.svlv", "--method", "svls", "--out", "soft.svlv"], {"sigma": "abc"}),
+        (["evaluate", "--ref", "ref.svlv", "--pred", "pred.svlv", "--out", "eval"], {"ece_bins": 2.5}),
+        (["kernel", "--rank", "3"], {"format": "xml"}),
+        (["evaluate", "--ref", "ref.svlv", "--pred", "pred.svlv", "--out", "eval"], {"foreground_only": "no"}),
+    ],
+    ids=["sigma-not-float", "ece-bins-not-int", "format-not-a-choice", "switch-not-bool"],
+)
+def test_config_value_gets_its_flag_checks(tmp_path, capsys, monkeypatch, argv, config):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    # the inputs do not exist: a value accepted by mistake would exit 2 on the read
+    code, out, err = run(argv + ["--config", str(path)], capsys)
+    assert code == 1
+    assert out == ""
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert next(iter(config)).replace("_", "-") in error["message"]
+
+
+def test_config_values_of_the_right_kind_are_accepted(tmp_path, rng, capsys):
+    src, vol = make_labels(tmp_path, rng, dims=(5, 5), n=3)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"sd_tolerance": 1, "ece_bins": "4", "foreground_only": False, "composite": True}))
+    code, _, _ = run(
+        ["evaluate", "--ref", str(src), "--pred", str(pred), "--config", str(path), "--out", str(tmp_path / "e")],
+        capsys,
+    )
+    assert code == 0
+    calib = json.loads((tmp_path / "e" / "calibration.json").read_text())
+    assert len(calib["bins"]) == 4
+    assert "comp" in (tmp_path / "e" / "segmentation.csv").read_text()
+
+
+def evaluate_with_regions(tmp_path, rng, capsys, regions, flags=()):
+    src, vol = make_labels(tmp_path, rng, n=3)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    merge = tmp_path / "regions.json"
+    merge.write_text(json.dumps(regions))
+    return run(
+        ["evaluate", "--ref", str(src), "--pred", str(pred), "--region-merge", str(merge), *flags,
+         "--out", str(tmp_path / "e")], capsys,
+    )
+
+
+@pytest.mark.parametrize("regions", [{"1": [2]}, {"comp": [1], "1": [2]}], ids=["class-row", "both"])
+def test_evaluate_rejects_region_names_taken_by_class_rows(tmp_path, rng, capsys, regions):
+    code, _, err = evaluate_with_regions(tmp_path, rng, capsys, regions, ["--composite"])
+    assert code == 1
+    assert last_error(err)["error"] == "validation"
+    assert not (tmp_path / "e").exists()
+
+
+def test_evaluate_rejects_region_named_comp_only_with_composite(tmp_path, rng, capsys):
+    code, _, _ = evaluate_with_regions(tmp_path, rng, capsys, {"comp": [1, 2]})
+    assert code == 0
+    assert "comp" in (tmp_path / "e" / "segmentation.csv").read_text()
+    code, _, err = evaluate_with_regions(tmp_path, rng, capsys, {"comp": [1, 2]}, ["--composite"])
+    assert code == 1
+    assert "comp" in last_error(err)["message"]
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_evaluate_checks_tolerance_before_reading(tmp_path, capsys, tolerance):
+    # the inputs do not exist: a tolerance checked after the reads would exit 2
+    code, _, err = run(
+        ["evaluate", "--ref", str(tmp_path / "ref.svlv"), "--pred", str(tmp_path / "pred.svlv"),
+         "--sd-tolerance", tolerance, "--out", str(tmp_path / "eval")], capsys,
+    )
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "tolerance" in error["message"]
+
+
 def test_threads_flag_is_gone(capsys):
     code, _, err = run(["kernel", "--rank", "3", "--threads", "2"], capsys)
     assert code == 1

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svls import (
     LabelVolume,
@@ -218,3 +221,44 @@ def test_rater_set_validation(rng):
     c = LabelVolume(np.zeros((3, 3), dtype=np.uint8), (2.0, 1.0), 2)
     with pytest.raises(ValueError, match="spacing"):
         RaterSet((a, c))
+
+
+@st.composite
+def rater_sets(draw):
+    """2-D/3-D rater sets: extents 1-6, 1-4 raters, 2-5 classes."""
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=3)))
+    n = draw(st.integers(2, 5))
+    labels = arrays(np.uint8, dims, elements=st.integers(0, n - 1))
+    raters = draw(st.lists(labels, min_size=1, max_size=4))
+    return RaterSet(tuple(LabelVolume(r, (1.0,) * len(dims), n) for r in raters))
+
+
+@settings(max_examples=60, deadline=None)
+@given(raters=rater_sets())
+def test_msvls_is_correctly_rounded_mean_of_naive_svls(raters):
+    # one stencil pass over the vote shares, rounded to float32 once: every
+    # voxel lies within half a float32 ulp of the float64 per-rater mean
+    first = raters.raters[0]
+    kernel = svls_weights(first.rank)
+    expected = np.mean([naive_svls(r.data, first.num_classes, kernel.taps) for r in raters.raters], axis=0)
+    got = msvls_fuse(raters, kernel).data.astype(np.float64)
+    _, exponent = np.frexp(expected)
+    half_ulp = np.ldexp(0.5, exponent - 24)  # float32 ulp of the binade holding `expected`, halved
+    assert np.all(np.abs(got - expected) <= half_ulp + 1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(raters=rater_sets(), alpha=st.floats(0.0, 1.0))
+def test_every_soft_target_keeps_the_simplex(raters, alpha):
+    first = raters.raters[0]
+    kernel = svls_weights(first.rank)
+    for soft in (
+        one_hot_encode(first),
+        label_smooth(first, alpha),
+        svls_smooth(first, kernel),
+        msvls_fuse(raters, kernel),
+        moh_fuse(raters),
+    ):
+        assert soft.data.shape == (first.num_classes,) + first.dims
+        assert np.abs(soft.data.sum(axis=0, dtype=np.float64) - 1.0).max() <= 1e-6
+        assert soft.data.min() >= 0.0 and soft.data.max() <= 1.0

@@ -4,15 +4,16 @@ Reliability binning and ECE follow the usual recipe: per-voxel confidence is
 the maximum class probability, bins are equal-width over (0,1] (left-open,
 right-closed; confidence exactly 0 joins the first bin). TACE is per-class:
 probabilities above a floor are split into adaptive equal-count ranges whose
-edges are probability quantiles (so runs of identical probabilities collapse
-into a single effective range), the gap |empirical frequency - mean
+edges are order statistics of the kept probabilities, read from one
+`np.partition` without a full sort (so runs of identical probabilities
+collapse into a single effective range), the gap |empirical frequency - mean
 probability| is averaged over occupied ranges, then over the classes that
-retained any samples.
+retained any samples. Both metrics take each bin's count, mean probability
+and hit rate from the same three `np.bincount` calls.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,54 +45,51 @@ class CalibrationReport:
     tace_ranges: int
 
 
-def _confidence_correct(reference: LabelVolume, predicted: SoftLabelVolume):
+def _check_grid(reference: LabelVolume, predicted: SoftLabelVolume) -> None:
     if reference.dims != predicted.dims:
         raise ValueError(f"shape mismatch: {reference.dims} vs {predicted.dims}")
     if reference.num_classes != predicted.num_classes:
         raise ValueError(
             f"class count mismatch: {reference.num_classes} vs {predicted.num_classes}"
         )
+
+
+def _bin_stats(which: np.ndarray, probs: np.ndarray, hits: np.ndarray, num_bins: int):
+    """Per-bin count, mean probability and hit rate; NaN where a bin is empty."""
+    count = np.bincount(which, minlength=num_bins)
+    with np.errstate(invalid="ignore"):
+        mean_prob = np.bincount(which, weights=probs, minlength=num_bins) / count
+        hit_rate = np.bincount(which, weights=hits, minlength=num_bins) / count
+    return count, mean_prob, hit_rate
+
+
+def _reliability(reference, predicted, num_bins: int, foreground_only: bool = False):
+    """Reliability bins and the size of the voxel population they partition."""
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+    _check_grid(reference, predicted)
     # float32 -> float64 is exact and keeps order, so max and argmax of the
     # stored planes equal those of a float64 copy, without the copy
     confidence = predicted.data.max(axis=0).astype(np.float64).ravel()
     correct = (np.argmax(predicted.data, axis=0) == reference.data).ravel()
-    return confidence, correct
-
-
-def _bin_stats(confidence: np.ndarray, correct: np.ndarray, num_bins: int):
+    if foreground_only:
+        keep = reference.data.ravel() != 0
+        confidence, correct = confidence[keep], correct[keep]
+        if confidence.size == 0:
+            raise ValueError("foreground-only population is empty (reference is all background)")
     edges = np.linspace(0.0, 1.0, num_bins + 1)
     # right-closed bins; digitize puts x=0 at index 0, clamp it into bin 1
-    idx = np.clip(np.digitize(confidence, edges, right=True), 1, num_bins) - 1
-    bins = []
-    for b in range(num_bins):
-        member = idx == b
-        count = int(member.sum())
-        if count:
-            mean_conf = float(confidence[member].mean())
-            accuracy = float(correct[member].mean())
-        else:
-            mean_conf = math.nan
-            accuracy = math.nan
-        bins.append(
-            ReliabilityBin(
-                lower=float(edges[b]),
-                upper=float(edges[b + 1]),
-                count=count,
-                mean_confidence=mean_conf,
-                accuracy=accuracy,
-            )
-        )
-    return bins
+    which = np.clip(np.digitize(confidence, edges, right=True), 1, num_bins) - 1
+    stats = _bin_stats(which, confidence, correct, num_bins)
+    rows = zip(edges[:-1].tolist(), edges[1:].tolist(), *(a.tolist() for a in stats))
+    return [ReliabilityBin(*row) for row in rows], confidence.size
 
 
 def reliability(
     reference: LabelVolume, predicted: SoftLabelVolume, num_bins: int = 15
 ) -> list[ReliabilityBin]:
     """Equal-width confidence bins with per-bin accuracy and mean confidence."""
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    confidence, correct = _confidence_correct(reference, predicted)
-    return _bin_stats(confidence, correct, num_bins)
+    return _reliability(reference, predicted, num_bins)[0]
 
 
 def ece(bins, total_count: int) -> float:
@@ -109,14 +107,6 @@ def ece(bins, total_count: int) -> float:
     return gap
 
 
-def _adaptive_range_edges(sorted_probs: np.ndarray, num_ranges: int) -> np.ndarray:
-    """Upper edges (quantile values) splitting sorted data into equal-count ranges."""
-    n = sorted_probs.size
-    edge_idx = np.linspace(0, n, num_ranges, endpoint=False).round().astype(int)
-    edge_idx = np.minimum(edge_idx, n - 1)
-    return sorted_probs[edge_idx][1:]
-
-
 def tace(
     reference: LabelVolume,
     predicted: SoftLabelVolume,
@@ -128,27 +118,24 @@ def tace(
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
     if num_ranges < 1:
         raise ValueError(f"num_ranges must be >= 1, got {num_ranges}")
-    if reference.dims != predicted.dims:
-        raise ValueError(f"shape mismatch: {reference.dims} vs {predicted.dims}")
+    _check_grid(reference, predicted)
     ref = reference.data.ravel()
+    # a float64 threshold: against a Python float, NumPy would round it to the
+    # plane's float32 and drop probabilities equal to float32(threshold)
+    floor = np.float64(threshold)
     class_errors = []
     for c in range(predicted.num_classes):
-        p = predicted.data[c].astype(np.float64).ravel()
-        hit = (ref == c).astype(np.float64)
-        keep = p > threshold
-        p, hit = p[keep], hit[keep]
+        plane = predicted.data[c].ravel()
+        keep = plane > floor
+        p, hit = plane[keep].astype(np.float64), ref[keep] == c
         if p.size == 0:
             continue
-        order = np.argsort(p, kind="stable")
-        p, hit = p[order], hit[order]
-        uppers = _adaptive_range_edges(p, num_ranges)
-        which = np.digitize(p, uppers)
-        gaps = []
-        for r in range(num_ranges):
-            member = which == r
-            if member.any():
-                gaps.append(abs(hit[member].mean() - p[member].mean()))
-        class_errors.append(float(np.mean(gaps)))
+        # range i starts at the order statistic of rank starts[i]
+        starts = np.linspace(0, p.size, num_ranges, endpoint=False).round().astype(int)
+        starts = np.minimum(starts, p.size - 1)
+        uppers = np.partition(p, starts)[starts[1:]]
+        count, mean_prob, hit_rate = _bin_stats(np.digitize(p, uppers), p, hit, num_ranges)
+        class_errors.append(float(np.abs(hit_rate - mean_prob)[count > 0].mean()))
     if not class_errors:
         raise ValueError(f"no probabilities above threshold {threshold} in any class")
     return float(np.mean(class_errors))
@@ -168,17 +155,9 @@ def calibrate_report(
     whose reference class is nonzero; TACE is per-class and always uses the
     full volume.
     """
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    confidence, correct = _confidence_correct(reference, predicted)
-    if foreground_only:
-        keep = reference.data.ravel() != 0
-        confidence, correct = confidence[keep], correct[keep]
-        if confidence.size == 0:
-            raise ValueError("foreground-only population is empty (reference is all background)")
-    bins = _bin_stats(confidence, correct, num_bins)
+    bins, population = _reliability(reference, predicted, num_bins, foreground_only)
     return CalibrationReport(
-        ece=ece(bins, confidence.size),
+        ece=ece(bins, population),
         tace=tace(reference, predicted, tace_threshold, tace_ranges),
         bins=tuple(bins),
         tace_threshold=float(tace_threshold),

@@ -8,8 +8,12 @@ be a directory, which batches over the contained `.svlv` volumes and mirrors
 outputs by filename.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Errors also emit one
-machine-readable JSON line on stderr. Output files are written to a temp
-name and atomically renamed, so failures never leave partial outputs.
+machine-readable JSON line on stderr, `{"error": KIND, "message": TEXT}` with
+KIND `validation` or `io`; any other exception is a fault of the program and
+exits 1 with KIND `internal` and TEXT `<Type>: <text>`, never a traceback
+(SVLS_LOG=debug logs it).
+Output files are written to a temp name and atomically renamed, so failures
+never leave partial outputs.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -462,6 +466,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit_error("io", str(exc))
         return 2
+    except Exception as exc:
+        log.debug("unexpected exception", exc_info=True)
+        _emit_error("internal", f"{type(exc).__name__}: {exc}")
+        return 1
 
 
 if __name__ == "__main__":

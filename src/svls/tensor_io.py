@@ -162,10 +162,10 @@ def read_sidecar(path) -> SidecarMeta:
         num_classes = int(meta["num_classes"])
         class_names = {int(k): str(v) for k, v in meta.get("class_names", {}).items()}
         provenance = dict(meta.get("provenance", {}))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
         raise SidecarError("sidecar", f"bad sidecar field in {side}: {exc}")
-    if any(s <= 0 for s in spacing):
-        raise SidecarError("spacing", f"spacing must be positive, got {spacing}")
+    if not all(0 < s < math.inf for s in spacing):  # NaN fails too
+        raise SidecarError("spacing", f"spacing must be positive and finite, got {spacing}")
     if class_names and sorted(class_names) != list(range(num_classes)):
         raise SidecarError("class_names", f"class map must cover [0, {num_classes})")
     return SidecarMeta(spacing, num_classes, class_names, provenance)

@@ -7,6 +7,7 @@ so each class plane is contiguous.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,9 @@ def _check_spacing(spacing, rank: int) -> tuple[float, ...]:
     spacing = tuple(float(s) for s in spacing)
     if len(spacing) != rank:
         raise ValueError(f"spacing has {len(spacing)} entries for a rank-{rank} volume")
-    if any(s <= 0 for s in spacing):
-        raise ValueError(f"spacing must be strictly positive, got {spacing}")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not all(0 < s < math.inf for s in spacing):
+        raise ValueError(f"spacing must be positive and finite, got {spacing}")
     return spacing
 
 

@@ -1,14 +1,15 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately naive (explicit loops, clamped indexing,
-all-pairs distances) or built on a different algorithm (a full-volume
-Euclidean distance transform), and shares no code with the implementation
-paths it verifies.
+all-pairs distances, one mask per bin) or built on a different algorithm (a
+full-volume Euclidean distance transform, a full sort), and shares no code
+with the implementation paths it verifies.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 from scipy import ndimage
@@ -110,3 +111,48 @@ def edt_surface_dice(mask_t, mask_p, spacing, tolerance) -> float:
     close_t = int((dist_to_p[b_t] <= tolerance).sum())
     close_p = int((dist_to_t[b_p] <= tolerance).sum())
     return (close_t + close_p) / (n_t + n_p)
+
+
+def mask_loop_reliability(ref: np.ndarray, planes: np.ndarray, num_bins: int) -> list:
+    """(lower, upper, count, mean confidence, accuracy) per right-closed
+    equal-width bin, one whole-population mask per bin."""
+    confidence = planes.astype(np.float64).max(axis=0).ravel()
+    correct = (np.argmax(planes, axis=0) == ref).ravel()
+    edges = np.linspace(0.0, 1.0, num_bins + 1)
+    idx = np.clip(np.digitize(confidence, edges, right=True), 1, num_bins) - 1
+    bins = []
+    for b in range(num_bins):
+        member = idx == b
+        count = int(member.sum())
+        mean_conf = float(confidence[member].mean()) if count else math.nan
+        accuracy = float(correct[member].mean()) if count else math.nan
+        bins.append((float(edges[b]), float(edges[b + 1]), count, mean_conf, accuracy))
+    return bins
+
+
+def argsort_tace(ref: np.ndarray, planes: np.ndarray, threshold: float, num_ranges: int) -> float:
+    """TACE from a stable full sort of each class's kept probabilities, with
+    one mask per equal-count range."""
+    ref = ref.ravel()
+    class_errors = []
+    for c in range(planes.shape[0]):
+        p = planes[c].astype(np.float64).ravel()
+        hit = (ref == c).astype(np.float64)
+        keep = p > threshold
+        p, hit = p[keep], hit[keep]
+        if p.size == 0:
+            continue
+        order = np.argsort(p, kind="stable")
+        p, hit = p[order], hit[order]
+        edge_idx = np.linspace(0, p.size, num_ranges, endpoint=False).round().astype(int)
+        uppers = p[np.minimum(edge_idx, p.size - 1)][1:]
+        which = np.digitize(p, uppers)
+        gaps = []
+        for r in range(num_ranges):
+            member = which == r
+            if member.any():
+                gaps.append(abs(hit[member].mean() - p[member].mean()))
+        class_errors.append(float(np.mean(gaps)))
+    if not class_errors:
+        raise ValueError(f"no probabilities above threshold {threshold} in any class")
+    return float(np.mean(class_errors))

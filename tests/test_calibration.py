@@ -1,5 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svls import (
     LabelVolume,
@@ -11,6 +16,8 @@ from svls import (
     tace,
 )
 from svls.calibration import ReliabilityBin
+
+from oracles import argsort_tace, mask_loop_reliability
 
 SPACING2 = (1.0, 1.0)
 
@@ -165,6 +172,13 @@ def test_tace_parameter_validation(rng):
         tace(ref, pred, num_ranges=0)
 
 
+def test_tace_rejects_class_count_mismatch():
+    ref = labels_2d([[0, 3]], num_classes=4)
+    pred = probs_2d([[[0.5, 0.5]], [[0.5, 0.5]]])
+    with pytest.raises(ValueError, match="class count mismatch: 4 vs 2"):
+        tace(ref, pred)
+
+
 def test_report_perfect_predictions(rng):
     ref = labels_2d(rng.integers(0, 2, size=(6, 6)))
     report = calibrate_report(ref, one_hot_encode(ref))
@@ -207,3 +221,42 @@ def test_report_foreground_only(rng):
     all_bg = labels_2d(np.zeros((3, 3), dtype=np.uint8))
     with pytest.raises(ValueError, match="foreground"):
         calibrate_report(all_bg, one_hot_encode(all_bg), foreground_only=True)
+
+
+@st.composite
+def scored_volumes(draw):
+    """A reference and a prediction whose probabilities are multiples of
+    1/denominator, so ties, zeros and values equal to a threshold occur."""
+    dims = tuple(draw(st.lists(st.integers(1, 8), min_size=2, max_size=3)))
+    n = draw(st.integers(2, 5))
+    denominator = draw(st.sampled_from([5, 10, 20, 1000]))
+    ref = draw(arrays(np.uint8, dims, elements=st.integers(0, n - 1)))
+    cuts = np.sort(draw(arrays(np.int64, (n - 1,) + dims, elements=st.integers(0, denominator))), axis=0)
+    edges = np.concatenate([np.zeros((1,) + dims, np.int64), cuts, np.full((1,) + dims, denominator)])
+    planes = (np.diff(edges, axis=0) / denominator).astype(np.float32)
+    return LabelVolume(ref, (1.0,) * len(dims), n), SoftLabelVolume(planes, (1.0,) * len(dims))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    volumes=scored_volumes(),
+    threshold=st.sampled_from([0.0, 1e-3, 0.2]),
+    num_ranges=st.sampled_from([1, 2, 3, 15, 40]),
+    num_bins=st.sampled_from([1, 2, 3, 15, 40]),
+)
+def test_binning_matches_mask_loop_and_sort_oracles(volumes, threshold, num_ranges, num_bins):
+    ref, pred = volumes
+    got = reliability(ref, pred, num_bins=num_bins)
+    want = mask_loop_reliability(ref.data, pred.data, num_bins)
+    assert [(b.lower, b.upper, b.count) for b in got] == [w[:3] for w in want]
+    for b, (_, _, _, mean_confidence, accuracy) in zip(got, want):
+        for value, expected in ((b.mean_confidence, mean_confidence), (b.accuracy, accuracy)):
+            assert math.isnan(value) == math.isnan(expected)
+            assert math.isnan(value) or abs(value - expected) <= 1e-12
+    try:
+        expected_tace = argsort_tace(ref.data, pred.data, threshold, num_ranges)
+    except ValueError:
+        with pytest.raises(ValueError, match="threshold"):
+            tace(ref, pred, threshold, num_ranges)
+        return
+    assert abs(tace(ref, pred, threshold, num_ranges) - expected_tace) <= 1e-12

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from svls import LabelVolume, one_hot_encode, svls_weights
+from svls import cli
 from svls.cli import main
 from svls.tensor_io import read_volume, write_volume
 
-from conftest import random_labels
+from conftest import random_labels, set_sidecar_token
 
 
 def run(args, capsys):
@@ -454,6 +455,28 @@ def test_evaluate_checks_tolerance_before_reading(tmp_path, capsys, tolerance):
     error = last_error(err)
     assert error["error"] == "validation"
     assert "tolerance" in error["message"]
+
+
+def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, capsys):
+    src, _ = make_labels(tmp_path, rng)
+    set_sidecar_token(src, "num_classes", "1e400")  # JSON parses it as inf
+    code, _, err = run(["encode", "--in", str(src), "--method", "onehot", "--out", str(tmp_path / "o.svlv")],
+                       capsys)
+    assert code == 1
+    assert last_error(err)["error"] == "validation"
+    assert not (tmp_path / "o.svlv").exists()
+
+
+def test_unexpected_exception_is_internal_error_line(monkeypatch, capsys):
+    def broken(plan):
+        raise RuntimeError("handler broke")
+
+    monkeypatch.setitem(cli._HANDLERS, "kernel", broken)
+    code, out, err = run(["kernel", "--rank", "3"], capsys)
+    assert code == 1
+    assert out == ""
+    assert last_error(err) == {"error": "internal", "message": "RuntimeError: handler broke"}
+    assert "Traceback" not in err
 
 
 def test_threads_flag_is_gone(capsys):

@@ -22,7 +22,7 @@ from svls.tensor_io import (
     write_volume,
 )
 
-from conftest import random_labels
+from conftest import random_labels, set_sidecar_token
 
 
 def test_label_roundtrip_bit_exact(tmp_path, rng):
@@ -139,6 +139,25 @@ def test_sidecar_class_map_must_cover_classes(tmp_path, rng):
     del meta["class_names"]["2"]
     (tmp_path / "v.svlv.json").write_text(json.dumps(meta))
     with pytest.raises(SidecarError, match="class"):
+        read_volume(path)
+
+
+@pytest.mark.parametrize("token", ["[NaN, 1.0]", "[1e400, 1.0]"])
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "probs"])
+def test_sidecar_spacing_must_be_finite(tmp_path, rng, token, labels):
+    vol = random_labels(rng, (2, 2), 2)
+    path = tmp_path / "v.svlv"
+    write_volume(vol if labels else one_hot_encode(vol), path)
+    set_sidecar_token(path, "spacing", token)
+    with pytest.raises(SidecarError, match="spacing"):
+        read_volume(path)
+
+
+def test_sidecar_num_classes_overflow_is_sidecar_error(tmp_path, rng):
+    path = tmp_path / "v.svlv"
+    write_volume(random_labels(rng, (2, 2), 2), path)
+    set_sidecar_token(path, "num_classes", "1e400")  # parses to inf; int(inf) overflows
+    with pytest.raises(SidecarError, match="sidecar"):
         read_volume(path)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from svls import LabelVolume, SoftLabelVolume, argmax_labels, one_hot_encode
+from svls import LabelVolume, LogitVolume, SoftLabelVolume, argmax_labels, one_hot_encode
 
 from conftest import random_labels
 
@@ -77,6 +77,19 @@ def test_label_volume_rejects_bad_spacing():
         LabelVolume(np.zeros((2, 2), dtype=np.uint8), (1.0, 0.0), 2)
     with pytest.raises(ValueError):
         LabelVolume(np.zeros((2, 2), dtype=np.uint8), (1.0, 1.0, 1.0), 2)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_volumes_reject_non_finite_spacing(bad):
+    # NaN fails every comparison, so a check written as "s <= 0" lets it through
+    spacing = (bad, 1.0)
+    planes = np.array([[[1.0]], [[0.0]]], dtype=np.float32)
+    with pytest.raises(ValueError, match="spacing"):
+        LabelVolume(np.zeros((1, 1), dtype=np.uint8), spacing, 2)
+    with pytest.raises(ValueError, match="spacing"):
+        SoftLabelVolume(planes, spacing)
+    with pytest.raises(ValueError, match="spacing"):
+        LogitVolume(planes, spacing)
 
 
 def test_soft_volume_rejects_bad_sum():

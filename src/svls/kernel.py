@@ -10,6 +10,7 @@ summing to 1, total weight 2.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +36,8 @@ def gaussian_taps(rank: int, sigma: float = 1.0) -> np.ndarray:
     """
     if rank not in (2, 3):
         raise ValueError(f"rank must be 2 or 3, got {rank}")
-    if sigma <= 0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    if not 0 < sigma < math.inf:  # NaN fails too
+        raise ValueError(f"sigma must be positive and finite, got {sigma}")
     offsets = np.array([-1.0, 0.0, 1.0])
     grids = np.meshgrid(*([offsets] * rank), indexing="ij")
     r2 = np.zeros((3,) * rank)

@@ -59,9 +59,9 @@ class LossReport:
 
 def softmax(logits: LogitVolume) -> SoftLabelVolume:
     """Exponential normalization per voxel, shifted by the max for stability."""
-    shifted = logits.data - logits.data.max(axis=0, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=0, keepdims=True)
+    probs = logits.data - logits.data.max(axis=0, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0, keepdims=True)
     return SoftLabelVolume(probs, logits.spacing)
 
 
@@ -76,13 +76,21 @@ def cross_entropy(
     """Per-voxel -sum_c target*log(predicted), reduced over voxels.
 
     The default reduction is the unweighted voxel mean; "sum" is available
-    for callers that weight externally.
+    for callers that weight externally. The terms are summed one float64
+    class plane at a time, in class order from class 0's term and negated at
+    the end: the operations and order of one float64 sum over the class axis,
+    without a float64 copy of either whole volume.
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     _check_same_grid(target, predicted)
-    logs = np.log(np.maximum(predicted.data.astype(np.float64), LOG_FLOOR))
-    per_voxel = -(target.data.astype(np.float64) * logs).sum(axis=0)
+    per_voxel = None
+    for t, p in zip(target.data, predicted.data):
+        term = np.maximum(p, LOG_FLOOR, dtype=np.float64)
+        np.log(term, out=term)
+        term *= t
+        per_voxel = term if per_voxel is None else np.add(per_voxel, term, out=per_voxel)
+    np.negative(per_voxel, out=per_voxel)
     total = per_voxel.mean() if reduction == "mean" else per_voxel.sum()
     return LossReport(total=float(total), per_voxel=per_voxel)
 
@@ -94,4 +102,4 @@ def ce_gradient(target: SoftLabelVolume, logits: LogitVolume) -> np.ndarray:
     to 0 because both terms sum to 1.
     """
     _check_same_grid(target, logits)
-    return softmax(logits).data - target.data.astype(np.float64)
+    return softmax(logits).data - target.data

@@ -6,6 +6,7 @@ bit-identical output on any platform (numpy's PCG64 generator is stable).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,8 +44,8 @@ class PhantomSpec:
             raise ValueError(f"dims must be 2 or 3 positive extents, got {self.dims}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.strength < 0:
-            raise ValueError(f"strength must be >= 0, got {self.strength}")
+        if not 0 <= self.strength < math.inf:  # NaN fails too
+            raise ValueError(f"strength must be >= 0 and finite, got {self.strength}")
         object.__setattr__(self, "dims", dims)
 
 
@@ -151,8 +152,8 @@ def generate_miscalibrated(
     land in one reliability bin whose accuracy converges to base_accuracy,
     so the expected ECE is the injected strength.
     """
-    if strength < 0:
-        raise ValueError(f"strength must be >= 0, got {strength}")
+    if not 0 <= strength < math.inf:  # NaN fails too
+        raise ValueError(f"strength must be >= 0 and finite, got {strength}")
     n = labels.num_classes
     if not (1.0 / n < base_accuracy <= 1.0):
         raise ValueError(f"base_accuracy must be in (1/{n}, 1], got {base_accuracy}")

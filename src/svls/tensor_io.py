@@ -76,13 +76,15 @@ def sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
-def _atomic_write_bytes(path, blob: bytes) -> None:
+def _atomic_write_bytes(path, *chunks) -> None:
+    """Write the chunks (bytes or C-contiguous arrays) in order, as one new file."""
     path = str(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            for chunk in chunks:
+                fh.write(chunk)
         os.chmod(tmp, 0o644)  # mkstemp creates 0600; match regular file creation
         os.replace(tmp, path)
     except BaseException:
@@ -110,38 +112,25 @@ def _default_class_names(num_classes: int) -> dict:
     return names
 
 
-def _encode_volume(volume) -> tuple[bytes, int, int]:
-    if isinstance(volume, LabelVolume):
-        payload = volume.data.astype("<u1", copy=False).tobytes(order="C")
-        return payload, DTYPE_LABELS, volume.rank
-    if isinstance(volume, (SoftLabelVolume, LogitVolume)):
-        payload = volume.data.astype("<f4").tobytes(order="C")
-        rank = volume.data.ndim - 1
-        return payload, DTYPE_PROBS, rank
-    raise TypeError(f"cannot serialize {type(volume).__name__}")
-
-
 def write_volume(volume, path, class_names=None, provenance=None) -> None:
     """Write a volume and its sidecar; both writes are atomic (temp + rename).
 
     LogitVolume payloads use the f32 dtype code and are readable only via
     read_logits (their voxel sums are not probability sums).
     """
-    payload, dtype_code, rank = _encode_volume(volume)
     if isinstance(volume, LabelVolume):
-        axes = volume.dims
-        num_classes = volume.num_classes
+        dtype_code, payload = DTYPE_LABELS, volume.data
+    elif isinstance(volume, (SoftLabelVolume, LogitVolume)):
+        dtype_code, payload = DTYPE_PROBS, volume.data.astype("<f4", copy=False)  # leading class axis included
     else:
-        axes = volume.data.shape  # leading class axis included
-        num_classes = volume.data.shape[0]
-    header = MAGIC + struct.pack("<3I", VERSION, dtype_code, rank)
-    header += struct.pack(f"<{len(axes)}I", *axes)
-    _atomic_write_bytes(path, header + payload)
+        raise TypeError(f"cannot serialize {type(volume).__name__}")
+    header = MAGIC + struct.pack(f"<{3 + payload.ndim}I", VERSION, dtype_code, len(volume.dims), *payload.shape)
+    _atomic_write_bytes(path, header, payload)
 
     meta = {
         "spacing": list(volume.spacing),
-        "num_classes": num_classes,
-        "class_names": {str(k): v for k, v in (class_names or _default_class_names(num_classes)).items()},
+        "num_classes": volume.num_classes,
+        "class_names": {str(k): v for k, v in (class_names or _default_class_names(volume.num_classes)).items()},
         "provenance": dict(provenance or {}),
     }
     meta["provenance"].setdefault("tool_version", __version__)
@@ -160,7 +149,10 @@ def read_sidecar(path) -> SidecarMeta:
     try:
         spacing = tuple(float(s) for s in meta["spacing"])
         num_classes = int(meta["num_classes"])
-        class_names = {int(k): str(v) for k, v in meta.get("class_names", {}).items()}
+        class_names = meta.get("class_names", {})
+        if not isinstance(class_names, dict):
+            raise TypeError("class_names must be a JSON object")
+        class_names = {int(k): str(v) for k, v in class_names.items()}
         provenance = dict(meta.get("provenance", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
         raise SidecarError("sidecar", f"bad sidecar field in {side}: {exc}")
@@ -171,73 +163,61 @@ def read_sidecar(path) -> SidecarMeta:
     return SidecarMeta(spacing, num_classes, class_names, provenance)
 
 
-def _parse_container(path):
+def _read_container(path):
+    """Check the header against the file size, then read the payload into its
+    final array and check the sidecar: (dtype code, array, sidecar)."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16:
-        raise TruncatedPayloadError("header", f"file is {len(blob)} bytes, header needs 16")
-    if blob[:4] != MAGIC:
-        raise BadMagicError("magic", f"expected {MAGIC!r}, got {blob[:4]!r}")
-    version, dtype_code, rank = struct.unpack_from("<3I", blob, 4)
-    if version != VERSION:
-        raise VersionMismatchError("version", f"expected {VERSION}, got {version}")
-    if dtype_code not in (DTYPE_LABELS, DTYPE_PROBS):
-        raise HeaderFieldError("dtype", f"unknown dtype code {dtype_code}")
-    if rank not in (2, 3):
-        raise HeaderFieldError("rank", f"rank must be 2 or 3, got {rank}")
-    naxes = rank if dtype_code == DTYPE_LABELS else rank + 1
-    offset = 16
-    if len(blob) < offset + 4 * naxes:
-        raise TruncatedPayloadError("dims", "header ends before the extent list")
-    axes = struct.unpack_from(f"<{naxes}I", blob, offset)
-    offset += 4 * naxes
-    if any(a < 1 for a in axes):
-        raise HeaderFieldError("dims", f"extents must be >= 1, got {axes}")
-    itemsize = 1 if dtype_code == DTYPE_LABELS else 4
-    expected = itemsize * int(np.prod(axes))
-    payload = blob[offset:]
-    if len(payload) != expected:
-        raise TruncatedPayloadError(
-            "payload", f"expected {expected} payload bytes, found {len(payload)}"
-        )
-    dtype = np.dtype("<u1") if dtype_code == DTYPE_LABELS else np.dtype("<f4")
-    data = np.frombuffer(payload, dtype=dtype).reshape(axes)
-    return dtype_code, data
+        head = fh.read(16)
+        if len(head) < 16:
+            raise TruncatedPayloadError("header", f"file is {len(head)} bytes, header needs 16")
+        if head[:4] != MAGIC:
+            raise BadMagicError("magic", f"expected {MAGIC!r}, got {head[:4]!r}")
+        version, dtype_code, rank = struct.unpack_from("<3I", head, 4)
+        if version != VERSION:
+            raise VersionMismatchError("version", f"expected {VERSION}, got {version}")
+        if dtype_code not in (DTYPE_LABELS, DTYPE_PROBS):
+            raise HeaderFieldError("dtype", f"unknown dtype code {dtype_code}")
+        if rank not in (2, 3):
+            raise HeaderFieldError("rank", f"rank must be 2 or 3, got {rank}")
+        naxes = rank if dtype_code == DTYPE_LABELS else rank + 1
+        extents = fh.read(4 * naxes)
+        if len(extents) < 4 * naxes:
+            raise TruncatedPayloadError("dims", "header ends before the extent list")
+        axes = struct.unpack(f"<{naxes}I", extents)
+        if any(a < 1 for a in axes):
+            raise HeaderFieldError("dims", f"extents must be >= 1, got {axes}")
+        dtype = np.dtype("<u1") if dtype_code == DTYPE_LABELS else np.dtype("<f4")
+        count = math.prod(axes)  # a Python int: no int64 wrap-around
+        found = os.fstat(fh.fileno()).st_size - fh.tell()
+        if found != dtype.itemsize * count:
+            raise TruncatedPayloadError(
+                "payload", f"expected {dtype.itemsize * count} payload bytes, found {found}"
+            )
+        data = np.fromfile(fh, dtype=dtype, count=count).reshape(axes)
+    meta = read_sidecar(path)
+    if dtype_code == DTYPE_PROBS and axes[0] != meta.num_classes:
+        raise SidecarError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")
+    return dtype_code, data, meta
 
 
 def read_volume(path):
     """Read a label or probability volume (decided by the dtype code)."""
-    dtype_code, data = _parse_container(path)
-    meta = read_sidecar(path)
-    if dtype_code == DTYPE_LABELS:
-        try:
-            return LabelVolume(data, meta.spacing, meta.num_classes)
-        except ValueError as exc:
-            raise PayloadValidationError("payload", str(exc))
-    if data.shape[0] != meta.num_classes:
-        raise SidecarError(
-            "num_classes",
-            f"sidecar says {meta.num_classes} classes, payload has {data.shape[0]}",
-        )
+    dtype_code, data, meta = _read_container(path)
     try:
-        return SoftLabelVolume(data.astype(np.float32), meta.spacing)
+        if dtype_code == DTYPE_LABELS:
+            return LabelVolume(data, meta.spacing, meta.num_classes)
+        return SoftLabelVolume(data, meta.spacing)
     except ValueError as exc:
         raise PayloadValidationError("payload", str(exc))
 
 
 def read_logits(path) -> LogitVolume:
     """Read an f32 volume as raw scores, skipping the probability checks."""
-    dtype_code, data = _parse_container(path)
+    dtype_code, data, meta = _read_container(path)
     if dtype_code != DTYPE_PROBS:
         raise HeaderFieldError("dtype", "logits must use the f32 dtype code")
-    meta = read_sidecar(path)
-    if data.shape[0] != meta.num_classes:
-        raise SidecarError(
-            "num_classes",
-            f"sidecar says {meta.num_classes} classes, payload has {data.shape[0]}",
-        )
     try:
-        return LogitVolume(data.astype(np.float64), meta.spacing)
+        return LogitVolume(data, meta.spacing)
     except ValueError as exc:
         raise PayloadValidationError("payload", str(exc))
 

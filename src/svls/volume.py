@@ -15,9 +15,6 @@ import numpy as np
 # Tolerance for per-voxel probability sums at construction time.
 SUM_TOL = 1e-6
 
-# Looser tolerance when interpreting possibly degraded predictions.
-ARGMAX_SUM_TOL = 1e-3
-
 MAX_CLASSES = 256  # labels are stored as uint8
 
 
@@ -29,20 +26,6 @@ def _check_spacing(spacing, rank: int) -> tuple[float, ...]:
     if not all(0 < s < math.inf for s in spacing):
         raise ValueError(f"spacing must be positive and finite, got {spacing}")
     return spacing
-
-
-def first_simplex_violation(planes: np.ndarray, tol: float):
-    """Locate the first voxel whose class probabilities do not sum to 1.
-
-    Returns (voxel_index_tuple, actual_sum) or None. Sums are accumulated in
-    float64 regardless of storage dtype.
-    """
-    sums = planes.sum(axis=0, dtype=np.float64)
-    bad = np.abs(sums - 1.0) > tol
-    if not bad.any():
-        return None
-    idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), sums.shape))
-    return idx, float(sums[idx])
 
 
 @dataclass(frozen=True)
@@ -115,10 +98,11 @@ class SoftLabelVolume:
             raise ValueError(
                 f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
             )
-        violation = first_simplex_violation(arr, SUM_TOL)
-        if violation is not None:
-            idx, total = violation
-            raise ValueError(f"voxel {idx} probabilities sum to {total}, expected 1 +/- {SUM_TOL}")
+        sums = arr.sum(axis=0, dtype=np.float64)
+        bad = np.abs(sums - 1.0) > SUM_TOL
+        if bad.any():
+            idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), sums.shape))
+            raise ValueError(f"voxel {idx} probabilities sum to {float(sums[idx])}, expected 1 +/- {SUM_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, arr.ndim - 1))
@@ -139,12 +123,8 @@ class SoftLabelVolume:
 def argmax_labels(probs: SoftLabelVolume) -> LabelVolume:
     """Collapse a probability volume to hard labels (ties go to the lowest class).
 
-    Rejects voxels whose probability sum deviates from 1 by more than 1e-3,
-    which guards against accidentally feeding raw scores.
+    There is no second simplex check: every SoftLabelVolume passed it at
+    construction, and its data is read-only.
     """
-    violation = first_simplex_violation(probs.data, ARGMAX_SUM_TOL)
-    if violation is not None:
-        idx, total = violation
-        raise ValueError(f"voxel {idx} probabilities sum to {total}, expected 1 +/- {ARGMAX_SUM_TOL}")
     hard = np.argmax(probs.data, axis=0).astype(np.uint8)
     return LabelVolume(hard, probs.spacing, probs.num_classes)

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive (explicit loops, clamped indexing,
 all-pairs distances, one mask per bin) or built on a different algorithm (a
-full-volume Euclidean distance transform, a full sort), and shares no code
+full-volume Euclidean distance transform, a full sort, whole-volume float64
+loss passes), and shares no code
 with the implementation paths it verifies.
 """
 
@@ -156,3 +157,18 @@ def argsort_tace(ref: np.ndarray, planes: np.ndarray, threshold: float, num_rang
     if not class_errors:
         raise ValueError(f"no probabilities above threshold {threshold} in any class")
     return float(np.mean(class_errors))
+
+
+def whole_volume_softmax(scores: np.ndarray) -> np.ndarray:
+    """Softmax over the class axis as whole-volume float64 passes: shift by
+    the class max, exponentiate, divide by the class sum."""
+    shifted = scores - scores.max(axis=0, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=0, keepdims=True)
+
+
+def whole_volume_cross_entropy(target: np.ndarray, predicted: np.ndarray, floor: float) -> np.ndarray:
+    """Per-voxel -sum_c t*log(max(p, floor)), both volumes cast to float64 whole
+    and the class sum taken by one reduction over the class axis."""
+    logs = np.log(np.maximum(predicted.astype(np.float64), floor))
+    return -(target.astype(np.float64) * logs).sum(axis=0)

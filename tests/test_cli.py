@@ -467,6 +467,38 @@ def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, 
     assert not (tmp_path / "o.svlv").exists()
 
 
+def test_sidecar_class_names_list_exits_with_validation_line(tmp_path, rng, capsys):
+    src, _ = make_labels(tmp_path, rng)
+    set_sidecar_token(src, "class_names", '["a", "b", "c"]')
+    code, _, err = run(["encode", "--in", str(src), "--method", "onehot", "--out", str(tmp_path / "o.svlv")],
+                       capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "class_names" in error["message"]
+
+
+@pytest.mark.parametrize("sigma", ["inf", "nan"])
+def test_kernel_rejects_non_finite_sigma(capsys, sigma):
+    code, out, err = run(["kernel", "--rank", "2", "--sigma", sigma], capsys)
+    assert code == 1
+    assert out == ""
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "sigma" in error["message"]
+
+
+@pytest.mark.parametrize("strength", ["inf", "nan"])
+def test_phantom_rejects_non_finite_strength(tmp_path, capsys, strength):
+    code, _, err = run(["phantom", "--kind", "miscalibrated_pred", "--dims", "4,4", "--strength", strength,
+                        "--out", str(tmp_path / "p")], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "strength" in error["message"]
+    assert not (tmp_path / "p").exists()
+
+
 def test_unexpected_exception_is_internal_error_line(monkeypatch, capsys):
     def broken(plan):
         raise RuntimeError("handler broke")

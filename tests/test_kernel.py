@@ -41,9 +41,9 @@ def test_gaussian_rejects_bad_rank(rank):
         gaussian_taps(rank, 1.0)
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0])
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
 def test_gaussian_rejects_bad_sigma(sigma):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="sigma"):
         gaussian_taps(2, sigma)
 
 

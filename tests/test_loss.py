@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svls import (
     LabelVolume,
@@ -15,6 +18,9 @@ from svls import (
     svls_smooth,
     svls_weights,
 )
+from svls.loss import LOG_FLOOR
+
+from oracles import whole_volume_cross_entropy, whole_volume_softmax
 
 SPACING2 = (1.0, 1.0)
 
@@ -154,3 +160,37 @@ def test_cross_entropy_affine_in_alpha(rng):
     predicted = random_simplex(rng, 4, (4, 4))
     ce = [cross_entropy(label_smooth(vol, a), predicted).total for a in (0.0, 0.15, 0.3)]
     assert ce[1] == pytest.approx((ce[0] + ce[2]) / 2.0, abs=1e-6)
+
+
+@st.composite
+def scored_grids(draw):
+    """Targets (shares of random counts, float32 or float64, or one-hot) and
+    logits on one random 2-D or 3-D grid."""
+    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=3)))
+    n = draw(st.integers(2, 5))
+    spacing = (1.0,) * len(dims)
+    counts = draw(arrays(np.int64, (n,) + dims, elements=st.integers(0, 6)))
+    counts[0] += 1  # no voxel without votes
+    if draw(st.booleans()):
+        labels = LabelVolume(np.argmax(counts, axis=0).astype(np.uint8), spacing, n)
+        target = one_hot_encode(labels)
+    else:
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        target = SoftLabelVolume((counts / counts.sum(axis=0)).astype(dtype), spacing)
+    scores = draw(arrays(np.float64, (n,) + dims, elements=st.floats(-50, 50)))
+    return target, LogitVolume(scores, spacing)
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids=scored_grids())
+def test_per_voxel_loss_has_the_whole_volume_oracles_bytes(grids):
+    target, scores = grids
+    predicted = softmax(scores)
+    expected_probs = whole_volume_softmax(scores.data)
+    assert predicted.data.tobytes() == expected_probs.tobytes()
+    for pred, expected_pred in ((predicted, expected_probs), (target, target.data)):
+        report = cross_entropy(target, pred)
+        expected = whole_volume_cross_entropy(target.data, expected_pred, LOG_FLOOR)
+        # bytes, not values: the sign of a zero loss counts too
+        assert report.per_voxel.tobytes() == expected.tobytes()
+        assert report.total == expected.mean()

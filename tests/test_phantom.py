@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -176,5 +178,8 @@ def test_phantom_spec_validation():
         PhantomSpec(kind="homogeneous", dims=(3,))
     with pytest.raises(ValueError, match="strength"):
         PhantomSpec(kind="homogeneous", dims=(3, 3), strength=-1.0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="strength"):
+            PhantomSpec(kind="miscalibrated_pred", dims=(3, 3), strength=bad)
     with pytest.raises(ValueError, match="classes"):
         generate_labels(PhantomSpec(kind="nested_spheres", dims=(9, 9, 9), num_classes=2))

@@ -4,6 +4,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import svls
 from svls import LabelVolume, LogitVolume, SoftLabelVolume, one_hot_encode
@@ -16,6 +19,7 @@ from svls.tensor_io import (
     SidecarError,
     TruncatedPayloadError,
     VersionMismatchError,
+    VolumeFormatError,
     read_logits,
     read_volume,
     write_report,
@@ -161,6 +165,23 @@ def test_sidecar_num_classes_overflow_is_sidecar_error(tmp_path, rng):
         read_volume(path)
 
 
+def test_sidecar_class_names_must_be_an_object(tmp_path, rng):
+    path = tmp_path / "v.svlv"
+    write_volume(random_labels(rng, (2, 2), 2), path)
+    set_sidecar_token(path, "class_names", '["a", "b"]')
+    with pytest.raises(SidecarError, match="class_names"):
+        read_volume(path)
+
+
+def test_extent_product_overflowing_int64_is_truncated_payload(tmp_path):
+    # 2**22 * 2**21 * 2**21 == 2**64, which wraps to 0 in int64 arithmetic
+    path = tmp_path / "v.svlv"
+    path.write_bytes(b"SVLV" + struct.pack("<3I", 1, 0, 3) + struct.pack("<3I", 2**22, 2**21, 2**21))
+    (tmp_path / "v.svlv.json").write_text(json.dumps({"spacing": [1.0, 1.0, 1.0], "num_classes": 2}))
+    with pytest.raises(TruncatedPayloadError, match="payload"):
+        read_volume(path)
+
+
 def test_logits_roundtrip(tmp_path):
     scores = LogitVolume(np.arange(-4.0, 4.0).reshape(2, 2, 2), (1.0, 1.0))
     path = tmp_path / "logits.svlv"
@@ -239,3 +260,73 @@ def test_loss_report_json(tmp_path):
 def test_write_report_rejects_unknown_format(tmp_path):
     with pytest.raises(ValueError):
         write_report(_sample_calibration(), tmp_path / "x", format="yaml")
+
+
+
+# Property tests of the container: every volume kind comes back bit-exact, and
+# a damaged header or payload length is a VolumeFormatError, never another
+# exception.
+
+KINDS = ("labels", "probs", "logits")
+HEADER_FIELDS = {"version": 4, "dtype": 8, "rank": 12}
+
+
+@st.composite
+def volumes(draw, kind):
+    """A label, probability or logit volume with 2 or 3 small spatial axes."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=2, max_size=3)))
+    n = draw(st.integers(2, 5))
+    spacing = tuple(draw(st.lists(st.sampled_from([0.5, 1.0, 2.5]), min_size=len(dims), max_size=len(dims))))
+    if kind == "labels":
+        return LabelVolume(draw(arrays(np.uint8, dims, elements=st.integers(0, n - 1))), spacing, n)
+    if kind == "probs":
+        counts = draw(arrays(np.int64, (n,) + dims, elements=st.integers(0, 8)))
+        counts[0] += 1  # no voxel without votes
+        return SoftLabelVolume((counts / counts.sum(axis=0)).astype(np.float32), spacing)
+    return LogitVolume(draw(arrays(np.float32, (n,) + dims, elements=st.floats(-1e6, 1e6, width=32))), spacing)
+
+
+def _read(kind, path):
+    return read_logits(path) if kind == "logits" else read_volume(path)
+
+
+def _damage(data, blob: bytes, num_extents: int) -> bytes:
+    """Cut the file short, append to it, or set one header field to another value."""
+    what = data.draw(st.sampled_from(("truncate", "append", "magic", "version", "dtype", "rank", "extent")))
+    if what == "truncate":
+        return blob[: data.draw(st.integers(0, len(blob) - 1))]
+    if what == "append":
+        return blob + data.draw(st.binary(min_size=1, max_size=64))
+    if what == "magic":
+        return data.draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"SVLV")) + blob[4:]
+    offset = HEADER_FIELDS.get(what) or 16 + 4 * data.draw(st.integers(0, num_extents - 1))
+    old = struct.unpack_from("<I", blob, offset)[0]
+    value = data.draw(st.integers(0, 2**32 - 1).filter(lambda v: v != old))
+    return blob[:offset] + struct.pack("<I", value) + blob[offset + 4:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_container_roundtrip_is_bit_exact(tmp_path_factory, kind, data):
+    vol = data.draw(volumes(kind))
+    path = tmp_path_factory.mktemp("roundtrip") / "v.svlv"
+    write_volume(vol, path)
+    first = path.read_bytes()
+    back = _read(kind, path)
+    assert type(back) is type(vol)
+    assert back.data.dtype == vol.data.dtype
+    assert back.data.tobytes() == vol.data.tobytes()
+    assert back.spacing == vol.spacing
+    write_volume(back, path)
+    assert path.read_bytes() == first
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(KINDS), data=st.data())
+def test_damaged_container_raises_format_error(tmp_path_factory, kind, data):
+    vol = data.draw(volumes(kind))
+    path = tmp_path_factory.mktemp("fuzz") / "v.svlv"
+    write_volume(vol, path)
+    path.write_bytes(_damage(data, path.read_bytes(), vol.data.ndim))
+    with pytest.raises(VolumeFormatError):
+        _read(kind, path)

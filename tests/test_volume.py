@@ -53,15 +53,6 @@ def test_argmax_one_hot_roundtrip(rng):
     assert back.spacing == vol.spacing
 
 
-def test_argmax_rejects_bad_sums():
-    data = np.full((2, 2, 2), 0.4, dtype=np.float32)
-    soft = SoftLabelVolume.__new__(SoftLabelVolume)  # bypass ctor to probe the op's own check
-    object.__setattr__(soft, "data", data)
-    object.__setattr__(soft, "spacing", (1.0, 1.0))
-    with pytest.raises(ValueError, match="sum"):
-        argmax_labels(soft)
-
-
 def test_label_volume_rejects_out_of_range():
     with pytest.raises(ValueError):
         LabelVolume(np.array([[0, 3]], dtype=np.uint8), (1.0, 1.0), 3)

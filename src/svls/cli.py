@@ -244,6 +244,13 @@ def _iter_in_out(in_path: str, out_path: str):
         yield in_path, out_path
 
 
+def _load_ndimage() -> None:
+    """Import scipy.ndimage before a subcommand that uses it reads a volume,
+    so its import lands neither inside a layer nor on top of the volumes in
+    memory. kernel, encode ls|onehot, fuse moh, loss and phantom never load it."""
+    import scipy.ndimage  # noqa: F401
+
+
 def run_kernel(plan: dict) -> int:
     k = svls_weights(plan["rank"], plan["sigma"])
     if plan["format"] == "json":
@@ -268,6 +275,8 @@ def run_encode(plan: dict) -> int:
     method = plan["method"]
     if method == "ls" and plan.get("alpha") is None:
         raise CliError("--alpha is required for method ls")
+    if method == "svls":
+        _load_ndimage()
     kernel = None
     for src, dst in _iter_in_out(plan["in_path"], plan["out"]):
         labels = tensor_io.read_volume(src)
@@ -290,6 +299,8 @@ def run_encode(plan: dict) -> int:
 
 
 def run_fuse(plan: dict) -> int:
+    if plan["method"] == "msvls":
+        _load_ndimage()
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
@@ -318,10 +329,14 @@ def run_loss(plan: dict) -> int:
         if os.path.isdir(target_path):
             target_path = os.path.join(target_path, os.path.basename(src))
         target = tensor_io.read_volume(target_path)
+        if isinstance(target, LabelVolume):
+            raise CliError(f"{target_path} holds labels; loss needs a probability volume target")
         if plan["pred_kind"] == "logits":
             predicted = softmax(tensor_io.read_logits(src))
         else:
             predicted = tensor_io.read_volume(src)
+            if isinstance(predicted, LabelVolume):
+                raise CliError(f"{src} holds labels; loss --pred-kind probs needs a probability volume")
         if dst.endswith(VOLUME_SUFFIX):
             dst = dst[: -len(VOLUME_SUFFIX)] + ".json"
         report = cross_entropy(target, predicted)
@@ -372,6 +387,7 @@ def _merged_scores(
 
 def run_evaluate(plan: dict) -> int:
     check_tolerance(plan["sd_tolerance"])
+    _load_ndimage()
     batching = os.path.isdir(plan["pred"])
     regions = _load_regions(plan["region_merge"]) if plan.get("region_merge") else {}
     for src, dst in _iter_in_out(plan["pred"], plan["out"]):

@@ -1,9 +1,12 @@
-"""Stencil correlation: one 3^rank stencil over a replicated 1-voxel border."""
+"""Stencil correlation: one 3^rank stencil over a replicated 1-voxel border.
+
+scipy.ndimage is imported where the correlation runs, so importing this
+module does not load scipy.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 
 def correlate_padded(grid: np.ndarray, taps: np.ndarray) -> np.ndarray:
@@ -12,6 +15,8 @@ def correlate_padded(grid: np.ndarray, taps: np.ndarray) -> np.ndarray:
     Reads past the edge take the nearest in-range voxel (a replicated
     border), so the result has the shape of `grid`.
     """
+    from scipy import ndimage
+
     grid = np.asarray(grid, dtype=np.float64)
     taps = np.asarray(taps, dtype=np.float64)
     rank = grid.ndim

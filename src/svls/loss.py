@@ -5,7 +5,8 @@ stack: softmax turns raw scores into predicted probabilities, cross_entropy
 evaluates the loss against any soft target, and ce_gradient gives the exact
 derivative with respect to the scores (softmax minus target).
 
-All computation runs in float64; values are in nats.
+Logit volumes keep float32 or float64 scores as given; softmax and the loss
+compute in float64 whatever the stored dtype. Values are in nats.
 """
 
 from __future__ import annotations
@@ -14,20 +15,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import SoftLabelVolume, _check_spacing
+from .volume import SoftLabelVolume, _check_spacing, _owned
 
 LOG_FLOOR = 1e-12  # the loss is undefined at p=0; predictions are clamped here
 
 
 @dataclass(frozen=True)
 class LogitVolume:
-    """Per-voxel real-valued score vectors, shape (num_classes, *dims)."""
+    """Per-voxel real-valued score vectors, shape (num_classes, *dims).
+
+    float32 and float64 scores are stored as given (a float32 read stays
+    float32); any other dtype becomes float64. The array is adopted or
+    copied by the ownership rule of the `volume` module.
+    """
 
     data: np.ndarray
     spacing: tuple[float, ...]
 
     def __post_init__(self):
-        arr = np.array(self.data, dtype=np.float64, order="C")
+        arr = np.asarray(self.data)
+        arr = _owned(arr, arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64)
         if arr.ndim not in (3, 4):
             raise ValueError(
                 f"logit volume must have a class axis plus 2 or 3 spatial axes, got {arr.ndim} axes"
@@ -36,7 +43,6 @@ class LogitVolume:
             raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
         if not np.isfinite(arr).all():
             raise ValueError("logits must be finite")
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, arr.ndim - 1))
 
@@ -58,10 +64,22 @@ class LossReport:
 
 
 def softmax(logits: LogitVolume) -> SoftLabelVolume:
-    """Exponential normalization per voxel, shifted by the max for stability."""
-    probs = logits.data - logits.data.max(axis=0, keepdims=True)
+    """Exponential normalization per voxel, shifted by the max for stability.
+
+    Computed in float64 for either score dtype: each class plane minus the
+    class max is cast into one fresh float64 volume, which is exponentiated
+    and divided by its class sum in place, then handed to the container
+    without a copy. Widening float32 is exact, so float32 scores give the
+    bytes of the same scores given as float64.
+    """
+    scores = logits.data
+    top = scores.max(axis=0)
+    probs = np.empty(scores.shape, dtype=np.float64)
+    for z_c, p_c in zip(scores, probs):
+        np.subtract(z_c, top, out=p_c, dtype=np.float64)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0, keepdims=True)
+    probs /= probs.sum(axis=0)
+    probs.setflags(write=False)
     return SoftLabelVolume(probs, logits.spacing)
 
 
@@ -83,6 +101,9 @@ def cross_entropy(
     """
     if reduction not in ("mean", "sum"):
         raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
+    for operand in (target, predicted):
+        if not isinstance(operand, SoftLabelVolume):
+            raise TypeError(f"cross_entropy scores probability volumes, got a {type(operand).__name__}")
     _check_same_grid(target, predicted)
     per_voxel = None
     for t, p in zip(target.data, predicted.data):

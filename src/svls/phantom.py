@@ -162,6 +162,7 @@ def generate_miscalibrated(
     correct = rng.random(labels.dims) < base_accuracy
     shift = rng.integers(1, n, size=labels.dims).astype(np.int64)
     predicted = np.where(correct, labels.data, (labels.data + shift) % n)
-    planes = np.full((n,) + labels.dims, (1.0 - confidence) / (n - 1), dtype=np.float64)
+    planes = np.full((n,) + labels.dims, (1.0 - confidence) / (n - 1), dtype=np.float32)
     np.put_along_axis(planes, predicted[None, ...], confidence, axis=0)
-    return SoftLabelVolume(planes.astype(np.float32), labels.spacing)
+    planes.setflags(write=False)  # fresh: the container adopts it without a copy
+    return SoftLabelVolume(planes, labels.spacing)

@@ -5,6 +5,9 @@ in 2D, 6-neighbor in 3D; the volume border counts as outside). A boundary
 voxel counts as close when a boundary voxel of the other mask lies within
 the tolerance, tested exactly by a dilation with the spacing-aware ball of
 lattice offsets no longer than the tolerance.
+
+scipy.ndimage is imported where the erosion and dilation run, so importing
+this module does not load scipy.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import LabelVolume
 
@@ -54,6 +56,8 @@ def dice(reference: LabelVolume, predicted: LabelVolume, class_id: int) -> float
 
 def boundary_mask(mask: np.ndarray) -> np.ndarray:
     """Voxels of the mask with at least one face-adjacent neighbor outside it."""
+    from scipy import ndimage
+
     mask = np.asarray(mask, dtype=bool)
     structure = ndimage.generate_binary_structure(mask.ndim, 1)
     interior = ndimage.binary_erosion(mask, structure=structure, border_value=0)
@@ -106,6 +110,8 @@ def surface_dice_masks(
         return 1.0
     if n_t == 0 or n_p == 0:
         return 0.0
+    from scipy import ndimage
+
     ball = _tolerance_ball(b_t.shape, spacing, tolerance_mm)
     # outside `mask` scipy copies the input through, hence the `&`
     close_t = int(np.count_nonzero(ndimage.binary_dilation(b_p, structure=ball, mask=b_t) & b_t))

@@ -64,6 +64,7 @@ def _class_planes(raters: RaterSet, transform) -> SoftLabelVolume:
         if rest:  # one rater's 0/1 plane already is its share: no extra pass
             votes /= len(raters)
         out[c] = transform(votes)
+    out.setflags(write=False)  # fresh: the container adopts it without a copy
     return SoftLabelVolume(out, first.spacing)
 
 

@@ -193,7 +193,9 @@ def _read_container(path):
             raise TruncatedPayloadError(
                 "payload", f"expected {dtype.itemsize * count} payload bytes, found {found}"
             )
-        data = np.fromfile(fh, dtype=dtype, count=count).reshape(axes)
+        data = np.fromfile(fh, dtype=dtype, count=count)
+    data.setflags(write=False)  # fresh: the container adopts it without a copy
+    data = data.reshape(axes)
     meta = read_sidecar(path)
     if dtype_code == DTYPE_PROBS and axes[0] != meta.num_classes:
         raise SidecarError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")

@@ -3,6 +3,16 @@
 Volumes are 2D or 3D, carry physical voxel spacing (mm per axis), and are
 immutable after construction. Probability volumes store the class axis first
 so each class plane is contiguous.
+
+Ownership: a container adopts its input array without a copy only when no
+reference its caller keeps can write to that memory. The array must be
+read-only, C-contiguous and of the stored dtype, and every `.base` below it
+must be a read-only array, down to one that owns its memory. Anything else
+(a writable array, a read-only view of writable memory, an array over a
+bytearray or other foreign buffer, another dtype or layout) is copied, so a
+caller's own array is never frozen. Producers that build a fresh array for
+a container (the readers, the soft-label encoders, softmax) freeze it first
+and so hand it over without a copy.
 """
 
 from __future__ import annotations
@@ -26,6 +36,26 @@ def _check_spacing(spacing, rank: int) -> tuple[float, ...]:
     if not all(0 < s < math.inf for s in spacing):
         raise ValueError(f"spacing must be positive and finite, got {spacing}")
     return spacing
+
+
+def _nothing_else_writes(arr: np.ndarray) -> bool:
+    """True when `arr` and every `.base` below it are read-only arrays, the
+    last of them owning its memory."""
+    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
+        if arr.base is None:
+            return arr.flags.owndata
+        arr = arr.base
+    return False
+
+
+def _owned(arr: np.ndarray, dtype) -> np.ndarray:
+    """`arr` itself if the ownership rule lets a container adopt it, else a
+    read-only C-contiguous copy of type `dtype`."""
+    if arr.dtype == dtype and arr.flags.c_contiguous and _nothing_else_writes(arr):
+        return arr
+    arr = np.array(arr, dtype=dtype, order="C")
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True)
@@ -55,8 +85,7 @@ class LabelVolume:
                 f"labels must lie in [0, {self.num_classes}), "
                 f"found range [{arr.min()}, {arr.max()}]"
             )
-        arr = np.array(arr, dtype=np.uint8, order="C")
-        arr.setflags(write=False)
+        arr = _owned(arr, np.uint8)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, arr.ndim))
 
@@ -91,19 +120,18 @@ class SoftLabelVolume:
             raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
         if any(n < 1 for n in arr.shape[1:]):
             raise ValueError(f"all dims must be >= 1, got {arr.shape[1:]}")
-        dtype = np.float64 if arr.dtype == np.float64 else np.float32
-        arr = np.array(arr, dtype=dtype, order="C")
+        arr = _owned(arr, np.float64 if arr.dtype == np.float64 else np.float32)
         # written so that NaN, which fails every comparison, is rejected too
         if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError(
                 f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
             )
         sums = arr.sum(axis=0, dtype=np.float64)
-        bad = np.abs(sums - 1.0) > SUM_TOL
+        deviation = sums - 1.0
+        bad = np.abs(deviation, out=deviation) > SUM_TOL
         if bad.any():
             idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), sums.shape))
             raise ValueError(f"voxel {idx} probabilities sum to {float(sums[idx])}, expected 1 +/- {SUM_TOL}")
-        arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, arr.ndim - 1))
 

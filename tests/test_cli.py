@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 import subprocess
 import sys
@@ -144,6 +145,25 @@ def test_loss_probs_and_logits(tmp_path, rng, capsys):
     )
     assert code == 0
     assert json.loads(report_path.read_text())["total"] == pytest.approx(np.log(2.0), abs=1e-6)
+
+
+@pytest.mark.parametrize("role", ["target", "pred"])
+def test_loss_rejects_a_label_volume(tmp_path, capsys, role):
+    # the label grid's (X, Y, Z) shape equals the probability volume's (N, X, Y) shape
+    labels = tmp_path / "labels.svlv"
+    argv = ["phantom", "--kind", "straight_boundary", "--dims", "4,8,8", "--classes", "3", "--out", str(labels)]
+    assert run(argv, capsys)[0] == 0
+    argv = ["phantom", "--kind", "miscalibrated_pred", "--dims", "8,8", "--classes", "4", "--out", str(tmp_path / "m")]
+    assert run(argv, capsys)[0] == 0
+    probs = tmp_path / "m" / "pred.svlv"
+    target, pred = (labels, probs) if role == "target" else (probs, labels)
+    out = tmp_path / "loss.json"
+    code, _, err = run(["loss", "--target", str(target), "--pred", str(pred), "--out", str(out)], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "holds labels" in error["message"]
+    assert not out.exists()
 
 
 def test_evaluate_perfect_prediction(tmp_path, rng, capsys):
@@ -497,6 +517,41 @@ def test_phantom_rejects_non_finite_strength(tmp_path, capsys, strength):
     assert error["error"] == "validation"
     assert "strength" in error["message"]
     assert not (tmp_path / "p").exists()
+
+
+# prints the scipy modules loaded by `import svls.cli` and, given arguments, one CLI run
+_SCIPY_PROBE = """
+import json, sys
+from svls.cli import main
+rc = main(sys.argv[1:]) if len(sys.argv) > 1 else 0
+print(json.dumps({"rc": rc, "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+SCIPY_FREE_RUNS = {
+    "import": [],
+    "kernel": ["kernel", "--rank", "3"],
+    "encode_ls": ["encode", "--in", "{d}/labels.svlv", "--method", "ls", "--alpha", "0.1", "--out", "{d}/ls.svlv"],
+    "encode_onehot": ["encode", "--in", "{d}/labels.svlv", "--method", "onehot", "--out", "{d}/oh.svlv"],
+    "loss_probs": ["loss", "--target", "{d}/target.svlv", "--pred", "{d}/target.svlv", "--out", "{d}/p.json"],
+    "loss_logits": ["loss", "--target", "{d}/target.svlv", "--pred", "{d}/logits.svlv", "--pred-kind", "logits",
+                    "--out", "{d}/l.json"],
+    "phantom": ["phantom", "--kind", "miscalibrated_pred", "--dims", "6,6,6", "--classes", "3", "--out", "{d}/ph"],
+}
+
+
+@pytest.mark.parametrize("name", SCIPY_FREE_RUNS)
+def test_subcommands_without_stencil_or_surface_dice_do_not_load_scipy(tmp_path, rng, name):
+    import svls
+    from svls.loss import LogitVolume
+
+    _, vol = make_labels(tmp_path, rng)
+    write_volume(one_hot_encode(vol), tmp_path / "target.svlv")
+    write_volume(LogitVolume(rng.normal(size=(3,) + vol.dims), vol.spacing), tmp_path / "logits.svlv")
+    argv = [a.format(d=tmp_path) for a in SCIPY_FREE_RUNS[name]]
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svls.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 0, "scipy": []}
 
 
 def test_unexpected_exception_is_internal_error_line(monkeypatch, capsys):

@@ -89,6 +89,15 @@ def test_cross_entropy_shape_mismatch():
         cross_entropy(a, b)
 
 
+def test_cross_entropy_rejects_label_volumes():
+    # the (X, Y, Z) label grid has the (N, X, Y) shape of the probabilities
+    labels = LabelVolume(np.zeros((2, 1, 1), dtype=np.uint8), (1.0, 1.0, 1.0), 2)
+    probs = SoftLabelVolume(np.float32([1.0, 0.0]).reshape(2, 1, 1), SPACING2)
+    for operands in ((labels, probs), (probs, labels)):
+        with pytest.raises(TypeError, match="LabelVolume"):
+            cross_entropy(*operands)
+
+
 def test_cross_entropy_total_is_mean_of_per_voxel(rng):
     target = random_simplex(rng, 3, (4, 5))
     predicted = random_simplex(rng, 3, (4, 5))
@@ -165,7 +174,7 @@ def test_cross_entropy_affine_in_alpha(rng):
 @st.composite
 def scored_grids(draw):
     """Targets (shares of random counts, float32 or float64, or one-hot) and
-    logits on one random 2-D or 3-D grid."""
+    float32 or float64 logits on one random 2-D or 3-D grid."""
     dims = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=3)))
     n = draw(st.integers(2, 5))
     spacing = (1.0,) * len(dims)
@@ -177,7 +186,8 @@ def scored_grids(draw):
     else:
         dtype = draw(st.sampled_from([np.float32, np.float64]))
         target = SoftLabelVolume((counts / counts.sum(axis=0)).astype(dtype), spacing)
-    scores = draw(arrays(np.float64, (n,) + dims, elements=st.floats(-50, 50)))
+    width = draw(st.sampled_from([32, 64]))
+    scores = draw(arrays(np.dtype(f"float{width}"), (n,) + dims, elements=st.floats(-50, 50, width=width)))
     return target, LogitVolume(scores, spacing)
 
 
@@ -186,7 +196,8 @@ def scored_grids(draw):
 def test_per_voxel_loss_has_the_whole_volume_oracles_bytes(grids):
     target, scores = grids
     predicted = softmax(scores)
-    expected_probs = whole_volume_softmax(scores.data)
+    # float32 scores stay float32 in the container; widening them is exact
+    expected_probs = whole_volume_softmax(scores.data.astype(np.float64))
     assert predicted.data.tobytes() == expected_probs.tobytes()
     for pred, expected_pred in ((predicted, expected_probs), (target, target.data)):
         report = cross_entropy(target, pred)

@@ -110,3 +110,85 @@ def test_volumes_are_immutable(rng):
     soft = one_hot_encode(vol)
     with pytest.raises(ValueError):
         soft.data[0, 0, 0] = 0.5
+
+
+# the ownership rule, for each container: (constructor, stored dtype, another dtype)
+CONTAINERS = {
+    "labels": (lambda a: LabelVolume(a, (1.0, 1.0, 1.0), 2), np.uint8, np.int64),
+    "probs": (lambda a: SoftLabelVolume(a, (1.0, 1.0)), np.float32, np.float16),
+    "logits": (lambda a: LogitVolume(a, (1.0, 1.0)), np.float32, np.float16),
+}
+
+
+def planes(dtype, shape=(2, 3, 4)):
+    """0/1 planes that are valid labels (rank 3), probabilities and logits (2 classes)."""
+    arr = np.zeros(shape, dtype=dtype)
+    arr[0, ::2] = 1
+    arr[1] = 1 - arr[0]
+    return arr
+
+
+def frozen(arr):
+    arr.setflags(write=False)
+    return arr
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_writable_input_is_copied(kind):
+    make, dtype, _ = CONTAINERS[kind]
+    arr = planes(dtype)
+    vol = make(arr)
+    assert arr.flags.writeable
+    assert not np.shares_memory(vol.data, arr)
+    arr[...] = 0
+    assert np.array_equal(vol.data, planes(dtype))
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_read_only_view_of_writable_memory_is_copied(kind):
+    make, dtype, _ = CONTAINERS[kind]
+    base = planes(dtype)
+    vol = make(frozen(base.view()))
+    assert base.flags.writeable
+    assert not np.shares_memory(vol.data, base)
+    base[...] = 0
+    assert np.array_equal(vol.data, planes(dtype))
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_read_only_array_over_a_bytearray_is_copied(kind):
+    make, dtype, _ = CONTAINERS[kind]
+    buffer = bytearray(planes(dtype).tobytes())
+    arr = frozen(np.frombuffer(buffer, dtype=dtype).reshape(2, 3, 4))
+    vol = make(arr)
+    assert not np.shares_memory(vol.data, arr)
+    buffer[:] = bytes(len(buffer))
+    assert np.array_equal(vol.data, planes(dtype))
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_read_only_array_owning_its_memory_is_adopted(kind):
+    make, dtype, _ = CONTAINERS[kind]
+    owner = frozen(planes(dtype))
+    assert make(owner).data is owner
+    # a read-only reshape of it, as the readers hand over, is adopted too
+    flat = frozen(planes(dtype).ravel().copy())
+    assert np.shares_memory(make(flat.reshape(2, 3, 4)).data, flat)
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_other_dtype_or_layout_is_copied(kind):
+    make, dtype, other = CONTAINERS[kind]
+    wide = frozen(planes(dtype, shape=(2, 3, 8)))
+    for arr in (frozen(planes(other)), frozen(np.asfortranarray(planes(dtype))), wide[:, :, ::2]):
+        vol = make(arr)
+        assert not np.shares_memory(vol.data, arr)
+        assert vol.data.flags.c_contiguous and not vol.data.flags.writeable
+        assert np.array_equal(vol.data, planes(dtype))
+
+
+def test_logit_volume_keeps_float32_and_widens_other_dtypes():
+    assert LogitVolume(planes(np.float32), (1.0, 1.0)).data.dtype == np.float32
+    assert LogitVolume(planes(np.float64), (1.0, 1.0)).data.dtype == np.float64
+    assert LogitVolume(planes(np.float16), (1.0, 1.0)).data.dtype == np.float64
+    assert LogitVolume(planes(np.int32), (1.0, 1.0)).data.dtype == np.float64

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume, SoftLabelVolume
+from .volume import LabelVolume, SoftLabelVolume, check_same_grid
 
 
 @dataclass(frozen=True)
@@ -45,13 +45,18 @@ class CalibrationReport:
     tace_ranges: int
 
 
-def _check_grid(reference: LabelVolume, predicted: SoftLabelVolume) -> None:
-    if reference.dims != predicted.dims:
-        raise ValueError(f"shape mismatch: {reference.dims} vs {predicted.dims}")
-    if reference.num_classes != predicted.num_classes:
-        raise ValueError(
-            f"class count mismatch: {reference.num_classes} vs {predicted.num_classes}"
-        )
+def check_num_bins(num_bins: int) -> None:
+    """Reject a reliability bin count below 1."""
+    if num_bins < 1:
+        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+
+
+def check_tace_params(threshold: float, num_ranges: int) -> None:
+    """Reject a TACE floor outside [0, 1) or a range count below 1."""
+    if not (0.0 <= threshold < 1.0):
+        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
+    if num_ranges < 1:
+        raise ValueError(f"num_ranges must be >= 1, got {num_ranges}")
 
 
 def _bin_stats(which: np.ndarray, probs: np.ndarray, hits: np.ndarray, num_bins: int):
@@ -65,9 +70,8 @@ def _bin_stats(which: np.ndarray, probs: np.ndarray, hits: np.ndarray, num_bins:
 
 def _reliability(reference, predicted, num_bins: int, foreground_only: bool = False):
     """Reliability bins and the size of the voxel population they partition."""
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
-    _check_grid(reference, predicted)
+    check_num_bins(num_bins)
+    check_same_grid(reference, predicted)
     # float32 -> float64 is exact and keeps order, so max and argmax of the
     # stored planes equal those of a float64 copy, without the copy
     confidence = predicted.data.max(axis=0).astype(np.float64).ravel()
@@ -114,11 +118,8 @@ def tace(
     num_ranges: int = 15,
 ) -> float:
     """Thresholded adaptive calibration error over per-class probabilities."""
-    if not (0.0 <= threshold < 1.0):
-        raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    if num_ranges < 1:
-        raise ValueError(f"num_ranges must be >= 1, got {num_ranges}")
-    _check_grid(reference, predicted)
+    check_tace_params(threshold, num_ranges)
+    check_same_grid(reference, predicted)
     ref = reference.data.ravel()
     # a float64 threshold: against a Python float, NumPy would round it to the
     # plane's float32 and drop probabilities equal to float32(threshold)

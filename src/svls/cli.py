@@ -13,7 +13,10 @@ KIND `validation` or `io`; any other exception is a fault of the program and
 exits 1 with KIND `internal` and TEXT `<Type>: <text>`, never a traceback
 (SVLS_LOG=debug logs it).
 Output files are written to a temp name and atomically renamed, so failures
-never leave partial outputs.
+never leave partial outputs. Failed runs leave no output directory either:
+`evaluate` checks its flags before it reads anything and makes its output
+directory only once a volume is scored (a batch makes its top directory
+before the first volume).
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -30,13 +33,13 @@ import sys
 import numpy as np
 
 from . import tensor_io
-from .calibration import calibrate_report
+from .calibration import calibrate_report, check_num_bins, check_tace_params
 from .kernel import svls_weights
 from .loss import cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import SegmentationScores, check_tolerance, dice_masks, score_segmentation, surface_dice_masks
 from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
-from .volume import LabelVolume, argmax_labels
+from .volume import LabelVolume, SoftLabelVolume, argmax_labels
 
 log = logging.getLogger("svls")
 
@@ -244,6 +247,16 @@ def _iter_in_out(in_path: str, out_path: str):
         yield in_path, out_path
 
 
+def _read(path: str, kind: type, flag: str):
+    """Read the volume given to `flag`, which must be a `kind` volume
+    (LabelVolume or SoftLabelVolume)."""
+    volume = tensor_io.read_volume(path)
+    if not isinstance(volume, kind):
+        held, wanted = ("labels", "probability") if kind is SoftLabelVolume else ("probabilities", "label")
+        raise CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
+    return volume
+
+
 def _load_ndimage() -> None:
     """Import scipy.ndimage before a subcommand that uses it reads a volume,
     so its import lands neither inside a layer nor on top of the volumes in
@@ -279,9 +292,7 @@ def run_encode(plan: dict) -> int:
         _load_ndimage()
     kernel = None
     for src, dst in _iter_in_out(plan["in_path"], plan["out"]):
-        labels = tensor_io.read_volume(src)
-        if not isinstance(labels, LabelVolume):
-            raise CliError(f"{src} is not a label volume")
+        labels = _read(src, LabelVolume, "encode --in")
         provenance = {"method": method, "source": os.path.basename(src)}
         if method == "onehot":
             soft = one_hot_encode(labels)
@@ -304,11 +315,7 @@ def run_fuse(plan: dict) -> int:
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
-    volumes = [tensor_io.read_volume(p) for p in paths]
-    for p, v in zip(paths, volumes):
-        if not isinstance(v, LabelVolume):
-            raise CliError(f"{p} is not a label volume")
-    raters = RaterSet(tuple(volumes))
+    raters = RaterSet(tuple(_read(p, LabelVolume, "fuse --in") for p in paths))
     provenance = {
         "method": plan["method"],
         "rater_files": [os.path.basename(p) for p in paths],
@@ -328,15 +335,11 @@ def run_loss(plan: dict) -> int:
         target_path = plan["target"]
         if os.path.isdir(target_path):
             target_path = os.path.join(target_path, os.path.basename(src))
-        target = tensor_io.read_volume(target_path)
-        if isinstance(target, LabelVolume):
-            raise CliError(f"{target_path} holds labels; loss needs a probability volume target")
+        target = _read(target_path, SoftLabelVolume, "loss --target")
         if plan["pred_kind"] == "logits":
             predicted = softmax(tensor_io.read_logits(src))
         else:
-            predicted = tensor_io.read_volume(src)
-            if isinstance(predicted, LabelVolume):
-                raise CliError(f"{src} holds labels; loss --pred-kind probs needs a probability volume")
+            predicted = _read(src, SoftLabelVolume, "loss --pred")
         if dst.endswith(VOLUME_SUFFIX):
             dst = dst[: -len(VOLUME_SUFFIX)] + ".json"
         report = cross_entropy(target, predicted)
@@ -387,6 +390,8 @@ def _merged_scores(
 
 def run_evaluate(plan: dict) -> int:
     check_tolerance(plan["sd_tolerance"])
+    check_num_bins(plan["ece_bins"])
+    check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
     _load_ndimage()
     batching = os.path.isdir(plan["pred"])
     regions = _load_regions(plan["region_merge"]) if plan.get("region_merge") else {}
@@ -394,14 +399,9 @@ def run_evaluate(plan: dict) -> int:
         ref_path = plan["ref"]
         if os.path.isdir(ref_path):
             ref_path = os.path.join(ref_path, os.path.basename(src))
-        reference = tensor_io.read_volume(ref_path)
+        reference = _read(ref_path, LabelVolume, "evaluate --ref")
         _check_regions(regions, reference.num_classes, plan["composite"])
-        predicted = tensor_io.read_volume(src)
-        if isinstance(predicted, LabelVolume):
-            raise CliError(f"{src} holds labels; evaluate needs a probability volume")
-        out_dir = dst[: -len(VOLUME_SUFFIX)] if batching else plan["out"]
-        os.makedirs(out_dir, exist_ok=True)
-
+        predicted = _read(src, SoftLabelVolume, "evaluate --pred")
         hard = argmax_labels(predicted)
         scores = score_segmentation(reference, hard, tolerance_mm=plan["sd_tolerance"])
         scores = _merged_scores(scores, reference, hard, regions, plan["composite"])
@@ -413,6 +413,8 @@ def run_evaluate(plan: dict) -> int:
             tace_ranges=plan["tace_ranges"],
             foreground_only=plan["foreground_only"],
         )
+        out_dir = dst[: -len(VOLUME_SUFFIX)] if batching else plan["out"]
+        os.makedirs(out_dir, exist_ok=True)
         tensor_io.write_report(calib, os.path.join(out_dir, "calibration.json"), format="json")
         tensor_io.write_report(calib, os.path.join(out_dir, "reliability.csv"), format="csv")
         tensor_io.write_report(scores, os.path.join(out_dir, "segmentation.json"), format="json")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import SoftLabelVolume, _check_spacing, _owned
+from .volume import SoftLabelVolume, _check_class_axis, _check_spacing, _owned, check_same_grid
 
 LOG_FLOOR = 1e-12  # the loss is undefined at p=0; predictions are clamped here
 
@@ -34,13 +34,8 @@ class LogitVolume:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
+        _check_class_axis(arr, "logit")
         arr = _owned(arr, arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64)
-        if arr.ndim not in (3, 4):
-            raise ValueError(
-                f"logit volume must have a class axis plus 2 or 3 spatial axes, got {arr.ndim} axes"
-            )
-        if arr.shape[0] < 2:
-            raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
         if not np.isfinite(arr).all():
             raise ValueError("logits must be finite")
         object.__setattr__(self, "data", arr)
@@ -83,11 +78,6 @@ def softmax(logits: LogitVolume) -> SoftLabelVolume:
     return SoftLabelVolume(probs, logits.spacing)
 
 
-def _check_same_grid(target: SoftLabelVolume, other) -> None:
-    if target.data.shape != other.data.shape:
-        raise ValueError(f"shape mismatch: target {target.data.shape} vs {other.data.shape}")
-
-
 def cross_entropy(
     target: SoftLabelVolume, predicted: SoftLabelVolume, reduction: str = "mean"
 ) -> LossReport:
@@ -104,7 +94,7 @@ def cross_entropy(
     for operand in (target, predicted):
         if not isinstance(operand, SoftLabelVolume):
             raise TypeError(f"cross_entropy scores probability volumes, got a {type(operand).__name__}")
-    _check_same_grid(target, predicted)
+    check_same_grid(target, predicted)
     per_voxel = None
     for t, p in zip(target.data, predicted.data):
         term = np.maximum(p, LOG_FLOOR, dtype=np.float64)
@@ -122,5 +112,5 @@ def ce_gradient(target: SoftLabelVolume, logits: LogitVolume) -> np.ndarray:
     Equals softmax(logits) - target; each voxel's gradient components sum
     to 0 because both terms sum to 1.
     """
-    _check_same_grid(target, logits)
+    check_same_grid(target, logits)
     return softmax(logits).data - target.data

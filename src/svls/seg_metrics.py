@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume
+from .volume import LabelVolume, check_same_grid
 
 
 @dataclass(frozen=True)
@@ -27,13 +27,6 @@ class SegmentationScores:
     per_class_dsc: dict
     per_class_sd: dict
     tolerance_mm: float
-
-
-def _check_compatible(reference: LabelVolume, predicted: LabelVolume, check_spacing: bool = True):
-    if reference.dims != predicted.dims:
-        raise ValueError(f"shape mismatch: {reference.dims} vs {predicted.dims}")
-    if check_spacing and reference.spacing != predicted.spacing:
-        raise ValueError(f"spacing mismatch: {reference.spacing} vs {predicted.spacing}")
 
 
 def dice_masks(mask_t: np.ndarray, mask_p: np.ndarray) -> float:
@@ -48,7 +41,7 @@ def dice_masks(mask_t: np.ndarray, mask_p: np.ndarray) -> float:
 
 def dice(reference: LabelVolume, predicted: LabelVolume, class_id: int) -> float:
     """Dice similarity coefficient of one class between two label volumes."""
-    _check_compatible(reference, predicted, check_spacing=False)
+    check_same_grid(reference, predicted)
     if not (0 <= class_id < reference.num_classes):
         raise ValueError(f"class_id {class_id} out of range [0, {reference.num_classes})")
     return dice_masks(reference.data == class_id, predicted.data == class_id)
@@ -123,7 +116,7 @@ def surface_dice(
     reference: LabelVolume, predicted: LabelVolume, class_id: int, tolerance_mm: float
 ) -> float:
     """Surface DSC of one class between two label volumes on the same grid."""
-    _check_compatible(reference, predicted)
+    check_same_grid(reference, predicted)
     if not (0 <= class_id < reference.num_classes):
         raise ValueError(f"class_id {class_id} out of range [0, {reference.num_classes})")
     return surface_dice_masks(
@@ -138,7 +131,7 @@ def score_segmentation(
     class_ids=None,
 ) -> SegmentationScores:
     """Compute DSC and Surface DSC for every class (or the requested subset)."""
-    _check_compatible(reference, predicted)
+    check_same_grid(reference, predicted)
     if class_ids is None:
         class_ids = range(reference.num_classes)
     dsc = {c: dice(reference, predicted, c) for c in class_ids}

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import engine
 from .kernel import SvlsKernel
-from .volume import LabelVolume, SoftLabelVolume
+from .volume import LabelVolume, SoftLabelVolume, check_same_grid
 
 
 @dataclass(frozen=True)
@@ -39,14 +39,11 @@ class RaterSet:
         raters = tuple(self.raters)
         if len(raters) < 1:
             raise ValueError("rater set must contain at least one annotation")
-        first = raters[0]
         for i, r in enumerate(raters[1:], start=1):
-            if r.dims != first.dims:
-                raise ValueError(f"rater {i} dims {r.dims} differ from rater 0 dims {first.dims}")
-            if r.spacing != first.spacing:
-                raise ValueError(f"rater {i} spacing {r.spacing} differs from rater 0")
-            if r.num_classes != first.num_classes:
-                raise ValueError(f"rater {i} has {r.num_classes} classes, rater 0 has {first.num_classes}")
+            try:
+                check_same_grid(r, raters[0])
+            except ValueError as exc:
+                raise ValueError(f"rater {i} vs rater 0: {exc}") from None
         object.__setattr__(self, "raters", raters)
 
     def __len__(self) -> int:

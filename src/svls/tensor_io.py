@@ -231,78 +231,55 @@ def _sig6(x: float):
     return float(f"{float(x):.6g}")
 
 
-def _sig6_str(x: float) -> str:
-    v = _sig6(x)
-    return "" if v is None else f"{v:.6g}"
-
-
-def _calibration_json(report: CalibrationReport) -> dict:
-    return {
-        "ece": _sig6(report.ece),
-        "tace": _sig6(report.tace),
-        "num_bins": report.num_bins,
-        "tace_threshold": _sig6(report.tace_threshold),
-        "tace_ranges": report.tace_ranges,
-        "bins": [
-            {
-                "lower": _sig6(b.lower),
-                "upper": _sig6(b.upper),
-                "count": b.count,
-                "mean_confidence": _sig6(b.mean_confidence),
-                "accuracy": _sig6(b.accuracy),
-            }
+def _report_table(report):
+    """A report as (summary fields, name of the row list, column names, rows),
+    in output order, each measurement rounded once by `_sig6`. A loss
+    report's only row is its summary, and it has no row list."""
+    if isinstance(report, CalibrationReport):
+        summary = {
+            "ece": _sig6(report.ece),
+            "tace": _sig6(report.tace),
+            "num_bins": report.num_bins,
+            "tace_threshold": _sig6(report.tace_threshold),
+            "tace_ranges": report.tace_ranges,
+        }
+        rows = [
+            (_sig6(b.lower), _sig6(b.upper), b.count, _sig6(b.mean_confidence), _sig6(b.accuracy))
             for b in report.bins
-        ],
-    }
+        ]
+        return summary, "bins", ("lower", "upper", "count", "mean_confidence", "accuracy"), rows
+    if isinstance(report, SegmentationScores):
+        rows = [
+            (str(c), _sig6(report.per_class_dsc[c]), _sig6(report.per_class_sd[c]))
+            for c in report.per_class_dsc
+        ]
+        return {"tolerance_mm": _sig6(report.tolerance_mm)}, "classes", ("class", "dsc", "sd"), rows
+    if isinstance(report, LossReport):
+        summary = {"total": _sig6(report.total), "voxels": int(report.per_voxel.size)}
+        return summary, None, tuple(summary), [tuple(summary.values())]
+    raise TypeError(f"cannot serialize {type(report).__name__}")
 
 
-def _calibration_csv(report: CalibrationReport) -> str:
-    lines = ["lower,upper,count,mean_confidence,accuracy"]
-    for b in report.bins:
-        lines.append(
-            f"{_sig6_str(b.lower)},{_sig6_str(b.upper)},{b.count},"
-            f"{_sig6_str(b.mean_confidence)},{_sig6_str(b.accuracy)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _scores_json(scores: SegmentationScores) -> dict:
-    return {
-        "tolerance_mm": _sig6(scores.tolerance_mm),
-        "classes": [
-            {"class": str(c), "dsc": _sig6(scores.per_class_dsc[c]), "sd": _sig6(scores.per_class_sd[c])}
-            for c in scores.per_class_dsc
-        ],
-    }
-
-
-def _scores_csv(scores: SegmentationScores) -> str:
-    lines = ["class,dsc,sd"]
-    for c in scores.per_class_dsc:
-        lines.append(f"{c},{_sig6_str(scores.per_class_dsc[c])},{_sig6_str(scores.per_class_sd[c])}")
-    return "\n".join(lines) + "\n"
-
-
-def _loss_json(report: LossReport) -> dict:
-    return {"total": _sig6(report.total), "voxels": int(report.per_voxel.size)}
+def _csv_cell(value) -> str:
+    """An empty cell for None (NaN), 6 significant decimals for a float."""
+    if value is None:
+        return ""
+    return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
 def write_report(report, path, format: str = "json") -> None:
-    """Serialize a metric report with fixed field order and 6 significant decimals."""
+    """Serialize a metric report with fixed field order and 6 significant decimals.
+
+    JSON holds the summary fields, then the rows as objects under the row
+    list's name; CSV holds the column names, then one line per row.
+    """
     if format not in ("json", "csv"):
         raise ValueError(f"format must be json or csv, got {format!r}")
-    if isinstance(report, CalibrationReport):
-        payload = _calibration_csv(report) if format == "csv" else _calibration_json(report)
-    elif isinstance(report, SegmentationScores):
-        payload = _scores_csv(report) if format == "csv" else _scores_json(report)
-    elif isinstance(report, LossReport):
-        if format == "csv":
-            payload = f"total,voxels\n{_sig6_str(report.total)},{report.per_voxel.size}\n"
-        else:
-            payload = _loss_json(report)
-    else:
-        raise TypeError(f"cannot serialize {type(report).__name__}")
+    summary, rows_name, columns, rows = _report_table(report)
     if format == "json":
-        atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+        doc = dict(summary)
+        if rows_name is not None:
+            doc[rows_name] = [dict(zip(columns, row)) for row in rows]
+        atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
     else:
-        atomic_write_text(path, payload)
+        atomic_write_text(path, "".join(",".join(map(_csv_cell, line)) + "\n" for line in (columns, *rows)))

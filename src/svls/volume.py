@@ -58,6 +58,29 @@ def _owned(arr: np.ndarray, dtype) -> np.ndarray:
     return arr
 
 
+def _check_class_axis(arr: np.ndarray, kind: str) -> None:
+    """Shape rule of a class-first volume: a class axis of at least 2
+    classes plus 2 or 3 spatial axes, every extent >= 1."""
+    if arr.ndim not in (3, 4):
+        raise ValueError(f"{kind} volume must have a class axis plus 2 or 3 spatial axes, got {arr.ndim} axes")
+    if arr.shape[0] < 2:
+        raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
+    if any(n < 1 for n in arr.shape[1:]):
+        raise ValueError(f"all dims must be >= 1, got {arr.shape[1:]}")
+
+
+def check_same_grid(a, b) -> None:
+    """Reject two volumes that do not lie on one grid: equal dims, then
+    class count, then spacing. Every metric and the loss compare volumes
+    voxel by voxel, so each of them needs all three."""
+    if a.dims != b.dims:
+        raise ValueError(f"shape mismatch: dims {a.dims} vs {b.dims}")
+    if a.num_classes != b.num_classes:
+        raise ValueError(f"class count mismatch: {a.num_classes} vs {b.num_classes}")
+    if a.spacing != b.spacing:
+        raise ValueError(f"spacing mismatch: {a.spacing} vs {b.spacing}")
+
+
 @dataclass(frozen=True)
 class LabelVolume:
     """Dense integer class-ID grid with voxel spacing in millimeters.
@@ -112,14 +135,7 @@ class SoftLabelVolume:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        if arr.ndim not in (3, 4):
-            raise ValueError(
-                f"probability volume must have a class axis plus 2 or 3 spatial axes, got {arr.ndim} axes"
-            )
-        if arr.shape[0] < 2:
-            raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
-        if any(n < 1 for n in arr.shape[1:]):
-            raise ValueError(f"all dims must be >= 1, got {arr.shape[1:]}")
+        _check_class_axis(arr, "probability")
         arr = _owned(arr, np.float64 if arr.dtype == np.float64 else np.float32)
         # written so that NaN, which fails every comparison, is rejected too
         if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):

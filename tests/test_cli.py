@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import svls
 from svls import LabelVolume, one_hot_encode, svls_weights
 from svls import cli
 from svls.cli import main
@@ -25,6 +26,11 @@ def last_error(err: str) -> dict:
     lines = [l for l in err.strip().splitlines() if l.startswith("{")]
     assert lines, f"no machine-readable error line in stderr: {err!r}"
     return json.loads(lines[-1])
+
+
+def child_env() -> dict:
+    """This environment, with the svls package this process imported on the path."""
+    return dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svls.__file__)))
 
 
 def make_labels(tmp_path, rng, name="labels.svlv", dims=(6, 6, 6), n=3):
@@ -56,6 +62,7 @@ def test_kernel_console_script():
         [sys.executable, "-m", "svls.cli", "kernel", "--rank", "2", "--format", "json"],
         capture_output=True,
         text=True,
+        env=child_env(),
     )
     assert proc.returncode == 0
     assert len(json.loads(proc.stdout)["taps"]) == 9
@@ -477,6 +484,65 @@ def test_evaluate_checks_tolerance_before_reading(tmp_path, capsys, tolerance):
     assert "tolerance" in error["message"]
 
 
+@pytest.mark.parametrize(
+    "flag, value, word",
+    [("--ece-bins", "0", "num_bins"), ("--tace-ranges", "0", "num_ranges"), ("--tace-threshold", "1.5", "threshold")],
+)
+def test_evaluate_checks_calibration_flags_before_reading(tmp_path, capsys, flag, value, word):
+    # the inputs do not exist: a flag checked after the reads would exit 2
+    out_dir = tmp_path / "eval"
+    code, _, err = run(
+        ["evaluate", "--ref", str(tmp_path / "ref.svlv"), "--pred", str(tmp_path / "pred.svlv"),
+         flag, value, "--out", str(out_dir)], capsys,
+    )
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert word in error["message"]
+    assert not out_dir.exists()
+
+
+def test_evaluate_rejects_a_class_count_mismatch_and_leaves_no_output(tmp_path, rng, capsys):
+    ref, _ = make_labels(tmp_path, rng, n=4)
+    _, vol = make_labels(tmp_path, rng, name="three.svlv", n=3)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    out_dir = tmp_path / "eval"
+    code, _, err = run(["evaluate", "--ref", str(ref), "--pred", str(pred), "--out", str(out_dir)], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "class count mismatch: 4 vs 3" in error["message"]
+    assert not out_dir.exists()
+
+
+def test_evaluate_rejects_a_probability_reference(tmp_path, rng, capsys):
+    _, vol = make_labels(tmp_path, rng)
+    soft = tmp_path / "soft.svlv"
+    write_volume(one_hot_encode(vol), soft)
+    out_dir = tmp_path / "eval"
+    code, _, err = run(["evaluate", "--ref", str(soft), "--pred", str(soft), "--out", str(out_dir)], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "evaluate --ref needs a label volume" in error["message"]
+    assert not out_dir.exists()
+
+
+def test_loss_rejects_a_spacing_mismatch(tmp_path, rng, capsys):
+    _, vol = make_labels(tmp_path, rng)
+    target, pred = tmp_path / "target.svlv", tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), target)
+    write_volume(one_hot_encode(LabelVolume(vol.data, (2.0, 1.0, 1.0), vol.num_classes)), pred)
+    out = tmp_path / "loss.json"
+    code, _, err = run(["loss", "--target", str(target), "--pred", str(pred), "--out", str(out)], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "spacing mismatch" in error["message"]
+    assert not out.exists()
+
+
 def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, capsys):
     src, _ = make_labels(tmp_path, rng)
     set_sidecar_token(src, "num_classes", "1e400")  # JSON parses it as inf
@@ -541,15 +607,14 @@ SCIPY_FREE_RUNS = {
 
 @pytest.mark.parametrize("name", SCIPY_FREE_RUNS)
 def test_subcommands_without_stencil_or_surface_dice_do_not_load_scipy(tmp_path, rng, name):
-    import svls
     from svls.loss import LogitVolume
 
     _, vol = make_labels(tmp_path, rng)
     write_volume(one_hot_encode(vol), tmp_path / "target.svlv")
     write_volume(LogitVolume(rng.normal(size=(3,) + vol.dims), vol.spacing), tmp_path / "logits.svlv")
     argv = [a.format(d=tmp_path) for a in SCIPY_FREE_RUNS[name]]
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(svls.__file__)))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True,
+                          env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 0, "scipy": []}
 

@@ -262,6 +262,113 @@ def test_write_report_rejects_unknown_format(tmp_path):
         write_report(_sample_calibration(), tmp_path / "x", format="yaml")
 
 
+def _sample_scores():
+    """Integer class keys, a merged-region key and a composite row, one NaN cell."""
+    return SegmentationScores(
+        per_class_dsc={0: 1.0, 1: 0.123456789, "tumor": 2 / 3, "comp": 0.5},
+        per_class_sd={0: 1.0, 1: math.nan, "tumor": 0.25, "comp": 1 / 7},
+        tolerance_mm=2.0,
+    )
+
+
+GOLDEN_REPORTS = {
+    ("calibration", "json"): """\
+{
+  "ece": 0.1,
+  "tace": 0.01,
+  "num_bins": 3,
+  "tace_threshold": 0.001,
+  "tace_ranges": 15,
+  "bins": [
+    {
+      "lower": 0.0,
+      "upper": 0.333333,
+      "count": 0,
+      "mean_confidence": null,
+      "accuracy": null
+    },
+    {
+      "lower": 0.333333,
+      "upper": 0.666667,
+      "count": 2,
+      "mean_confidence": 0.5,
+      "accuracy": 0.5
+    },
+    {
+      "lower": 0.666667,
+      "upper": 1.0,
+      "count": 4,
+      "mean_confidence": 0.9,
+      "accuracy": 0.75
+    }
+  ]
+}
+""",
+    ("calibration", "csv"): """\
+lower,upper,count,mean_confidence,accuracy
+0,0.333333,0,,
+0.333333,0.666667,2,0.5,0.5
+0.666667,1,4,0.9,0.75
+""",
+    ("scores", "json"): """\
+{
+  "tolerance_mm": 2.0,
+  "classes": [
+    {
+      "class": "0",
+      "dsc": 1.0,
+      "sd": 1.0
+    },
+    {
+      "class": "1",
+      "dsc": 0.123457,
+      "sd": null
+    },
+    {
+      "class": "tumor",
+      "dsc": 0.666667,
+      "sd": 0.25
+    },
+    {
+      "class": "comp",
+      "dsc": 0.5,
+      "sd": 0.142857
+    }
+  ]
+}
+""",
+    ("scores", "csv"): """\
+class,dsc,sd
+0,1,1
+1,0.123457,
+tumor,0.666667,0.25
+comp,0.5,0.142857
+""",
+    ("loss", "json"): """\
+{
+  "total": 0.693147,
+  "voxels": 6
+}
+""",
+    ("loss", "csv"): """\
+total,voxels
+0.693147,6
+""",
+}
+
+
+@pytest.mark.parametrize("kind, fmt", GOLDEN_REPORTS, ids=[f"{k}-{f}" for k, f in GOLDEN_REPORTS])
+def test_report_bytes_are_pinned(tmp_path, kind, fmt):
+    report = {
+        "calibration": _sample_calibration(),
+        "scores": _sample_scores(),
+        "loss": LossReport(total=0.6931471805599453, per_voxel=np.zeros((2, 3))),
+    }[kind]
+    path = tmp_path / f"report.{fmt}"
+    write_report(report, path, format=fmt)
+    assert path.read_bytes() == GOLDEN_REPORTS[kind, fmt].encode()
+
+
 
 # Property tests of the container: every volume kind comes back bit-exact, and
 # a damaged header or payload length is a VolumeFormatError, never another

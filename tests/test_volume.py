@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from svls import LabelVolume, LogitVolume, SoftLabelVolume, argmax_labels, one_hot_encode
+from svls import (
+    LabelVolume,
+    LogitVolume,
+    RaterSet,
+    SoftLabelVolume,
+    argmax_labels,
+    calibrate_report,
+    ce_gradient,
+    cross_entropy,
+    dice,
+    one_hot_encode,
+    reliability,
+    score_segmentation,
+    surface_dice,
+    tace,
+)
 
 from conftest import random_labels
 
@@ -103,6 +118,17 @@ def test_soft_volume_rejects_nan():
         SoftLabelVolume(data, (1.0, 1.0))
 
 
+@pytest.mark.parametrize("make", [SoftLabelVolume, LogitVolume], ids=["probs", "logits"])
+@pytest.mark.parametrize(
+    "shape, message",
+    [((2, 3), "class axis plus 2 or 3"), ((1, 3, 3), "at least 2 classes"), ((2, 0, 3), "dims must be >= 1")],
+    ids=["no-class-axis", "one-class", "zero-extent"],
+)
+def test_class_axis_containers_share_one_shape_rule(make, shape, message):
+    with pytest.raises(ValueError, match=message):
+        make(np.zeros(shape, dtype=np.float32), (1.0, 1.0))
+
+
 def test_volumes_are_immutable(rng):
     vol = random_labels(rng, (3, 3), 2)
     with pytest.raises(ValueError):
@@ -192,3 +218,44 @@ def test_logit_volume_keeps_float32_and_widens_other_dtypes():
     assert LogitVolume(planes(np.float64), (1.0, 1.0)).data.dtype == np.float64
     assert LogitVolume(planes(np.float16), (1.0, 1.0)).data.dtype == np.float64
     assert LogitVolume(planes(np.int32), (1.0, 1.0)).data.dtype == np.float64
+
+
+# every call site that compares two volumes voxel by voxel, with the kinds of
+# its two operands: each must reject a second operand on another grid
+SAME_GRID_SITES = {
+    "cross_entropy": (cross_entropy, "probs", "probs"),
+    "ce_gradient": (ce_gradient, "probs", "logits"),
+    "reliability": (reliability, "labels", "probs"),
+    "tace": (tace, "labels", "probs"),
+    "calibrate_report": (calibrate_report, "labels", "probs"),
+    "dice": (lambda a, b: dice(a, b, 0), "labels", "labels"),
+    "surface_dice": (lambda a, b: surface_dice(a, b, 0, 1.0), "labels", "labels"),
+    "score_segmentation": (score_segmentation, "labels", "labels"),
+    "RaterSet": (lambda a, b: RaterSet((a, b)), "labels", "labels"),
+}
+GRID_MISMATCHES = {
+    "dims": ({"dims": (3, 5)}, "shape mismatch: dims"),
+    "classes": ({"num_classes": 4}, "class count mismatch"),
+    "spacing": ({"spacing": (2.0, 1.0)}, "spacing mismatch"),
+}
+
+
+def grid_volume(kind, dims=(3, 4), num_classes=3, spacing=(1.0, 1.0)):
+    labels = LabelVolume(np.zeros(dims, dtype=np.uint8), spacing, num_classes)
+    if kind == "labels":
+        return labels
+    if kind == "probs":
+        return one_hot_encode(labels)
+    return LogitVolume(np.zeros((num_classes,) + dims, dtype=np.float32), spacing)
+
+
+@pytest.mark.parametrize("mismatch", GRID_MISMATCHES)
+@pytest.mark.parametrize("site", SAME_GRID_SITES)
+def test_every_call_site_rejects_another_grid(site, mismatch):
+    call, first, second = SAME_GRID_SITES[site]
+    other, message = GRID_MISMATCHES[mismatch]
+    call(grid_volume(first), grid_volume(second))  # the same grid is accepted
+    if site == "RaterSet":
+        message = "rater 1 vs rater 0: " + message
+    with pytest.raises(ValueError, match=message):
+        call(grid_volume(first), grid_volume(second, **other))

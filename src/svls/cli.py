@@ -13,10 +13,10 @@ KIND `validation` or `io`; any other exception is a fault of the program and
 exits 1 with KIND `internal` and TEXT `<Type>: <text>`, never a traceback
 (SVLS_LOG=debug logs it).
 Output files are written to a temp name and atomically renamed, so failures
-never leave partial outputs. Failed runs leave no output directory either:
-`evaluate` checks its flags before it reads anything and makes its output
-directory only once a volume is scored (a batch makes its top directory
-before the first volume).
+never leave partial outputs. Every subcommand makes an output's directory,
+and any missing parent of it, when it writes the first file into it, so a
+run that fails before its first write leaves no directory either; `evaluate`
+checks its flags before it reads anything.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -237,14 +237,24 @@ def _volume_files(directory: str) -> list[str]:
     return [os.path.join(directory, n) for n in names]
 
 
-def _iter_in_out(in_path: str, out_path: str):
-    """Yield (input file, output file) pairs, mirroring filenames for directories."""
-    if os.path.isdir(in_path):
-        os.makedirs(out_path, exist_ok=True)
-        for src in _volume_files(in_path):
-            yield src, os.path.join(out_path, os.path.basename(src))
-    else:
-        yield in_path, out_path
+def _iter_in_out(in_path: str, out_path: str, suffix: str, partner: str | None = None):
+    """Yield (volume, partner, output path) for each volume `in_path` names.
+
+    A volume's partner is the same-named file of a directory `partner`, or
+    `partner` itself. A file yields `out_path`; a directory yields each of
+    its volumes with `<out_path>/<name><suffix>`, `name` less its `.svlv`.
+    """
+    def mate(src):
+        if partner is not None and os.path.isdir(partner):
+            return os.path.join(partner, os.path.basename(src))
+        return partner
+
+    if not os.path.isdir(in_path):
+        yield in_path, mate(in_path), out_path
+        return
+    for src in _volume_files(in_path):
+        name = os.path.basename(src).removesuffix(VOLUME_SUFFIX)
+        yield src, mate(src), os.path.join(out_path, name + suffix)
 
 
 def _read(path: str, kind: type, flag: str):
@@ -291,7 +301,7 @@ def run_encode(plan: dict) -> int:
     if method == "svls":
         _load_ndimage()
     kernel = None
-    for src, dst in _iter_in_out(plan["in_path"], plan["out"]):
+    for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
         labels = _read(src, LabelVolume, "encode --in")
         provenance = {"method": method, "source": os.path.basename(src)}
         if method == "onehot":
@@ -331,18 +341,15 @@ def run_fuse(plan: dict) -> int:
 
 
 def run_loss(plan: dict) -> int:
-    for src, dst in _iter_in_out(plan["pred"], plan["out"]):
-        target_path = plan["target"]
-        if os.path.isdir(target_path):
-            target_path = os.path.join(target_path, os.path.basename(src))
+    for src, target_path, dst in _iter_in_out(plan["pred"], plan["out"], ".json", partner=plan["target"]):
         target = _read(target_path, SoftLabelVolume, "loss --target")
         if plan["pred_kind"] == "logits":
             predicted = softmax(tensor_io.read_logits(src))
         else:
             predicted = _read(src, SoftLabelVolume, "loss --pred")
-        if dst.endswith(VOLUME_SUFFIX):
-            dst = dst[: -len(VOLUME_SUFFIX)] + ".json"
         report = cross_entropy(target, predicted)
+        if dst.endswith(VOLUME_SUFFIX):  # a single --out x.svlv is written as x.json
+            dst = dst.removesuffix(VOLUME_SUFFIX) + ".json"
         tensor_io.write_report(report, dst, format="json")
         log.info("loss %s vs %s: %.6f nats", src, target_path, report.total)
     return 0
@@ -393,12 +400,8 @@ def run_evaluate(plan: dict) -> int:
     check_num_bins(plan["ece_bins"])
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
     _load_ndimage()
-    batching = os.path.isdir(plan["pred"])
     regions = _load_regions(plan["region_merge"]) if plan.get("region_merge") else {}
-    for src, dst in _iter_in_out(plan["pred"], plan["out"]):
-        ref_path = plan["ref"]
-        if os.path.isdir(ref_path):
-            ref_path = os.path.join(ref_path, os.path.basename(src))
+    for src, ref_path, out_dir in _iter_in_out(plan["pred"], plan["out"], "", partner=plan["ref"]):
         reference = _read(ref_path, LabelVolume, "evaluate --ref")
         _check_regions(regions, reference.num_classes, plan["composite"])
         predicted = _read(src, SoftLabelVolume, "evaluate --pred")
@@ -413,8 +416,6 @@ def run_evaluate(plan: dict) -> int:
             tace_ranges=plan["tace_ranges"],
             foreground_only=plan["foreground_only"],
         )
-        out_dir = dst[: -len(VOLUME_SUFFIX)] if batching else plan["out"]
-        os.makedirs(out_dir, exist_ok=True)
         tensor_io.write_report(calib, os.path.join(out_dir, "calibration.json"), format="json")
         tensor_io.write_report(calib, os.path.join(out_dir, "reliability.csv"), format="csv")
         tensor_io.write_report(scores, os.path.join(out_dir, "segmentation.json"), format="json")
@@ -435,7 +436,6 @@ def run_phantom(plan: dict) -> int:
     base_provenance = {"method": "phantom", "kind": spec.kind, "seed": spec.seed}
     if plan.get("raters"):
         raters = generate_rater_set(spec, plan["raters"], plan["jitter"])
-        os.makedirs(plan["out"], exist_ok=True)
         for j, rater in enumerate(raters.raters):
             path = os.path.join(plan["out"], f"rater{j:02d}{VOLUME_SUFFIX}")
             tensor_io.write_volume(rater, path, provenance={**base_provenance, "rater": j, "jitter": plan["jitter"]})
@@ -443,7 +443,6 @@ def run_phantom(plan: dict) -> int:
     if spec.kind == "miscalibrated_pred":
         labels = generate_labels(spec)
         predicted = generate_miscalibrated(labels, spec.strength, seed=spec.seed)
-        os.makedirs(plan["out"], exist_ok=True)
         tensor_io.write_volume(labels, os.path.join(plan["out"], "labels" + VOLUME_SUFFIX),
                                provenance=base_provenance)
         tensor_io.write_volume(predicted, os.path.join(plan["out"], "pred" + VOLUME_SUFFIX),

@@ -52,7 +52,7 @@ class LogitVolume:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Reduced cross-entropy over voxels plus the per-voxel grid behind it."""
+    """Mean cross-entropy over voxels plus the per-voxel grid behind it."""
 
     total: float
     per_voxel: np.ndarray
@@ -78,19 +78,14 @@ def softmax(logits: LogitVolume) -> SoftLabelVolume:
     return SoftLabelVolume(probs, logits.spacing)
 
 
-def cross_entropy(
-    target: SoftLabelVolume, predicted: SoftLabelVolume, reduction: str = "mean"
-) -> LossReport:
-    """Per-voxel -sum_c target*log(predicted), reduced over voxels.
+def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossReport:
+    """Per-voxel -sum_c target*log(predicted) and its unweighted voxel mean.
 
-    The default reduction is the unweighted voxel mean; "sum" is available
-    for callers that weight externally. The terms are summed one float64
-    class plane at a time, in class order from class 0's term and negated at
-    the end: the operations and order of one float64 sum over the class axis,
-    without a float64 copy of either whole volume.
+    The terms are summed one float64 class plane at a time, in class order
+    from class 0's term and negated at the end: the operations and order of
+    one float64 sum over the class axis, without a float64 copy of either
+    whole volume.
     """
-    if reduction not in ("mean", "sum"):
-        raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     for operand in (target, predicted):
         if not isinstance(operand, SoftLabelVolume):
             raise TypeError(f"cross_entropy scores probability volumes, got a {type(operand).__name__}")
@@ -102,8 +97,7 @@ def cross_entropy(
         term *= t
         per_voxel = term if per_voxel is None else np.add(per_voxel, term, out=per_voxel)
     np.negative(per_voxel, out=per_voxel)
-    total = per_voxel.mean() if reduction == "mean" else per_voxel.sum()
-    return LossReport(total=float(total), per_voxel=per_voxel)
+    return LossReport(total=float(per_voxel.mean()), per_voxel=per_voxel)
 
 
 def ce_gradient(target: SoftLabelVolume, logits: LogitVolume) -> np.ndarray:

@@ -24,6 +24,7 @@ KINDS = (
 )
 
 DEFAULT_SPACING = 1.0
+BASE_ACCURACY = 0.7  # share of generate_miscalibrated's voxels whose predicted class is the label
 
 
 @dataclass(frozen=True)
@@ -138,28 +139,23 @@ def generate_rater_set(spec: PhantomSpec, num_raters: int, jitter: int) -> Rater
     return RaterSet(tuple(raters))
 
 
-def generate_miscalibrated(
-    labels: LabelVolume,
-    strength: float,
-    base_accuracy: float = 0.7,
-    seed: int = 0,
-) -> SoftLabelVolume:
+def generate_miscalibrated(labels: LabelVolume, strength: float, seed: int = 0) -> SoftLabelVolume:
     """Predictions with a known calibration gap of approximately `strength`.
 
     Each voxel's predicted class matches the label with probability
-    `base_accuracy` (otherwise a random other class), and every prediction
-    carries confidence clamp(base_accuracy + strength, 1). All confidences
-    land in one reliability bin whose accuracy converges to base_accuracy,
-    so the expected ECE is the injected strength.
+    BASE_ACCURACY (otherwise a random other class), and every prediction
+    carries confidence clamp(BASE_ACCURACY + strength, 1). All confidences
+    land in one reliability bin whose accuracy converges to BASE_ACCURACY,
+    so the expected ECE is the injected strength. BASE_ACCURACY exceeds 1/N
+    for every class count N >= 2, so the confidence is each voxel's largest
+    probability and the predicted class its argmax.
     """
     if not 0 <= strength < math.inf:  # NaN fails too
         raise ValueError(f"strength must be >= 0 and finite, got {strength}")
     n = labels.num_classes
-    if not (1.0 / n < base_accuracy <= 1.0):
-        raise ValueError(f"base_accuracy must be in (1/{n}, 1], got {base_accuracy}")
-    confidence = min(base_accuracy + strength, 1.0)
+    confidence = min(BASE_ACCURACY + strength, 1.0)
     rng = np.random.default_rng(seed)
-    correct = rng.random(labels.dims) < base_accuracy
+    correct = rng.random(labels.dims) < BASE_ACCURACY
     shift = rng.integers(1, n, size=labels.dims).astype(np.int64)
     predicted = np.where(correct, labels.data, (labels.data + shift) % n)
     planes = np.full((n,) + labels.dims, (1.0 - confidence) / (n - 1), dtype=np.float32)

@@ -128,12 +128,10 @@ def score_segmentation(
     reference: LabelVolume,
     predicted: LabelVolume,
     tolerance_mm: float = 2.0,
-    class_ids=None,
 ) -> SegmentationScores:
-    """Compute DSC and Surface DSC for every class (or the requested subset)."""
+    """Compute DSC and Surface DSC for every class."""
     check_same_grid(reference, predicted)
-    if class_ids is None:
-        class_ids = range(reference.num_classes)
-    dsc = {c: dice(reference, predicted, c) for c in class_ids}
-    sd = {c: surface_dice(reference, predicted, c, tolerance_mm) for c in class_ids}
+    classes = range(reference.num_classes)
+    dsc = {c: dice(reference, predicted, c) for c in classes}
+    sd = {c: surface_dice(reference, predicted, c, tolerance_mm) for c in classes}
     return SegmentationScores(per_class_dsc=dsc, per_class_sd=sd, tolerance_mm=float(tolerance_mm))

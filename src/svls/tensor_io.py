@@ -77,9 +77,11 @@ def sidecar_path(path) -> str:
 
 
 def _atomic_write_bytes(path, *chunks) -> None:
-    """Write the chunks (bytes or C-contiguous arrays) in order, as one new file."""
+    """Write the chunks (bytes or C-contiguous arrays) in order, as one new
+    file, first making any missing parent directory of `path`."""
     path = str(path)
     directory = os.path.dirname(path) or "."
+    os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as fh:
@@ -105,14 +107,7 @@ class SidecarMeta:
     provenance: dict
 
 
-def _default_class_names(num_classes: int) -> dict:
-    names = {0: "background"}
-    for c in range(1, num_classes):
-        names[c] = f"class_{c}"
-    return names
-
-
-def write_volume(volume, path, class_names=None, provenance=None) -> None:
+def write_volume(volume, path, provenance=None) -> None:
     """Write a volume and its sidecar; both writes are atomic (temp + rename).
 
     LogitVolume payloads use the f32 dtype code and are readable only via
@@ -130,7 +125,7 @@ def write_volume(volume, path, class_names=None, provenance=None) -> None:
     meta = {
         "spacing": list(volume.spacing),
         "num_classes": volume.num_classes,
-        "class_names": {str(k): v for k, v in (class_names or _default_class_names(volume.num_classes)).items()},
+        "class_names": {str(c): f"class_{c}" if c else "background" for c in range(volume.num_classes)},
         "provenance": dict(provenance or {}),
     }
     meta["provenance"].setdefault("tool_version", __version__)

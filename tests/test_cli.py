@@ -543,6 +543,42 @@ def test_loss_rejects_a_spacing_mismatch(tmp_path, rng, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["encode", "loss", "evaluate"])
+def test_failed_batch_leaves_no_output_directory(tmp_path, rng, capsys, command):
+    labels = random_labels(rng, (4, 4), 2)
+    soft = one_hot_encode(labels)
+    batch, partners = tmp_path / "batch", tmp_path / "partners"
+    batch.mkdir()
+    partners.mkdir()
+    # the batch's first volume has the wrong kind for its flag, the second the right one
+    wrong, right = (soft, labels) if command == "encode" else (labels, soft)
+    write_volume(wrong, batch / "a.svlv")
+    write_volume(right, batch / "b.svlv")
+    for name in ("a.svlv", "b.svlv"):
+        write_volume(soft if command == "loss" else labels, partners / name)
+    argv = {
+        "encode": ["encode", "--in", str(batch), "--method", "onehot"],
+        "loss": ["loss", "--target", str(partners), "--pred", str(batch)],
+        "evaluate": ["evaluate", "--ref", str(partners), "--pred", str(batch)],
+    }[command]
+    out = tmp_path / "out"
+    code, _, err = run(argv + ["--out", str(out)], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert str(batch / "a.svlv") in error["message"]
+    assert not out.exists()
+
+
+def test_encode_writes_into_missing_directories(tmp_path, rng, capsys):
+    src, vol = make_labels(tmp_path, rng)
+    out = tmp_path / "new" / "deeper" / "o.svlv"
+    code, _, _ = run(["encode", "--in", str(src), "--method", "onehot", "--out", str(out)], capsys)
+    assert code == 0
+    assert np.array_equal(read_volume(out).data, one_hot_encode(vol).data)
+    assert sorted(p.name for p in out.parent.iterdir()) == ["o.svlv", "o.svlv.json"]
+
+
 def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, capsys):
     src, _ = make_labels(tmp_path, rng)
     set_sidecar_token(src, "num_classes", "1e400")  # JSON parses it as inf

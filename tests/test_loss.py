@@ -106,15 +106,6 @@ def test_cross_entropy_total_is_mean_of_per_voxel(rng):
     assert report.total >= 0.0
 
 
-def test_cross_entropy_sum_reduction(rng):
-    target = random_simplex(rng, 3, (4, 5))
-    predicted = random_simplex(rng, 3, (4, 5))
-    summed = cross_entropy(target, predicted, reduction="sum")
-    assert summed.total == pytest.approx(summed.per_voxel.sum(), abs=1e-12)
-    with pytest.raises(ValueError, match="reduction"):
-        cross_entropy(target, predicted, reduction="median")
-
-
 def test_gibbs_inequality(rng):
     for _ in range(50):
         target = random_simplex(rng, 4, (2, 2))

@@ -16,7 +16,7 @@ from svls import (
     svls_smooth,
     svls_weights,
 )
-from svls.phantom import nested_sphere_radii
+from svls.phantom import BASE_ACCURACY, nested_sphere_radii
 
 
 def test_homogeneous():
@@ -165,10 +165,10 @@ def test_miscalibrated_argmax_matches_noisy_copy():
     labels = generate_labels(
         PhantomSpec(kind="miscalibrated_pred", dims=(16, 16, 16), num_classes=4, seed=8)
     )
-    soft = generate_miscalibrated(labels, 0.1, base_accuracy=0.8, seed=8)
+    soft = generate_miscalibrated(labels, 0.1, seed=8)
     hard = np.argmax(soft.data, axis=0)
     agreement = (hard == labels.data).mean()
-    assert agreement == pytest.approx(0.8, abs=0.03)
+    assert agreement == pytest.approx(BASE_ACCURACY, abs=0.03)
 
 
 def test_phantom_spec_validation():

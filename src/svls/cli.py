@@ -20,6 +20,9 @@ checks its flags before it reads anything.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
+
+Every subcommand runs on numpy alone: the SVLS stencil and Surface Dice are
+built from numpy slices.
 """
 
 from __future__ import annotations
@@ -267,13 +270,6 @@ def _read(path: str, kind: type, flag: str):
     return volume
 
 
-def _load_ndimage() -> None:
-    """Import scipy.ndimage before a subcommand that uses it reads a volume,
-    so its import lands neither inside a layer nor on top of the volumes in
-    memory. kernel, encode ls|onehot, fuse moh, loss and phantom never load it."""
-    import scipy.ndimage  # noqa: F401
-
-
 def run_kernel(plan: dict) -> int:
     k = svls_weights(plan["rank"], plan["sigma"])
     if plan["format"] == "json":
@@ -298,8 +294,6 @@ def run_encode(plan: dict) -> int:
     method = plan["method"]
     if method == "ls" and plan.get("alpha") is None:
         raise CliError("--alpha is required for method ls")
-    if method == "svls":
-        _load_ndimage()
     kernel = None
     for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
         labels = _read(src, LabelVolume, "encode --in")
@@ -320,8 +314,6 @@ def run_encode(plan: dict) -> int:
 
 
 def run_fuse(plan: dict) -> int:
-    if plan["method"] == "msvls":
-        _load_ndimage()
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
@@ -399,7 +391,6 @@ def run_evaluate(plan: dict) -> int:
     check_tolerance(plan["sd_tolerance"])
     check_num_bins(plan["ece_bins"])
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
-    _load_ndimage()
     regions = _load_regions(plan["region_merge"]) if plan.get("region_merge") else {}
     for src, ref_path, out_dir in _iter_in_out(plan["pred"], plan["out"], "", partner=plan["ref"]):
         reference = _read(ref_path, LabelVolume, "evaluate --ref")

@@ -1,7 +1,13 @@
 """Stencil correlation: one 3^rank stencil over a replicated 1-voxel border.
 
-scipy.ndimage is imported where the correlation runs, so importing this
-module does not load scipy.
+Each tap must depend only on its shell: the number of axes on which its
+offset leaves the center (0 for the center, 1 for face, 2 for edge and 3 for
+corner neighbours). The SVLS stencil does, being symmetric under axis
+reflection and permutation. The correlation is then the sum over shells of
+the grid's shell sums times the shell's tap. The shell sums come from one
+loop over axes whose steps add clamped pair sums `a[i-1] + a[i+1]`,
+`rank * (rank + 1) / 2` of them in all, exact on integer grids and built
+from numpy slices alone.
 """
 
 from __future__ import annotations
@@ -9,17 +15,54 @@ from __future__ import annotations
 import numpy as np
 
 
+def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
+    """`a[i-1] + a[i+1]` along `axis`, with reads past either end clamped to
+    the edge voxel (an extent of 1 gives `2 * a`)."""
+    out = np.empty_like(a)
+    src, dst = np.moveaxis(a, axis, 0), np.moveaxis(out, axis, 0)
+    n = src.shape[0]
+    np.add(src[:-2], src[2:], out=dst[1:-1])
+    np.add(src[0], src[min(1, n - 1)], out=dst[0])
+    np.add(src[max(n - 2, 0)], src[n - 1], out=dst[n - 1])
+    return out
+
+
 def correlate_padded(grid: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Correlate a 2D/3D grid with a 3^rank tap stencil in float64.
+    """Correlate a 2D/3D grid with a 3^rank tap stencil; float64 result.
 
     Reads past the edge take the nearest in-range voxel (a replicated
-    border), so the result has the shape of `grid`.
+    border), so the result has the shape of `grid`. Integer grids are summed
+    exactly in their own dtype (or int64 when 3^rank times their largest
+    magnitude would not fit), anything else in float64. Taps that differ
+    within a shell raise ValueError.
     """
-    from scipy import ndimage
-
-    grid = np.asarray(grid, dtype=np.float64)
+    grid = np.asarray(grid)
     taps = np.asarray(taps, dtype=np.float64)
     rank = grid.ndim
     if rank not in (2, 3) or taps.shape != (3,) * rank:
         raise ValueError(f"rank-{rank} grid does not match taps of shape {taps.shape}")
-    return ndimage.correlate(grid, taps, mode="nearest")
+    shell_of_tap = np.add.reduce(np.indices(taps.shape) != 1, axis=0)
+    weights = []
+    for m in range(rank + 1):
+        shell = taps[shell_of_tap == m]
+        if shell.min() != shell.max():
+            raise ValueError(f"taps must be equal within each shell; the {m}-axis shell is not")
+        weights.append(float(shell[0]))
+    if grid.dtype.kind not in "iu":
+        grid = grid.astype(np.float64, copy=False)
+    elif 3**rank * max(int(grid.max(initial=0)), -int(grid.min(initial=0))) > np.iinfo(grid.dtype).max:
+        grid = grid.astype(np.int64)
+    # shells[m]: sum of the neighbours whose offset leaves the center on m axes
+    shells = [grid]
+    for axis in range(rank):
+        for m in range(len(shells), 0, -1):
+            pairs = _pair_sum(shells[m - 1], axis)
+            if m == len(shells):
+                shells.append(pairs)
+            else:
+                shells[m] += pairs
+    out = np.multiply(shells[0], weights[0], dtype=np.float64)
+    term = np.empty_like(out)
+    for sums, weight in zip(shells[1:], weights[1:]):
+        out += np.multiply(sums, weight, out=term)
+    return out

@@ -33,6 +33,8 @@ def gaussian_taps(rank: int, sigma: float = 1.0) -> np.ndarray:
 
     The Gaussian normalization constant 1/(sqrt(2*pi*sigma^2))^rank is
     omitted: it multiplies every tap equally and cancels in normalize_taps.
+    A sigma so small that a weight underflows to 0 (below about 0.045 in
+    3D), or that `sigma**2` does, is rejected.
     """
     if rank not in (2, 3):
         raise ValueError(f"rank must be 2 or 3, got {rank}")
@@ -43,7 +45,11 @@ def gaussian_taps(rank: int, sigma: float = 1.0) -> np.ndarray:
     r2 = np.zeros((3,) * rank)
     for g in grids:
         r2 += g * g
-    return np.exp(-r2 / (2.0 * sigma * sigma))
+    with np.errstate(all="ignore"):  # the check below reports the underflow
+        raw = np.exp(-r2 / (2.0 * sigma * sigma))
+    if not (np.isfinite(raw).all() and raw.min() > 0):
+        raise ValueError(f"sigma {sigma} is too small: its Gaussian weights underflow to 0")
+    return raw
 
 
 def normalize_taps(raw: np.ndarray) -> np.ndarray:

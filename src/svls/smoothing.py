@@ -1,8 +1,8 @@
 """Soft-label generation from expert label volumes.
 
-Every soft target is built by one loop over classes: for each class it takes
-the share of raters that label each voxel with that class (0 or 1 for a
-single annotation), transforms that vote plane, and stores it as float32.
+Every soft target is built by one loop over classes: for each class it counts
+the raters that label each voxel with that class (0 or 1 for a single
+annotation), transforms that integer vote plane, and stores it as float32.
 
   - one_hot_encode: the vote plane of one annotation as is.
   - label_smooth:   mix each one-hot vector with the uniform distribution.
@@ -13,7 +13,9 @@ single annotation), transforms that vote plane, and stores it as float32.
     It is msvls_fuse of a single rater.
   - msvls_fuse:     SVLS of the rater vote shares. The stencil is linear, so
     this equals the mean of the per-rater SVLS maps, but it takes one
-    stencil pass per class whatever the number of raters.
+    stencil pass per class whatever the number of raters. The stencil runs
+    on the exact integer counts; the float64 result is divided by the rater
+    count and then by the total weight.
   - moh_fuse:       per-voxel rater vote shares, ignoring all spatial
     context.
 """
@@ -51,37 +53,50 @@ class RaterSet:
 
 
 def _class_planes(raters: RaterSet, transform) -> SoftLabelVolume:
-    """Apply `transform` to each class's float64 rater vote share; store float32."""
+    """Apply `transform(votes, num_raters)` to each class's integer vote count; store float32.
+
+    The counts are of the smallest unsigned dtype that holds 3^rank of them
+    summed, so the stencil's shell sums stay exact in that dtype (uint8 for
+    up to 9 raters).
+    """
     first, *rest = raters.raters
+    dtype = np.min_scalar_type(3**first.rank * len(raters))
     out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
     for c in range(first.num_classes):
-        votes = (first.data == c).astype(np.float64)
+        votes = (first.data == c).astype(dtype)
         for rater in rest:
             votes += rater.data == c
-        if rest:  # one rater's 0/1 plane already is its share: no extra pass
-            votes /= len(raters)
-        out[c] = transform(votes)
+        out[c] = transform(votes, len(raters))
     out.setflags(write=False)  # fresh: the container adopts it without a copy
     return SoftLabelVolume(out, first.spacing)
 
 
 def moh_fuse(raters: RaterSet) -> SoftLabelVolume:
     """Per-voxel fraction of raters voting for each class."""
-    return _class_planes(raters, lambda votes: votes)
+    return _class_planes(raters, lambda votes, num_raters: votes / num_raters)
 
 
 def msvls_fuse(raters: RaterSet, kernel: SvlsKernel) -> SoftLabelVolume:
     """SVLS of the rater vote shares, equal by linearity to the mean of the
     per-rater SVLS maps.
 
-    Each class plane is correlated with the stencil over a replicated border
-    and divided by the total weight (2). The stencil is reflection-symmetric,
-    so correlation and convolution agree.
+    Each class's vote count plane is correlated with the stencil over a
+    replicated border, then divided by the rater count and by the total
+    weight (2). The stencil is reflection-symmetric, so correlation and
+    convolution agree.
     """
     rank = raters.raters[0].rank
     if kernel.rank != rank:
         raise ValueError(f"kernel rank {kernel.rank} does not match volume rank {rank}")
-    return _class_planes(raters, lambda votes: engine.correlate_padded(votes, kernel.taps) / kernel.total_weight)
+
+    def smooth(votes, num_raters):
+        planes = engine.correlate_padded(votes, kernel.taps)
+        if num_raters > 1:  # one rater's counts already are its shares
+            planes /= num_raters
+        planes /= kernel.total_weight
+        return planes
+
+    return _class_planes(raters, smooth)
 
 
 def svls_smooth(labels: LabelVolume, kernel: SvlsKernel) -> SoftLabelVolume:
@@ -95,7 +110,7 @@ def label_smooth(labels: LabelVolume, alpha: float) -> SoftLabelVolume:
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     n = labels.num_classes
-    return _class_planes(RaterSet((labels,)), lambda votes: alpha / n + votes * (1.0 - alpha))
+    return _class_planes(RaterSet((labels,)), lambda votes, _: alpha / n + votes * (1.0 - alpha))
 
 
 def one_hot_encode(labels: LabelVolume) -> SoftLabelVolume:

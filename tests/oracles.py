@@ -2,9 +2,9 @@
 
 Everything here is deliberately naive (explicit loops, clamped indexing,
 all-pairs distances, one mask per bin) or built on a different algorithm (a
-full-volume Euclidean distance transform, a full sort, whole-volume float64
-loss passes), and shares no code
-with the implementation paths it verifies.
+full-volume Euclidean distance transform, scipy.ndimage's correlation,
+erosion and masked dilation, a full sort, whole-volume float64 loss passes),
+and shares no code with the implementation paths it verifies.
 """
 
 from __future__ import annotations
@@ -55,6 +55,37 @@ def naive_svls(labels: np.ndarray, num_classes: int, taps: np.ndarray) -> np.nda
     return out
 
 
+def ndimage_msvls(raters, num_classes: int, taps: np.ndarray) -> np.ndarray:
+    """MSVLS as scipy computes it: per class, the float64 rater vote share
+    correlated by `ndimage.correlate(mode="nearest")`, divided by the total
+    weight and rounded to float32 (SVLS with one rater)."""
+    first, *rest = raters
+    out = np.empty((num_classes,) + first.shape, dtype=np.float32)
+    for c in range(num_classes):
+        votes = (first == c).astype(np.float64)
+        for rater in rest:
+            votes += rater == c
+        if rest:
+            votes /= len(raters)
+        out[c] = ndimage.correlate(votes, taps, mode="nearest") / taps.sum()
+    return out
+
+
+def erosion_boundary(mask: np.ndarray) -> np.ndarray:
+    """The mask minus its binary erosion by the face-adjacency cross, with
+    everything past the volume border counted as outside."""
+    mask = np.asarray(mask, dtype=bool)
+    structure = ndimage.generate_binary_structure(mask.ndim, 1)
+    return mask & ~ndimage.binary_erosion(mask, structure=structure, border_value=0)
+
+
+def dilation_close_count(source: np.ndarray, target: np.ndarray, ball: np.ndarray) -> int:
+    """Voxels of `target` that a binary dilation of `source` by the boolean
+    structure `ball` reaches, the dilation masked to `target`."""
+    # outside `mask` scipy copies the input through, hence the `&`
+    return int(np.count_nonzero(ndimage.binary_dilation(source, structure=ball, mask=target) & target))
+
+
 def naive_boundary(mask: np.ndarray) -> list:
     """Mask voxels with a face-adjacent neighbor outside the mask (border = outside)."""
     mask = np.asarray(mask, dtype=bool)
@@ -94,13 +125,8 @@ def naive_surface_dice(mask_t, mask_p, spacing, tolerance) -> float:
 def edt_surface_dice(mask_t, mask_p, spacing, tolerance) -> float:
     """Surface DSC from two full-volume exact Euclidean distance transforms."""
 
-    def boundary(mask):
-        mask = np.asarray(mask, dtype=bool)
-        structure = ndimage.generate_binary_structure(mask.ndim, 1)
-        return mask & ~ndimage.binary_erosion(mask, structure=structure, border_value=0)
-
-    b_t = boundary(mask_t)
-    b_p = boundary(mask_p)
+    b_t = erosion_boundary(mask_t)
+    b_p = erosion_boundary(mask_p)
     n_t = int(b_t.sum())
     n_p = int(b_p.sum())
     if n_t == 0 and n_p == 0:

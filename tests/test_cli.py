@@ -610,6 +610,23 @@ def test_kernel_rejects_non_finite_sigma(capsys, sigma):
     assert "sigma" in error["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--rank", "3", "--sigma", "1e-300"],  # sigma * sigma underflows to 0
+    ["encode", "--in", "{d}/labels.svlv", "--method", "svls", "--sigma", "0.04", "--out", "{d}/s.svlv"],  # corners do
+], ids=["kernel-1e-300", "encode-svls-0.04"])
+def test_sigma_whose_weights_underflow_is_one_validation_line(tmp_path, rng, argv):
+    make_labels(tmp_path, rng)
+    argv = [a.format(d=tmp_path) for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "svls.cli", *argv], capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    [line] = proc.stderr.splitlines()  # no numpy RuntimeWarning around it
+    error = json.loads(line)
+    assert error["error"] == "validation"
+    assert "sigma" in error["message"]
+    assert not (tmp_path / "s.svlv").exists()
+
+
 @pytest.mark.parametrize("strength", ["inf", "nan"])
 def test_phantom_rejects_non_finite_strength(tmp_path, capsys, strength):
     code, _, err = run(["phantom", "--kind", "miscalibrated_pred", "--dims", "4,4", "--strength", strength,
@@ -640,19 +657,42 @@ SCIPY_FREE_RUNS = {
     "phantom": ["phantom", "--kind", "miscalibrated_pred", "--dims", "6,6,6", "--classes", "3", "--out", "{d}/ph"],
 }
 
+# the subcommands that run the stencil or Surface Dice, and fuse moh
+STENCIL_AND_SURFACE_DICE_RUNS = {
+    "encode_svls": ["encode", "--in", "{d}/labels.svlv", "--method", "svls", "--out", "{d}/svls.svlv"],
+    "fuse_msvls": ["fuse", "--in", "{d}/labels.svlv", "{d}/other.svlv", "--method", "msvls", "--out", "{d}/m.svlv"],
+    "fuse_moh": ["fuse", "--in", "{d}/labels.svlv", "{d}/other.svlv", "--method", "moh", "--out", "{d}/moh.svlv"],
+    "evaluate": ["evaluate", "--ref", "{d}/labels.svlv", "--pred", "{d}/target.svlv", "--out", "{d}/ev"],
+    "evaluate_region_merge": ["evaluate", "--ref", "{d}/labels.svlv", "--pred", "{d}/target.svlv",
+                              "--region-merge", "{d}/regions.json", "--composite", "--out", "{d}/evr"],
+}
 
-@pytest.mark.parametrize("name", SCIPY_FREE_RUNS)
-def test_subcommands_without_stencil_or_surface_dice_do_not_load_scipy(tmp_path, rng, name):
+
+def scipy_modules_loaded(tmp_path, rng, argv) -> dict:
+    """Run `argv` in a fresh interpreter on small inputs; its exit code and the scipy modules it loaded."""
     from svls.loss import LogitVolume
 
     _, vol = make_labels(tmp_path, rng)
+    make_labels(tmp_path, rng, name="other.svlv")
     write_volume(one_hot_encode(vol), tmp_path / "target.svlv")
     write_volume(LogitVolume(rng.normal(size=(3,) + vol.dims), vol.spacing), tmp_path / "logits.svlv")
-    argv = [a.format(d=tmp_path) for a in SCIPY_FREE_RUNS[name]]
+    (tmp_path / "regions.json").write_text(json.dumps({"fg": [1, 2]}))
+    argv = [a.format(d=tmp_path) for a in argv]
     proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, *argv], capture_output=True, text=True,
                           env=child_env())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == {"rc": 0, "scipy": []}
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("name", SCIPY_FREE_RUNS)
+def test_subcommands_without_stencil_or_surface_dice_do_not_load_scipy(tmp_path, rng, name):
+    assert scipy_modules_loaded(tmp_path, rng, SCIPY_FREE_RUNS[name]) == {"rc": 0, "scipy": []}
+
+
+@pytest.mark.parametrize("name", STENCIL_AND_SURFACE_DICE_RUNS)
+def test_stencil_and_surface_dice_subcommands_do_not_load_scipy(tmp_path, rng, name):
+    # with the test above: no subcommand loads scipy
+    assert scipy_modules_loaded(tmp_path, rng, STENCIL_AND_SURFACE_DICE_RUNS[name]) == {"rc": 0, "scipy": []}
 
 
 def test_unexpected_exception_is_internal_error_line(monkeypatch, capsys):

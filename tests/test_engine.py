@@ -21,15 +21,42 @@ def test_identity_stencil_returns_grid():
     assert np.array_equal(engine.correlate_padded(grid, taps), grid)
 
 
-def test_asymmetric_taps_match_clamped_index_loop(rng):
-    # asymmetric taps tell correlation from convolution; extents 1-2 are all border
+def shell_taps(rng, rank):
+    """Random taps that depend only on how many axes each offset leaves the center on."""
+    shell = np.add.reduce(np.indices((3,) * rank) != 1, axis=0)
+    return rng.random(rank + 1)[shell]
+
+
+@pytest.mark.parametrize("kind", ["int", "float"])
+def test_shell_symmetric_taps_match_clamped_index_loop(rng, kind):
+    # extents 1-2 are all border
     for _ in range(40):
         rank = int(rng.integers(2, 4))
-        grid = rng.random(tuple(rng.integers(1, 7, size=rank)))
-        taps = rng.random((3,) * rank)
+        dims = tuple(rng.integers(1, 7, size=rank))
+        grid = rng.integers(0, 28, size=dims).astype(np.uint8) if kind == "int" else rng.random(dims)
+        taps = shell_taps(rng, rank)
         got = engine.correlate_padded(grid, taps)
         assert got.shape == grid.shape
+        assert got.dtype == np.float64
         np.testing.assert_allclose(got, clamped_correlation(grid, taps), rtol=1e-13, atol=0)
+
+
+def test_integer_grid_sums_do_not_wrap(rng):
+    # 27 * 200 does not fit in uint8, nor 27 * -100 in int8
+    for grid in (np.full((3, 4, 5), 200, dtype=np.uint8), np.full((4, 4), -100, dtype=np.int8)):
+        taps = shell_taps(rng, grid.ndim)
+        np.testing.assert_allclose(engine.correlate_padded(grid, taps), clamped_correlation(grid, taps),
+                                   rtol=1e-13, atol=0)
+
+
+def test_asymmetric_taps_raise(rng):
+    for rank in (2, 3):
+        taps = shell_taps(rng, rank)
+        taps[(0,) * rank] += 0.5  # one corner differs from the other corners
+        with pytest.raises(ValueError, match="shell"):
+            engine.correlate_padded(rng.random((4,) * rank), taps)
+        with pytest.raises(ValueError, match="shell"):
+            engine.correlate_padded(rng.random((4,) * rank), rng.random((3,) * rank))
 
 
 def test_correlate_rejects_mismatched_taps(rng):

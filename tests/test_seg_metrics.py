@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from svls import LabelVolume, dice, score_segmentation, surface_dice
-from svls.seg_metrics import boundary_mask, surface_dice_masks
+from svls.seg_metrics import _ball_lines, _close_count, _tolerance_ball, boundary_mask, surface_dice_masks
 
-from oracles import edt_surface_dice, naive_boundary, naive_surface_dice
+from oracles import (
+    dilation_close_count,
+    edt_surface_dice,
+    erosion_boundary,
+    naive_boundary,
+    naive_surface_dice,
+)
 
 
 def volume(data, num_classes=2, spacing=None):
@@ -228,3 +236,39 @@ def test_boundary_mask_2d_four_adjacency():
     inner = boundary_mask(mask)
     assert inner[2, 2] == False  # noqa: E712 - interior voxel survives erosion
     assert inner.sum() == 8
+
+
+@st.composite
+def masks(draw, dims):
+    """Seeded noise of a drawn density, or one box: boundaries dense or sparse."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        return rng.random(dims) < draw(st.floats(0.05, 0.95))
+    lo = [int(rng.integers(0, n)) for n in dims]
+    hi = [int(rng.integers(a, n)) + 1 for a, n in zip(lo, dims)]
+    mask = np.zeros(dims, dtype=bool)
+    mask[tuple(slice(a, b) for a, b in zip(lo, hi))] = True
+    return mask
+
+
+@st.composite
+def mask_pairs(draw):
+    """2-D/3-D mask pairs: extents 1-13, spacings 0.3-3.6, tolerances up to 10 finest voxels."""
+    rank = draw(st.integers(2, 3))
+    dims = tuple(draw(st.lists(st.integers(1, 13), min_size=rank, max_size=rank)))
+    spacing = tuple(draw(st.lists(st.floats(0.3, 3.6), min_size=rank, max_size=rank)))
+    tolerance = draw(st.floats(0.0, 10.0)) * min(spacing)
+    return draw(masks(dims)), draw(masks(dims)), spacing, tolerance
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=mask_pairs())
+def test_boundaries_and_close_counts_equal_the_ndimage_oracles(case):
+    mask_t, mask_p, spacing, tolerance = case
+    b_t, b_p = boundary_mask(mask_t), boundary_mask(mask_p)
+    assert np.array_equal(b_t, erosion_boundary(mask_t))
+    assert np.array_equal(b_p, erosion_boundary(mask_p))
+    lines = _ball_lines(b_t.shape, spacing, tolerance)
+    ball = _tolerance_ball(b_t.shape, spacing, tolerance)
+    assert _close_count(b_p, b_t, lines) == dilation_close_count(b_p, b_t, ball)
+    assert _close_count(b_t, b_p, lines) == dilation_close_count(b_t, b_p, ball)

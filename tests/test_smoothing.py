@@ -17,7 +17,7 @@ from svls import (
 )
 
 from conftest import random_labels
-from oracles import naive_svls
+from oracles import naive_svls, ndimage_msvls
 
 
 def grid(data, num_classes=2):
@@ -224,12 +224,12 @@ def test_rater_set_validation(rng):
 
 
 @st.composite
-def rater_sets(draw):
-    """2-D/3-D rater sets: extents 1-6, 1-4 raters, 2-5 classes."""
+def rater_sets(draw, max_raters=4):
+    """2-D/3-D rater sets: extents 1-6, 1 to `max_raters` raters, 2-5 classes."""
     dims = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=3)))
     n = draw(st.integers(2, 5))
     labels = arrays(np.uint8, dims, elements=st.integers(0, n - 1))
-    raters = draw(st.lists(labels, min_size=1, max_size=4))
+    raters = draw(st.lists(labels, min_size=1, max_size=max_raters))
     return RaterSet(tuple(LabelVolume(r, (1.0,) * len(dims), n) for r in raters))
 
 
@@ -245,6 +245,24 @@ def test_msvls_is_correctly_rounded_mean_of_naive_svls(raters):
     _, exponent = np.frexp(expected)
     half_ulp = np.ldexp(0.5, exponent - 24)  # float32 ulp of the binade holding `expected`, halved
     assert np.all(np.abs(got - expected) <= half_ulp + 1e-15)
+
+
+def float32_ulps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance in float32 ulps between two arrays of non-negative float32."""
+    return np.abs(a.view(np.int32).astype(np.int64) - b.view(np.int32))
+
+
+@settings(max_examples=150, deadline=None)
+@given(raters=rater_sets(max_raters=5), sigma=st.floats(0.3, 3.7))
+def test_svls_and_msvls_match_the_ndimage_correlation_within_one_ulp(raters, sigma):
+    # integer shell sums weighted by their taps against scipy's float64
+    # correlation of the vote shares: both round to float32 once
+    first = raters.raters[0]
+    kernel = svls_weights(first.rank, sigma)
+    single = ndimage_msvls([first.data], first.num_classes, kernel.taps)
+    assert float32_ulps(svls_smooth(first, kernel).data, single).max() <= 1
+    fused = ndimage_msvls([r.data for r in raters.raters], first.num_classes, kernel.taps)
+    assert float32_ulps(msvls_fuse(raters, kernel).data, fused).max() <= 1
 
 
 @settings(max_examples=60, deadline=None)

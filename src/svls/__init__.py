@@ -4,7 +4,7 @@
 __version__ = "0.1.0"
 
 from .calibration import CalibrationReport, ReliabilityBin, calibrate_report, ece, reliability, tace
-from .kernel import SvlsKernel, gaussian_taps, normalize_taps, svls_weights
+from .kernel import SvlsKernel, svls_weights
 from .loss import LogitVolume, LossReport, ce_gradient, cross_entropy, softmax
 from .phantom import PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import SegmentationScores, dice, score_segmentation, surface_dice
@@ -28,14 +28,12 @@ __all__ = [
     "cross_entropy",
     "dice",
     "ece",
-    "gaussian_taps",
     "generate_labels",
     "generate_miscalibrated",
     "generate_rater_set",
     "label_smooth",
     "moh_fuse",
     "msvls_fuse",
-    "normalize_taps",
     "one_hot_encode",
     "reliability",
     "score_segmentation",

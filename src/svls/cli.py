@@ -186,7 +186,7 @@ def _resolve(ns: argparse.Namespace, command: str) -> dict:
     plan = dict(_DEFAULTS.get(command, {}))
     plan.update(config)
     plan.update(given)
-    _reject_exclusive_flags(command, given, plan)
+    _reject_exclusive_flags(command, {**config, **given}, plan)
     log.info("run plan %s: %s", command, json.dumps(plan, sort_keys=True, default=str))
     return plan
 
@@ -217,7 +217,8 @@ def _config_value(action: argparse.Action, value, config_path: str):
 
 
 def _reject_exclusive_flags(command: str, given: dict, plan: dict) -> None:
-    """Explicit flags that contradict the chosen method fail at parse time."""
+    """Flags given on the command line or in the config that contradict the
+    chosen method fail at parse time."""
     method = plan.get("method")
     if command == "encode":
         if "alpha" in given and method != "ls":
@@ -229,7 +230,7 @@ def _reject_exclusive_flags(command: str, given: dict, plan: dict) -> None:
     if command == "phantom":
         if "strength" in given and plan.get("kind") != "miscalibrated_pred":
             raise CliError("--strength only applies to kind miscalibrated_pred")
-        if "jitter" in given and not plan.get("raters"):
+        if "jitter" in given and plan.get("raters") is None:
             raise CliError("--jitter requires --raters")
 
 
@@ -272,18 +273,19 @@ def _read(path: str, kind: type, flag: str):
 
 def run_kernel(plan: dict) -> int:
     k = svls_weights(plan["rank"], plan["sigma"])
+    taps = k.taps
     if plan["format"] == "json":
         doc = {
             "rank": k.rank,
             "sigma": k.sigma,
-            "taps": [float(t) for t in k.taps.ravel()],
-            "center": float(k.taps[(1,) * k.rank]),
+            "taps": taps.ravel().tolist(),
+            "center": float(k.weights[0]),
             "total_weight": k.total_weight,
         }
         print(json.dumps(doc, indent=2))
     else:
         print(f"rank {k.rank} sigma {k.sigma} total_weight {k.total_weight!r}")
-        for block in k.taps.reshape(-1, 3, 3):
+        for block in taps.reshape(-1, 3, 3):
             for row in block:
                 print("  " + " ".join(f"{v:.9f}" for v in row))
             print()
@@ -425,7 +427,7 @@ def run_phantom(plan: dict) -> int:
         strength=plan["strength"],
     )
     base_provenance = {"method": "phantom", "kind": spec.kind, "seed": spec.seed}
-    if plan.get("raters"):
+    if plan.get("raters") is not None:
         raters = generate_rater_set(spec, plan["raters"], plan["jitter"])
         for j, rater in enumerate(raters.raters):
             path = os.path.join(plan["out"], f"rater{j:02d}{VOLUME_SUFFIX}")

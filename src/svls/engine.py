@@ -1,13 +1,13 @@
-"""Stencil correlation: one 3^rank stencil over a replicated 1-voxel border.
+"""Stencil correlation: one shell-weighted 3^rank stencil over a replicated
+1-voxel border.
 
-Each tap must depend only on its shell: the number of axes on which its
-offset leaves the center (0 for the center, 1 for face, 2 for edge and 3 for
-corner neighbours). The SVLS stencil does, being symmetric under axis
-reflection and permutation. The correlation is then the sum over shells of
-the grid's shell sums times the shell's tap. The shell sums come from one
-loop over axes whose steps add clamped pair sums `a[i-1] + a[i+1]`,
-`rank * (rank + 1) / 2` of them in all, exact on integer grids and built
-from numpy slices alone.
+The stencil is given by its rank + 1 shell weights: `weights[m]` is the tap
+of every offset that leaves the center on m axes (0 for the center, 1 for
+face, 2 for edge and 3 for corner neighbours), as `kernel.SvlsKernel` holds
+them. The correlation is the sum over shells of the grid's shell sums times
+the shell's weight. The shell sums come from one loop over axes whose steps
+add clamped pair sums `a[i-1] + a[i+1]`, `rank * (rank + 1) / 2` of them in
+all, exact on integer grids and built from numpy slices alone.
 """
 
 from __future__ import annotations
@@ -27,27 +27,19 @@ def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def correlate_padded(grid: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    """Correlate a 2D/3D grid with a 3^rank tap stencil; float64 result.
+def correlate_padded(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Correlate a 2D/3D grid with the stencil of `rank + 1` shell weights; float64 result.
 
     Reads past the edge take the nearest in-range voxel (a replicated
     border), so the result has the shape of `grid`. Integer grids are summed
     exactly in their own dtype (or int64 when 3^rank times their largest
-    magnitude would not fit), anything else in float64. Taps that differ
-    within a shell raise ValueError.
+    magnitude would not fit), anything else in float64.
     """
     grid = np.asarray(grid)
-    taps = np.asarray(taps, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     rank = grid.ndim
-    if rank not in (2, 3) or taps.shape != (3,) * rank:
-        raise ValueError(f"rank-{rank} grid does not match taps of shape {taps.shape}")
-    shell_of_tap = np.add.reduce(np.indices(taps.shape) != 1, axis=0)
-    weights = []
-    for m in range(rank + 1):
-        shell = taps[shell_of_tap == m]
-        if shell.min() != shell.max():
-            raise ValueError(f"taps must be equal within each shell; the {m}-axis shell is not")
-        weights.append(float(shell[0]))
+    if rank not in (2, 3) or weights.shape != (rank + 1,):
+        raise ValueError(f"rank-{rank} grid does not match {weights.size} shell weights")
     if grid.dtype.kind not in "iu":
         grid = grid.astype(np.float64, copy=False)
     elif 3**rank * max(int(grid.max(initial=0)), -int(grid.min(initial=0))) > np.iinfo(grid.dtype).max:

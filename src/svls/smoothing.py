@@ -90,7 +90,7 @@ def msvls_fuse(raters: RaterSet, kernel: SvlsKernel) -> SoftLabelVolume:
         raise ValueError(f"kernel rank {kernel.rank} does not match volume rank {rank}")
 
     def smooth(votes, num_raters):
-        planes = engine.correlate_padded(votes, kernel.taps)
+        planes = engine.correlate_padded(votes, kernel.weights)
         if num_raters > 1:  # one rater's counts already are its shares
             planes /= num_raters
         planes /= kernel.total_weight

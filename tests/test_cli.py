@@ -354,6 +354,36 @@ def test_mutually_exclusive_flags_rejected(tmp_path, rng, capsys):
     assert code == 1 and "raters" in last_error(err)["message"]
 
 
+@pytest.mark.parametrize("argv, key, value", [
+    (["encode", "--in", "{d}/labels.svlv", "--method", "svls", "--out", "{d}/o.svlv"], "alpha", 0.1),
+    (["encode", "--in", "{d}/labels.svlv", "--method", "ls", "--alpha", "0.1", "--out", "{d}/o.svlv"], "sigma", 2.0),
+    (["fuse", "--in", "{d}/labels.svlv", "--method", "moh", "--out", "{d}/o.svlv"], "sigma", 2.0),
+    (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "strength", 0.2),
+    (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "jitter", 2),
+], ids=["encode-alpha", "encode-sigma", "fuse-sigma", "phantom-strength", "phantom-jitter"])
+def test_config_value_contradicting_the_method_is_rejected_like_its_flag(tmp_path, rng, capsys, argv, key, value):
+    make_labels(tmp_path, rng)
+    argv = [a.format(d=tmp_path) for a in argv]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({key: value}))
+    flag_code, _, flag_err = run([*argv, f"--{key}", str(value)], capsys)
+    code, _, err = run([*argv, "--config", str(config)], capsys)
+    assert flag_code == code == 1
+    assert last_error(err) == last_error(flag_err)
+    assert key in last_error(err)["message"]
+    assert not (tmp_path / "o.svlv").exists()
+
+
+@pytest.mark.parametrize("raters", ["0", "-2"])
+def test_phantom_rater_count_below_one_is_rejected(tmp_path, capsys, raters):
+    out = tmp_path / "raters"
+    code, _, err = run(["phantom", "--kind", "homogeneous", "--dims", "4,4", "--raters", raters,
+                        "--out", str(out)], capsys)
+    assert code == 1
+    assert "need at least 1 rater" in last_error(err)["message"]
+    assert not out.exists()
+
+
 def test_loss_directory_batch(tmp_path, rng, capsys):
     target_dir = tmp_path / "targets"
     pred_dir = tmp_path / "preds"
@@ -625,6 +655,18 @@ def test_sigma_whose_weights_underflow_is_one_validation_line(tmp_path, rng, arg
     assert error["error"] == "validation"
     assert "sigma" in error["message"]
     assert not (tmp_path / "s.svlv").exists()
+
+
+def test_kernel_small_sigma_runs_without_warning():
+    # sigma 0.1 is above the corner-underflow bound: the surround sum of its
+    # tiny taps must not be taken by cancelling the center out of the total
+    proc = subprocess.run([sys.executable, "-m", "svls.cli", "kernel", "--rank", "3", "--sigma", "0.1"],
+                          capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    doc = json.loads(proc.stdout)
+    assert doc["center"] == 1.0 and min(doc["taps"]) > 0
+    assert doc["total_weight"] == pytest.approx(2.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("strength", ["inf", "nan"])

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from svls import SvlsKernel, gaussian_taps, normalize_taps, svls_weights
+from svls import SvlsKernel, svls_weights
 
 from oracles import hp_svls_taps
 
@@ -17,34 +17,40 @@ CORNER_3D = 0.0226786444
 
 
 def test_gaussian_taps_2d_sigma1():
-    raw = gaussian_taps(2, 1.0)
-    assert raw[1, 1] == 1.0
-    assert raw[0, 1] == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert raw[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
+    # surround taps fall off as the Gaussian exp(-r^2 / 2) of their offset
+    w = svls_weights(2, 1.0).weights
+    assert w[0] == 1.0
+    assert w[2] / w[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def test_gaussian_taps_3d_sigma1():
-    raw = gaussian_taps(3, 1.0)
-    assert raw[1, 1, 0] == pytest.approx(math.exp(-0.5), abs=1e-12)
-    assert raw[1, 0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
-    assert raw[0, 0, 0] == pytest.approx(math.exp(-1.5), abs=1e-12)
+    w = svls_weights(3, 1.0).weights
+    assert w[2] / w[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert w[3] / w[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_gaussian_flat_limit():
-    raw = gaussian_taps(2, 1e6)
-    assert np.all(np.abs(raw - 1.0) <= 1e-6)
+    # every surround tap of a flat Gaussian gets 1/8 of the surround
+    w = svls_weights(2, 1e6).weights
+    assert np.all(np.abs(w[1:] - 1 / 8) <= 1e-12)
 
 
 @pytest.mark.parametrize("rank", [0, 1, 4])
 def test_gaussian_rejects_bad_rank(rank):
     with pytest.raises(ValueError):
-        gaussian_taps(rank, 1.0)
+        svls_weights(rank, 1.0)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
 def test_gaussian_rejects_bad_sigma(sigma):
     with pytest.raises(ValueError, match="sigma"):
-        gaussian_taps(2, sigma)
+        svls_weights(2, sigma)
+
+
+@pytest.mark.parametrize("rank, sigma", [(2, 0.036), (3, 0.044), (3, 1e-160), (2, 1e-300)])
+def test_sigma_whose_corner_weight_underflows_is_rejected(rank, sigma):
+    with pytest.raises(ValueError, match="too small"):
+        svls_weights(rank, sigma)
 
 
 def test_svls_weights_2d_values():
@@ -74,17 +80,12 @@ def test_total_weight_two_and_equal_contribution(rank, sigma):
 
 
 @pytest.mark.parametrize("rank", [2, 3])
-@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("sigma", [0.1, 0.12, 0.15, 0.5, 1.0, 2.0])
 def test_matches_high_precision_recomputation(rank, sigma):
+    # relative error: the small-sigma taps are far below 1
     expected = hp_svls_taps(rank, sigma)
     got = svls_weights(rank, sigma).taps
-    assert np.abs(got - expected).max() <= 1e-9
-
-
-@pytest.mark.parametrize("scale", [1e-6, 3.7, 1e6])
-def test_scale_invariance(scale):
-    raw = gaussian_taps(3, 1.0)
-    assert np.abs(normalize_taps(raw * scale) - normalize_taps(raw)).max() <= 1e-12
+    assert np.abs(got / expected - 1.0).max() <= 1e-13
 
 
 def test_taps_strictly_decrease_with_squared_offset():
@@ -110,31 +111,34 @@ def test_signed_permutation_symmetry(rank):
             assert np.array_equal(view, taps)
 
 
+def test_kernel_holds_read_only_shell_weights():
+    k = svls_weights(3, 1.0)
+    assert k.weights.shape == (4,) and k.weights.dtype == np.float64
+    assert not k.weights.flags.writeable
+    assert k.total_weight == float(k.taps.sum())
+
+
 def test_kernel_rejects_bad_center():
-    taps = svls_weights(2, 1.0).taps.copy()
-    taps[1, 1] = 0.9
-    with pytest.raises(ValueError):
-        SvlsKernel(rank=2, sigma=1.0, taps=taps)
+    weights = svls_weights(2, 1.0).weights.copy()
+    weights[0] = 0.9
+    with pytest.raises(ValueError, match="center"):
+        SvlsKernel(rank=2, sigma=1.0, weights=weights)
 
 
 def test_kernel_rejects_nonpositive_tap():
-    taps = svls_weights(2, 1.0).taps.copy()
-    taps[0, 0] = 0.0
-    with pytest.raises(ValueError):
-        SvlsKernel(rank=2, sigma=1.0, taps=taps)
+    weights = svls_weights(2, 1.0).weights.copy()
+    weights[2] = 0.0
+    with pytest.raises(ValueError, match="positive"):
+        SvlsKernel(rank=2, sigma=1.0, weights=weights)
 
 
 def test_kernel_rejects_bad_surround_sum():
-    taps = svls_weights(2, 1.0).taps.copy()
-    taps[0, 0] += 0.01
-    with pytest.raises(ValueError):
-        SvlsKernel(rank=2, sigma=1.0, taps=taps)
+    weights = svls_weights(2, 1.0).weights.copy()
+    weights[2] += 0.01
+    with pytest.raises(ValueError, match="sum"):
+        SvlsKernel(rank=2, sigma=1.0, weights=weights)
 
 
-def test_kernel_rejects_asymmetric_taps():
-    taps = svls_weights(2, 1.0).taps.copy()
-    eps = 1e-9  # keep sums within tolerance but break the reflection symmetry
-    taps[0, 0] += eps
-    taps[2, 2] -= eps
-    with pytest.raises(ValueError, match="symmetric"):
-        SvlsKernel(rank=2, sigma=1.0, taps=taps)
+def test_kernel_rejects_weights_of_another_rank():
+    with pytest.raises(ValueError, match="rank"):
+        SvlsKernel(rank=3, sigma=1.0, weights=svls_weights(2, 1.0).weights)

@@ -1,3 +1,7 @@
+import itertools
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -280,3 +284,54 @@ def test_every_soft_target_keeps_the_simplex(raters, alpha):
         assert soft.data.shape == (first.num_classes,) + first.dims
         assert np.abs(soft.data.sum(axis=0, dtype=np.float64) - 1.0).max() <= 1e-6
         assert soft.data.min() >= 0.0 and soft.data.max() <= 1.0
+
+
+def nearest_float32(num: int, den: int) -> np.float32:
+    """num / den (non-negative ints) correctly rounded to float32, ties to even."""
+    near = num / den  # correctly rounded to float64
+    f = np.float32(near)
+    if float(f) == near:
+        return f
+    g = np.nextafter(f, np.float32(math.inf if near > f else -math.inf))
+    mid = (float(f) + float(g)) / 2  # exact: f and g are float32
+    if near != mid:  # float64 rounding cannot carry a value across a float32 midpoint
+        return f
+    exact = Fraction(num, den)
+    if exact == mid:
+        return f  # np.float32 rounds the tie to even
+    return min(f, g) if exact < mid else max(f, g)
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("num_raters", [1, 2, 3])
+@pytest.mark.parametrize("rank", [2, 3])
+def test_msvls_center_is_the_correctly_rounded_exact_shell_sum(rank, num_raters, sigma):
+    # every combination of per-shell vote counts c_m, each in its own tiled
+    # 3^rank block: the block center must be the float32 nearest to the exact
+    # rational sum(w_m * c_m) / (R * W), with w_m the shell's tap and W the
+    # total weight as the kernel holds them
+    kernel = svls_weights(rank, sigma)
+    shell = np.add.reduce(np.indices((3,) * rank) != 1, axis=0).ravel()
+    sizes = [math.comb(rank, m) * 2**m for m in range(rank + 1)]
+    slot = np.empty_like(shell)  # each voxel's index within its shell
+    for m in range(rank + 1):
+        slot[shell == m] = np.arange(sizes[m])
+    counts = np.array(list(itertools.product(*(range(num_raters * n + 1) for n in sizes))))
+    raters = []
+    for r in range(num_raters):
+        # c_m fills shell m's R * n_m (rater, voxel) slots in order: rater r
+        # votes at the shell's j-th voxel when r * n_m + j < c_m
+        blocks = (r * np.take(sizes, shell) + slot < counts[:, shell]).astype(np.uint8)
+        data = blocks.reshape((3 * len(counts),) + (3,) * (rank - 1))  # blocks stacked on axis 0
+        raters.append(LabelVolume(data, (1.0,) * rank, 2))
+    fused = msvls_fuse(RaterSet(tuple(raters)), kernel).data
+    got = fused[(1, slice(1, None, 3)) + (1,) * (rank - 1)]
+
+    weights = [Fraction(float(kernel.taps[(0,) * m + (1,) * (rank - m)])) for m in range(rank + 1)]
+    total = Fraction(kernel.total_weight)
+    scale = max(w.denominator for w in weights + [total])  # all powers of two
+    numerators = [int(w * scale) for w in weights]
+    den = num_raters * int(total * scale)
+    expected = [nearest_float32(sum(a * int(c) for a, c in zip(numerators, row)), den) for row in counts]
+    bad = np.flatnonzero(got != np.array(expected, dtype=np.float32))
+    assert bad.size == 0, f"{bad.size} of {len(counts)} centers differ, first counts {counts[bad[0]]}"

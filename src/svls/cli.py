@@ -1,10 +1,16 @@
 """Command-line frontend: one executable, one subcommand per pipeline stage.
 
-Every subcommand accepts --config PATH (JSON whose keys mirror the flag
-names, with flags given on the command line taking precedence; a key that
-matches no flag of the subcommand, or a value its flag would reject, is a
-validation error). Any input path may
-be a directory, which batches over the contained `.svlv` volumes and mirrors
+Every subcommand accepts --config PATH: a JSON object whose keys are flag
+names, with `-` or `_` (`sd_tolerance` is --sd-tolerance). Its entries are
+read as command-line tokens ahead of the real ones, so one parser checks
+both and the command line wins. An on/off flag takes a JSON boolean, `fuse
+--in` a non-empty list of strings, any other flag a string or number.
+Errors: "config PATH has keys matching no CMD flag: KEYS" (help and config
+included), "config PATH: --FLAG takes KIND, got VALUE", and for a value its
+flag rejects, argparse's own message ("argument --sigma: invalid float
+value: 'abc'"). Required flags come from the command line only, and flags
+are never abbreviated (`--sig 2` is an error). Any input path may be a
+directory, which batches over the contained `.svlv` volumes and mirrors
 outputs by filename.
 
 Exit codes: 0 success, 1 validation error, 2 I/O error. Errors also emit one
@@ -60,163 +66,152 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-# defaults applied after config merging; help strings repeat them for --help
-_DEFAULTS = {
-    "kernel": {"sigma": 1.0, "format": "json"},
-    "encode": {"sigma": 1.0},
-    "fuse": {"sigma": 1.0},
-    "loss": {"pred_kind": "probs"},
-    "evaluate": {
-        "sd_tolerance": 2.0,
-        "ece_bins": 15,
-        "tace_threshold": 1e-3,
-        "tace_ranges": 15,
-        "foreground_only": False,
-        "composite": False,
-        "region_merge": None,
-    },
-    "phantom": {"classes": 2, "jitter": 0, "strength": 0.0, "seed": 0, "raters": None},
-}
+def _dims(text: str) -> tuple[int, ...]:
+    """A --dims value, X,Y or X,Y,Z; PhantomSpec checks the extents."""
+    try:
+        return tuple(int(d) for d in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers X,Y[,Z], got {text!r}")
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="svls", description="Soft-label generation and calibration evaluation toolkit")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
+    parser.commands = sub.choices  # subcommand name -> its parser
 
     def common(p):
-        p.add_argument("--config", default=argparse.SUPPRESS, metavar="PATH",
+        p.add_argument("--config", metavar="PATH",
                        help="JSON config whose keys mirror the flags; flags win (default: none)")
-        # the keys a --config file may set: every flag of this subcommand
-        p.set_defaults(config_actions={a.dest: a for a in p._actions if a.dest not in ("help", "config")})
 
-    p = sub.add_parser("kernel", help="dump the smoothing stencil taps")
+    p = sub.add_parser("kernel", help="dump the smoothing stencil taps", allow_abbrev=False)
     p.add_argument("--rank", type=int, choices=(2, 3), required=True, help="stencil rank (no default)")
-    p.add_argument("--sigma", type=float, default=argparse.SUPPRESS,
-                   help="Gaussian bandwidth in voxels (default: 1.0)")
-    p.add_argument("--format", choices=("json", "text"), default=argparse.SUPPRESS,
-                   help="output format (default: json)")
+    p.add_argument("--sigma", type=float, default=1.0, help="Gaussian bandwidth in voxels (default: %(default)s)")
+    p.add_argument("--format", choices=("json", "text"), default="json", help="output format (default: %(default)s)")
     common(p)
 
-    p = sub.add_parser("encode", help="turn a label volume into soft labels")
+    p = sub.add_parser("encode", help="turn a label volume into soft labels", allow_abbrev=False)
     p.add_argument("--in", dest="in_path", required=True, metavar="PATH",
                    help="label volume or directory of volumes (no default)")
     p.add_argument("--method", choices=("onehot", "ls", "svls"), required=True,
                    help="soft-label method (no default)")
-    p.add_argument("--alpha", type=float, default=argparse.SUPPRESS,
-                   help="smoothing weight in [0,1]; required for ls, no default")
-    p.add_argument("--sigma", type=float, default=argparse.SUPPRESS,
-                   help="Gaussian bandwidth in voxels, svls only (default: 1.0)")
+    p.add_argument("--alpha", type=float, help="smoothing weight in [0,1]; required for ls, no default")
+    p.add_argument("--sigma", type=float, default=1.0,
+                   help="Gaussian bandwidth in voxels, svls only (default: %(default)s)")
     p.add_argument("--out", required=True, metavar="PATH", help="output volume or directory (no default)")
     common(p)
 
-    p = sub.add_parser("fuse", help="fuse multiple rater annotations into soft labels")
+    p = sub.add_parser("fuse", help="fuse multiple rater annotations into soft labels", allow_abbrev=False)
     p.add_argument("--in", dest="in_paths", required=True, nargs="+", metavar="PATH",
                    help="rater label volumes; a directory expands to its volumes (no default)")
     p.add_argument("--method", choices=("msvls", "moh"), required=True, help="fusion method (no default)")
-    p.add_argument("--sigma", type=float, default=argparse.SUPPRESS,
-                   help="Gaussian bandwidth in voxels, msvls only (default: 1.0)")
+    p.add_argument("--sigma", type=float, default=1.0,
+                   help="Gaussian bandwidth in voxels, msvls only (default: %(default)s)")
     p.add_argument("--out", required=True, metavar="PATH", help="output volume (no default)")
     common(p)
 
-    p = sub.add_parser("loss", help="cross-entropy of predictions against a soft target")
+    p = sub.add_parser("loss", help="cross-entropy of predictions against a soft target", allow_abbrev=False)
     p.add_argument("--target", required=True, metavar="PATH", help="target probability volume (no default)")
     p.add_argument("--pred", required=True, metavar="PATH", help="predicted volume (no default)")
-    p.add_argument("--pred-kind", choices=("probs", "logits"), default=argparse.SUPPRESS,
-                   help="how to interpret the prediction payload (default: probs)")
+    p.add_argument("--pred-kind", choices=("probs", "logits"), default="probs",
+                   help="how to interpret the prediction payload (default: %(default)s)")
     p.add_argument("--out", required=True, metavar="PATH", help="JSON report path (no default)")
     common(p)
 
-    p = sub.add_parser("evaluate", help="segmentation and calibration metrics")
+    p = sub.add_parser("evaluate", help="segmentation and calibration metrics", allow_abbrev=False)
     p.add_argument("--ref", required=True, metavar="PATH", help="reference label volume (no default)")
     p.add_argument("--pred", required=True, metavar="PATH", help="predicted probability volume (no default)")
-    p.add_argument("--sd-tolerance", type=float, default=argparse.SUPPRESS, metavar="MM",
-                   help="surface DSC tolerance in mm (default: 2.0)")
-    p.add_argument("--ece-bins", type=int, default=argparse.SUPPRESS,
-                   help="equal-width confidence bins (default: 15)")
-    p.add_argument("--tace-threshold", type=float, default=argparse.SUPPRESS,
-                   help="per-class probability floor (default: 1e-3)")
-    p.add_argument("--tace-ranges", type=int, default=argparse.SUPPRESS,
-                   help="adaptive equal-count ranges per class (default: 15)")
-    p.add_argument("--foreground-only", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--sd-tolerance", type=float, default=2.0, metavar="MM",
+                   help="surface DSC tolerance in mm (default: %(default)s)")
+    p.add_argument("--ece-bins", type=int, default=15, help="equal-width confidence bins (default: %(default)s)")
+    # a string default goes through type=, and --help shows it as written
+    p.add_argument("--tace-threshold", type=float, default="1e-3",
+                   help="per-class probability floor (default: %(default)s)")
+    p.add_argument("--tace-ranges", type=int, default=15,
+                   help="adaptive equal-count ranges per class (default: %(default)s)")
+    p.add_argument("--foreground-only", action="store_true",
                    help="restrict reliability/ECE to voxels with nonzero reference (default: off)")
-    p.add_argument("--region-merge", default=argparse.SUPPRESS, metavar="MAP",
+    p.add_argument("--region-merge", metavar="MAP",
                    help="JSON file mapping region name -> class id list; adds merged-mask rows (default: none)")
-    p.add_argument("--composite", action="store_true", default=argparse.SUPPRESS,
+    p.add_argument("--composite", action="store_true",
                    help="add a 'comp' row: unweighted mean over non-background classes (default: off)")
     p.add_argument("--out", required=True, metavar="DIR", help="output directory (no default)")
     common(p)
 
-    p = sub.add_parser("phantom", help="generate synthetic label volumes")
+    p = sub.add_parser("phantom", help="generate synthetic label volumes", allow_abbrev=False)
     p.add_argument("--kind", choices=KINDS, required=True, help="phantom kind (no default)")
-    p.add_argument("--dims", required=True, metavar="X,Y[,Z]", help="volume extents (no default)")
-    p.add_argument("--classes", type=int, default=argparse.SUPPRESS, help="class count (default: 2)")
-    p.add_argument("--raters", type=int, default=argparse.SUPPRESS, metavar="D",
+    p.add_argument("--dims", type=_dims, required=True, metavar="X,Y[,Z]", help="volume extents (no default)")
+    p.add_argument("--classes", type=int, default=2, help="class count (default: %(default)s)")
+    p.add_argument("--raters", type=int, metavar="D",
                    help="emit D jittered rater volumes into the output directory (default: none)")
-    p.add_argument("--jitter", type=int, default=argparse.SUPPRESS, metavar="J",
-                   help="max per-rater translation in voxels (default: 0)")
-    p.add_argument("--strength", type=float, default=argparse.SUPPRESS,
-                   help="miscalibration strength, miscalibrated_pred only (default: 0.0)")
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS, help="random seed (default: 0)")
+    p.add_argument("--jitter", type=int, default=0, metavar="J",
+                   help="max per-rater translation in voxels (default: %(default)s)")
+    p.add_argument("--strength", type=float, default=0.0,
+                   help="miscalibration strength, miscalibrated_pred only (default: %(default)s)")
+    p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     p.add_argument("--out", required=True, metavar="PATH", help="output path (no default)")
     common(p)
 
     return parser
 
 
-def _resolve(ns: argparse.Namespace, command: str) -> dict:
-    """Merge explicit flags over config-file values over built-in defaults."""
-    given = dict(vars(ns))
-    given.pop("command", None)
-    config_actions = given.pop("config_actions")
-    config = {}
-    config_path = given.pop("config", None)
-    if config_path:
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                config = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise CliError(f"unparseable config {config_path}: {exc}")
-        if not isinstance(config, dict):
-            raise CliError(f"config {config_path} must hold a JSON object")
-    config = {key.replace("-", "_"): value for key, value in config.items()}
-    unknown = sorted(set(config) - config_actions.keys())
-    if unknown:
-        raise CliError(f"config {config_path} has keys matching no {command} flag: {', '.join(unknown)}")
-    config = {key: _config_value(config_actions[key], value, config_path) for key, value in config.items()}
-    plan = dict(_DEFAULTS.get(command, {}))
-    plan.update(config)
-    plan.update(given)
-    _reject_exclusive_flags(command, {**config, **given}, plan)
-    log.info("run plan %s: %s", command, json.dumps(plan, sort_keys=True, default=str))
-    return plan
-
-
-def _config_value(action: argparse.Action, value, config_path: str):
-    """Give a config value the checks its flag gives a command-line string:
-    the flag's type and choices, or a JSON boolean for an on/off flag."""
-    flag = action.option_strings[0]
-    if action.nargs == 0:
-        if type(value) is not bool:
-            raise CliError(f"config {config_path}: {flag} must be true or false, got {value!r}")
-        return value
-    if action.nargs == "+":
-        if not (isinstance(value, list) and value and all(isinstance(v, str) for v in value)):
-            raise CliError(f"config {config_path}: {flag} must be a non-empty list of strings, got {value!r}")
-        return value
-    if action.type is not None:
+def _read_object(path: str, what: str) -> dict:
+    """Read a JSON file that must hold one object; `what` names the file in errors."""
+    with open(path, "r", encoding="utf-8") as fh:
         try:
-            value = action.type(str(value))
-        except ValueError:
-            raise CliError(f"config {config_path}: {flag} must be {action.type.__name__}, got {value!r}")
-    elif not isinstance(value, str):
-        raise CliError(f"config {config_path}: {flag} must be a string, got {value!r}")
-    if action.choices is not None and value not in action.choices:
-        raise CliError(f"config {config_path}: {flag} must be one of {', '.join(map(str, action.choices))}, "
-                       f"got {value!r}")
-    return value
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise CliError(f"unparseable {what} {path}: {exc}")
+    if not isinstance(doc, dict):
+        raise CliError(f"{what} {path} must hold a JSON object")
+    return doc
 
 
-def _reject_exclusive_flags(command: str, given: dict, plan: dict) -> None:
+def _config_tokens(path: str, command: str, actions: dict) -> list[str]:
+    """The command-line tokens a --config file stands for, by the rules of
+    the module docstring; `--flag=value` keeps a value such as `-1` a value."""
+    config = _read_object(path, "config")
+    flags = {key: "--" + key.replace("_", "-") for key in config}
+    unknown = sorted(key for key, flag in flags.items() if flag not in actions or flag in ("--help", "--config"))
+    if unknown:
+        raise CliError(f"config {path} has keys matching no {command} flag: {', '.join(unknown)}")
+    tokens = []
+    for key, value in config.items():
+        flag, nargs = flags[key], actions[flags[key]].nargs
+        if nargs == 0 and type(value) is bool:
+            tokens += [flag] if value else []
+        elif nargs == "+" and isinstance(value, list) and value and all(isinstance(v, str) for v in value):
+            tokens += [flag, *value]
+        elif nargs is None and type(value) in (str, int, float):
+            tokens.append(f"{flag}={value}")
+        else:
+            kind = {0: "true or false", "+": "a non-empty list of strings"}.get(nargs, "a string or number")
+            raise CliError(f"config {path}: {flag} takes {kind}, got {json.dumps(value)}")
+    return tokens
+
+
+def _parse(parser: _Parser, argv: list[str]) -> tuple[str, dict]:
+    """The subcommand and its plan. argv alone is parsed first, so required
+    flags come from it; --config's tokens then go ahead of argv's flags, whose
+    values win as argparse keeps a flag's last value."""
+    ns = parser.parse_args(argv)
+    if not ns.command:
+        raise CliError("a subcommand is required (see svls --help)")
+    actions = parser.commands[ns.command]._option_string_actions
+    if ns.config is not None:
+        at = argv.index(ns.command) + 1
+        argv = [*argv[:at], *_config_tokens(ns.config, ns.command, actions), *argv[at:]]
+        ns = parser.parse_args(argv)
+    plan = vars(ns)
+    command = plan.pop("command")
+    del plan["config"]
+    # given means written: flags are never abbreviated, so a flag is a token or a token's part before `=`
+    given = {actions[flag].dest for flag in (t.split("=", 1)[0] for t in argv) if flag in actions}
+    _reject_exclusive_flags(command, given, plan)
+    log.info("run plan %s: %s", command, json.dumps(plan, sort_keys=True, default=str))
+    return command, plan
+
+
+def _reject_exclusive_flags(command: str, given: set, plan: dict) -> None:
     """Flags given on the command line or in the config that contradict the
     chosen method fail at parse time."""
     method = plan.get("method")
@@ -294,7 +289,7 @@ def run_kernel(plan: dict) -> int:
 
 def run_encode(plan: dict) -> int:
     method = plan["method"]
-    if method == "ls" and plan.get("alpha") is None:
+    if method == "ls" and plan["alpha"] is None:
         raise CliError("--alpha is required for method ls")
     kernel = None
     for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
@@ -351,10 +346,7 @@ def run_loss(plan: dict) -> int:
 
 def _load_regions(path: str) -> dict:
     """Read a --region-merge file: a JSON object mapping names to lists of class ids."""
-    with open(path, "r", encoding="utf-8") as fh:
-        regions = json.load(fh)
-    if not isinstance(regions, dict):
-        raise CliError(f"region map {path} must hold a JSON object of name -> class id list")
+    regions = _read_object(path, "region map")
     for name, ids in regions.items():
         if not (isinstance(ids, list) and ids and all(type(i) is int for i in ids)):
             raise CliError(f"region {name!r} in {path} must map to a non-empty list of integer class ids")
@@ -393,7 +385,7 @@ def run_evaluate(plan: dict) -> int:
     check_tolerance(plan["sd_tolerance"])
     check_num_bins(plan["ece_bins"])
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
-    regions = _load_regions(plan["region_merge"]) if plan.get("region_merge") else {}
+    regions = _load_regions(plan["region_merge"]) if plan["region_merge"] else {}
     for src, ref_path, out_dir in _iter_in_out(plan["pred"], plan["out"], "", partner=plan["ref"]):
         reference = _read(ref_path, LabelVolume, "evaluate --ref")
         _check_regions(regions, reference.num_classes, plan["composite"])
@@ -418,16 +410,15 @@ def run_evaluate(plan: dict) -> int:
 
 
 def run_phantom(plan: dict) -> int:
-    dims = tuple(int(d) for d in str(plan["dims"]).split(","))
     spec = PhantomSpec(
         kind=plan["kind"],
-        dims=dims,
+        dims=plan["dims"],
         num_classes=plan["classes"],
         seed=plan["seed"],
         strength=plan["strength"],
     )
     base_provenance = {"method": "phantom", "kind": spec.kind, "seed": spec.seed}
-    if plan.get("raters") is not None:
+    if plan["raters"] is not None:
         raters = generate_rater_set(spec, plan["raters"], plan["jitter"])
         for j, rater in enumerate(raters.raters):
             path = os.path.join(plan["out"], f"rater{j:02d}{VOLUME_SUFFIX}")
@@ -465,11 +456,8 @@ def main(argv=None) -> int:
     log.setLevel(level)
     parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
-        if not getattr(ns, "command", None):
-            raise CliError("a subcommand is required (see svls --help)")
-        plan = _resolve(ns, ns.command)
-        return _HANDLERS[ns.command](plan)
+        command, plan = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        return _HANDLERS[command](plan)
     except (CliError, tensor_io.VolumeFormatError, ValueError) as exc:
         _emit_error("validation", str(exc))
         return 1

@@ -45,6 +45,8 @@ class PhantomSpec:
             raise ValueError(f"dims must be 2 or 3 positive extents, got {self.dims}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.strength < math.inf:  # NaN fails too
             raise ValueError(f"strength must be >= 0 and finite, got {self.strength}")
         object.__setattr__(self, "dims", dims)

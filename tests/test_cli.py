@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import struct
 import subprocess
 import sys
@@ -360,7 +361,13 @@ def test_mutually_exclusive_flags_rejected(tmp_path, rng, capsys):
     (["fuse", "--in", "{d}/labels.svlv", "--method", "moh", "--out", "{d}/o.svlv"], "sigma", 2.0),
     (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "strength", 0.2),
     (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "jitter", 2),
-], ids=["encode-alpha", "encode-sigma", "fuse-sigma", "phantom-strength", "phantom-jitter"])
+    # a flag given its default value is still given
+    (["encode", "--in", "{d}/labels.svlv", "--method", "ls", "--alpha", "0.1", "--out", "{d}/o.svlv"], "sigma", 1.0),
+    (["fuse", "--in", "{d}/labels.svlv", "--method", "moh", "--out", "{d}/o.svlv"], "sigma", 1.0),
+    (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "jitter", 0),
+    (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "strength", 0.0),
+], ids=["encode-alpha", "encode-sigma", "fuse-sigma", "phantom-strength", "phantom-jitter",
+        "encode-sigma-default", "fuse-sigma-default", "phantom-jitter-default", "phantom-strength-default"])
 def test_config_value_contradicting_the_method_is_rejected_like_its_flag(tmp_path, rng, capsys, argv, key, value):
     make_labels(tmp_path, rng)
     argv = [a.format(d=tmp_path) for a in argv]
@@ -440,8 +447,15 @@ def test_config_key_matching_no_flag_is_rejected(tmp_path, capsys, config):
         (["evaluate", "--ref", "ref.svlv", "--pred", "pred.svlv", "--out", "eval"], {"ece_bins": 2.5}),
         (["kernel", "--rank", "3"], {"format": "xml"}),
         (["evaluate", "--ref", "ref.svlv", "--pred", "pred.svlv", "--out", "eval"], {"foreground_only": "no"}),
+        (["encode", "--in", "labels.svlv", "--method", "onehot", "--out", "soft.svlv"], {"out": None}),
+        (["encode", "--in", "labels.svlv", "--method", "svls", "--out", "soft.svlv"], {"sigma": True}),
+        (["encode", "--in", "labels.svlv", "--method", "svls", "--out", "soft.svlv"], {"sigma": [1.0]}),
+        (["fuse", "--in", "labels.svlv", "--method", "moh", "--out", "f.svlv"], {"in": []}),
+        (["fuse", "--in", "labels.svlv", "--method", "moh", "--out", "f.svlv"], {"in": "labels.svlv"}),
+        (["kernel", "--rank", "3"], {"help": True}),
     ],
-    ids=["sigma-not-float", "ece-bins-not-int", "format-not-a-choice", "switch-not-bool"],
+    ids=["sigma-not-float", "ece-bins-not-int", "format-not-a-choice", "switch-not-bool", "value-null",
+         "value-bool", "value-list", "list-empty", "list-a-string", "help-key"],
 )
 def test_config_value_gets_its_flag_checks(tmp_path, capsys, monkeypatch, argv, config):
     monkeypatch.chdir(tmp_path)
@@ -470,6 +484,106 @@ def test_config_values_of_the_right_kind_are_accepted(tmp_path, rng, capsys):
     calib = json.loads((tmp_path / "e" / "calibration.json").read_text())
     assert len(calib["bins"]) == 4
     assert "comp" in (tmp_path / "e" / "segmentation.csv").read_text()
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["encode", "--in", "labels.svlv", "--method", "svls", "--out", "soft.svlv"], "sigma", "abc"),
+    (["evaluate", "--ref", "ref.svlv", "--pred", "pred.svlv", "--out", "eval"], "ece_bins", "2.5"),
+    (["kernel", "--rank", "3"], "format", "xml"),
+    (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "p.svlv"], "dims", "4,x"),
+    (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "p.svlv"], "dims", "4,,4"),
+], ids=["sigma-not-float", "ece-bins-not-int", "format-not-a-choice", "dims-not-int", "dims-empty-extent"])
+def test_config_value_gets_the_message_of_its_flag(tmp_path, capsys, monkeypatch, argv, key, value):
+    monkeypatch.chdir(tmp_path)
+    flag = "--" + key.replace("_", "-")
+    (tmp_path / "config.json").write_text(json.dumps({key: value}))
+    flag_code, _, flag_err = run([*argv, flag, value], capsys)
+    code, _, err = run([*argv, "--config", "config.json"], capsys)
+    assert flag_code == code == 1
+    assert last_error(err) == last_error(flag_err)
+    assert last_error(err)["error"] == "validation"
+    assert f"argument {flag}: " in last_error(err)["message"]
+    assert not (tmp_path / "p.svlv").exists()
+
+
+@pytest.mark.parametrize("command, config, accepted", [
+    ("encode", {"in": "missing.svlv"}, True),
+    ("fuse", {"in": ["missing.svlv"]}, True),
+    ("encode", {"in_path": "missing.svlv"}, False),
+    ("fuse", {"in_paths": ["missing.svlv"]}, False),
+], ids=["encode-in", "fuse-in", "encode-in_path", "fuse-in_paths"])
+def test_config_keys_are_flag_names(tmp_path, rng, capsys, command, config, accepted):
+    src, _ = make_labels(tmp_path, rng)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    # the command line's --in wins: a config --in read by mistake would exit 2
+    code, _, err = run([command, "--in", str(src), "--method", "onehot" if command == "encode" else "moh",
+                        "--config", str(path), "--out", str(tmp_path / "o.svlv")], capsys)
+    if accepted:
+        assert code == 0
+        assert (tmp_path / "o.svlv").exists()
+    else:
+        assert code == 1
+        assert last_error(err) == {"error": "validation", "message":
+                                   f"config {path} has keys matching no {command} flag: {next(iter(config))}"}
+
+
+def test_abbreviated_flag_is_rejected(capsys):
+    code, out, err = run(["kernel", "--rank", "3", "--sig", "2"], capsys)
+    assert code == 1
+    assert out == ""
+    assert last_error(err) == {"error": "validation", "message": "unrecognized arguments: --sig 2"}
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "homogeneous"],
+    ["--kind", "miscalibrated_pred"],
+    ["--kind", "straight_boundary", "--raters", "2"],
+], ids=["labels", "miscalibrated", "raters"])
+def test_phantom_rejects_a_negative_seed(tmp_path, capsys, flags):
+    out = tmp_path / "p"
+    code, _, err = run(["phantom", *flags, "--dims", "4,4", "--seed", "-5", "--out", str(out)], capsys)
+    assert code == 1
+    assert last_error(err) == {"error": "validation", "message": "seed must be >= 0, got -5"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--config", "--region-merge"])
+def test_unparseable_json_file_is_named(tmp_path, rng, capsys, flag):
+    src, vol = make_labels(tmp_path, rng)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    bad = tmp_path / "bad.json"
+    bad.write_text("nope")
+    code, _, err = run(["evaluate", "--ref", str(src), "--pred", str(pred), flag, str(bad),
+                        "--out", str(tmp_path / "e")], capsys)
+    assert code == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert error["message"].startswith("unparseable ") and str(bad) in error["message"]
+    assert not (tmp_path / "e").exists()
+
+
+def readme_cli_example() -> list[str]:
+    """The lines of the README's CLI example block."""
+    readme = open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8").read()
+    block = readme[readme.index("## CLI"):]
+    block = block[block.index("```sh\n") + len("```sh\n"):]
+    return block[:block.index("```")].splitlines()
+
+
+def test_readme_cli_example_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = readme_cli_example()
+    for line in lines:
+        argv = shlex.split(line, comments=True)
+        if argv[0] == "svls":
+            code, _, err = run(argv[1:], capsys)
+            assert code == 0, (line, err)
+        else:  # a shell line that writes a file for the next svls line
+            subprocess.run(["sh", "-c", line], check=True)
+    assert sum(line.startswith("svls ") for line in lines) >= 10
+    assert "comp" in (tmp_path / "eval-1mm" / "segmentation.csv").read_text()  # the config's composite row
 
 
 def evaluate_with_regions(tmp_path, rng, capsys, regions, flags=()):

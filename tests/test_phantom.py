@@ -181,5 +181,7 @@ def test_phantom_spec_validation():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="strength"):
             PhantomSpec(kind="miscalibrated_pred", dims=(3, 3), strength=bad)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        PhantomSpec(kind="homogeneous", dims=(3, 3), seed=-1)
     with pytest.raises(ValueError, match="classes"):
         generate_labels(PhantomSpec(kind="nested_spheres", dims=(9, 9, 9), num_classes=2))

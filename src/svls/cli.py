@@ -458,8 +458,11 @@ def main(argv=None) -> int:
     try:
         command, plan = _parse(parser, sys.argv[1:] if argv is None else list(argv))
         return _HANDLERS[command](plan)
-    except (CliError, tensor_io.VolumeFormatError, ValueError) as exc:
+    except ValueError as exc:  # CliError and tensor_io.VolumeFormatError included
         _emit_error("validation", str(exc))
+        return 1
+    except MemoryError as exc:  # a volume too large to allocate: the request is at fault
+        _emit_error("validation", f"MemoryError: {exc}")
         return 1
     except OSError as exc:
         _emit_error("io", str(exc))

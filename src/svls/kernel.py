@@ -18,7 +18,7 @@ against the center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -42,7 +42,7 @@ class SvlsKernel:
     rank: int
     sigma: float
     weights: np.ndarray
-    total_weight: float = 0.0  # filled in __post_init__
+    total_weight: float = field(init=False)  # computed from the weights
 
     def __post_init__(self):
         weights = np.array(self.weights, dtype=np.float64)

@@ -27,6 +27,11 @@ DEFAULT_SPACING = 1.0
 BASE_ACCURACY = 0.7  # share of generate_miscalibrated's voxels whose predicted class is the label
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
     """Parameters of a synthetic volume."""
@@ -45,8 +50,7 @@ class PhantomSpec:
             raise ValueError(f"dims must be 2 or 3 positive extents, got {self.dims}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        _check_seed(self.seed)
         if not 0 <= self.strength < math.inf:  # NaN fails too
             raise ValueError(f"strength must be >= 0 and finite, got {self.strength}")
         object.__setattr__(self, "dims", dims)
@@ -154,6 +158,7 @@ def generate_miscalibrated(labels: LabelVolume, strength: float, seed: int = 0) 
     """
     if not 0 <= strength < math.inf:  # NaN fails too
         raise ValueError(f"strength must be >= 0 and finite, got {strength}")
+    _check_seed(seed)
     n = labels.num_classes
     confidence = min(BASE_ACCURACY + strength, 1.0)
     rng = np.random.default_rng(seed)

@@ -12,9 +12,10 @@ little-endian regardless of host:
     then        raw row-major little-endian payload, nothing after it
 
 A JSON sidecar at `<path>.json` carries what the payload cannot: spacing
-(mm per axis), num_classes, a class-name map covering [0, N), and provenance
-(method, alpha, sigma, rater files, tool version). Readers reject invalid
-files instead of repairing them.
+(mm per axis), num_classes and provenance (method, alpha, sigma, rater files,
+tool version). Any other key, such as the class-name map that older
+versions wrote, is ignored. Readers reject invalid files instead of
+repairing them, with a VolumeFormatError naming the faulty field.
 """
 
 from __future__ import annotations
@@ -48,30 +49,6 @@ class VolumeFormatError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-class BadMagicError(VolumeFormatError):
-    pass
-
-
-class VersionMismatchError(VolumeFormatError):
-    pass
-
-
-class HeaderFieldError(VolumeFormatError):
-    pass
-
-
-class TruncatedPayloadError(VolumeFormatError):
-    pass
-
-
-class PayloadValidationError(VolumeFormatError):
-    pass
-
-
-class SidecarError(VolumeFormatError):
-    pass
-
-
 def sidecar_path(path) -> str:
     return str(path) + ".json"
 
@@ -103,7 +80,6 @@ def atomic_write_text(path, text: str) -> None:
 class SidecarMeta:
     spacing: tuple[float, ...]
     num_classes: int
-    class_names: dict
     provenance: dict
 
 
@@ -125,7 +101,6 @@ def write_volume(volume, path, provenance=None) -> None:
     meta = {
         "spacing": list(volume.spacing),
         "num_classes": volume.num_classes,
-        "class_names": {str(c): f"class_{c}" if c else "background" for c in range(volume.num_classes)},
         "provenance": dict(provenance or {}),
     }
     meta["provenance"].setdefault("tool_version", __version__)
@@ -138,62 +113,55 @@ def read_sidecar(path) -> SidecarMeta:
         with open(side, "r", encoding="utf-8") as fh:
             meta = json.load(fh)
     except FileNotFoundError:
-        raise SidecarError("sidecar", f"missing sidecar {side}")
+        raise VolumeFormatError("sidecar", f"missing sidecar {side}")
     except json.JSONDecodeError as exc:
-        raise SidecarError("sidecar", f"unparseable sidecar {side}: {exc}")
+        raise VolumeFormatError("sidecar", f"unparseable sidecar {side}: {exc}")
     try:
         spacing = tuple(float(s) for s in meta["spacing"])
         num_classes = int(meta["num_classes"])
-        class_names = meta.get("class_names", {})
-        if not isinstance(class_names, dict):
-            raise TypeError("class_names must be a JSON object")
-        class_names = {int(k): str(v) for k, v in class_names.items()}
         provenance = dict(meta.get("provenance", {}))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
-        raise SidecarError("sidecar", f"bad sidecar field in {side}: {exc}")
+        raise VolumeFormatError("sidecar", f"bad sidecar field in {side}: {exc}")
     if not all(0 < s < math.inf for s in spacing):  # NaN fails too
-        raise SidecarError("spacing", f"spacing must be positive and finite, got {spacing}")
-    if class_names and sorted(class_names) != list(range(num_classes)):
-        raise SidecarError("class_names", f"class map must cover [0, {num_classes})")
-    return SidecarMeta(spacing, num_classes, class_names, provenance)
+        raise VolumeFormatError("spacing", f"spacing must be positive and finite, got {spacing}")
+    return SidecarMeta(spacing, num_classes, provenance)
 
 
 def _read_container(path):
-    """Check the header against the file size, then read the payload into its
-    final array and check the sidecar: (dtype code, array, sidecar)."""
+    """Check the header against the file size and the sidecar against the
+    header, then read the payload into its final array: (dtype code, array,
+    sidecar)."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16:
-            raise TruncatedPayloadError("header", f"file is {len(head)} bytes, header needs 16")
+            raise VolumeFormatError("header", f"file is {len(head)} bytes, header needs 16")
         if head[:4] != MAGIC:
-            raise BadMagicError("magic", f"expected {MAGIC!r}, got {head[:4]!r}")
+            raise VolumeFormatError("magic", f"expected {MAGIC!r}, got {head[:4]!r}")
         version, dtype_code, rank = struct.unpack_from("<3I", head, 4)
         if version != VERSION:
-            raise VersionMismatchError("version", f"expected {VERSION}, got {version}")
+            raise VolumeFormatError("version", f"expected {VERSION}, got {version}")
         if dtype_code not in (DTYPE_LABELS, DTYPE_PROBS):
-            raise HeaderFieldError("dtype", f"unknown dtype code {dtype_code}")
+            raise VolumeFormatError("dtype", f"unknown dtype code {dtype_code}")
         if rank not in (2, 3):
-            raise HeaderFieldError("rank", f"rank must be 2 or 3, got {rank}")
+            raise VolumeFormatError("rank", f"rank must be 2 or 3, got {rank}")
         naxes = rank if dtype_code == DTYPE_LABELS else rank + 1
         extents = fh.read(4 * naxes)
         if len(extents) < 4 * naxes:
-            raise TruncatedPayloadError("dims", "header ends before the extent list")
+            raise VolumeFormatError("dims", "header ends before the extent list")
         axes = struct.unpack(f"<{naxes}I", extents)
         if any(a < 1 for a in axes):
-            raise HeaderFieldError("dims", f"extents must be >= 1, got {axes}")
+            raise VolumeFormatError("dims", f"extents must be >= 1, got {axes}")
         dtype = np.dtype("<u1") if dtype_code == DTYPE_LABELS else np.dtype("<f4")
         count = math.prod(axes)  # a Python int: no int64 wrap-around
         found = os.fstat(fh.fileno()).st_size - fh.tell()
         if found != dtype.itemsize * count:
-            raise TruncatedPayloadError(
-                "payload", f"expected {dtype.itemsize * count} payload bytes, found {found}"
-            )
+            raise VolumeFormatError("payload", f"expected {dtype.itemsize * count} payload bytes, found {found}")
+        meta = read_sidecar(path)
+        if dtype_code == DTYPE_PROBS and axes[0] != meta.num_classes:
+            raise VolumeFormatError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")
         data = np.fromfile(fh, dtype=dtype, count=count)
     data.setflags(write=False)  # fresh: the container adopts it without a copy
     data = data.reshape(axes)
-    meta = read_sidecar(path)
-    if dtype_code == DTYPE_PROBS and axes[0] != meta.num_classes:
-        raise SidecarError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")
     return dtype_code, data, meta
 
 
@@ -205,18 +173,18 @@ def read_volume(path):
             return LabelVolume(data, meta.spacing, meta.num_classes)
         return SoftLabelVolume(data, meta.spacing)
     except ValueError as exc:
-        raise PayloadValidationError("payload", str(exc))
+        raise VolumeFormatError("payload", str(exc))
 
 
 def read_logits(path) -> LogitVolume:
     """Read an f32 volume as raw scores, skipping the probability checks."""
     dtype_code, data, meta = _read_container(path)
     if dtype_code != DTYPE_PROBS:
-        raise HeaderFieldError("dtype", "logits must use the f32 dtype code")
+        raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
     try:
         return LogitVolume(data, meta.spacing)
     except ValueError as exc:
-        raise PayloadValidationError("payload", str(exc))
+        raise VolumeFormatError("payload", str(exc))
 
 
 def _sig6(x: float):

@@ -103,7 +103,7 @@ class LabelVolume:
             raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
         if not (2 <= self.num_classes <= MAX_CLASSES):
             raise ValueError(f"num_classes must be in [2, {MAX_CLASSES}], got {self.num_classes}")
-        if arr.size and (arr.min() < 0 or arr.max() >= self.num_classes):
+        if arr.min() < 0 or arr.max() >= self.num_classes:
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes}), "
                 f"found range [{arr.min()}, {arr.max()}]"
@@ -138,7 +138,7 @@ class SoftLabelVolume:
         _check_class_axis(arr, "probability")
         arr = _owned(arr, np.float64 if arr.dtype == np.float64 else np.float32)
         # written so that NaN, which fails every comparison, is rejected too
-        if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
             raise ValueError(
                 f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
             )

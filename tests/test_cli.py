@@ -733,15 +733,72 @@ def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, 
     assert not (tmp_path / "o.svlv").exists()
 
 
-def test_sidecar_class_names_list_exits_with_validation_line(tmp_path, rng, capsys):
-    src, _ = make_labels(tmp_path, rng)
-    set_sidecar_token(src, "class_names", '["a", "b", "c"]')
-    code, _, err = run(["encode", "--in", str(src), "--method", "onehot", "--out", str(tmp_path / "o.svlv")],
+def _set_u32(offset, value):
+    def damage(path):
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, offset, value)
+        path.write_bytes(bytes(blob))
+    return damage
+
+
+def _bad_magic(path):
+    path.write_bytes(b"XXXX" + path.read_bytes()[4:])
+
+
+def _cut_payload(path):
+    path.write_bytes(path.read_bytes()[:-2])
+
+
+def _drop_sidecar(path):
+    (path.parent / (path.name + ".json")).unlink()
+
+
+def _set_sidecar(field, token):
+    return lambda path: set_sidecar_token(path, field, token)
+
+
+# one fault per probability volume, each named by the field of its error
+VOLUME_FAULTS = {
+    "magic": _bad_magic,
+    "version": _set_u32(4, 9),
+    "dtype": _set_u32(8, 7),
+    "rank": _set_u32(12, 5),
+    "dims": _set_u32(16, 0),
+    "payload": _cut_payload,
+    "sidecar": _drop_sidecar,
+    "spacing": _set_sidecar("spacing", "[0.0, 1.0, 1.0]"),
+    "num_classes": _set_sidecar("num_classes", "5"),
+}
+
+
+@pytest.mark.parametrize("field", VOLUME_FAULTS)
+def test_damaged_volume_exits_with_one_validation_line_naming_its_field(tmp_path, rng, capsys, field):
+    ref, vol = make_labels(tmp_path, rng)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(vol), pred)
+    VOLUME_FAULTS[field](pred)
+    out = tmp_path / "eval"
+    code, stdout, err = run(["evaluate", "--ref", str(ref), "--pred", str(pred), "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "validation"
+    assert error["message"].startswith(f"{field}: ")
+    assert not out.exists()
+
+
+def test_allocation_too_large_is_a_validation_line(tmp_path, capsys):
+    # 10^15 voxels (909 TiB) exceed the address space: numpy refuses at once
+    out = tmp_path / "p.svlv"
+    code, _, err = run(["phantom", "--kind", "homogeneous", "--dims", "100000,100000,100000", "--out", str(out)],
                        capsys)
     assert code == 1
     error = last_error(err)
     assert error["error"] == "validation"
-    assert "class_names" in error["message"]
+    assert error["message"].startswith("MemoryError: Unable to allocate")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["inf", "nan"])

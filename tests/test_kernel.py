@@ -142,3 +142,10 @@ def test_kernel_rejects_bad_surround_sum():
 def test_kernel_rejects_weights_of_another_rank():
     with pytest.raises(ValueError, match="rank"):
         SvlsKernel(rank=3, sigma=1.0, weights=svls_weights(2, 1.0).weights)
+
+
+def test_kernel_total_weight_is_computed_not_given():
+    weights = svls_weights(2, 1.0).weights
+    assert SvlsKernel(2, 1.0, weights).total_weight == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(TypeError):
+        SvlsKernel(2, 1.0, weights, total_weight=5.0)

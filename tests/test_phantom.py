@@ -185,3 +185,9 @@ def test_phantom_spec_validation():
         PhantomSpec(kind="homogeneous", dims=(3, 3), seed=-1)
     with pytest.raises(ValueError, match="classes"):
         generate_labels(PhantomSpec(kind="nested_spheres", dims=(9, 9, 9), num_classes=2))
+
+
+def test_miscalibrated_rejects_a_negative_seed():
+    labels = generate_labels(PhantomSpec(kind="homogeneous", dims=(4, 4)))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+        generate_miscalibrated(labels, 0.1, seed=-1)

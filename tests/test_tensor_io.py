@@ -14,11 +14,6 @@ from svls.calibration import CalibrationReport, ReliabilityBin
 from svls.loss import LossReport
 from svls.seg_metrics import SegmentationScores
 from svls.tensor_io import (
-    BadMagicError,
-    PayloadValidationError,
-    SidecarError,
-    TruncatedPayloadError,
-    VersionMismatchError,
     VolumeFormatError,
     read_logits,
     read_volume,
@@ -72,7 +67,7 @@ def test_bad_magic_rejected(tmp_path, rng):
     blob = bytearray(path.read_bytes())
     blob[:4] = b"XXXX"
     path.write_bytes(bytes(blob))
-    with pytest.raises(BadMagicError) as err:
+    with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
     assert err.value.field == "magic"
 
@@ -83,7 +78,7 @@ def test_version_mismatch_rejected(tmp_path, rng):
     blob = bytearray(path.read_bytes())
     struct.pack_into("<I", blob, 4, 9)
     path.write_bytes(bytes(blob))
-    with pytest.raises(VersionMismatchError) as err:
+    with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
     assert err.value.field == "version"
 
@@ -93,11 +88,13 @@ def test_truncated_payload_rejected(tmp_path, rng):
     write_volume(random_labels(rng, (3, 3), 2), path)
     blob = path.read_bytes()
     path.write_bytes(blob[:-2])
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
+    assert err.value.field == "payload"
     path.write_bytes(blob + b"\x00")  # trailing garbage is also rejected
-    with pytest.raises(TruncatedPayloadError):
+    with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
+    assert err.value.field == "payload"
 
 
 def test_corrupt_probability_sums_name_first_voxel(tmp_path):
@@ -112,8 +109,9 @@ def test_corrupt_probability_sums_name_first_voxel(tmp_path):
     assert struct.unpack_from("<f", blob, offset)[0] == 0.0
     struct.pack_into("<f", blob, offset, 0.1)
     path.write_bytes(bytes(blob))
-    with pytest.raises(PayloadValidationError, match=r"voxel \(0, 0\)"):
+    with pytest.raises(VolumeFormatError, match=r"voxel \(0, 0\)") as err:
         read_volume(path)
+    assert err.value.field == "payload"
 
 
 def test_labels_out_of_sidecar_range_rejected(tmp_path):
@@ -122,28 +120,19 @@ def test_labels_out_of_sidecar_range_rejected(tmp_path):
     write_volume(vol, path)
     meta = json.loads((tmp_path / "v.svlv.json").read_text())
     meta["num_classes"] = 2
-    meta["class_names"] = {"0": "background", "1": "class_1"}
     (tmp_path / "v.svlv.json").write_text(json.dumps(meta))
-    with pytest.raises((PayloadValidationError, SidecarError)):
+    with pytest.raises(VolumeFormatError, match=r"labels must lie in \[0, 2\)") as err:
         read_volume(path)
+    assert err.value.field == "payload"
 
 
 def test_missing_sidecar_rejected(tmp_path, rng):
     path = tmp_path / "v.svlv"
     write_volume(random_labels(rng, (2, 2), 2), path)
     (tmp_path / "v.svlv.json").unlink()
-    with pytest.raises(SidecarError):
+    with pytest.raises(VolumeFormatError, match="missing sidecar") as err:
         read_volume(path)
-
-
-def test_sidecar_class_map_must_cover_classes(tmp_path, rng):
-    path = tmp_path / "v.svlv"
-    write_volume(random_labels(rng, (2, 2), 3), path)
-    meta = json.loads((tmp_path / "v.svlv.json").read_text())
-    del meta["class_names"]["2"]
-    (tmp_path / "v.svlv.json").write_text(json.dumps(meta))
-    with pytest.raises(SidecarError, match="class"):
-        read_volume(path)
+    assert err.value.field == "sidecar"
 
 
 @pytest.mark.parametrize("token", ["[NaN, 1.0]", "[1e400, 1.0]"])
@@ -153,24 +142,118 @@ def test_sidecar_spacing_must_be_finite(tmp_path, rng, token, labels):
     path = tmp_path / "v.svlv"
     write_volume(vol if labels else one_hot_encode(vol), path)
     set_sidecar_token(path, "spacing", token)
-    with pytest.raises(SidecarError, match="spacing"):
+    with pytest.raises(VolumeFormatError, match="spacing") as err:
         read_volume(path)
+    assert err.value.field == "spacing"
 
 
 def test_sidecar_num_classes_overflow_is_sidecar_error(tmp_path, rng):
     path = tmp_path / "v.svlv"
     write_volume(random_labels(rng, (2, 2), 2), path)
     set_sidecar_token(path, "num_classes", "1e400")  # parses to inf; int(inf) overflows
-    with pytest.raises(SidecarError, match="sidecar"):
+    with pytest.raises(VolumeFormatError, match="bad sidecar field") as err:
         read_volume(path)
+    assert err.value.field == "sidecar"
 
 
-def test_sidecar_class_names_must_be_an_object(tmp_path, rng):
+@pytest.mark.parametrize("token", [
+    '{"0": "background", "1": "class_1", "2": "class_2"}',  # what older versions wrote
+    '{"1": "class_1"}',  # a partial map
+    '["a", "b", "c"]',  # not an object
+], ids=["object", "partial", "list"])
+@pytest.mark.parametrize("labels", [True, False], ids=["labels", "probs"])
+def test_sidecar_class_names_of_older_files_are_ignored(tmp_path, rng, token, labels):
+    vol = random_labels(rng, (3, 4), 3)
+    vol = vol if labels else one_hot_encode(vol)
     path = tmp_path / "v.svlv"
-    write_volume(random_labels(rng, (2, 2), 2), path)
-    set_sidecar_token(path, "class_names", '["a", "b"]')
-    with pytest.raises(SidecarError, match="class_names"):
+    write_volume(vol, path)
+    set_sidecar_token(path, "class_names", token)
+    back = read_volume(path)
+    assert type(back) is type(vol)
+    assert back.data.tobytes() == vol.data.tobytes()
+    assert (back.spacing, back.num_classes) == (vol.spacing, vol.num_classes)
+
+
+def _missing(side):
+    side.unlink()
+
+
+def _unparseable(side):
+    side.write_text("{")
+
+
+def _set(key, value):
+    def edit(side):
+        meta = json.loads(side.read_text())
+        meta[key] = value
+        side.write_text(json.dumps(meta))
+    return edit
+
+
+@pytest.mark.parametrize("fault, field", [
+    (_missing, "sidecar"),
+    (_unparseable, "sidecar"),
+    (_set("spacing", "x"), "sidecar"),
+    (_set("spacing", [0.0, 1.0]), "spacing"),
+    (_set("num_classes", 5), "num_classes"),
+], ids=["missing", "unparseable", "bad-field", "spacing", "num-classes"])
+def test_sidecar_is_checked_before_the_payload_is_read(tmp_path, rng, monkeypatch, fault, field):
+    path = tmp_path / "v.svlv"
+    write_volume(one_hot_encode(random_labels(rng, (3, 4), 3)), path)
+    fault(tmp_path / "v.svlv.json")
+
+    def no_payload_read(*args, **kwargs):
+        raise AssertionError("payload read before the sidecar was checked")
+
+    monkeypatch.setattr(np, "fromfile", no_payload_read)
+    with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
+    assert err.value.field == field
+
+
+GOLDEN_SIDECARS = {
+    "labels": """\
+{
+  "spacing": [
+    1.0,
+    0.5
+  ],
+  "num_classes": 3,
+  "provenance": {
+    "method": "svls",
+    "sigma": 1.0,
+    "tool_version": "%s"
+  }
+}
+""",
+    "probs": """\
+{
+  "spacing": [
+    2.0,
+    1.0,
+    0.25
+  ],
+  "num_classes": 2,
+  "provenance": {
+    "tool_version": "%s"
+  }
+}
+""",
+}
+
+
+@pytest.mark.parametrize("kind", GOLDEN_SIDECARS)
+def test_sidecar_bytes_are_pinned(tmp_path, kind):
+    if kind == "labels":
+        vol = LabelVolume(np.zeros((2, 3), dtype=np.uint8), (1.0, 0.5), 3)
+        provenance = {"method": "svls", "sigma": 1.0}
+    else:
+        vol = one_hot_encode(LabelVolume(np.zeros((2, 2, 2), dtype=np.uint8), (2.0, 1.0, 0.25), 2))
+        provenance = None
+    path = tmp_path / "v.svlv"
+    write_volume(vol, path, provenance=provenance)
+    expected = GOLDEN_SIDECARS[kind] % svls.__version__
+    assert (tmp_path / "v.svlv.json").read_bytes() == expected.encode()
 
 
 def test_extent_product_overflowing_int64_is_truncated_payload(tmp_path):
@@ -178,8 +261,9 @@ def test_extent_product_overflowing_int64_is_truncated_payload(tmp_path):
     path = tmp_path / "v.svlv"
     path.write_bytes(b"SVLV" + struct.pack("<3I", 1, 0, 3) + struct.pack("<3I", 2**22, 2**21, 2**21))
     (tmp_path / "v.svlv.json").write_text(json.dumps({"spacing": [1.0, 1.0, 1.0], "num_classes": 2}))
-    with pytest.raises(TruncatedPayloadError, match="payload"):
+    with pytest.raises(VolumeFormatError, match="payload bytes") as err:
         read_volume(path)
+    assert err.value.field == "payload"
 
 
 def test_logits_roundtrip(tmp_path):
@@ -190,8 +274,9 @@ def test_logits_roundtrip(tmp_path):
     assert isinstance(back, LogitVolume)
     assert np.array_equal(back.data, scores.data.astype(np.float32).astype(np.float64))
     # the probability reader refuses score payloads
-    with pytest.raises(PayloadValidationError):
+    with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
+    assert err.value.field == "payload"
 
 
 def test_provenance_recorded(tmp_path, rng):

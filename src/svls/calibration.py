@@ -10,6 +10,10 @@ collapse into a single effective range), the gap |empirical frequency - mean
 probability| is averaged over occupied ranges, then over the classes that
 retained any samples. Both metrics take each bin's count, mean probability
 and hit rate from the same three `np.bincount` calls.
+Both bin the stored float32 or float64 probabilities, with no widened copy:
+`np.digitize` compares in the common dtype, `np.bincount` sums its weights
+in float64 and widening float32 keeps order, so each result equals that of
+the float64 widening of the prediction.
 """
 
 from __future__ import annotations
@@ -41,8 +45,11 @@ class CalibrationReport:
     tace: float
     bins: tuple[ReliabilityBin, ...]
     tace_threshold: float
-    num_bins: int
     tace_ranges: int
+
+    @property
+    def num_bins(self) -> int:
+        return len(self.bins)
 
 
 def check_num_bins(num_bins: int) -> None:
@@ -68,13 +75,14 @@ def _bin_stats(which: np.ndarray, probs: np.ndarray, hits: np.ndarray, num_bins:
     return count, mean_prob, hit_rate
 
 
-def _reliability(reference, predicted, num_bins: int, foreground_only: bool = False):
-    """Reliability bins and the size of the voxel population they partition."""
+def reliability(
+    reference: LabelVolume, predicted: SoftLabelVolume, num_bins: int = 15, foreground_only: bool = False
+) -> list[ReliabilityBin]:
+    """Equal-width confidence bins with per-bin accuracy and mean confidence;
+    foreground_only bins only the voxels of a nonzero reference class."""
     check_num_bins(num_bins)
     check_same_grid(reference, predicted)
-    # float32 -> float64 is exact and keeps order, so max and argmax of the
-    # stored planes equal those of a float64 copy, without the copy
-    confidence = predicted.data.max(axis=0).astype(np.float64).ravel()
+    confidence = predicted.data.max(axis=0).ravel()
     correct = (np.argmax(predicted.data, axis=0) == reference.data).ravel()
     if foreground_only:
         keep = reference.data.ravel() != 0
@@ -86,28 +94,18 @@ def _reliability(reference, predicted, num_bins: int, foreground_only: bool = Fa
     which = np.clip(np.digitize(confidence, edges, right=True), 1, num_bins) - 1
     stats = _bin_stats(which, confidence, correct, num_bins)
     rows = zip(edges[:-1].tolist(), edges[1:].tolist(), *(a.tolist() for a in stats))
-    return [ReliabilityBin(*row) for row in rows], confidence.size
+    return [ReliabilityBin(*row) for row in rows]
 
 
-def reliability(
-    reference: LabelVolume, predicted: SoftLabelVolume, num_bins: int = 15
-) -> list[ReliabilityBin]:
-    """Equal-width confidence bins with per-bin accuracy and mean confidence."""
-    return _reliability(reference, predicted, num_bins)[0]
-
-
-def ece(bins, total_count: int) -> float:
+def ece(bins) -> float:
     """Count-weighted mean absolute gap between accuracy and confidence."""
-    if total_count <= 0:
-        raise ValueError("total_count must be positive")
-    if sum(b.count for b in bins) != total_count:
-        raise ValueError(
-            f"bin counts sum to {sum(b.count for b in bins)}, expected {total_count}"
-        )
+    total = sum(b.count for b in bins)
+    if total == 0:
+        raise ValueError("bins hold no voxel")
     gap = 0.0
     for b in bins:
         if b.count:
-            gap += (b.count / total_count) * abs(b.accuracy - b.mean_confidence)
+            gap += (b.count / total) * abs(b.accuracy - b.mean_confidence)
     return gap
 
 
@@ -128,7 +126,7 @@ def tace(
     for c in range(predicted.num_classes):
         plane = predicted.data[c].ravel()
         keep = plane > floor
-        p, hit = plane[keep].astype(np.float64), ref[keep] == c
+        p, hit = plane[keep], ref[keep] == c
         if p.size == 0:
             continue
         # range i starts at the order statistic of rank starts[i]
@@ -152,16 +150,13 @@ def calibrate_report(
 ) -> CalibrationReport:
     """Bundle reliability bins, ECE, and TACE into one report.
 
-    foreground_only restricts the reliability/ECE voxel population to voxels
-    whose reference class is nonzero; TACE is per-class and always uses the
-    full volume.
+    foreground_only goes to `reliability`; TACE always uses the full volume.
     """
-    bins, population = _reliability(reference, predicted, num_bins, foreground_only)
+    bins = reliability(reference, predicted, num_bins, foreground_only)
     return CalibrationReport(
-        ece=ece(bins, population),
+        ece=ece(bins),
         tace=tace(reference, predicted, tace_threshold, tace_ranges),
         bins=tuple(bins),
         tace_threshold=float(tace_threshold),
-        num_bins=int(num_bins),
         tace_ranges=int(tace_ranges),
     )

@@ -291,7 +291,6 @@ def run_encode(plan: dict) -> int:
     method = plan["method"]
     if method == "ls" and plan["alpha"] is None:
         raise CliError("--alpha is required for method ls")
-    kernel = None
     for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
         labels = _read(src, LabelVolume, "encode --in")
         provenance = {"method": method, "source": os.path.basename(src)}
@@ -301,9 +300,7 @@ def run_encode(plan: dict) -> int:
             soft = label_smooth(labels, plan["alpha"])
             provenance["alpha"] = plan["alpha"]
         else:
-            if kernel is None or kernel.rank != labels.rank:
-                kernel = svls_weights(labels.rank, plan["sigma"])
-            soft = svls_smooth(labels, kernel)
+            soft = svls_smooth(labels, svls_weights(labels.rank, plan["sigma"]))
             provenance["sigma"] = plan["sigma"]
         tensor_io.write_volume(soft, dst, provenance=provenance)
         log.info("encoded %s -> %s", src, dst)
@@ -374,10 +371,9 @@ def _merged_scores(
         dsc[name] = dice_masks(mask_t, mask_p)
         sd[name] = surface_dice_masks(mask_t, mask_p, reference.spacing, scores.tolerance_mm)
     if composite:
-        foreground = [c for c in scores.per_class_dsc if isinstance(c, int) and c != 0]
-        if foreground:
-            dsc["comp"] = float(np.mean([scores.per_class_dsc[c] for c in foreground]))
-            sd["comp"] = float(np.mean([scores.per_class_sd[c] for c in foreground]))
+        foreground = range(1, reference.num_classes)
+        dsc["comp"] = float(np.mean([scores.per_class_dsc[c] for c in foreground]))
+        sd["comp"] = float(np.mean([scores.per_class_sd[c] for c in foreground]))
     return SegmentationScores(dsc, sd, scores.tolerance_mm)
 
 

@@ -39,11 +39,15 @@ def dice_masks(mask_t: np.ndarray, mask_p: np.ndarray) -> float:
     return 2.0 * overlap / (size_t + size_p)
 
 
-def dice(reference: LabelVolume, predicted: LabelVolume, class_id: int) -> float:
-    """Dice similarity coefficient of one class between two label volumes."""
+def _check_class(reference: LabelVolume, predicted: LabelVolume, class_id: int) -> None:
     check_same_grid(reference, predicted)
     if not (0 <= class_id < reference.num_classes):
         raise ValueError(f"class_id {class_id} out of range [0, {reference.num_classes})")
+
+
+def dice(reference: LabelVolume, predicted: LabelVolume, class_id: int) -> float:
+    """Dice similarity coefficient of one class between two label volumes."""
+    _check_class(reference, predicted, class_id)
     return dice_masks(reference.data == class_id, predicted.data == class_id)
 
 
@@ -154,9 +158,7 @@ def surface_dice(
     reference: LabelVolume, predicted: LabelVolume, class_id: int, tolerance_mm: float
 ) -> float:
     """Surface DSC of one class between two label volumes on the same grid."""
-    check_same_grid(reference, predicted)
-    if not (0 <= class_id < reference.num_classes):
-        raise ValueError(f"class_id {class_id} out of range [0, {reference.num_classes})")
+    _check_class(reference, predicted, class_id)
     return surface_dice_masks(
         reference.data == class_id, predicted.data == class_id, reference.spacing, tolerance_mm
     )
@@ -167,8 +169,7 @@ def score_segmentation(
     predicted: LabelVolume,
     tolerance_mm: float = 2.0,
 ) -> SegmentationScores:
-    """Compute DSC and Surface DSC for every class."""
-    check_same_grid(reference, predicted)
+    """Compute DSC and Surface DSC for every class; `dice` checks the grid."""
     classes = range(reference.num_classes)
     dsc = {c: dice(reference, predicted, c) for c in classes}
     sd = {c: surface_dice(reference, predicted, c, tolerance_mm) for c in classes}

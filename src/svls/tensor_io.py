@@ -12,10 +12,11 @@ little-endian regardless of host:
     then        raw row-major little-endian payload, nothing after it
 
 A JSON sidecar at `<path>.json` carries what the payload cannot: spacing
-(mm per axis), num_classes and provenance (method, alpha, sigma, rater files,
-tool version). Any other key, such as the class-name map that older
-versions wrote, is ignored. Readers reject invalid files instead of
-repairing them, with a VolumeFormatError naming the faulty field.
+(mm per axis, a list of numbers), num_classes (an integer) and provenance
+(an object: method, alpha, sigma, rater files, tool version). Any other key,
+such as the class-name map that older versions wrote, is ignored. Readers
+reject invalid files, a sidecar value of another JSON kind included, instead
+of repairing them, with a VolumeFormatError naming the faulty field.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import __version__
 from .calibration import CalibrationReport
 from .loss import LogitVolume, LossReport
 from .seg_metrics import SegmentationScores
-from .volume import LabelVolume, SoftLabelVolume
+from .volume import LabelVolume, SoftLabelVolume, _check_num_classes, _check_spacing
 
 MAGIC = b"SVLV"
 VERSION = 1
@@ -108,6 +109,7 @@ def write_volume(volume, path, provenance=None) -> None:
 
 
 def read_sidecar(path) -> SidecarMeta:
+    """Read a sidecar whose values have the JSON kinds of the module docstring."""
     side = sidecar_path(path)
     try:
         with open(side, "r", encoding="utf-8") as fh:
@@ -116,21 +118,32 @@ def read_sidecar(path) -> SidecarMeta:
         raise VolumeFormatError("sidecar", f"missing sidecar {side}")
     except json.JSONDecodeError as exc:
         raise VolumeFormatError("sidecar", f"unparseable sidecar {side}: {exc}")
+    if not isinstance(meta, dict):
+        raise VolumeFormatError("sidecar", f"sidecar {side} must hold a JSON object")
+    # a missing key reads as null
+    spacing, num_classes, provenance = meta.get("spacing"), meta.get("num_classes"), meta.get("provenance", {})
+    if not (isinstance(spacing, list) and all(type(s) in (int, float) for s in spacing)):  # bool is no number
+        raise VolumeFormatError("spacing", f"spacing must be a list of numbers, got {json.dumps(spacing)}")
+    if type(num_classes) is not int:
+        raise VolumeFormatError("num_classes", f"num_classes must be an integer, got {json.dumps(num_classes)}")
+    if not isinstance(provenance, dict):
+        raise VolumeFormatError("sidecar", f"provenance must be an object, got {json.dumps(provenance)}")
+    return SidecarMeta(tuple(spacing), num_classes, provenance)
+
+
+def _fault_of(field: str, call, *args):
+    """`call(*args)`, a container or one of its rules, with what it rejects
+    reported as a fault of `field`."""
     try:
-        spacing = tuple(float(s) for s in meta["spacing"])
-        num_classes = int(meta["num_classes"])
-        provenance = dict(meta.get("provenance", {}))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # int(1e400) overflows
-        raise VolumeFormatError("sidecar", f"bad sidecar field in {side}: {exc}")
-    if not all(0 < s < math.inf for s in spacing):  # NaN fails too
-        raise VolumeFormatError("spacing", f"spacing must be positive and finite, got {spacing}")
-    return SidecarMeta(spacing, num_classes, provenance)
+        return call(*args)
+    except (ValueError, OverflowError) as exc:  # float() of an integer beyond float range overflows
+        raise VolumeFormatError(field, str(exc))
 
 
 def _read_container(path):
     """Check the header against the file size and the sidecar against the
-    header, then read the payload into its final array: (dtype code, array,
-    sidecar)."""
+    header and the containers' spacing and class-count rules, then read the
+    payload into its final array: (dtype code, array, sidecar)."""
     with open(path, "rb") as fh:
         head = fh.read(16)
         if len(head) < 16:
@@ -152,28 +165,30 @@ def _read_container(path):
         if any(a < 1 for a in axes):
             raise VolumeFormatError("dims", f"extents must be >= 1, got {axes}")
         dtype = np.dtype("<u1") if dtype_code == DTYPE_LABELS else np.dtype("<f4")
-        count = math.prod(axes)  # a Python int: no int64 wrap-around
+        size = dtype.itemsize * math.prod(axes)  # a Python int: no int64 wrap-around
         found = os.fstat(fh.fileno()).st_size - fh.tell()
-        if found != dtype.itemsize * count:
-            raise VolumeFormatError("payload", f"expected {dtype.itemsize * count} payload bytes, found {found}")
+        if found != size:
+            raise VolumeFormatError("payload", f"expected {size} payload bytes, found {found}")
         meta = read_sidecar(path)
-        if dtype_code == DTYPE_PROBS and axes[0] != meta.num_classes:
+        _fault_of("spacing", _check_spacing, meta.spacing, rank)
+        if dtype_code == DTYPE_LABELS:
+            _fault_of("num_classes", _check_num_classes, meta.num_classes)
+        elif axes[0] != meta.num_classes:
             raise VolumeFormatError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")
-        data = np.fromfile(fh, dtype=dtype, count=count)
+        data = np.empty(axes, dtype)
+        read = fh.readinto(data)
+        if read != size:
+            raise VolumeFormatError("payload", f"expected {size} payload bytes, read {read}")
     data.setflags(write=False)  # fresh: the container adopts it without a copy
-    data = data.reshape(axes)
     return dtype_code, data, meta
 
 
 def read_volume(path):
     """Read a label or probability volume (decided by the dtype code)."""
     dtype_code, data, meta = _read_container(path)
-    try:
-        if dtype_code == DTYPE_LABELS:
-            return LabelVolume(data, meta.spacing, meta.num_classes)
-        return SoftLabelVolume(data, meta.spacing)
-    except ValueError as exc:
-        raise VolumeFormatError("payload", str(exc))
+    if dtype_code == DTYPE_LABELS:
+        return _fault_of("payload", LabelVolume, data, meta.spacing, meta.num_classes)
+    return _fault_of("payload", SoftLabelVolume, data, meta.spacing)
 
 
 def read_logits(path) -> LogitVolume:
@@ -181,10 +196,7 @@ def read_logits(path) -> LogitVolume:
     dtype_code, data, meta = _read_container(path)
     if dtype_code != DTYPE_PROBS:
         raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
-    try:
-        return LogitVolume(data, meta.spacing)
-    except ValueError as exc:
-        raise VolumeFormatError("payload", str(exc))
+    return _fault_of("payload", LogitVolume, data, meta.spacing)
 
 
 def _sig6(x: float):

@@ -4,15 +4,14 @@ Volumes are 2D or 3D, carry physical voxel spacing (mm per axis), and are
 immutable after construction. Probability volumes store the class axis first
 so each class plane is contiguous.
 
-Ownership: a container adopts its input array without a copy only when no
-reference its caller keeps can write to that memory. The array must be
-read-only, C-contiguous and of the stored dtype, and every `.base` below it
-must be a read-only array, down to one that owns its memory. Anything else
-(a writable array, a read-only view of writable memory, an array over a
-bytearray or other foreign buffer, another dtype or layout) is copied, so a
-caller's own array is never frozen. Producers that build a fresh array for
-a container (the readers, the soft-label encoders, softmax) freeze it first
-and so hand it over without a copy.
+Ownership: a container adopts its input array without a copy only when it
+is read-only, C-contiguous, of the stored dtype and owns its memory
+(`flags.owndata`). Anything else (a writable array, any view, an array over
+a bytearray or other foreign buffer, another dtype or layout) is copied, so
+a caller's own array is never frozen. Producers that build a fresh array for
+a container (the readers, the soft-label encoders, softmax) allocate it in
+its final shape and freeze it once they are done writing, so they hand it
+over without a copy.
 """
 
 from __future__ import annotations
@@ -38,24 +37,21 @@ def _check_spacing(spacing, rank: int) -> tuple[float, ...]:
     return spacing
 
 
-def _nothing_else_writes(arr: np.ndarray) -> bool:
-    """True when `arr` and every `.base` below it are read-only arrays, the
-    last of them owning its memory."""
-    while isinstance(arr, np.ndarray) and not arr.flags.writeable:
-        if arr.base is None:
-            return arr.flags.owndata
-        arr = arr.base
-    return False
-
-
 def _owned(arr: np.ndarray, dtype) -> np.ndarray:
     """`arr` itself if the ownership rule lets a container adopt it, else a
     read-only C-contiguous copy of type `dtype`."""
-    if arr.dtype == dtype and arr.flags.c_contiguous and _nothing_else_writes(arr):
+    flags = arr.flags
+    if arr.dtype == dtype and flags.c_contiguous and flags.owndata and not flags.writeable:
         return arr
     arr = np.array(arr, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+def _check_num_classes(num_classes: int) -> None:
+    """Reject a label class count that uint8 storage cannot hold, or below 2."""
+    if not (2 <= num_classes <= MAX_CLASSES):
+        raise ValueError(f"num_classes must be in [2, {MAX_CLASSES}], got {num_classes}")
 
 
 def _check_class_axis(arr: np.ndarray, kind: str) -> None:
@@ -101,8 +97,7 @@ class LabelVolume:
             raise ValueError(f"all dims must be >= 1, got {arr.shape}")
         if not np.issubdtype(arr.dtype, np.integer):
             raise ValueError(f"labels must be integers, got dtype {arr.dtype}")
-        if not (2 <= self.num_classes <= MAX_CLASSES):
-            raise ValueError(f"num_classes must be in [2, {MAX_CLASSES}], got {self.num_classes}")
+        _check_num_classes(self.num_classes)
         if arr.min() < 0 or arr.max() >= self.num_classes:
             raise ValueError(
                 f"labels must lie in [0, {self.num_classes}), "

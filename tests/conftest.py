@@ -1,9 +1,10 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from svls import LabelVolume
+from svls import LabelVolume, tensor_io
 
 
 @pytest.fixture
@@ -24,3 +25,18 @@ def set_sidecar_token(path, field, token):
     meta = json.loads(side.read_text())
     meta[field] = "@"
     side.write_text(json.dumps(meta).replace('"@"', token))
+
+
+class _NoPayloadRead(io.BufferedReader):
+    def readinto(self, buffer):
+        raise AssertionError("payload read before the sidecar was checked")
+
+
+def forbid_payload_read(monkeypatch):
+    """Make the container reader's payload read, its one `readinto`, raise."""
+    def guarded_open(file, mode="r", *args, **kwargs):
+        if mode == "rb":
+            return _NoPayloadRead(io.FileIO(file, "rb"))
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_io, "open", guarded_open, raising=False)

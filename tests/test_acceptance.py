@@ -245,7 +245,7 @@ def test_criterion_08_calibration_metrology():
 
     perfect = one_hot_encode(labels)
     bins = reliability(labels, perfect)
-    ece_val = ece(bins, labels.data.size)
+    ece_val = ece(bins)
     tace_val = tace(labels, perfect)
     ok &= ece_val <= 1e-9 and tace_val <= 1e-9
     detail = ", ".join(f"s={s}: ece={e:.3f}" for s, e in gaps.items())

@@ -87,12 +87,12 @@ def test_ece_perfectly_calibrated_bins():
         ReliabilityBin(0.0, 0.5, 10, 0.4, 0.4),
         ReliabilityBin(0.5, 1.0, 30, 0.8, 0.8),
     ]
-    assert ece(bins, 40) == 0.0
+    assert ece(bins) == 0.0
 
 
 def test_ece_single_bin_gap():
     bins = [ReliabilityBin(0.8, 1.0, 7, 0.9, 1.0)]
-    assert ece(bins, 7) == pytest.approx(0.1, abs=1e-12)
+    assert ece(bins) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_ece_weighted_mean():
@@ -100,15 +100,15 @@ def test_ece_weighted_mean():
         ReliabilityBin(0.0, 0.5, 5, 0.4, 0.2),  # gap 0.2
         ReliabilityBin(0.5, 1.0, 5, 0.7, 0.7),  # gap 0.0
     ]
-    assert ece(bins, 10) == pytest.approx(0.1, abs=1e-12)
+    assert ece(bins) == pytest.approx(0.1, abs=1e-12)
 
 
 def test_ece_validates_totals():
-    bins = [ReliabilityBin(0.0, 1.0, 5, 0.5, 0.5)]
-    with pytest.raises(ValueError):
-        ece(bins, 0)
-    with pytest.raises(ValueError):
-        ece(bins, 6)
+    # the bins are the whole population: none, or only empty ones, is an error
+    empty = [ReliabilityBin(0.0, 0.5, 0, math.nan, math.nan), ReliabilityBin(0.5, 1.0, 0, math.nan, math.nan)]
+    for bins in ([], empty):
+        with pytest.raises(ValueError, match="no voxel"):
+            ece(bins)
 
 
 def test_ece_invariant_under_voxel_permutation(rng):
@@ -206,7 +206,7 @@ def test_report_internal_consistency(rng):
     report = calibrate_report(labels_2d(ref_data, 3), probs_2d(planes))
     total = sum(b.count for b in report.bins)
     assert total == 49
-    recomputed = ece(list(report.bins), total)
+    recomputed = ece(report.bins)
     assert report.ece == pytest.approx(recomputed, abs=1e-12)
     gaps = [abs(b.accuracy - b.mean_confidence) for b in report.bins if b.count]
     assert report.ece <= max(gaps) + 1e-12
@@ -260,3 +260,41 @@ def test_binning_matches_mask_loop_and_sort_oracles(volumes, threshold, num_rang
             tace(ref, pred, threshold, num_ranges)
         return
     assert abs(tace(ref, pred, threshold, num_ranges) - expected_tace) <= 1e-12
+
+
+def _same(a, b) -> bool:
+    """Equal, with NaN equal to NaN."""
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    volumes=scored_volumes(),
+    foreground_only=st.booleans(),
+    threshold=st.sampled_from([0.0, 1e-3, 0.2]),
+    num=st.sampled_from([1, 3, 15]),
+)
+def test_float32_prediction_scores_exactly_as_its_float64_widening(volumes, foreground_only, threshold, num):
+    ref, pred = volumes
+    wide = SoftLabelVolume(pred.data.astype(np.float64), pred.spacing)
+    assert wide.data.dtype == np.float64  # the container keeps float64 as given
+    if foreground_only and not ref.data.any():
+        return
+    bins32 = reliability(ref, pred, num, foreground_only)
+    bins64 = reliability(ref, wide, num, foreground_only)
+    assert [b.count for b in bins32] == [b.count for b in bins64]
+    for b32, b64 in zip(bins32, bins64):
+        assert _same(b32.mean_confidence, b64.mean_confidence) and _same(b32.accuracy, b64.accuracy)
+    assert ece(bins32) == ece(bins64)
+    try:
+        want_tace = tace(ref, wide, threshold, num)
+    except ValueError:  # nothing above the threshold
+        with pytest.raises(ValueError, match="threshold"):
+            tace(ref, pred, threshold, num)
+        return
+    assert tace(ref, pred, threshold, num) == want_tace
+    report32 = calibrate_report(ref, pred, num, threshold, num, foreground_only)
+    report64 = calibrate_report(ref, wide, num, threshold, num, foreground_only)
+    assert (report32.ece, report32.tace, report32.num_bins) == (report64.ece, report64.tace, report64.num_bins)
+    assert all(_same(x, y) for b32, b64 in zip(report32.bins, report64.bins)
+               for x, y in zip(vars(b32).values(), vars(b64).values()))

@@ -14,7 +14,7 @@ from svls import cli
 from svls.cli import main
 from svls.tensor_io import read_volume, write_volume
 
-from conftest import random_labels, set_sidecar_token
+from conftest import forbid_payload_read, random_labels, set_sidecar_token
 
 
 def run(args, capsys):
@@ -731,6 +731,41 @@ def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, 
     assert code == 1
     assert last_error(err)["error"] == "validation"
     assert not (tmp_path / "o.svlv").exists()
+
+
+# a sidecar value of another JSON kind, or one its container rejects, on a
+# rank-3 label volume of 3 classes: (field, raw JSON text)
+BAD_SIDECARS = {
+    "spacing-digits": ("spacing", '"111"'),
+    "spacing-strings": ("spacing", '["1", "1", "1"]'),
+    "spacing-bool": ("spacing", "[true, 1, 1]"),
+    "spacing-object": ("spacing", '{"1": 0, "2": 0, "3": 0}'),
+    "spacing-two-entries": ("spacing", "[1.0, 1.0]"),
+    "num-classes-string": ("num_classes", '"3"'),
+    "num-classes-float": ("num_classes", "2.5"),
+    "num-classes-bool": ("num_classes", "true"),
+    "num-classes-one": ("num_classes", "1"),
+    "provenance": ("provenance", '"svls"'),
+}
+
+
+@pytest.mark.parametrize("case", BAD_SIDECARS)
+def test_bad_sidecar_value_exits_with_one_validation_line_naming_its_field(tmp_path, rng, capsys,
+                                                                         monkeypatch, case):
+    key, token = BAD_SIDECARS[case]
+    src, _ = make_labels(tmp_path, rng)
+    set_sidecar_token(src, key, token)
+    forbid_payload_read(monkeypatch)
+    out = tmp_path / "o.svlv"
+    code, stdout, err = run(["encode", "--in", str(src), "--method", "onehot", "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "validation"
+    assert error["message"].startswith("sidecar: " if key == "provenance" else f"{key}: ")
+    assert not out.exists()
 
 
 def _set_u32(offset, value):

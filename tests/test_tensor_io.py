@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import svls
-from svls import LabelVolume, LogitVolume, SoftLabelVolume, one_hot_encode
+from svls import LabelVolume, LogitVolume, SoftLabelVolume, one_hot_encode, tensor_io
 from svls.calibration import CalibrationReport, ReliabilityBin
 from svls.loss import LossReport
 from svls.seg_metrics import SegmentationScores
@@ -21,7 +22,7 @@ from svls.tensor_io import (
     write_volume,
 )
 
-from conftest import random_labels, set_sidecar_token
+from conftest import forbid_payload_read, random_labels, set_sidecar_token
 
 
 def test_label_roundtrip_bit_exact(tmp_path, rng):
@@ -147,15 +148,6 @@ def test_sidecar_spacing_must_be_finite(tmp_path, rng, token, labels):
     assert err.value.field == "spacing"
 
 
-def test_sidecar_num_classes_overflow_is_sidecar_error(tmp_path, rng):
-    path = tmp_path / "v.svlv"
-    write_volume(random_labels(rng, (2, 2), 2), path)
-    set_sidecar_token(path, "num_classes", "1e400")  # parses to inf; int(inf) overflows
-    with pytest.raises(VolumeFormatError, match="bad sidecar field") as err:
-        read_volume(path)
-    assert err.value.field == "sidecar"
-
-
 @pytest.mark.parametrize("token", [
     '{"0": "background", "1": "class_1", "2": "class_2"}',  # what older versions wrote
     '{"1": "class_1"}',  # a partial map
@@ -190,25 +182,90 @@ def _set(key, value):
     return edit
 
 
-@pytest.mark.parametrize("fault, field", [
-    (_missing, "sidecar"),
-    (_unparseable, "sidecar"),
-    (_set("spacing", "x"), "sidecar"),
-    (_set("spacing", [0.0, 1.0]), "spacing"),
-    (_set("num_classes", 5), "num_classes"),
-], ids=["missing", "unparseable", "bad-field", "spacing", "num-classes"])
-def test_sidecar_is_checked_before_the_payload_is_read(tmp_path, rng, monkeypatch, fault, field):
+def _set_text(text):
+    return lambda side: side.write_text(text)
+
+
+# (volume kind, sidecar fault, field of the error); the labels are rank 2 with 3 classes
+SIDECAR_FAULTS = {
+    "missing": ("probs", _missing, "sidecar"),
+    "unparseable": ("probs", _unparseable, "sidecar"),
+    "not-an-object": ("labels", _set_text("[1.0, 1.0]"), "sidecar"),
+    "bad-field": ("probs", _set("spacing", "x"), "spacing"),
+    "spacing": ("probs", _set("spacing", [0.0, 1.0]), "spacing"),
+    "num-classes": ("probs", _set("num_classes", 5), "num_classes"),
+    "spacing-digits": ("labels", _set("spacing", "11"), "spacing"),
+    "spacing-strings": ("labels", _set("spacing", ["1", "1"]), "spacing"),
+    "spacing-bool": ("labels", _set("spacing", [True, 1]), "spacing"),
+    "spacing-object": ("labels", _set("spacing", {"1": 0, "2": 0}), "spacing"),
+    "spacing-length": ("labels", _set("spacing", [1, 1, 1]), "spacing"),
+    "spacing-huge-int": ("labels", _set("spacing", [10**400, 1]), "spacing"),
+    "spacing-missing": ("labels", _set("spacing", None), "spacing"),
+    "num-classes-string": ("labels", _set("num_classes", "3"), "num_classes"),
+    "num-classes-float": ("labels", _set("num_classes", 2.5), "num_classes"),
+    "num-classes-inf": ("labels", _set("num_classes", math.inf), "num_classes"),
+    "num-classes-bool": ("labels", _set("num_classes", True), "num_classes"),
+    "num-classes-one": ("labels", _set("num_classes", 1), "num_classes"),
+    "num-classes-257": ("labels", _set("num_classes", 257), "num_classes"),
+    "provenance": ("labels", _set("provenance", ["svls"]), "sidecar"),
+}
+
+
+def _sidecar_fault_volume(tmp_path, rng, kind, fault):
+    labels = random_labels(rng, (3, 4), 3)
     path = tmp_path / "v.svlv"
-    write_volume(one_hot_encode(random_labels(rng, (3, 4), 3)), path)
+    write_volume(labels if kind == "labels" else one_hot_encode(labels), path)
     fault(tmp_path / "v.svlv.json")
+    return path
 
-    def no_payload_read(*args, **kwargs):
-        raise AssertionError("payload read before the sidecar was checked")
 
-    monkeypatch.setattr(np, "fromfile", no_payload_read)
+@pytest.mark.parametrize("case", SIDECAR_FAULTS)
+def test_sidecar_is_checked_before_the_payload_is_read(tmp_path, rng, monkeypatch, case):
+    kind, fault, field = SIDECAR_FAULTS[case]
+    path = _sidecar_fault_volume(tmp_path, rng, kind, fault)
+    forbid_payload_read(monkeypatch)
     with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("kind", ["labels", "probs"])
+def test_payload_guard_fires_once_the_sidecar_is_valid(tmp_path, rng, monkeypatch, kind):
+    path = _sidecar_fault_volume(tmp_path, rng, kind, lambda side: None)
+    forbid_payload_read(monkeypatch)
+    with pytest.raises(AssertionError, match="payload read"):
+        read_volume(path)
+
+
+def test_valid_sidecar_numbers_read_as_floats(tmp_path, rng):
+    path = _sidecar_fault_volume(tmp_path, rng, "labels", _set("spacing", [2, 0.5]))
+    vol = read_volume(path)
+    assert vol.spacing == (2.0, 0.5) and all(type(s) is float for s in vol.spacing)
+    assert vol.num_classes == 3
+
+
+def test_short_payload_read_is_a_payload_error(tmp_path, rng, monkeypatch):
+    path = tmp_path / "v.svlv"
+    write_volume(random_labels(rng, (3, 4), 3), path)
+    path.write_bytes(path.read_bytes()[:-4])
+    fstat = tensor_io.os.fstat
+    # the size check sees the 12 payload bytes it wants; the read finds 8
+    monkeypatch.setattr(tensor_io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    with pytest.raises(VolumeFormatError, match="expected 12 payload bytes, read 8") as err:
+        read_volume(path)
+    assert err.value.field == "payload"
+
+
+@pytest.mark.parametrize("kind", ["labels", "probs", "logits"])
+def test_readers_hand_over_an_array_owning_its_memory(tmp_path, rng, kind):
+    labels = random_labels(rng, (3, 4), 3)
+    vol = {"labels": labels, "probs": one_hot_encode(labels),
+           "logits": LogitVolume(np.zeros((3, 3, 4), np.float32), labels.spacing)}[kind]
+    path = tmp_path / "v.svlv"
+    write_volume(vol, path)
+    back = read_logits(path) if kind == "logits" else read_volume(path)
+    assert back.data.flags.owndata and not back.data.flags.writeable
+    assert back.data.tobytes() == vol.data.tobytes()
 
 
 GOLDEN_SIDECARS = {
@@ -287,14 +344,14 @@ def test_provenance_recorded(tmp_path, rng):
     assert meta["provenance"]["tool_version"] == svls.__version__
 
 
-def _sample_calibration(num_bins=3):
+def _sample_calibration():
     bins = (
         ReliabilityBin(0.0, 1 / 3, 0, math.nan, math.nan),
         ReliabilityBin(1 / 3, 2 / 3, 2, 0.5, 0.5),
         ReliabilityBin(2 / 3, 1.0, 4, 0.9, 0.75),
     )
     return CalibrationReport(
-        ece=0.1, tace=0.01, bins=bins, tace_threshold=1e-3, num_bins=num_bins, tace_ranges=15
+        ece=0.1, tace=0.01, bins=bins, tace_threshold=1e-3, tace_ranges=15
     )
 
 

@@ -197,9 +197,17 @@ def test_read_only_array_owning_its_memory_is_adopted(kind):
     make, dtype, _ = CONTAINERS[kind]
     owner = frozen(planes(dtype))
     assert make(owner).data is owner
-    # a read-only reshape of it, as the readers hand over, is adopted too
+
+
+@pytest.mark.parametrize("kind", CONTAINERS)
+def test_read_only_view_of_a_frozen_owner_is_copied(kind):
+    make, dtype, _ = CONTAINERS[kind]
     flat = frozen(planes(dtype).ravel().copy())
-    assert np.shares_memory(make(flat.reshape(2, 3, 4)).data, flat)
+    view = flat.reshape(2, 3, 4)
+    assert not view.flags.writeable and not view.flags.owndata
+    vol = make(view)
+    assert not np.shares_memory(vol.data, flat)
+    assert vol.data.flags.owndata and not vol.data.flags.writeable
 
 
 @pytest.mark.parametrize("kind", CONTAINERS)

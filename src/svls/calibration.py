@@ -1,7 +1,9 @@
 """Model-calibration metrics over predicted probability volumes.
 
 Reliability binning and ECE follow the usual recipe: per-voxel confidence is
-the maximum class probability, bins are equal-width over (0,1] (left-open,
+the maximum class probability and a hit is a top class equal to the
+reference, both from the one class-plane sweep of `volume.top_class` (ties
+go to the lowest class); bins are equal-width over (0,1] (left-open,
 right-closed; confidence exactly 0 joins the first bin). TACE is per-class:
 probabilities above a floor are split into adaptive equal-count ranges whose
 edges are order statistics of the kept probabilities, read from one
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume, SoftLabelVolume, check_same_grid
+from .volume import LabelVolume, SoftLabelVolume, check_same_grid, top_class
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,8 @@ def reliability(
     foreground_only bins only the voxels of a nonzero reference class."""
     check_num_bins(num_bins)
     check_same_grid(reference, predicted)
-    confidence = predicted.data.max(axis=0).ravel()
-    correct = (np.argmax(predicted.data, axis=0) == reference.data).ravel()
+    labels, confidence = top_class(predicted.data)
+    confidence, correct = confidence.ravel(), (labels == reference.data).ravel()
     if foreground_only:
         keep = reference.data.ravel() != 0
         confidence, correct = confidence[keep], correct[keep]

@@ -328,11 +328,12 @@ def run_fuse(plan: dict) -> int:
 
 def run_loss(plan: dict) -> int:
     for src, target_path, dst in _iter_in_out(plan["pred"], plan["out"], ".json", partner=plan["target"]):
-        target = _read(target_path, SoftLabelVolume, "loss --target")
+        # the prediction first: logits are freed by the time the target is read
         if plan["pred_kind"] == "logits":
             predicted = softmax(tensor_io.read_logits(src))
         else:
             predicted = _read(src, SoftLabelVolume, "loss --pred")
+        target = _read(target_path, SoftLabelVolume, "loss --target")
         report = cross_entropy(target, predicted)
         if dst.endswith(VOLUME_SUFFIX):  # a single --out x.svlv is written as x.json
             dst = dst.removesuffix(VOLUME_SUFFIX) + ".json"

@@ -84,18 +84,23 @@ def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossRe
     The terms are summed one float64 class plane at a time, in class order
     from class 0's term and negated at the end: the operations and order of
     one float64 sum over the class axis, without a float64 copy of either
-    whole volume.
+    whole volume. Class 0's term is computed in the sum's own plane and each
+    later term in one reusable scratch plane, so the loss holds two float64
+    planes whatever the class count.
     """
     for operand in (target, predicted):
         if not isinstance(operand, SoftLabelVolume):
             raise TypeError(f"cross_entropy scores probability volumes, got a {type(operand).__name__}")
     check_same_grid(target, predicted)
-    per_voxel = None
-    for t, p in zip(target.data, predicted.data):
-        term = np.maximum(p, LOG_FLOOR, dtype=np.float64)
+    per_voxel = np.empty(target.dims, dtype=np.float64)
+    scratch = np.empty_like(per_voxel)
+    for c, (t, p) in enumerate(zip(target.data, predicted.data)):
+        term = scratch if c else per_voxel
+        np.maximum(p, LOG_FLOOR, out=term, dtype=np.float64)
         np.log(term, out=term)
         term *= t
-        per_voxel = term if per_voxel is None else np.add(per_voxel, term, out=per_voxel)
+        if c:
+            per_voxel += term
     np.negative(per_voxel, out=per_voxel)
     return LossReport(total=float(per_voxel.mean()), per_voxel=per_voxel)
 

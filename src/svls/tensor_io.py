@@ -136,7 +136,7 @@ def _fault_of(field: str, call, *args):
     reported as a fault of `field`."""
     try:
         return call(*args)
-    except (ValueError, OverflowError) as exc:  # float() of an integer beyond float range overflows
+    except ValueError as exc:
         raise VolumeFormatError(field, str(exc))
 
 

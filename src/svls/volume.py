@@ -28,7 +28,10 @@ MAX_CLASSES = 256  # labels are stored as uint8
 
 
 def _check_spacing(spacing, rank: int) -> tuple[float, ...]:
-    spacing = tuple(float(s) for s in spacing)
+    try:
+        spacing = tuple(float(s) for s in spacing)
+    except OverflowError:  # float() of an integer beyond float range
+        raise ValueError("spacing must be positive and finite, got an integer beyond float range") from None
     if len(spacing) != rank:
         raise ValueError(f"spacing has {len(spacing)} entries for a rank-{rank} volume")
     # written so that NaN, which fails every comparison, is rejected too
@@ -159,11 +162,39 @@ class SoftLabelVolume:
         return self.data.ndim - 1
 
 
+def top_class(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each voxel's top class (uint8) and its value (the planes' dtype), from
+    one sweep over the class planes of a class-first array.
+
+    Ties keep the lowest class: a plane takes a voxel only where it is
+    strictly greater than the running maximum, and since the class index
+    rises through the sweep, `labels = max(labels, better * c)` records it
+    without a branch. The labels equal `np.argmax(planes, axis=0)` and the
+    values `planes.max(axis=0)`, for any planes without NaN. More classes
+    than uint8 labels hold are rejected, as a LabelVolume rejects them.
+    """
+    _check_num_classes(planes.shape[0])
+    top = planes[0].copy()
+    labels = np.zeros(top.shape, dtype=np.uint8)
+    better = np.empty(top.shape, dtype=np.uint8)
+    for c in range(1, planes.shape[0]):
+        np.greater(planes[c], top, out=better)
+        better *= np.uint8(c)
+        np.maximum(labels, better, out=labels)
+        np.maximum(top, planes[c], out=top)
+    return labels, top
+
+
 def argmax_labels(probs: SoftLabelVolume) -> LabelVolume:
-    """Collapse a probability volume to hard labels (ties go to the lowest class).
+    """Collapse a probability volume to hard labels (ties go to the lowest
+    class), taken by the one class-plane sweep of `top_class`.
 
     There is no second simplex check: every SoftLabelVolume passed it at
-    construction, and its data is read-only.
+    construction, and its data is read-only. The LabelVolume copies the
+    labels rather than adopting them: a frozen, adopted array raised the
+    peak RSS of `evaluate` on the dense benchmark workload (96x144x144, 4
+    classes, 2 cores: 120.6 against 118.5 MiB), as glibc then serves the
+    later TACE temporaries from other memory.
     """
-    hard = np.argmax(probs.data, axis=0).astype(np.uint8)
-    return LabelVolume(hard, probs.spacing, probs.num_classes)
+    labels, _ = top_class(probs.data)
+    return LabelVolume(labels, probs.spacing, probs.num_classes)

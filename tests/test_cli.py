@@ -174,6 +174,21 @@ def test_loss_rejects_a_label_volume(tmp_path, capsys, role):
     assert not out.exists()
 
 
+def test_loss_reads_the_prediction_before_the_target(tmp_path, capsys):
+    # with both operands bad, the one error names the operand read first
+    labels = tmp_path / "labels.svlv"
+    argv = ["phantom", "--kind", "straight_boundary", "--dims", "4,8,8", "--classes", "3", "--out", str(labels)]
+    assert run(argv, capsys)[0] == 0
+    out = tmp_path / "loss.json"
+    code, _, err = run(["loss", "--target", str(labels), "--pred", str(labels), "--out", str(out)], capsys)
+    assert code == 1
+    assert sum(line.startswith("{") for line in err.splitlines()) == 1
+    error = last_error(err)
+    assert error["error"] == "validation"
+    assert "loss --pred needs a probability volume" in error["message"]
+    assert not out.exists()
+
+
 def test_evaluate_perfect_prediction(tmp_path, rng, capsys):
     src, vol = make_labels(tmp_path, rng)
     pred = tmp_path / "pred.svlv"

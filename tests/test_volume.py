@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from svls import (
     LabelVolume,
@@ -17,6 +20,7 @@ from svls import (
     surface_dice,
     tace,
 )
+from svls.volume import top_class
 
 from conftest import random_labels
 
@@ -60,6 +64,32 @@ def test_argmax_tie_breaks_low():
     assert argmax_labels(soft).data[0, 0] == 0
 
 
+@st.composite
+def tied_planes(draw):
+    """Class-first float32 or float64 planes, 2-6 classes over 2 or 3 axes,
+    with values from a handful of levels so that tied maxima are common."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(2, 6)), *draw(st.lists(st.integers(1, 5), min_size=2, max_size=3)))
+    levels = draw(st.lists(st.floats(-2.0, 2.0, width=32), min_size=1, max_size=4))
+    return draw(arrays(dtype, shape, elements=st.sampled_from(levels)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(planes=tied_planes())
+def test_top_class_is_the_argmax_and_max_over_the_class_axis(planes):
+    labels, top = top_class(planes)
+    assert labels.dtype == np.uint8 and top.dtype == planes.dtype
+    assert labels.tobytes() == np.argmax(planes, axis=0).astype(np.uint8).tobytes()
+    assert top.tobytes() == planes.max(axis=0).tobytes()
+
+
+def test_argmax_rejects_more_classes_than_labels_hold():
+    planes = np.zeros((257, 1, 2), dtype=np.float32)
+    planes[256] = 1.0
+    with pytest.raises(ValueError, match=r"num_classes must be in \[2, 256\], got 257"):
+        argmax_labels(SoftLabelVolume(planes, (1.0, 1.0)))
+
+
 def test_argmax_one_hot_roundtrip(rng):
     vol = random_labels(rng, (5, 4, 3), 4)
     back = argmax_labels(one_hot_encode(vol))
@@ -95,6 +125,20 @@ def test_volumes_reject_non_finite_spacing(bad):
     with pytest.raises(ValueError, match="spacing"):
         SoftLabelVolume(planes, spacing)
     with pytest.raises(ValueError, match="spacing"):
+        LogitVolume(planes, spacing)
+
+
+@pytest.mark.parametrize("huge", [10**400, -(10**400)], ids=["positive", "negative"])
+def test_volumes_reject_an_integer_spacing_beyond_float_range(huge):
+    # float() of such an integer raises OverflowError, which no container may let out
+    spacing = (huge, 1.0)
+    planes = np.array([[[1.0]], [[0.0]]], dtype=np.float32)
+    message = "spacing must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        LabelVolume(np.zeros((1, 1), dtype=np.uint8), spacing, 2)
+    with pytest.raises(ValueError, match=message):
+        SoftLabelVolume(planes, spacing)
+    with pytest.raises(ValueError, match=message):
         LogitVolume(planes, spacing)
 
 

@@ -22,7 +22,8 @@ Output files are written to a temp name and atomically renamed, so failures
 never leave partial outputs. Every subcommand makes an output's directory,
 and any missing parent of it, when it writes the first file into it, so a
 run that fails before its first write leaves no directory either; `evaluate`
-checks its flags before it reads anything.
+checks its flags, and the JSON shape of a --region-merge map, before it reads
+anything, and the map's class ids and names once the volumes are read.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -39,14 +40,12 @@ import logging
 import os
 import sys
 
-import numpy as np
-
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
 from .kernel import svls_weights
 from .loss import cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
-from .seg_metrics import SegmentationScores, check_tolerance, dice_masks, score_segmentation, surface_dice_masks
+from .seg_metrics import check_tolerance, score_segmentation
 from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
 from .volume import LabelVolume, SoftLabelVolume, argmax_labels
 
@@ -351,33 +350,6 @@ def _load_regions(path: str) -> dict:
     return regions
 
 
-def _check_regions(regions: dict, num_classes: int, composite: bool) -> None:
-    """Region ids must be classes, and region names must not take the row of a class or of 'comp'."""
-    taken = {str(c) for c in range(num_classes)} | ({"comp"} if composite else set())
-    for name, ids in regions.items():
-        if not all(0 <= i < num_classes for i in ids):
-            raise CliError(f"region {name!r} has class ids outside [0, {num_classes}): {ids}")
-        if name in taken:
-            raise CliError(f"region name {name!r} collides with the {name!r} row of the report")
-
-
-def _merged_scores(
-    scores: SegmentationScores, reference, hard_pred, regions: dict, composite: bool
-) -> SegmentationScores:
-    dsc = dict(scores.per_class_dsc)
-    sd = dict(scores.per_class_sd)
-    for name, ids in regions.items():
-        mask_t = np.isin(reference.data, ids)
-        mask_p = np.isin(hard_pred.data, ids)
-        dsc[name] = dice_masks(mask_t, mask_p)
-        sd[name] = surface_dice_masks(mask_t, mask_p, reference.spacing, scores.tolerance_mm)
-    if composite:
-        foreground = range(1, reference.num_classes)
-        dsc["comp"] = float(np.mean([scores.per_class_dsc[c] for c in foreground]))
-        sd["comp"] = float(np.mean([scores.per_class_sd[c] for c in foreground]))
-    return SegmentationScores(dsc, sd, scores.tolerance_mm)
-
-
 def run_evaluate(plan: dict) -> int:
     check_tolerance(plan["sd_tolerance"])
     check_num_bins(plan["ece_bins"])
@@ -385,11 +357,9 @@ def run_evaluate(plan: dict) -> int:
     regions = _load_regions(plan["region_merge"]) if plan["region_merge"] else {}
     for src, ref_path, out_dir in _iter_in_out(plan["pred"], plan["out"], "", partner=plan["ref"]):
         reference = _read(ref_path, LabelVolume, "evaluate --ref")
-        _check_regions(regions, reference.num_classes, plan["composite"])
         predicted = _read(src, SoftLabelVolume, "evaluate --pred")
-        hard = argmax_labels(predicted)
-        scores = score_segmentation(reference, hard, tolerance_mm=plan["sd_tolerance"])
-        scores = _merged_scores(scores, reference, hard, regions, plan["composite"])
+        scores = score_segmentation(reference, argmax_labels(predicted), plan["sd_tolerance"],
+                                    regions, plan["composite"])
         calib = calibrate_report(
             reference,
             predicted,

@@ -32,8 +32,8 @@ def correlate_padded(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
     Reads past the edge take the nearest in-range voxel (a replicated
     border), so the result has the shape of `grid`. Integer grids are summed
-    exactly in their own dtype (or int64 when 3^rank times their largest
-    magnitude would not fit), anything else in float64.
+    exactly, in their own dtype widened where needed to the smallest one
+    that holds 3^rank times their extreme values; anything else in float64.
     """
     grid = np.asarray(grid)
     weights = np.asarray(weights, dtype=np.float64)
@@ -42,8 +42,9 @@ def correlate_padded(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"rank-{rank} grid does not match {weights.size} shell weights")
     if grid.dtype.kind not in "iu":
         grid = grid.astype(np.float64, copy=False)
-    elif 3**rank * max(int(grid.max(initial=0)), -int(grid.min(initial=0))) > np.iinfo(grid.dtype).max:
-        grid = grid.astype(np.int64)
+    else:
+        bounds = (np.min_scalar_type(3**rank * int(v)) for v in (grid.min(initial=0), grid.max(initial=0)))
+        grid = grid.astype(np.result_type(grid.dtype, *bounds), copy=False)
     # shells[m]: sum of the neighbours whose offset leaves the center on m axes
     shells = [grid]
     for axis in range(rank):

@@ -55,12 +55,11 @@ class RaterSet:
 def _class_planes(raters: RaterSet, transform) -> SoftLabelVolume:
     """Apply `transform(votes, num_raters)` to each class's integer vote count; store float32.
 
-    The counts are of the smallest unsigned dtype that holds 3^rank of them
-    summed, so the stencil's shell sums stay exact in that dtype (uint8 for
-    up to 9 raters).
+    The counts are of the smallest unsigned dtype that holds the rater
+    count; the stencil widens them where its sums would not fit.
     """
     first, *rest = raters.raters
-    dtype = np.min_scalar_type(3**first.rank * len(raters))
+    dtype = np.min_scalar_type(len(raters))
     out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
     for c in range(first.num_classes):
         votes = (first.data == c).astype(dtype)

@@ -140,10 +140,12 @@ class SoftLabelVolume:
             raise ValueError(
                 f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
             )
-        sums = arr.sum(axis=0, dtype=np.float64)
-        deviation = sums - 1.0
+        # one float64 plane: the deviation is taken in place, and only the error takes the sums again
+        deviation = arr.sum(axis=0, dtype=np.float64)
+        deviation -= 1.0
         bad = np.abs(deviation, out=deviation) > SUM_TOL
         if bad.any():
+            sums = arr.sum(axis=0, dtype=np.float64)
             idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), sums.shape))
             raise ValueError(f"voxel {idx} probabilities sum to {float(sums[idx])}, expected 1 +/- {SUM_TOL}")
         object.__setattr__(self, "data", arr)
@@ -156,10 +158,6 @@ class SoftLabelVolume:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape[1:]
-
-    @property
-    def rank(self) -> int:
-        return self.data.ndim - 1
 
 
 def top_class(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

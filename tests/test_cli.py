@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 import svls
-from svls import LabelVolume, one_hot_encode, svls_weights
+from svls import LabelVolume, one_hot_encode, score_segmentation, svls_weights
 from svls import cli
 from svls.cli import main
-from svls.tensor_io import read_volume, write_volume
+from svls.tensor_io import read_volume, write_report, write_volume
 
 from conftest import forbid_payload_read, random_labels, set_sidecar_token
 
@@ -172,6 +172,16 @@ def test_loss_rejects_a_label_volume(tmp_path, capsys, role):
     assert error["error"] == "validation"
     assert "holds labels" in error["message"]
     assert not out.exists()
+
+
+def test_loss_out_with_the_volume_suffix_is_written_as_json(tmp_path, rng, capsys):
+    _, vol = make_labels(tmp_path, rng, dims=(4, 4), n=2)
+    target = tmp_path / "target.svlv"
+    write_volume(one_hot_encode(vol), target)
+    argv = ["loss", "--target", str(target), "--pred", str(target), "--out", str(tmp_path / "x.svlv")]
+    assert run(argv, capsys)[0] == 0
+    assert not (tmp_path / "x.svlv").exists()
+    assert json.loads((tmp_path / "x.json").read_text())["total"] == 0.0
 
 
 def test_loss_reads_the_prediction_before_the_target(tmp_path, capsys):
@@ -613,6 +623,25 @@ def evaluate_with_regions(tmp_path, rng, capsys, regions, flags=()):
     )
 
 
+def test_evaluate_region_and_comp_rows_are_the_library_rows(tmp_path, rng, capsys):
+    ref_path, reference = make_labels(tmp_path, rng, dims=(7, 8, 9), n=3)
+    other = random_labels(rng, reference.dims, 3)
+    pred = tmp_path / "pred.svlv"
+    write_volume(one_hot_encode(other), pred)
+    regions = {"fg": [1, 2], "all": [0, 1, 2], "edge": [2]}
+    merge = tmp_path / "regions.json"
+    merge.write_text(json.dumps(regions))
+    out_dir = tmp_path / "e"
+    code, _, _ = run(["evaluate", "--ref", str(ref_path), "--pred", str(pred), "--region-merge", str(merge),
+                      "--composite", "--sd-tolerance", "1.5", "--out", str(out_dir)], capsys)
+    assert code == 0
+    scores = score_segmentation(reference, other, 1.5, regions=regions, composite=True)
+    assert list(scores.per_class_dsc) == [0, 1, 2, "fg", "all", "edge", "comp"]
+    for name in ("segmentation.csv", "segmentation.json"):
+        write_report(scores, tmp_path / "lib" / name, format=name.rsplit(".", 1)[1])
+        assert (out_dir / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
+
+
 @pytest.mark.parametrize("regions", [{"1": [2]}, {"comp": [1], "1": [2]}], ids=["class-row", "both"])
 def test_evaluate_rejects_region_names_taken_by_class_rows(tmp_path, rng, capsys, regions):
     code, _, err = evaluate_with_regions(tmp_path, rng, capsys, regions, ["--composite"])
@@ -645,7 +674,8 @@ def test_evaluate_checks_tolerance_before_reading(tmp_path, capsys, tolerance):
 
 @pytest.mark.parametrize(
     "flag, value, word",
-    [("--ece-bins", "0", "num_bins"), ("--tace-ranges", "0", "num_ranges"), ("--tace-threshold", "1.5", "threshold")],
+    [("--ece-bins", "0", "num_bins"), ("--tace-ranges", "0", "num_ranges"), ("--tace-threshold", "1.5", "threshold"),
+     ("--tace-threshold", "1", "threshold")],
 )
 def test_evaluate_checks_calibration_flags_before_reading(tmp_path, capsys, flag, value, word):
     # the inputs do not exist: a flag checked after the reads would exit 2

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from svls import LabelVolume, dice, score_segmentation, surface_dice
-from svls.seg_metrics import _ball_lines, _close_count, _tolerance_ball, boundary_mask, surface_dice_masks
+from svls import LabelVolume, dice, score_segmentation, seg_metrics, surface_dice
+from svls.seg_metrics import _ball_lines, _close_count, _tolerance_ball, boundary_mask, dice_masks, surface_dice_masks
 
 from oracles import (
     dilation_close_count,
@@ -228,6 +228,74 @@ def test_score_segmentation_all_classes(rng):
     assert all(v == 1.0 for v in scores.per_class_dsc.values())
     assert all(v == 1.0 for v in scores.per_class_sd.values())
     assert scores.tolerance_mm == 2.0
+
+
+def three_class_pair(rng, dims=(6, 7, 8)):
+    """Two unrelated 3-class label volumes on one anisotropic grid."""
+    spacing = (1.0, 0.5, 1.25)
+    ref, pred = (LabelVolume(rng.integers(0, 3, size=dims).astype(np.uint8), spacing, 3) for _ in range(2))
+    return ref, pred
+
+
+def test_a_list_of_class_ids_is_scored_as_the_union_of_its_classes(rng):
+    ref, pred = three_class_pair(rng)
+    mask_t, mask_p = np.isin(ref.data, [0, 2]), np.isin(pred.data, [0, 2])
+    assert dice(ref, pred, [2, 0]) == dice_masks(mask_t, mask_p)
+    assert surface_dice(ref, pred, [2, 0], 1.5) == surface_dice_masks(mask_t, mask_p, ref.spacing, 1.5)
+    assert dice(ref, pred, [1]) == dice(ref, pred, 1)
+
+
+def test_numpy_integer_class_ids_score_as_python_ints(rng):
+    ref, pred = three_class_pair(rng)
+    for class_ids in (np.int64(1), np.uint8(1), [np.int64(1), np.uint8(2)], np.array([1, 2])):
+        python = [int(i) for i in class_ids] if np.ndim(class_ids) else int(class_ids)
+        assert dice(ref, pred, class_ids) == dice(ref, pred, python)
+        assert surface_dice(ref, pred, class_ids, 2.0) == surface_dice(ref, pred, python, 2.0)
+
+
+@pytest.mark.parametrize("class_ids", [3, [1, 3], -1, []], ids=["num-classes", "in-list", "negative", "empty"])
+def test_class_ids_outside_the_classes_are_rejected(rng, class_ids):
+    ref, pred = three_class_pair(rng)
+    dice(ref, pred, 2)  # the last class is accepted
+    surface_dice(ref, pred, 2, 1.0)
+    with pytest.raises(ValueError, match=r"class ids outside \[0, 3\)"):
+        dice(ref, pred, class_ids)
+    with pytest.raises(ValueError, match=r"class ids outside \[0, 3\)"):
+        surface_dice(ref, pred, class_ids, 1.0)
+
+
+def test_score_segmentation_rows_are_classes_then_regions_then_comp(rng):
+    ref, pred = three_class_pair(rng)
+    regions = {"fg": [1, 2], "all": [0, 1, 2]}  # a region may hold the background class
+    scores = score_segmentation(ref, pred, 1.5, regions=regions, composite=True)
+    for rows in (scores.per_class_dsc, scores.per_class_sd):
+        assert list(rows) == [0, 1, 2, "fg", "all", "comp"]
+        assert rows["comp"] == (rows[1] + rows[2]) / 2
+        assert rows["all"] == 1.0  # both masks are the whole volume
+    assert scores.per_class_dsc["fg"] == dice(ref, pred, [1, 2])
+    assert scores.per_class_sd["fg"] == surface_dice(ref, pred, [1, 2], 1.5)
+    assert scores.per_class_dsc[1] == dice(ref, pred, 1)
+
+
+@pytest.mark.parametrize(
+    "regions, composite",
+    [({1: [2]}, False), ({"1": [2]}, False), ({"comp": [1]}, True), ({300: [1], "300": [2]}, False)],
+    ids=["int-key", "str-key", "comp", "two-regions"],
+)
+def test_score_segmentation_rejects_a_region_named_as_another_row(rng, monkeypatch, regions, composite):
+    # the report writes row names as text, so the key 1 would take class row 1
+    ref, pred = three_class_pair(rng)
+    monkeypatch.setattr(seg_metrics, "dice", None)  # rejected before any row is scored
+    with pytest.raises(ValueError, match="collides with the '(1|comp|300)' row"):
+        score_segmentation(ref, pred, regions=regions, composite=composite)
+
+
+@pytest.mark.parametrize("ids", [[3], [1, -1], []], ids=["num-classes", "negative", "empty"])
+def test_score_segmentation_rejects_region_ids_that_are_not_classes(rng, monkeypatch, ids):
+    ref, pred = three_class_pair(rng)
+    monkeypatch.setattr(seg_metrics, "dice", None)  # rejected before any row is scored
+    with pytest.raises(ValueError, match=r"region 'bad' has class ids outside \[0, 3\)"):
+        score_segmentation(ref, pred, regions={"fg": [1, 2], "bad": ids})
 
 
 def test_boundary_mask_2d_four_adjacency():

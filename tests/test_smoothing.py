@@ -40,6 +40,11 @@ def test_label_smooth_alpha_zero_is_one_hot(rng):
     assert np.array_equal(label_smooth(vol, 0.0).data, one_hot_encode(vol).data)
 
 
+def test_label_smooth_alpha_one_is_uniform(rng):
+    vol = random_labels(rng, (4, 4), 4)
+    assert np.all(label_smooth(vol, 1.0).data == np.float32(0.25))
+
+
 def test_label_smooth_binary():
     soft = label_smooth(grid([[1]]), 0.3)
     assert np.array_equal(soft.data[:, 0, 0], np.float32([0.15, 0.85]))
@@ -267,6 +272,21 @@ def test_svls_and_msvls_match_the_ndimage_correlation_within_one_ulp(raters, sig
     assert float32_ulps(svls_smooth(first, kernel).data, single).max() <= 1
     fused = ndimage_msvls([r.data for r in raters.raters], first.num_classes, kernel.taps)
     assert float32_ulps(msvls_fuse(raters, kernel).data, fused).max() <= 1
+
+
+def test_msvls_vote_sums_of_many_raters_do_not_wrap(rng):
+    # 25 raters in 3D: an edge shell sums 12 neighbours of up to 25 votes,
+    # 300, which uint8 counts would wrap; each rater moves one voxel
+    base = np.zeros((6, 7, 8), dtype=np.uint8)
+    base[1:4, 2:6, 3:7] = 1
+    raters = []
+    for _ in range(25):
+        data = base.copy()
+        data[tuple(rng.integers(0, n) for n in data.shape)] ^= 1
+        raters.append(grid(data))
+    kernel = svls_weights(3)
+    fused = ndimage_msvls([r.data for r in raters], 2, kernel.taps)
+    assert float32_ulps(msvls_fuse(RaterSet(tuple(raters)), kernel).data, fused).max() <= 1
 
 
 @settings(max_examples=60, deadline=None)

@@ -103,6 +103,11 @@ def test_label_volume_rejects_out_of_range():
         LabelVolume(np.array([[0, 3]], dtype=np.uint8), (1.0, 1.0), 3)
 
 
+def test_label_volume_accepts_as_many_classes_as_uint8_labels_hold():
+    vol = LabelVolume(np.array([[0, 255]], dtype=np.uint8), (1.0, 1.0), 256)
+    assert vol.num_classes == 256
+
+
 def test_label_volume_rejects_single_class():
     with pytest.raises(ValueError):
         LabelVolume(np.zeros((2, 2), dtype=np.uint8), (1.0, 1.0), 1)
@@ -144,13 +149,23 @@ def test_volumes_reject_an_integer_spacing_beyond_float_range(huge):
 
 def test_soft_volume_rejects_bad_sum():
     data = np.full((2, 2, 2), 0.6, dtype=np.float32)
-    with pytest.raises(ValueError, match=r"voxel \(0, 0\)"):
+    data[:, 0, 0] = 0.5
+    with pytest.raises(ValueError) as info:
         SoftLabelVolume(data, (1.0, 1.0))
+    # the first bad voxel, with its float64 sum of the float32 values
+    assert str(info.value) == "voxel (0, 1) probabilities sum to 1.2000000476837158, expected 1 +/- 1e-06"
 
 
 def test_soft_volume_rejects_out_of_range():
     data = np.array([[[1.2]], [[-0.2]]], dtype=np.float32)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        SoftLabelVolume(data, (1.0, 1.0))
+
+
+def test_soft_volume_rejects_a_negative_value_in_a_voxel_summing_to_one():
+    # every value is at most 1 and the sum is 1: only the lower bound rejects it
+    data = np.array([-0.1, 0.6, 0.5], dtype=np.float32).reshape(3, 1, 1)
+    with pytest.raises(ValueError, match=r"\[0, 1\], found range \[-0.1"):
         SoftLabelVolume(data, (1.0, 1.0))
 
 

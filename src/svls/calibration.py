@@ -6,16 +6,18 @@ reference, both from the one class-plane sweep of `volume.top_class` (ties
 go to the lowest class); bins are equal-width over (0,1] (left-open,
 right-closed; confidence exactly 0 joins the first bin). TACE is per-class:
 probabilities above a floor are split into adaptive equal-count ranges whose
-edges are order statistics of the kept probabilities, read from one
-`np.partition` without a full sort (so runs of identical probabilities
-collapse into a single effective range), the gap |empirical frequency - mean
-probability| is averaged over occupied ranges, then over the classes that
-retained any samples. Both metrics take each bin's count, mean probability
-and hit rate from the same three `np.bincount` calls.
-Both bin the stored float32 or float64 probabilities, with no widened copy:
-`np.digitize` compares in the common dtype, `np.bincount` sums its weights
-in float64 and widening float32 keeps order, so each result equals that of
-the float64 widening of the prediction.
+edges are order statistics of the kept probabilities (so runs of identical
+probabilities collapse into a single effective range), the gap |empirical
+frequency - mean probability| is averaged over occupied ranges, then over
+the classes that retained any samples.
+Both metrics sort their population, and the probabilities of its hits, in
+place, and take each bin from those two sorted arrays: its count and hit
+count from `np.searchsorted` at the bin edges, its mean probability from a
+float64 sum over its slice. The stored float32 or float64 values are sorted
+and searched in their own dtype, with no widened copy of the population
+(reliability's edges are rounded down to that dtype, which for right-closed
+bins keeps every membership), and each slice is summed as float64 in one
+order, so a float32 prediction scores exactly as its float64 widening.
 """
 
 from __future__ import annotations
@@ -68,13 +70,19 @@ def check_tace_params(threshold: float, num_ranges: int) -> None:
         raise ValueError(f"num_ranges must be >= 1, got {num_ranges}")
 
 
-def _bin_stats(which: np.ndarray, probs: np.ndarray, hits: np.ndarray, num_bins: int):
-    """Per-bin count, mean probability and hit rate; NaN where a bin is empty."""
-    count = np.bincount(which, minlength=num_bins)
+def _bin_stats(probs: np.ndarray, hit_probs: np.ndarray, cuts: np.ndarray, side: str):
+    """Per-bin count, mean probability and hit rate; NaN where a bin is empty.
+
+    `probs` and `hit_probs` (the probabilities of the hits among them) are
+    sorted, and bins split at `cuts`: with side "left" bin j holds
+    cuts[j-1] <= x < cuts[j], with "right" cuts[j-1] < x <= cuts[j].
+    """
+    bounds = np.array([0, *np.searchsorted(probs, cuts, side), probs.size])
+    hit_bounds = np.array([0, *np.searchsorted(hit_probs, cuts, side), hit_probs.size])
+    count = np.diff(bounds)
+    sums = [probs[a:b].astype(np.float64, copy=False).sum() for a, b in zip(bounds[:-1], bounds[1:])]
     with np.errstate(invalid="ignore"):
-        mean_prob = np.bincount(which, weights=probs, minlength=num_bins) / count
-        hit_rate = np.bincount(which, weights=hits, minlength=num_bins) / count
-    return count, mean_prob, hit_rate
+        return count, np.array(sums) / count, np.diff(hit_bounds) / count
 
 
 def reliability(
@@ -91,10 +99,15 @@ def reliability(
         confidence, correct = confidence[keep], correct[keep]
         if confidence.size == 0:
             raise ValueError("foreground-only population is empty (reference is all background)")
+    hit_probs = confidence[correct]
+    confidence.sort()
+    hit_probs.sort()
     edges = np.linspace(0.0, 1.0, num_bins + 1)
-    # right-closed bins; digitize puts x=0 at index 0, clamp it into bin 1
-    which = np.clip(np.digitize(confidence, edges, right=True), 1, num_bins) - 1
-    stats = _bin_stats(which, confidence, correct, num_bins)
+    # each inner edge rounded down to the confidence dtype: x <= edge exactly
+    # when x <= cut, and a float64 cut would widen the whole population
+    cuts = edges[1:-1].astype(confidence.dtype)
+    cuts = np.where(cuts > edges[1:-1], np.nextafter(cuts, -np.inf), cuts)
+    stats = _bin_stats(confidence, hit_probs, cuts, "right")
     rows = zip(edges[:-1].tolist(), edges[1:].tolist(), *(a.tolist() for a in stats))
     return [ReliabilityBin(*row) for row in rows]
 
@@ -128,14 +141,16 @@ def tace(
     for c in range(predicted.num_classes):
         plane = predicted.data[c].ravel()
         keep = plane > floor
-        p, hit = plane[keep], ref[keep] == c
+        p = plane[keep]
         if p.size == 0:
             continue
+        hit_probs = p[ref[keep] == c]
+        p.sort()
+        hit_probs.sort()
         # range i starts at the order statistic of rank starts[i]
         starts = np.linspace(0, p.size, num_ranges, endpoint=False).round().astype(int)
         starts = np.minimum(starts, p.size - 1)
-        uppers = np.partition(p, starts)[starts[1:]]
-        count, mean_prob, hit_rate = _bin_stats(np.digitize(p, uppers), p, hit, num_ranges)
+        count, mean_prob, hit_rate = _bin_stats(p, hit_probs, p[starts[1:]], "left")
         class_errors.append(float(np.abs(hit_rate - mean_prob)[count > 0].mean()))
     if not class_errors:
         raise ValueError(f"no probabilities above threshold {threshold} in any class")

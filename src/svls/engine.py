@@ -33,7 +33,8 @@ def correlate_padded(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
     Reads past the edge take the nearest in-range voxel (a replicated
     border), so the result has the shape of `grid`. Integer grids are summed
     exactly, in their own dtype widened where needed to the smallest one
-    that holds 3^rank times their extreme values; anything else in float64.
+    that holds 3^rank times their extreme values (a grid whose sums no 64-bit
+    integer holds is rejected); anything else in float64.
     """
     grid = np.asarray(grid)
     weights = np.asarray(weights, dtype=np.float64)
@@ -43,7 +44,10 @@ def correlate_padded(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
     if grid.dtype.kind not in "iu":
         grid = grid.astype(np.float64, copy=False)
     else:
-        bounds = (np.min_scalar_type(3**rank * int(v)) for v in (grid.min(initial=0), grid.max(initial=0)))
+        lo, hi = int(grid.min(initial=0)), int(grid.max(initial=0))
+        bounds = [np.min_scalar_type(3**rank * v) for v in (lo, hi)]
+        if np.dtype(object) in bounds:
+            raise ValueError(f"integer grid values in [{lo}, {hi}] overflow 64 bits in 3^{rank}-voxel sums")
         grid = grid.astype(np.result_type(grid.dtype, *bounds), copy=False)
     # shells[m]: sum of the neighbours whose offset leaves the center on m axes
     shells = [grid]

@@ -11,8 +11,11 @@ from svls import (
     SoftLabelVolume,
     calibrate_report,
     ece,
+    generate_miscalibrated,
     one_hot_encode,
     reliability,
+    svls_smooth,
+    svls_weights,
     tace,
 )
 from svls.calibration import ReliabilityBin
@@ -237,6 +240,16 @@ def scored_volumes(draw):
     return LabelVolume(ref, (1.0,) * len(dims), n), SoftLabelVolume(planes, (1.0,) * len(dims))
 
 
+def assert_bins_match(got, want):
+    """Reliability bins equal the mask-loop oracle's: bounds and counts exactly,
+    means within 1e-12, NaN where the oracle has NaN."""
+    assert [(b.lower, b.upper, b.count) for b in got] == [w[:3] for w in want]
+    for b, (_, _, _, mean_confidence, accuracy) in zip(got, want):
+        for value, expected in ((b.mean_confidence, mean_confidence), (b.accuracy, accuracy)):
+            assert math.isnan(value) == math.isnan(expected)
+            assert math.isnan(value) or abs(value - expected) <= 1e-12
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     volumes=scored_volumes(),
@@ -246,13 +259,7 @@ def scored_volumes(draw):
 )
 def test_binning_matches_mask_loop_and_sort_oracles(volumes, threshold, num_ranges, num_bins):
     ref, pred = volumes
-    got = reliability(ref, pred, num_bins=num_bins)
-    want = mask_loop_reliability(ref.data, pred.data, num_bins)
-    assert [(b.lower, b.upper, b.count) for b in got] == [w[:3] for w in want]
-    for b, (_, _, _, mean_confidence, accuracy) in zip(got, want):
-        for value, expected in ((b.mean_confidence, mean_confidence), (b.accuracy, accuracy)):
-            assert math.isnan(value) == math.isnan(expected)
-            assert math.isnan(value) or abs(value - expected) <= 1e-12
+    assert_bins_match(reliability(ref, pred, num_bins=num_bins), mask_loop_reliability(ref.data, pred.data, num_bins))
     try:
         expected_tace = argsort_tace(ref.data, pred.data, threshold, num_ranges)
     except ValueError:
@@ -298,3 +305,62 @@ def test_float32_prediction_scores_exactly_as_its_float64_widening(volumes, fore
     assert (report32.ece, report32.tace, report32.num_bins) == (report64.ece, report64.tace, report64.num_bins)
     assert all(_same(x, y) for b32, b64 in zip(report32.bins, report64.bins)
                for x, y in zip(vars(b32).values(), vars(b64).values()))
+
+
+# The volumes above hold at most 512 voxels. These hold 589 824, so each bin
+# sums many float64 blocks and the predictions have tie runs of over 10^5 values.
+LARGE_DIMS = (64, 96, 96)
+
+
+@pytest.fixture(scope="module")
+def large_scored():
+    """A 4-class reference and four predictions of it at LARGE_DIMS. Two are
+    float32 miscalibrated ones, with two values per class: the confidence of
+    `miscalibrated_0.75` lies on an edge of 4 reliability bins, and that of
+    `miscalibrated_0.8`, float32(0.8), just above an edge of 5. `smoothed`
+    holds the float32 SVLS targets of a label copy with 40 % of its voxels
+    redrawn, with many tied values, and `softmax` the float64 softmax of
+    normal draws."""
+    rng = np.random.default_rng(29)
+    ref = LabelVolume(rng.integers(0, 4, size=LARGE_DIMS).astype(np.uint8), (1.0,) * 3, 4)
+    noisy = np.where(rng.random(LARGE_DIMS) < 0.6, ref.data, rng.integers(0, 4, size=LARGE_DIMS)).astype(np.uint8)
+    scores = np.exp(rng.normal(size=(4,) + LARGE_DIMS))
+    predictions = {
+        "miscalibrated_0.75": generate_miscalibrated(ref, 0.05, seed=3),
+        "miscalibrated_0.8": generate_miscalibrated(ref, 0.1, seed=4),
+        "smoothed": svls_smooth(LabelVolume(noisy, ref.spacing, 4), svls_weights(3)),
+        "softmax": SoftLabelVolume(scores / scores.sum(axis=0), ref.spacing),
+    }
+    assert np.float32(0.75) in predictions["miscalibrated_0.75"].data
+    assert np.float32(0.8) in predictions["miscalibrated_0.8"].data
+    assert [p.data.dtype for p in predictions.values()] == [np.float32] * 3 + [np.float64]
+    return ref, predictions
+
+
+@pytest.mark.parametrize("kind", ["miscalibrated_0.75", "smoothed", "softmax"])
+def test_tace_at_scale_matches_sort_oracle(large_scored, kind):
+    ref, predictions = large_scored
+    pred = predictions[kind]
+    for threshold, num_ranges in ((1e-3, 15), (0.0, 40), (0.1, 7)):
+        want = argsort_tace(ref.data, pred.data, threshold, num_ranges)
+        assert abs(tace(ref, pred, threshold, num_ranges) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", ["miscalibrated_0.75", "miscalibrated_0.8", "smoothed", "softmax"])
+def test_reliability_at_scale_matches_mask_loop(large_scored, kind):
+    ref, predictions = large_scored
+    pred = predictions[kind]
+    for num_bins in (4, 5, 15):
+        assert_bins_match(reliability(ref, pred, num_bins), mask_loop_reliability(ref.data, pred.data, num_bins))
+
+
+@pytest.mark.parametrize("kind", ["miscalibrated_0.75", "miscalibrated_0.8", "smoothed"])
+def test_float32_scores_at_scale_exactly_as_float64_widening(large_scored, kind):
+    ref, predictions = large_scored
+    pred = predictions[kind]
+    wide = SoftLabelVolume(pred.data.astype(np.float64), pred.spacing)
+    for num in (4, 5, 15):
+        bins32, bins64 = reliability(ref, pred, num), reliability(ref, wide, num)
+        assert all(_same(x, y) for b32, b64 in zip(bins32, bins64)
+                   for x, y in zip(vars(b32).values(), vars(b64).values()))
+        assert tace(ref, pred, 1e-3, num) == tace(ref, wide, 1e-3, num)

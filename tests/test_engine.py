@@ -48,6 +48,13 @@ def test_integer_grid_sums_do_not_wrap(rng):
                                    clamped_correlation(grid, expand(weights)), rtol=1e-13, atol=0)
 
 
+def test_integer_grid_beyond_64_bit_sums_is_rejected():
+    # 9 * 2**62 fits no 64-bit integer; the message names the value range
+    for value in (2**62, -(2**62)):
+        with pytest.raises(ValueError, match=r"\[.*\] overflow 64 bits"):
+            engine.correlate_padded(np.full((3, 3), value, np.int64), np.ones(3))
+
+
 def test_correlate_rejects_mismatched_taps(rng):
     with pytest.raises(ValueError, match="shell weights"):
         engine.correlate_padded(rng.random((4, 4, 4)), rng.random(3))

@@ -11,9 +11,11 @@ logits peaks at 4.38x: it softmaxes the prediction, and frees the logits,
 before it reads the target; it peaked at 5.39x while it read the target
 first. `argmax_labels` peaks at 0.38x with its one class-plane sweep, 1.50x
 with an int64 `np.argmax`. The calibration report of a float32 prediction
-peaks at 1.38x; it was 1.75x while `reliability` took `np.argmax` and `max`
-apart, and 2.00x while reliability and TACE binned float64 copies of the
-kept probabilities.
+peaks at 0.88x: each metric sorts its float32 population in place and sums
+one bin at a time. It peaked at 1.38x while TACE copied its population into
+`np.partition` and both metrics binned through an int64 `np.digitize` index,
+1.75x while `reliability` took `np.argmax` and `max` apart, and 2.00x while
+reliability and TACE binned float64 copies of the kept probabilities.
 """
 
 import tracemalloc
@@ -33,7 +35,7 @@ READ_BOUND = 2.25
 LOSS_BOUND = 5.5
 CLI_LOSS_BOUND = 4.6
 ARGMAX_BOUND = 0.6
-CALIBRATION_BOUND = 1.5
+CALIBRATION_BOUND = 1.0
 
 
 @pytest.fixture(scope="module")
@@ -94,4 +96,5 @@ def test_calibrate_report_peak(paths):
     assert predicted.data.dtype == np.float32
     reference = argmax_labels(predicted)
     ratio = peak_ratio(lambda: calibrate_report(reference, predicted))
-    assert 1.0 <= ratio <= CALIBRATION_BOUND, ratio
+    # at least the float32 confidence plane: a quarter of the 4-class payload
+    assert 0.25 <= ratio <= CALIBRATION_BOUND, ratio

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from svls import (
     svls_smooth,
     svls_weights,
 )
-from svls.phantom import BASE_ACCURACY, nested_sphere_radii
+from svls.phantom import BASE_ACCURACY, KINDS, nested_sphere_radii
 
 
 def test_homogeneous():
@@ -191,3 +192,62 @@ def test_miscalibrated_rejects_a_negative_seed():
     labels = generate_labels(PhantomSpec(kind="homogeneous", dims=(4, 4)))
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
         generate_miscalibrated(labels, 0.1, seed=-1)
+
+
+def test_miscalibrated_rejects_a_strength_that_is_negative_or_not_finite():
+    labels = generate_labels(PhantomSpec(kind="homogeneous", dims=(4, 4)))
+    for bad in (-0.1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="strength must be >= 0 and finite"):
+            generate_miscalibrated(labels, bad)
+
+
+@pytest.mark.parametrize("kind, dims", [("homogeneous", (1, 1)), ("straight_boundary", (2, 1)),
+                                        ("nested_spheres", (5, 5, 5)), ("fig3_multirater", (4, 4))])
+def test_each_kind_accepts_its_smallest_dims(kind, dims):
+    assert generate_labels(PhantomSpec(kind, dims, num_classes=3)).dims == dims
+
+
+# sha256 of the payload bytes (C order) at one small seeded spec per kind,
+# and of the generators built on them. The benchmark makes its inputs with
+# these generators, so a change to any of their bytes shows here first.
+PINNED_SHA256 = {
+    "homogeneous": "b903db3ce6fb94f87d5ac10072caa143977f6a7c325bb0ef4f91d12d6a45bcf9",
+    "isolated_center": "b7b64df837102659e32304d2f099a1ad20b3e049afc3f89d8dc59b29fb7ca9c7",
+    "straight_boundary": "50b36530fe727c51e9537b874e236eb066268008c4399ccaf5926af6388d34da",
+    "nested_spheres": "60846372efa9255392e5bc1455d26831e758925f15e6426467a57fc6fbee6de7",
+    "fig3_multirater": "850a7463d030b98455c36503569afc613c7b74cf5b6f5368bfbe8fa891ca479a",
+    "miscalibrated_pred": "08236d38637cbb9ca5afcc2f5eb042e11f5d92cb16d91c1805d7116634b3f951",
+    "generate_miscalibrated": "6c53f1e7579e0b0dffb4c899d57f84d0e6bca2fada46a2aeeb71b5a41b3057c1",
+    "generate_rater_set": "1044585f3dc921b35dec3b185dd4a4b11d020bbda3d5d481314423a76253ad99",
+}
+
+
+def pin_spec(kind: str) -> PhantomSpec:
+    return PhantomSpec(kind, (9, 10, 11), num_classes=3, seed=5)
+
+
+def payload_sha256(*arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(a.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_phantom_kind_payload_is_pinned(kind):
+    data = generate_labels(pin_spec(kind)).data
+    assert (data.dtype, data.shape) == (np.uint8, (9, 10, 11))
+    assert payload_sha256(data) == PINNED_SHA256[kind]
+
+
+def test_miscalibrated_payload_is_pinned():
+    data = generate_miscalibrated(generate_labels(pin_spec("nested_spheres")), 0.1, seed=5).data
+    assert (data.dtype, data.shape) == (np.float32, (3, 9, 10, 11))
+    assert payload_sha256(data) == PINNED_SHA256["generate_miscalibrated"]
+
+
+def test_jittered_rater_set_payload_is_pinned():
+    base = generate_labels(pin_spec("nested_spheres")).data
+    raters = [r.data for r in generate_rater_set(pin_spec("nested_spheres"), 3, 2).raters]
+    assert any(not np.array_equal(r, base) for r in raters)  # the pin covers the jitter's direction
+    assert payload_sha256(*raters) == PINNED_SHA256["generate_rater_set"]

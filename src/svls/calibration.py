@@ -14,10 +14,11 @@ Both metrics sort their population, and the probabilities of its hits, in
 place, and take each bin from those two sorted arrays: its count and hit
 count from `np.searchsorted` at the bin edges, its mean probability from a
 float64 sum over its slice. The stored float32 or float64 values are sorted
-and searched in their own dtype, with no widened copy of the population
-(reliability's edges are rounded down to that dtype, which for right-closed
-bins keeps every membership), and each slice is summed as float64 in one
-order, so a float32 prediction scores exactly as its float64 widening.
+and searched in their own dtype (reliability's edges are rounded down to that
+dtype, which for right-closed bins keeps every membership), and each slice is
+summed in float64 blocks of SUM_BLOCK values, added in order: a float32
+population is widened one block at a time, never whole, and scores exactly
+as its float64 widening.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .volume import LabelVolume, SoftLabelVolume, check_same_grid, top_class
+
+SUM_BLOCK = 1 << 14  # values widened to float64 at once: 128 KiB
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,12 @@ def check_tace_params(threshold: float, num_ranges: int) -> None:
         raise ValueError(f"num_ranges must be >= 1, got {num_ranges}")
 
 
+def _sum64(values: np.ndarray) -> float:
+    """Float64 sum of a 1-D array, SUM_BLOCK values at a time."""
+    blocks = range(0, values.size, SUM_BLOCK)
+    return sum((values[i : i + SUM_BLOCK].astype(np.float64, copy=False).sum() for i in blocks), 0.0)
+
+
 def _bin_stats(probs: np.ndarray, hit_probs: np.ndarray, cuts: np.ndarray, side: str):
     """Per-bin count, mean probability and hit rate; NaN where a bin is empty.
 
@@ -80,7 +89,7 @@ def _bin_stats(probs: np.ndarray, hit_probs: np.ndarray, cuts: np.ndarray, side:
     bounds = np.array([0, *np.searchsorted(probs, cuts, side), probs.size])
     hit_bounds = np.array([0, *np.searchsorted(hit_probs, cuts, side), hit_probs.size])
     count = np.diff(bounds)
-    sums = [probs[a:b].astype(np.float64, copy=False).sum() for a, b in zip(bounds[:-1], bounds[1:])]
+    sums = [_sum64(probs[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
     with np.errstate(invalid="ignore"):
         return count, np.array(sums) / count, np.diff(hit_bounds) / count
 

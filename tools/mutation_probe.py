@@ -1,6 +1,6 @@
 """Mutation probe: which single-operator changes to one module do the tests miss?
 
-    python tools/mutation_probe.py calibration [--tests test_cli.py ...] [--timeout 300]
+    python tools/mutation_probe.py calibration
 
 Each mutant swaps one operator of `src/svls/MODULE.py`: `<` with `<=`, `>`
 with `>=`, `==` with `!=`, `+` with `-`, `*` with `//`, and `and` with `or`.
@@ -8,9 +8,10 @@ The mutated module is written, as `ast.unparse` text, into a temporary copy
 of `src/`, `tests/`, `pyproject.toml` and `README.md`; the repository itself
 is never written. Each mutant
 runs the module's own test file plus `test_cli.py` and `test_acceptance.py`
-(or the files given with `--tests`) with `pytest -x`. A mutant that passes
-them survived: either a test is missing or the mutant is equivalent. The
-unmutated module, unparsed the same way, must pass first.
+with `pytest -x`. A mutant that passes them survived: either a test is
+missing or the mutant is equivalent; one that runs past TIMEOUT seconds
+(a loop that never ends) counts as killed. The unmutated module, unparsed
+the same way, must pass first.
 
 Stdlib only. Exits 0 with no survivor, 1 with survivors, 2 when the
 unmutated module fails its tests.
@@ -28,6 +29,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT = 300.0  # seconds per test run
 SWAPS = {
     ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
     ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Add: ast.Sub, ast.Sub: ast.Add,
@@ -62,12 +64,12 @@ def mutant(source: str, site) -> tuple[str, int, str]:
     return ast.unparse(tree), node.lineno, f"{SYMBOLS[type(old)]} -> {SYMBOLS[type(new)]}"
 
 
-def run_tests(copy: Path, tests: list[str], timeout: float) -> tuple[str, str]:
+def run_tests(copy: Path, tests: list[str]) -> tuple[str, str]:
     """The verdict on the module now in `copy`, and pytest's output."""
     env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
-        done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=timeout)
+        done = subprocess.run(argv, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         return "timeout", ""
     return ("survived" if done.returncode == 0 else "killed"), done.stdout
@@ -76,14 +78,12 @@ def run_tests(copy: Path, tests: list[str], timeout: float) -> tuple[str, str]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("module", help="a module of src/svls, such as calibration")
-    parser.add_argument("--tests", nargs="+", help="test files under tests/ to run for each mutant")
-    parser.add_argument("--timeout", type=float, default=300.0, help="seconds per mutant before it counts as killed")
     args = parser.parse_args(argv)
     path = ROOT / "src" / "svls" / f"{args.module}.py"
     source = path.read_text(encoding="utf-8")
     own = f"test_{args.module}.py"
-    names = args.tests or [n for n in (own, "test_cli.py", "test_acceptance.py") if (ROOT / "tests" / n).exists()]
-    tests = [str(Path("tests") / n) for n in dict.fromkeys(names)]
+    names = [n for n in (own, "test_cli.py", "test_acceptance.py") if (ROOT / "tests" / n).exists()]
+    tests = [str(Path("tests") / n) for n in names]
     with tempfile.TemporaryDirectory(prefix="mutation_probe_") as tmp:
         copy = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis")
@@ -93,7 +93,7 @@ def main(argv=None) -> int:
             shutil.copy(ROOT / name, copy)
         target = copy / "src" / "svls" / path.name
         target.write_text(ast.unparse(ast.parse(source)), encoding="utf-8")
-        verdict, output = run_tests(copy, tests, args.timeout)
+        verdict, output = run_tests(copy, tests)
         if verdict != "survived":
             print(f"unmutated {path.name} fails {' '.join(tests)}:\n{output[-3000:]}", file=sys.stderr)
             return 2
@@ -102,7 +102,7 @@ def main(argv=None) -> int:
         for site in all_sites:
             text, line, change = mutant(source, site)
             target.write_text(text, encoding="utf-8")
-            verdict, _ = run_tests(copy, tests, args.timeout)
+            verdict, _ = run_tests(copy, tests)
             print(f"{path.name}:{line}  {change}  {verdict}", flush=True)
             if verdict == "survived":
                 survivors.append(f"{path.name}:{line}  {change}")

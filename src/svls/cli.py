@@ -42,7 +42,7 @@ import sys
 
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
-from .kernel import svls_weights
+from .kernel import SvlsKernel
 from .loss import cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import check_tolerance, score_segmentation
@@ -145,7 +145,7 @@ def build_parser() -> _Parser:
     p.add_argument("--jitter", type=int, default=0, metavar="J",
                    help="max per-rater translation in voxels (default: %(default)s)")
     p.add_argument("--strength", type=float, default=0.0,
-                   help="miscalibration strength, miscalibrated_pred only (default: %(default)s)")
+                   help="miscalibration strength, miscalibrated_pred without --raters (default: %(default)s)")
     p.add_argument("--seed", type=int, default=0, help="random seed (default: %(default)s)")
     p.add_argument("--out", required=True, metavar="PATH", help="output path (no default)")
     common(p)
@@ -222,8 +222,8 @@ def _reject_exclusive_flags(command: str, given: set, plan: dict) -> None:
     if command == "fuse" and "sigma" in given and method != "msvls":
         raise CliError(f"--sigma only applies to method msvls, not {method}")
     if command == "phantom":
-        if "strength" in given and plan.get("kind") != "miscalibrated_pred":
-            raise CliError("--strength only applies to kind miscalibrated_pred")
+        if "strength" in given and (plan.get("kind") != "miscalibrated_pred" or plan.get("raters") is not None):
+            raise CliError("--strength only applies to kind miscalibrated_pred without --raters")
         if "jitter" in given and plan.get("raters") is None:
             raise CliError("--jitter requires --raters")
 
@@ -266,7 +266,7 @@ def _read(path: str, kind: type, flag: str):
 
 
 def run_kernel(plan: dict) -> int:
-    k = svls_weights(plan["rank"], plan["sigma"])
+    k = SvlsKernel(plan["rank"], plan["sigma"])
     taps = k.taps
     if plan["format"] == "json":
         doc = {
@@ -299,7 +299,7 @@ def run_encode(plan: dict) -> int:
             soft = label_smooth(labels, plan["alpha"])
             provenance["alpha"] = plan["alpha"]
         else:
-            soft = svls_smooth(labels, svls_weights(labels.rank, plan["sigma"]))
+            soft = svls_smooth(labels, SvlsKernel(labels.rank, plan["sigma"]))
             provenance["sigma"] = plan["sigma"]
         tensor_io.write_volume(soft, dst, provenance=provenance)
         log.info("encoded %s -> %s", src, dst)
@@ -316,7 +316,7 @@ def run_fuse(plan: dict) -> int:
         "rater_files": [os.path.basename(p) for p in paths],
     }
     if plan["method"] == "msvls":
-        kernel = svls_weights(raters.raters[0].rank, plan["sigma"])
+        kernel = SvlsKernel(raters.raters[0].rank, plan["sigma"])
         fused = msvls_fuse(raters, kernel)
         provenance["sigma"] = plan["sigma"]
     else:

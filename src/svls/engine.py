@@ -45,10 +45,12 @@ def correlate_padded(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
         grid = grid.astype(np.float64, copy=False)
     else:
         lo, hi = int(grid.min(initial=0)), int(grid.max(initial=0))
-        bounds = [np.min_scalar_type(3**rank * v) for v in (lo, hi)]
-        if np.dtype(object) in bounds:
+        bound = 3**rank * max(-lo, hi)
+        # a signed grid asks for a signed type: a uint64 would send int64 sums to float64
+        sums = np.min_scalar_type(-bound - 1 if grid.dtype.kind == "i" else bound)
+        if sums == np.dtype(object):
             raise ValueError(f"integer grid values in [{lo}, {hi}] overflow 64 bits in 3^{rank}-voxel sums")
-        grid = grid.astype(np.result_type(grid.dtype, *bounds), copy=False)
+        grid = grid.astype(np.result_type(grid.dtype, sums), copy=False)
     # shells[m]: sum of the neighbours whose offset leaves the center on m axes
     shells = [grid]
     for axis in range(rank):

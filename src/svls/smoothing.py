@@ -84,10 +84,6 @@ def msvls_fuse(raters: RaterSet, kernel: SvlsKernel) -> SoftLabelVolume:
     weight (2). The stencil is reflection-symmetric, so correlation and
     convolution agree.
     """
-    rank = raters.raters[0].rank
-    if kernel.rank != rank:
-        raise ValueError(f"kernel rank {kernel.rank} does not match volume rank {rank}")
-
     def smooth(votes, num_raters):
         planes = engine.correlate_padded(votes, kernel.weights)
         if num_raters > 1:  # one rater's counts already are its shares

@@ -13,6 +13,7 @@ from svls import (
     LabelVolume,
     PhantomSpec,
     RaterSet,
+    SvlsKernel,
     calibrate_report,
     dice,
     generate_labels,
@@ -24,7 +25,6 @@ from svls import (
     one_hot_encode,
     surface_dice,
     svls_smooth,
-    svls_weights,
 )
 from svls.calibration import ece, reliability, tace
 from svls.cli import main as cli_main
@@ -51,7 +51,7 @@ def test_criterion_01_kernel_exactness():
     worst_total = 0.0
     for rank in (2, 3):
         for sigma in (0.5, 1.0, 2.0):
-            k = svls_weights(rank, sigma)
+            k = SvlsKernel(rank, sigma)
             worst_total = max(worst_total, abs(k.total_weight - 2.0))
             if sigma == 1.0:
                 worst_tap = max(worst_tap, np.abs(k.taps - hp_svls_taps(rank, sigma)).max())
@@ -63,7 +63,7 @@ def test_criterion_01_kernel_exactness():
 
 def test_criterion_02_convolution_oracle():
     rng = np.random.default_rng(7130)
-    kernels = {2: svls_weights(2), 3: svls_weights(3)}
+    kernels = {2: SvlsKernel(2), 3: SvlsKernel(3)}
     start = time.perf_counter()
     worst = 0.0
     for rank in (2, 3):
@@ -84,10 +84,10 @@ def test_criterion_03_structural_smoothing_properties():
     # isolated center: exact 50/50 split
     iso2 = np.zeros((3, 3), dtype=np.uint8)
     iso2[1, 1] = 1
-    soft2 = svls_smooth(unit_volume(iso2), svls_weights(2))
+    soft2 = svls_smooth(unit_volume(iso2), SvlsKernel(2))
     iso3 = np.zeros((3, 3, 3), dtype=np.uint8)
     iso3[1, 1, 1] = 1
-    soft3 = svls_smooth(unit_volume(iso3), svls_weights(3))
+    soft3 = svls_smooth(unit_volume(iso3), SvlsKernel(3))
     split_ok = (
         soft2.data[0, 1, 1] == np.float32(0.5)
         and soft2.data[1, 1, 1] == np.float32(0.5)
@@ -96,11 +96,11 @@ def test_criterion_03_structural_smoothing_properties():
     )
 
     # homogeneous neighborhoods: exact one-hot
-    homo = svls_smooth(unit_volume(np.ones((5, 5, 5))), svls_weights(3))
+    homo = svls_smooth(unit_volume(np.ones((5, 5, 5))), SvlsKernel(3))
     homo_ok = bool(np.all(homo.data[1] == 1.0) and np.all(homo.data[0] == 0.0))
 
     # neighbor monotonicity, exhaustive over all 2^8 two-class 3x3 neighborhoods
-    kernel2 = svls_weights(2)
+    kernel2 = SvlsKernel(2)
     positions = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
     center_p1 = {}
     for code in range(256):
@@ -131,12 +131,12 @@ def test_criterion_04_simplex_preservation():
             soft = label_smooth(vol, float(rng.uniform(0, 1)))
         elif method == "svls":
             vol = unit_volume(rng.integers(0, n, size=dims), n)
-            soft = svls_smooth(vol, svls_weights(rank))
+            soft = svls_smooth(vol, SvlsKernel(rank))
         else:
             raters = RaterSet(
                 tuple(unit_volume(rng.integers(0, n, size=dims), n) for _ in range(3))
             )
-            soft = msvls_fuse(raters, svls_weights(rank)) if method == "msvls" else moh_fuse(raters)
+            soft = msvls_fuse(raters, SvlsKernel(rank)) if method == "msvls" else moh_fuse(raters)
         worst = max(worst, float(np.abs(soft.data.sum(axis=0, dtype=np.float64) - 1.0).max()))
         in_range &= bool(soft.data.min() >= 0.0 and soft.data.max() <= 1.0)
     ok = worst <= 1e-6 and in_range
@@ -256,7 +256,7 @@ def test_criterion_09_multirater_adjacent_class_probability():
     spec = PhantomSpec(kind="fig3_multirater", dims=(12, 12), num_classes=3, seed=3)
     raters = generate_rater_set(spec, num_raters=3, jitter=1)
     votes = moh_fuse(raters).data
-    smoothed = msvls_fuse(raters, svls_weights(2)).data
+    smoothed = msvls_fuse(raters, SvlsKernel(2)).data
     witness = (votes[2] == 0.0) & (smoothed[2] > 0.0)
     report(9, "fused votes zero but smoothed fusion positive for adjacent class",
            bool(witness.any()), f"{int(witness.sum())} witness voxels")
@@ -286,7 +286,7 @@ def test_criterion_10_cli_determinism(tmp_path):
 def test_criterion_11_performance_smoke():
     spec = PhantomSpec(kind="nested_spheres", dims=(128, 192, 192), num_classes=4)
     labels = generate_labels(spec)
-    kernel = svls_weights(3)
+    kernel = SvlsKernel(3)
     start = time.perf_counter()
     soft = svls_smooth(labels, kernel)
     elapsed = time.perf_counter() - start

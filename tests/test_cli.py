@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import svls
-from svls import LabelVolume, one_hot_encode, score_segmentation, svls_weights
+from svls import LabelVolume, SvlsKernel, one_hot_encode, score_segmentation
 from svls import cli
 from svls.cli import main
 from svls.tensor_io import read_volume, write_report, write_volume
@@ -48,7 +48,7 @@ def test_kernel_json_output(capsys):
     assert len(doc["taps"]) == 27
     assert doc["center"] == 1.0
     assert doc["total_weight"] == pytest.approx(2.0, abs=1e-12)
-    expected = svls_weights(3, 1.0).taps.ravel()
+    expected = SvlsKernel(3, 1.0).taps.ravel()
     assert np.allclose(doc["taps"], expected, atol=0)
 
 
@@ -386,13 +386,17 @@ def test_mutually_exclusive_flags_rejected(tmp_path, rng, capsys):
     (["fuse", "--in", "{d}/labels.svlv", "--method", "moh", "--out", "{d}/o.svlv"], "sigma", 2.0),
     (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "strength", 0.2),
     (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "jitter", 2),
+    # rater volumes hold no prediction, so they take no strength
+    (["phantom", "--kind", "miscalibrated_pred", "--dims", "6,6", "--classes", "3", "--raters", "2",
+      "--out", "{d}/o.svlv"], "strength", 0.3),
     # a flag given its default value is still given
     (["encode", "--in", "{d}/labels.svlv", "--method", "ls", "--alpha", "0.1", "--out", "{d}/o.svlv"], "sigma", 1.0),
     (["fuse", "--in", "{d}/labels.svlv", "--method", "moh", "--out", "{d}/o.svlv"], "sigma", 1.0),
     (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "jitter", 0),
     (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "{d}/o.svlv"], "strength", 0.0),
 ], ids=["encode-alpha", "encode-sigma", "fuse-sigma", "phantom-strength", "phantom-jitter",
-        "encode-sigma-default", "fuse-sigma-default", "phantom-jitter-default", "phantom-strength-default"])
+        "phantom-strength-raters", "encode-sigma-default", "fuse-sigma-default", "phantom-jitter-default",
+        "phantom-strength-default"])
 def test_config_value_contradicting_the_method_is_rejected_like_its_flag(tmp_path, rng, capsys, argv, key, value):
     make_labels(tmp_path, rng)
     argv = [a.format(d=tmp_path) for a in argv]

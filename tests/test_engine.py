@@ -49,10 +49,15 @@ def test_integer_grid_sums_do_not_wrap(rng):
 
 
 def test_integer_grid_beyond_64_bit_sums_is_rejected():
-    # 9 * 2**62 fits no 64-bit integer; the message names the value range
-    for value in (2**62, -(2**62)):
-        with pytest.raises(ValueError, match=r"\[.*\] overflow 64 bits"):
-            engine.correlate_padded(np.full((3, 3), value, np.int64), np.ones(3))
+    # 9 * 2**62 and 9 * edge = 2**63 + 1 fit no 64-bit integer, of either
+    # sign, but 9 * (edge - 1) does; the message names the value range
+    edge = (2**63 + 1) // 9
+    for sign in (1, -1):
+        for value in (2**62, edge):
+            with pytest.raises(ValueError, match=r"\[.*\] overflow 64 bits"):
+                engine.correlate_padded(np.full((3, 3), sign * value, np.int64), np.ones(3))
+        inside = engine.correlate_padded(np.full((3, 3), sign * (edge - 1), np.int64), np.ones(3))
+        assert inside[1, 1] == float(9 * sign * (edge - 1))
 
 
 def test_correlate_rejects_mismatched_taps(rng):
@@ -62,3 +67,11 @@ def test_correlate_rejects_mismatched_taps(rng):
         engine.correlate_padded(rng.random((4, 4, 4)), rng.random((3, 3, 3)))
     with pytest.raises(ValueError, match="shell weights"):
         engine.correlate_padded(rng.random(4), rng.random(2))
+
+
+def test_int64_grid_whose_extreme_fits_only_uint64_is_summed_as_int64():
+    # 9 * 2**59 fits int64, but np.min_scalar_type of it alone is uint64,
+    # and int64 with uint64 would be summed in float64
+    grid = np.random.default_rng(1).integers(2**58, 2**59, (3, 3))
+    center = engine.correlate_padded(grid, np.ones(3))[1, 1]
+    assert center == float(int(grid.astype(object).sum()))

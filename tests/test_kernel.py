@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from svls import SvlsKernel, svls_weights
+from svls import SvlsKernel
 
 from oracles import hp_svls_taps
 
@@ -18,43 +18,44 @@ CORNER_3D = 0.0226786444
 
 def test_gaussian_taps_2d_sigma1():
     # surround taps fall off as the Gaussian exp(-r^2 / 2) of their offset
-    w = svls_weights(2, 1.0).weights
+    w = SvlsKernel(2, 1.0).weights
     assert w[0] == 1.0
     assert w[2] / w[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
 
 
 def test_gaussian_taps_3d_sigma1():
-    w = svls_weights(3, 1.0).weights
+    w = SvlsKernel(3, 1.0).weights
     assert w[2] / w[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
     assert w[3] / w[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
 def test_gaussian_flat_limit():
     # every surround tap of a flat Gaussian gets 1/8 of the surround
-    w = svls_weights(2, 1e6).weights
+    w = SvlsKernel(2, 1e6).weights
     assert np.all(np.abs(w[1:] - 1 / 8) <= 1e-12)
 
 
 @pytest.mark.parametrize("rank", [0, 1, 4])
 def test_gaussian_rejects_bad_rank(rank):
     with pytest.raises(ValueError):
-        svls_weights(rank, 1.0)
+        SvlsKernel(rank, 1.0)
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
 def test_gaussian_rejects_bad_sigma(sigma):
-    with pytest.raises(ValueError, match="sigma"):
-        svls_weights(2, sigma)
+    # a sigma of 0 is not merely too small: it is rejected before its weights are formed
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        SvlsKernel(2, sigma)
 
 
 @pytest.mark.parametrize("rank, sigma", [(2, 0.036), (3, 0.044), (3, 1e-160), (2, 1e-300)])
 def test_sigma_whose_corner_weight_underflows_is_rejected(rank, sigma):
     with pytest.raises(ValueError, match="too small"):
-        svls_weights(rank, sigma)
+        SvlsKernel(rank, sigma)
 
 
 def test_svls_weights_2d_values():
-    k = svls_weights(2, 1.0)
+    k = SvlsKernel(2, 1.0)
     assert k.taps[1, 1] == 1.0
     assert k.taps[0, 1] == pytest.approx(EDGE_2D, abs=1e-9)
     assert k.taps[0, 0] == pytest.approx(CORNER_2D, abs=1e-9)
@@ -62,7 +63,7 @@ def test_svls_weights_2d_values():
 
 
 def test_svls_weights_3d_values():
-    k = svls_weights(3, 1.0)
+    k = SvlsKernel(3, 1.0)
     assert k.taps[1, 1, 1] == 1.0
     assert k.taps[1, 1, 0] == pytest.approx(FACE_3D, abs=1e-9)
     assert k.taps[1, 0, 0] == pytest.approx(EDGE_3D, abs=1e-9)
@@ -73,7 +74,7 @@ def test_svls_weights_3d_values():
 @pytest.mark.parametrize("rank", [2, 3])
 @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
 def test_total_weight_two_and_equal_contribution(rank, sigma):
-    k = svls_weights(rank, sigma)
+    k = SvlsKernel(rank, sigma)
     assert abs(k.total_weight - 2.0) <= 1e-12
     # center and combined surroundings contribute equally
     assert k.taps[(1,) * rank] / k.total_weight == pytest.approx(0.5, abs=1e-12)
@@ -84,12 +85,12 @@ def test_total_weight_two_and_equal_contribution(rank, sigma):
 def test_matches_high_precision_recomputation(rank, sigma):
     # relative error: the small-sigma taps are far below 1
     expected = hp_svls_taps(rank, sigma)
-    got = svls_weights(rank, sigma).taps
+    got = SvlsKernel(rank, sigma).taps
     assert np.abs(got / expected - 1.0).max() <= 1e-13
 
 
 def test_taps_strictly_decrease_with_squared_offset():
-    k = svls_weights(3, 1.0)
+    k = SvlsKernel(3, 1.0)
     by_r2 = {}
     for off in itertools.product((-1, 0, 1), repeat=3):
         if off == (0, 0, 0):
@@ -103,7 +104,7 @@ def test_taps_strictly_decrease_with_squared_offset():
 
 @pytest.mark.parametrize("rank", [2, 3])
 def test_signed_permutation_symmetry(rank):
-    taps = svls_weights(rank, 1.0).taps
+    taps = SvlsKernel(rank, 1.0).taps
     for perm in itertools.permutations(range(rank)):
         permuted = np.transpose(taps, perm)
         for flips in itertools.product([1, -1], repeat=rank):
@@ -112,40 +113,17 @@ def test_signed_permutation_symmetry(rank):
 
 
 def test_kernel_holds_read_only_shell_weights():
-    k = svls_weights(3, 1.0)
+    k = SvlsKernel(3, 1.0)
     assert k.weights.shape == (4,) and k.weights.dtype == np.float64
     assert not k.weights.flags.writeable
     assert k.total_weight == float(k.taps.sum())
 
 
-def test_kernel_rejects_bad_center():
-    weights = svls_weights(2, 1.0).weights.copy()
-    weights[0] = 0.9
-    with pytest.raises(ValueError, match="center"):
-        SvlsKernel(rank=2, sigma=1.0, weights=weights)
-
-
-def test_kernel_rejects_nonpositive_tap():
-    weights = svls_weights(2, 1.0).weights.copy()
-    weights[2] = 0.0
-    with pytest.raises(ValueError, match="positive"):
-        SvlsKernel(rank=2, sigma=1.0, weights=weights)
-
-
-def test_kernel_rejects_bad_surround_sum():
-    weights = svls_weights(2, 1.0).weights.copy()
-    weights[2] += 0.01
-    with pytest.raises(ValueError, match="sum"):
-        SvlsKernel(rank=2, sigma=1.0, weights=weights)
-
-
-def test_kernel_rejects_weights_of_another_rank():
-    with pytest.raises(ValueError, match="rank"):
-        SvlsKernel(rank=3, sigma=1.0, weights=svls_weights(2, 1.0).weights)
-
-
 def test_kernel_total_weight_is_computed_not_given():
-    weights = svls_weights(2, 1.0).weights
-    assert SvlsKernel(2, 1.0, weights).total_weight == pytest.approx(2.0, abs=1e-12)
+    k = SvlsKernel(2, 1.0)
+    assert k.total_weight == pytest.approx(2.0, abs=1e-12)
+    # the weights and their sum follow from rank and sigma alone
     with pytest.raises(TypeError):
-        SvlsKernel(2, 1.0, weights, total_weight=5.0)
+        SvlsKernel(2, 1.0, weights=k.weights)
+    with pytest.raises(TypeError):
+        SvlsKernel(2, 1.0, total_weight=5.0)

@@ -10,13 +10,13 @@ from svls import (
     LabelVolume,
     LogitVolume,
     SoftLabelVolume,
+    SvlsKernel,
     ce_gradient,
     cross_entropy,
     label_smooth,
     one_hot_encode,
     softmax,
     svls_smooth,
-    svls_weights,
 )
 from svls.loss import LOG_FLOOR
 
@@ -76,7 +76,7 @@ def test_cross_entropy_uniform_prediction():
 def test_cross_entropy_boundary_self_entropy():
     data = np.zeros((3, 3), dtype=np.uint8)
     data[0, :] = 1
-    target = svls_smooth(LabelVolume(data, SPACING2, 2), svls_weights(2))
+    target = svls_smooth(LabelVolume(data, SPACING2, 2), SvlsKernel(2))
     report = cross_entropy(target, target)
     center = report.per_voxel[1, 1]
     assert center == pytest.approx(BOUNDARY_ENTROPY, abs=1e-6)

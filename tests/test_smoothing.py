@@ -11,13 +11,13 @@ from hypothesis.extra.numpy import arrays
 from svls import (
     LabelVolume,
     RaterSet,
+    SvlsKernel,
     argmax_labels,
     label_smooth,
     moh_fuse,
     msvls_fuse,
     one_hot_encode,
     svls_smooth,
-    svls_weights,
 )
 
 from conftest import random_labels
@@ -66,7 +66,7 @@ def test_label_smooth_argmax_recovers_labels(rng, alpha, num_classes):
 
 def test_svls_homogeneous_is_one_hot():
     vol = grid(np.ones((5, 5)))
-    soft = svls_smooth(vol, svls_weights(2))
+    soft = svls_smooth(vol, SvlsKernel(2))
     assert np.array_equal(soft.data, one_hot_encode(vol).data)
 
 
@@ -74,7 +74,7 @@ def test_svls_homogeneous_is_one_hot():
 def test_svls_isolated_center_splits_evenly(sigma):
     data = np.zeros((3, 3), dtype=np.uint8)
     data[1, 1] = 1
-    soft = svls_smooth(grid(data), svls_weights(2, sigma))
+    soft = svls_smooth(grid(data), SvlsKernel(2, sigma))
     assert soft.data[0, 1, 1] == np.float32(0.5)
     assert soft.data[1, 1, 1] == np.float32(0.5)
 
@@ -84,13 +84,13 @@ def test_svls_straight_boundary_worked_value():
     # probability is (edge + 2 corners) / 2, frozen from the tap derivation
     data = np.zeros((3, 3), dtype=np.uint8)
     data[0, :] = 1
-    soft = svls_smooth(grid(data), svls_weights(2))
+    soft = svls_smooth(grid(data), SvlsKernel(2))
     assert soft.data[1, 1, 1] == pytest.approx(0.1721925836, abs=1e-6)
     assert soft.data[0, 1, 1] == pytest.approx(0.8278074164, abs=1e-6)
 
 
 def test_svls_matches_naive_oracle(rng):
-    kernel2, kernel3 = svls_weights(2), svls_weights(3)
+    kernel2, kernel3 = SvlsKernel(2), SvlsKernel(3)
     for _ in range(10):
         rank = int(rng.integers(2, 4))
         dims = tuple(rng.integers(1, 8, size=rank))
@@ -104,7 +104,7 @@ def test_svls_matches_naive_oracle(rng):
 
 def test_svls_rank_mismatch_rejected():
     with pytest.raises(ValueError, match="rank"):
-        svls_smooth(grid(np.zeros((3, 3))), svls_weights(3))
+        svls_smooth(grid(np.zeros((3, 3))), SvlsKernel(3))
 
 
 def test_svls_interior_identity(rng):
@@ -113,13 +113,13 @@ def test_svls_interior_identity(rng):
     data = np.array(vol.data)
     data[1:6, 1:6, 1:6] = 2
     vol = LabelVolume(data, vol.spacing, 3)
-    soft = svls_smooth(vol, svls_weights(3))
+    soft = svls_smooth(vol, SvlsKernel(3))
     assert np.all(soft.data[2, 2:5, 2:5, 2:5] == 1.0)
     assert np.all(soft.data[0, 2:5, 2:5, 2:5] == 0.0)
 
 
 def test_svls_neighbor_relabel_increases_probability(rng):
-    kernel = svls_weights(2)
+    kernel = SvlsKernel(2)
     for _ in range(20):
         bits = rng.integers(0, 2, size=8)
         data = np.zeros((3, 3), dtype=np.uint8)
@@ -145,10 +145,10 @@ def test_simplex_preservation(rng, method):
         if method == "ls":
             soft = label_smooth(vol, float(rng.uniform(0, 1)))
         elif method == "svls":
-            soft = svls_smooth(vol, svls_weights(rank))
+            soft = svls_smooth(vol, SvlsKernel(rank))
         else:
             raters = RaterSet(tuple(random_labels(rng, dims, n) for _ in range(3)))
-            soft = msvls_fuse(raters, svls_weights(rank)) if method == "msvls" else moh_fuse(raters)
+            soft = msvls_fuse(raters, SvlsKernel(rank)) if method == "msvls" else moh_fuse(raters)
         sums = soft.data.sum(axis=0, dtype=np.float64)
         assert np.abs(sums - 1.0).max() <= 1e-6
         assert soft.data.min() >= 0.0 and soft.data.max() <= 1.0
@@ -156,14 +156,14 @@ def test_simplex_preservation(rng, method):
 
 def test_msvls_single_rater_equals_svls(rng):
     vol = random_labels(rng, (4, 4), 3)
-    kernel = svls_weights(2)
+    kernel = SvlsKernel(2)
     fused = msvls_fuse(RaterSet((vol,)), kernel)
     assert np.array_equal(fused.data, svls_smooth(vol, kernel).data)
 
 
 def test_msvls_unanimous_interior():
     raters = RaterSet(tuple(grid(np.ones((5, 5))) for _ in range(3)))
-    fused = msvls_fuse(raters, svls_weights(2))
+    fused = msvls_fuse(raters, SvlsKernel(2))
     assert np.all(fused.data[1] == 1.0)
 
 
@@ -173,7 +173,7 @@ def test_msvls_averages_rater_probabilities():
     iso = np.zeros((3, 3), dtype=np.uint8)
     iso[1, 1] = 1
     raters = RaterSet((grid(np.ones((3, 3))), grid(iso)))
-    fused = msvls_fuse(raters, svls_weights(2))
+    fused = msvls_fuse(raters, SvlsKernel(2))
     assert fused.data[1, 1, 1] == np.float32(0.75)
 
 
@@ -192,7 +192,7 @@ def test_moh_unanimous_is_one_hot(rng):
 def test_fusion_order_invariance(rng):
     dims, n = (4, 5), 3
     raters = [random_labels(rng, dims, n) for _ in range(4)]
-    kernel = svls_weights(2)
+    kernel = SvlsKernel(2)
     shuffled = [raters[2], raters[0], raters[3], raters[1]]
     assert np.array_equal(
         msvls_fuse(RaterSet(tuple(raters)), kernel).data,
@@ -215,7 +215,7 @@ def test_moh_zero_vs_msvls_positive_adjacent_class():
     raters = RaterSet((grid(base, 3), grid(shifted, 3)))
     probe = (2, 1)  # class 1 for both raters, class 2 within one voxel for both
     fused_votes = moh_fuse(raters)
-    fused_soft = msvls_fuse(raters, svls_weights(2))
+    fused_soft = msvls_fuse(raters, SvlsKernel(2))
     assert fused_votes.data[(2,) + probe] == 0.0
     assert fused_soft.data[(2,) + probe] > 0.0
 
@@ -248,7 +248,7 @@ def test_msvls_is_correctly_rounded_mean_of_naive_svls(raters):
     # one stencil pass over the vote shares, rounded to float32 once: every
     # voxel lies within half a float32 ulp of the float64 per-rater mean
     first = raters.raters[0]
-    kernel = svls_weights(first.rank)
+    kernel = SvlsKernel(first.rank)
     expected = np.mean([naive_svls(r.data, first.num_classes, kernel.taps) for r in raters.raters], axis=0)
     got = msvls_fuse(raters, kernel).data.astype(np.float64)
     _, exponent = np.frexp(expected)
@@ -267,7 +267,7 @@ def test_svls_and_msvls_match_the_ndimage_correlation_within_one_ulp(raters, sig
     # integer shell sums weighted by their taps against scipy's float64
     # correlation of the vote shares: both round to float32 once
     first = raters.raters[0]
-    kernel = svls_weights(first.rank, sigma)
+    kernel = SvlsKernel(first.rank, sigma)
     single = ndimage_msvls([first.data], first.num_classes, kernel.taps)
     assert float32_ulps(svls_smooth(first, kernel).data, single).max() <= 1
     fused = ndimage_msvls([r.data for r in raters.raters], first.num_classes, kernel.taps)
@@ -284,7 +284,7 @@ def test_msvls_vote_sums_of_many_raters_do_not_wrap(rng):
         data = base.copy()
         data[tuple(rng.integers(0, n) for n in data.shape)] ^= 1
         raters.append(grid(data))
-    kernel = svls_weights(3)
+    kernel = SvlsKernel(3)
     fused = ndimage_msvls([r.data for r in raters], 2, kernel.taps)
     assert float32_ulps(msvls_fuse(RaterSet(tuple(raters)), kernel).data, fused).max() <= 1
 
@@ -293,7 +293,7 @@ def test_msvls_vote_sums_of_many_raters_do_not_wrap(rng):
 @given(raters=rater_sets(), alpha=st.floats(0.0, 1.0))
 def test_every_soft_target_keeps_the_simplex(raters, alpha):
     first = raters.raters[0]
-    kernel = svls_weights(first.rank)
+    kernel = SvlsKernel(first.rank)
     for soft in (
         one_hot_encode(first),
         label_smooth(first, alpha),
@@ -330,7 +330,7 @@ def test_msvls_center_is_the_correctly_rounded_exact_shell_sum(rank, num_raters,
     # 3^rank block: the block center must be the float32 nearest to the exact
     # rational sum(w_m * c_m) / (R * W), with w_m the shell's tap and W the
     # total weight as the kernel holds them
-    kernel = svls_weights(rank, sigma)
+    kernel = SvlsKernel(rank, sigma)
     shell = np.add.reduce(np.indices((3,) * rank) != 1, axis=0).ravel()
     sizes = [math.comb(rank, m) * 2**m for m in range(rank + 1)]
     slot = np.empty_like(shell)  # each voxel's index within its shell

@@ -3,7 +3,8 @@
     python tools/mutation_probe.py calibration
 
 Each mutant swaps one operator of `src/svls/MODULE.py`: `<` with `<=`, `>`
-with `>=`, `==` with `!=`, `+` with `-`, `*` with `//`, and `and` with `or`.
+with `>=`, `==` with `!=`, `+` with `-`, `*` with `//`, and `and` with `or`;
+or it drops one `raise`, which becomes `pass`.
 The mutated module is written, as `ast.unparse` text, into a temporary copy
 of `src/`, `tests/`, `pyproject.toml` and `README.md`; the repository itself
 is never written. Each mutant
@@ -42,19 +43,29 @@ SYMBOLS = {
 
 
 def sites(tree: ast.AST):
-    """(node index in ast.walk order, operator slot) of every swappable operator."""
+    """(node index in ast.walk order, operator slot) of every swappable
+    operator and every `raise`."""
     for i, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
             yield from ((i, k) for k, op in enumerate(node.ops) if type(op) in SWAPS)
         elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
             yield i, None
+        elif isinstance(node, ast.Raise):
+            yield i, None
 
 
 def mutant(source: str, site) -> tuple[str, int, str]:
-    """The module text with one operator swapped, its line and a description."""
+    """The module text with one operator swapped or one `raise` dropped, its
+    line and a description."""
     tree = ast.parse(source)
     index, slot = site
     node = list(ast.walk(tree))[index]
+    if isinstance(node, ast.Raise):
+        class Drop(ast.NodeTransformer):
+            def visit_Raise(self, raise_):
+                return ast.Pass() if raise_ is node else raise_
+
+        return ast.unparse(Drop().visit(tree)), node.lineno, "raise -> pass"
     old = node.ops[slot] if slot is not None else node.op
     new = SWAPS[type(old)]()
     if slot is not None:

@@ -299,7 +299,7 @@ def run_encode(plan: dict) -> int:
             soft = label_smooth(labels, plan["alpha"])
             provenance["alpha"] = plan["alpha"]
         else:
-            soft = svls_smooth(labels, SvlsKernel(labels.rank, plan["sigma"]))
+            soft = svls_smooth(labels, plan["sigma"])
             provenance["sigma"] = plan["sigma"]
         tensor_io.write_volume(soft, dst, provenance=provenance)
         log.info("encoded %s -> %s", src, dst)
@@ -316,8 +316,7 @@ def run_fuse(plan: dict) -> int:
         "rater_files": [os.path.basename(p) for p in paths],
     }
     if plan["method"] == "msvls":
-        kernel = SvlsKernel(raters.raters[0].rank, plan["sigma"])
-        fused = msvls_fuse(raters, kernel)
+        fused = msvls_fuse(raters, plan["sigma"])
         provenance["sigma"] = plan["sigma"]
     else:
         fused = moh_fuse(raters)

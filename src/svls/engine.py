@@ -1,5 +1,5 @@
 """Stencil correlation: one shell-weighted 3^rank stencil over a replicated
-1-voxel border.
+1-voxel border, applied to vote counts.
 
 The stencil is given by its rank + 1 shell weights: `weights[m]` is the tap
 of every offset that leaves the center on m axes (0 for the center, 1 for
@@ -7,10 +7,17 @@ face, 2 for edge and 3 for corner neighbours), as `kernel.SvlsKernel` holds
 them. The correlation is the sum over shells of the grid's shell sums times
 the shell's weight. The shell sums come from one loop over axes whose steps
 add clamped pair sums `a[i-1] + a[i+1]`, `rank * (rank + 1) / 2` of them in
-all, exact on integer grids and built from numpy slices alone.
+all, built from numpy slices alone.
+
+The grid holds counts: unsigned integers of at most 32 bits, nothing else.
+No shell sum covers more voxels than the widest shell, `C(rank, m) * 2^m`
+maximised over m (4 voxels in 2D, 12 in 3D), so the sums are taken exactly
+in the smallest unsigned type that holds that many times the largest count.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -27,32 +34,25 @@ def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def correlate_padded(grid: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Correlate a 2D/3D grid with the stencil of `rank + 1` shell weights; float64 result.
+def correlate_padded(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Correlate a 2D/3D grid of counts with the stencil of `rank + 1` shell weights; float64 result.
 
     Reads past the edge take the nearest in-range voxel (a replicated
-    border), so the result has the shape of `grid`. Integer grids are summed
-    exactly, in their own dtype widened where needed to the smallest one
-    that holds 3^rank times their extreme values (a grid whose sums no 64-bit
-    integer holds is rejected); anything else in float64.
+    border), so the result has the shape of `counts`. The counts must be
+    uint8, uint16 or uint32; their shell sums are exact.
     """
-    grid = np.asarray(grid)
+    counts = np.asarray(counts)
     weights = np.asarray(weights, dtype=np.float64)
-    rank = grid.ndim
+    rank = counts.ndim
     if rank not in (2, 3) or weights.shape != (rank + 1,):
         raise ValueError(f"rank-{rank} grid does not match {weights.size} shell weights")
-    if grid.dtype.kind not in "iu":
-        grid = grid.astype(np.float64, copy=False)
-    else:
-        lo, hi = int(grid.min(initial=0)), int(grid.max(initial=0))
-        bound = 3**rank * max(-lo, hi)
-        # a signed grid asks for a signed type: a uint64 would send int64 sums to float64
-        sums = np.min_scalar_type(-bound - 1 if grid.dtype.kind == "i" else bound)
-        if sums == np.dtype(object):
-            raise ValueError(f"integer grid values in [{lo}, {hi}] overflow 64 bits in 3^{rank}-voxel sums")
-        grid = grid.astype(np.result_type(grid.dtype, sums), copy=False)
+    if counts.dtype not in (np.uint8, np.uint16, np.uint32):
+        raise ValueError(f"counts must be uint8, uint16 or uint32, got {counts.dtype}")
+    widest = max(math.comb(rank, m) * 2**m for m in range(1, rank + 1))
+    sums = np.min_scalar_type(widest * int(counts.max()))
+    counts = counts.astype(np.result_type(counts.dtype, sums), copy=False)
     # shells[m]: sum of the neighbours whose offset leaves the center on m axes
-    shells = [grid]
+    shells = [counts]
     for axis in range(rank):
         for m in range(len(shells), 0, -1):
             pairs = _pair_sum(shells[m - 1], axis)

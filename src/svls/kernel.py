@@ -34,13 +34,13 @@ class SvlsKernel:
 
     `weights[m]` is the tap of every offset that leaves the center on m axes;
     the center weight is exactly 1. Both `weights` and `total_weight` are
-    derived from the rank and sigma.
+    derived from the rank and sigma, so kernels compare and hash by those two.
     """
 
     rank: int
     sigma: float = 1.0
-    weights: np.ndarray = field(init=False)
-    total_weight: float = field(init=False)
+    weights: np.ndarray = field(init=False, compare=False)
+    total_weight: float = field(init=False, compare=False)
 
     def __post_init__(self):
         rank, sigma = self.rank, self.sigma

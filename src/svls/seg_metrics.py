@@ -13,6 +13,7 @@ distinct line length and one shifted OR per line, all on numpy slices.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,9 +41,13 @@ def dice_masks(mask_t: np.ndarray, mask_p: np.ndarray) -> float:
 
 
 def _class_ids(class_ids, num_classes: int, what: str) -> list:
-    """One class id or a list of them, as a non-empty list of classes."""
+    """One class id or a list of them, as a non-empty list of classes.
+
+    An id is an integer, a numpy one too, but not a bool.
+    """
     ids = [class_ids] if np.ndim(class_ids) == 0 else list(class_ids)
-    if not (ids and all(0 <= i < num_classes for i in ids)):
+    integral = all(isinstance(i, numbers.Integral) and not isinstance(i, bool) for i in ids)
+    if not (ids and integral and all(0 <= i < num_classes for i in ids)):
         raise ValueError(f"{what} outside [0, {num_classes}): {class_ids}")
     return ids
 

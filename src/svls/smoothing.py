@@ -18,6 +18,12 @@ annotation), transforms that integer vote plane, and stores it as float32.
     count and then by the total weight.
   - moh_fuse:       per-voxel rater vote shares, ignoring all spatial
     context.
+
+An SVLS or MSVLS target is fixed by its label map(s) and one sigma: the
+stencil is `SvlsKernel(rank, sigma)` of the volume's own rank. Votes are
+counted in the smallest unsigned dtype holding the rater count.
+`engine.correlate_padded` takes only such counts, and widens them where the
+widest shell (4 voxels in 2D, 12 in 3D) times the rater count would not fit.
 """
 
 from __future__ import annotations
@@ -53,11 +59,7 @@ class RaterSet:
 
 
 def _class_planes(raters: RaterSet, transform) -> SoftLabelVolume:
-    """Apply `transform(votes, num_raters)` to each class's integer vote count; store float32.
-
-    The counts are of the smallest unsigned dtype that holds the rater
-    count; the stencil widens them where its sums would not fit.
-    """
+    """Apply `transform(votes, num_raters)` to each class's unsigned vote count; store float32."""
     first, *rest = raters.raters
     dtype = np.min_scalar_type(len(raters))
     out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
@@ -75,15 +77,17 @@ def moh_fuse(raters: RaterSet) -> SoftLabelVolume:
     return _class_planes(raters, lambda votes, num_raters: votes / num_raters)
 
 
-def msvls_fuse(raters: RaterSet, kernel: SvlsKernel) -> SoftLabelVolume:
+def msvls_fuse(raters: RaterSet, sigma: float) -> SoftLabelVolume:
     """SVLS of the rater vote shares, equal by linearity to the mean of the
     per-rater SVLS maps.
 
-    Each class's vote count plane is correlated with the stencil over a
-    replicated border, then divided by the rater count and by the total
-    weight (2). The stencil is reflection-symmetric, so correlation and
-    convolution agree.
+    Each class's vote count plane is correlated with the stencil of the
+    volume's rank and `sigma` over a replicated border, then divided by the
+    rater count and by the total weight (2). The stencil is
+    reflection-symmetric, so correlation and convolution agree.
     """
+    kernel = SvlsKernel(raters.raters[0].rank, sigma)
+
     def smooth(votes, num_raters):
         planes = engine.correlate_padded(votes, kernel.weights)
         if num_raters > 1:  # one rater's counts already are its shares
@@ -94,9 +98,9 @@ def msvls_fuse(raters: RaterSet, kernel: SvlsKernel) -> SoftLabelVolume:
     return _class_planes(raters, smooth)
 
 
-def svls_smooth(labels: LabelVolume, kernel: SvlsKernel) -> SoftLabelVolume:
-    """Spatially varying soft targets for one annotation."""
-    return msvls_fuse(RaterSet((labels,)), kernel)
+def svls_smooth(labels: LabelVolume, sigma: float) -> SoftLabelVolume:
+    """Spatially varying soft targets for one annotation, from the stencil of its rank and `sigma`."""
+    return msvls_fuse(RaterSet((labels,)), sigma)
 
 
 def label_smooth(labels: LabelVolume, alpha: float) -> SoftLabelVolume:

@@ -7,7 +7,6 @@ lines on the terminal.
 import time
 
 import numpy as np
-import pytest
 
 from svls import (
     LabelVolume,
@@ -72,7 +71,7 @@ def test_criterion_02_convolution_oracle():
             n = int(rng.integers(2, 6))
             vol = unit_volume(rng.integers(0, n, size=dims), num_classes=n)
             expected = naive_svls(vol.data, n, kernels[rank].taps)
-            got = svls_smooth(vol, kernels[rank]).data.astype(np.float64)
+            got = svls_smooth(vol, kernels[rank].sigma).data.astype(np.float64)
             worst = max(worst, float(np.abs(got - expected).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-6 and elapsed < 30.0
@@ -84,10 +83,10 @@ def test_criterion_03_structural_smoothing_properties():
     # isolated center: exact 50/50 split
     iso2 = np.zeros((3, 3), dtype=np.uint8)
     iso2[1, 1] = 1
-    soft2 = svls_smooth(unit_volume(iso2), SvlsKernel(2))
+    soft2 = svls_smooth(unit_volume(iso2), 1.0)
     iso3 = np.zeros((3, 3, 3), dtype=np.uint8)
     iso3[1, 1, 1] = 1
-    soft3 = svls_smooth(unit_volume(iso3), SvlsKernel(3))
+    soft3 = svls_smooth(unit_volume(iso3), 1.0)
     split_ok = (
         soft2.data[0, 1, 1] == np.float32(0.5)
         and soft2.data[1, 1, 1] == np.float32(0.5)
@@ -96,18 +95,17 @@ def test_criterion_03_structural_smoothing_properties():
     )
 
     # homogeneous neighborhoods: exact one-hot
-    homo = svls_smooth(unit_volume(np.ones((5, 5, 5))), SvlsKernel(3))
+    homo = svls_smooth(unit_volume(np.ones((5, 5, 5))), 1.0)
     homo_ok = bool(np.all(homo.data[1] == 1.0) and np.all(homo.data[0] == 0.0))
 
     # neighbor monotonicity, exhaustive over all 2^8 two-class 3x3 neighborhoods
-    kernel2 = SvlsKernel(2)
     positions = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
     center_p1 = {}
     for code in range(256):
         data = np.zeros((3, 3), dtype=np.uint8)
         for bit, pos in enumerate(positions):
             data[pos] = (code >> bit) & 1
-        center_p1[code] = float(svls_smooth(unit_volume(data), kernel2).data[1, 1, 1])
+        center_p1[code] = float(svls_smooth(unit_volume(data), 1.0).data[1, 1, 1])
     mono_ok = True
     for code in range(256):
         for bit in range(8):
@@ -131,12 +129,12 @@ def test_criterion_04_simplex_preservation():
             soft = label_smooth(vol, float(rng.uniform(0, 1)))
         elif method == "svls":
             vol = unit_volume(rng.integers(0, n, size=dims), n)
-            soft = svls_smooth(vol, SvlsKernel(rank))
+            soft = svls_smooth(vol, 1.0)
         else:
             raters = RaterSet(
                 tuple(unit_volume(rng.integers(0, n, size=dims), n) for _ in range(3))
             )
-            soft = msvls_fuse(raters, SvlsKernel(rank)) if method == "msvls" else moh_fuse(raters)
+            soft = msvls_fuse(raters, 1.0) if method == "msvls" else moh_fuse(raters)
         worst = max(worst, float(np.abs(soft.data.sum(axis=0, dtype=np.float64) - 1.0).max()))
         in_range &= bool(soft.data.min() >= 0.0 and soft.data.max() <= 1.0)
     ok = worst <= 1e-6 and in_range
@@ -256,7 +254,7 @@ def test_criterion_09_multirater_adjacent_class_probability():
     spec = PhantomSpec(kind="fig3_multirater", dims=(12, 12), num_classes=3, seed=3)
     raters = generate_rater_set(spec, num_raters=3, jitter=1)
     votes = moh_fuse(raters).data
-    smoothed = msvls_fuse(raters, SvlsKernel(2)).data
+    smoothed = msvls_fuse(raters, 1.0).data
     witness = (votes[2] == 0.0) & (smoothed[2] > 0.0)
     report(9, "fused votes zero but smoothed fusion positive for adjacent class",
            bool(witness.any()), f"{int(witness.sum())} witness voxels")
@@ -286,9 +284,8 @@ def test_criterion_10_cli_determinism(tmp_path):
 def test_criterion_11_performance_smoke():
     spec = PhantomSpec(kind="nested_spheres", dims=(128, 192, 192), num_classes=4)
     labels = generate_labels(spec)
-    kernel = SvlsKernel(3)
     start = time.perf_counter()
-    soft = svls_smooth(labels, kernel)
+    soft = svls_smooth(labels, 1.0)
     elapsed = time.perf_counter() - start
     ok = elapsed < 10.0 and soft.dims == (128, 192, 192)
     report(11, "full-size volume smoothing under 10 s", ok, f"{elapsed:.2f}s")

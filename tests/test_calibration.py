@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from svls import (
     LabelVolume,
     SoftLabelVolume,
-    SvlsKernel,
     calibrate_report,
     ece,
     generate_miscalibrated,
@@ -328,7 +327,7 @@ def large_scored():
     predictions = {
         "miscalibrated_0.75": generate_miscalibrated(ref, 0.05, seed=3),
         "miscalibrated_0.8": generate_miscalibrated(ref, 0.1, seed=4),
-        "smoothed": svls_smooth(LabelVolume(noisy, ref.spacing, 4), SvlsKernel(3)),
+        "smoothed": svls_smooth(LabelVolume(noisy, ref.spacing, 4), 1.0),
         "softmax": SoftLabelVolume(scores / scores.sum(axis=0), ref.spacing),
     }
     assert np.float32(0.75) in predictions["miscalibrated_0.75"].data

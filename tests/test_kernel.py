@@ -127,3 +127,10 @@ def test_kernel_total_weight_is_computed_not_given():
         SvlsKernel(2, 1.0, weights=k.weights)
     with pytest.raises(TypeError):
         SvlsKernel(2, 1.0, total_weight=5.0)
+
+
+def test_kernels_compare_and_hash_by_rank_and_sigma():
+    assert SvlsKernel(3, 1) == SvlsKernel(3, 1.0)
+    assert SvlsKernel(3) != SvlsKernel(3, 2.0)
+    assert SvlsKernel(3) != SvlsKernel(2)
+    assert len({SvlsKernel(3), SvlsKernel(3, 1.0), SvlsKernel(2)}) == 2

@@ -10,7 +10,6 @@ from svls import (
     LabelVolume,
     LogitVolume,
     SoftLabelVolume,
-    SvlsKernel,
     ce_gradient,
     cross_entropy,
     label_smooth,
@@ -76,7 +75,7 @@ def test_cross_entropy_uniform_prediction():
 def test_cross_entropy_boundary_self_entropy():
     data = np.zeros((3, 3), dtype=np.uint8)
     data[0, :] = 1
-    target = svls_smooth(LabelVolume(data, SPACING2, 2), SvlsKernel(2))
+    target = svls_smooth(LabelVolume(data, SPACING2, 2), 1.0)
     report = cross_entropy(target, target)
     center = report.per_voxel[1, 1]
     assert center == pytest.approx(BOUNDARY_ENTROPY, abs=1e-6)

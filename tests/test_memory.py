@@ -29,7 +29,6 @@ import pytest
 from svls import (
     LabelVolume,
     LogitVolume,
-    SvlsKernel,
     argmax_labels,
     calibrate_report,
     generate_miscalibrated,
@@ -54,7 +53,7 @@ def paths(tmp_path_factory):
     rng = np.random.default_rng(0)
     d = tmp_path_factory.mktemp("memory")
     labels = LabelVolume(rng.integers(0, 4, size=DIMS).astype(np.uint8), (1.0,) * 3, 4)
-    write_volume(svls_smooth(labels, SvlsKernel(3)), d / "target.svlv")
+    write_volume(svls_smooth(labels, 1.0), d / "target.svlv")
     scores = rng.normal(size=(4,) + DIMS).astype(np.float32)
     write_volume(LogitVolume(scores, labels.spacing), d / "logits.svlv")
     return d / "target.svlv", d / "logits.svlv"

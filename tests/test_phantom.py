@@ -7,7 +7,6 @@ import pytest
 from svls import (
     LabelVolume,
     PhantomSpec,
-    SvlsKernel,
     calibrate_report,
     generate_labels,
     generate_miscalibrated,
@@ -69,7 +68,7 @@ def test_reproducible_given_seed():
 
 def test_straight_boundary_uncertainty_confined_to_plane():
     spec = PhantomSpec(kind="straight_boundary", dims=(8, 6, 6))
-    soft = svls_smooth(generate_labels(spec), SvlsKernel(3))
+    soft = svls_smooth(generate_labels(spec), 1.0)
     fractional = (soft.data > 0.0) & (soft.data < 1.0)
     mixed_rows = sorted(set(np.argwhere(fractional)[:, 1]))
     assert mixed_rows == [3, 4]  # within one voxel of the plane between rows 3 and 4
@@ -98,10 +97,7 @@ def test_rater_jitter_confined_to_boundary_band():
 def test_rater_single_equals_base_smoothing():
     spec = PhantomSpec(kind="nested_spheres", dims=(9, 9, 9), num_classes=3)
     raters = generate_rater_set(spec, num_raters=1, jitter=0)
-    kernel = SvlsKernel(3)
-    assert np.array_equal(
-        msvls_fuse(raters, kernel).data, svls_smooth(generate_labels(spec), kernel).data
-    )
+    assert np.array_equal(msvls_fuse(raters, 1.0).data, svls_smooth(generate_labels(spec), 1.0).data)
 
 
 def test_rater_set_validation():

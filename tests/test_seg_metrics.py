@@ -253,7 +253,11 @@ def test_numpy_integer_class_ids_score_as_python_ints(rng):
         assert surface_dice(ref, pred, class_ids, 2.0) == surface_dice(ref, pred, python, 2.0)
 
 
-@pytest.mark.parametrize("class_ids", [3, [1, 3], -1, []], ids=["num-classes", "in-list", "negative", "empty"])
+@pytest.mark.parametrize(
+    "class_ids",
+    [3, [1, 3], -1, [], 1.5, [0.5], True],
+    ids=["num-classes", "in-list", "negative", "empty", "float", "float-in-list", "bool"],
+)
 def test_class_ids_outside_the_classes_are_rejected(rng, class_ids):
     ref, pred = three_class_pair(rng)
     dice(ref, pred, 2)  # the last class is accepted
@@ -290,7 +294,7 @@ def test_score_segmentation_rejects_a_region_named_as_another_row(rng, monkeypat
         score_segmentation(ref, pred, regions=regions, composite=composite)
 
 
-@pytest.mark.parametrize("ids", [[3], [1, -1], []], ids=["num-classes", "negative", "empty"])
+@pytest.mark.parametrize("ids", [[3], [1, -1], [], [0.5]], ids=["num-classes", "negative", "empty", "float"])
 def test_score_segmentation_rejects_region_ids_that_are_not_classes(rng, monkeypatch, ids):
     ref, pred = three_class_pair(rng)
     monkeypatch.setattr(seg_metrics, "dice", None)  # rejected before any row is scored

@@ -66,7 +66,7 @@ def test_label_smooth_argmax_recovers_labels(rng, alpha, num_classes):
 
 def test_svls_homogeneous_is_one_hot():
     vol = grid(np.ones((5, 5)))
-    soft = svls_smooth(vol, SvlsKernel(2))
+    soft = svls_smooth(vol, 1.0)
     assert np.array_equal(soft.data, one_hot_encode(vol).data)
 
 
@@ -74,7 +74,7 @@ def test_svls_homogeneous_is_one_hot():
 def test_svls_isolated_center_splits_evenly(sigma):
     data = np.zeros((3, 3), dtype=np.uint8)
     data[1, 1] = 1
-    soft = svls_smooth(grid(data), SvlsKernel(2, sigma))
+    soft = svls_smooth(grid(data), sigma)
     assert soft.data[0, 1, 1] == np.float32(0.5)
     assert soft.data[1, 1, 1] == np.float32(0.5)
 
@@ -84,7 +84,7 @@ def test_svls_straight_boundary_worked_value():
     # probability is (edge + 2 corners) / 2, frozen from the tap derivation
     data = np.zeros((3, 3), dtype=np.uint8)
     data[0, :] = 1
-    soft = svls_smooth(grid(data), SvlsKernel(2))
+    soft = svls_smooth(grid(data), 1.0)
     assert soft.data[1, 1, 1] == pytest.approx(0.1721925836, abs=1e-6)
     assert soft.data[0, 1, 1] == pytest.approx(0.8278074164, abs=1e-6)
 
@@ -98,13 +98,20 @@ def test_svls_matches_naive_oracle(rng):
         vol = random_labels(rng, dims, n)
         kernel = kernel2 if rank == 2 else kernel3
         expected = naive_svls(vol.data, n, kernel.taps)
-        got = svls_smooth(vol, kernel).data
+        got = svls_smooth(vol, kernel.sigma).data
         assert np.abs(got - expected).max() <= 1e-6
 
 
-def test_svls_rank_mismatch_rejected():
-    with pytest.raises(ValueError, match="rank"):
-        svls_smooth(grid(np.zeros((3, 3))), SvlsKernel(3))
+def test_sigma_floor_follows_the_volume_rank():
+    # the corner weight exp(-rank / (2 sigma^2)) underflows below sigma
+    # 0.037 in 2D and 0.045 in 3D: 0.04 lies between the two floors
+    flat, deep = grid(np.eye(3)), grid(np.eye(3)[None].repeat(3, axis=0))
+    soft = svls_smooth(flat, 0.04)
+    assert np.array_equal(msvls_fuse(RaterSet((flat, flat)), 0.04).data, soft.data)
+    with pytest.raises(ValueError, match="sigma 0.04 is too small"):
+        svls_smooth(deep, 0.04)
+    with pytest.raises(ValueError, match="sigma 0.04 is too small"):
+        msvls_fuse(RaterSet((deep, deep)), 0.04)
 
 
 def test_svls_interior_identity(rng):
@@ -113,26 +120,25 @@ def test_svls_interior_identity(rng):
     data = np.array(vol.data)
     data[1:6, 1:6, 1:6] = 2
     vol = LabelVolume(data, vol.spacing, 3)
-    soft = svls_smooth(vol, SvlsKernel(3))
+    soft = svls_smooth(vol, 1.0)
     assert np.all(soft.data[2, 2:5, 2:5, 2:5] == 1.0)
     assert np.all(soft.data[0, 2:5, 2:5, 2:5] == 0.0)
 
 
 def test_svls_neighbor_relabel_increases_probability(rng):
-    kernel = SvlsKernel(2)
     for _ in range(20):
         bits = rng.integers(0, 2, size=8)
         data = np.zeros((3, 3), dtype=np.uint8)
         positions = [(i, j) for i in range(3) for j in range(3) if (i, j) != (1, 1)]
         for (i, j), b in zip(positions, bits):
             data[i, j] = b
-        base = svls_smooth(grid(data), kernel).data[1, 1, 1]
+        base = svls_smooth(grid(data), 1.0).data[1, 1, 1]
         flip = int(rng.integers(0, 8))
         if bits[flip] == 1:
             continue
         bumped = data.copy()
         bumped[positions[flip]] = 1
-        assert svls_smooth(grid(bumped), kernel).data[1, 1, 1] > base
+        assert svls_smooth(grid(bumped), 1.0).data[1, 1, 1] > base
 
 
 @pytest.mark.parametrize("method", ["ls", "svls", "msvls", "moh"])
@@ -145,10 +151,10 @@ def test_simplex_preservation(rng, method):
         if method == "ls":
             soft = label_smooth(vol, float(rng.uniform(0, 1)))
         elif method == "svls":
-            soft = svls_smooth(vol, SvlsKernel(rank))
+            soft = svls_smooth(vol, 1.0)
         else:
             raters = RaterSet(tuple(random_labels(rng, dims, n) for _ in range(3)))
-            soft = msvls_fuse(raters, SvlsKernel(rank)) if method == "msvls" else moh_fuse(raters)
+            soft = msvls_fuse(raters, 1.0) if method == "msvls" else moh_fuse(raters)
         sums = soft.data.sum(axis=0, dtype=np.float64)
         assert np.abs(sums - 1.0).max() <= 1e-6
         assert soft.data.min() >= 0.0 and soft.data.max() <= 1.0
@@ -156,14 +162,13 @@ def test_simplex_preservation(rng, method):
 
 def test_msvls_single_rater_equals_svls(rng):
     vol = random_labels(rng, (4, 4), 3)
-    kernel = SvlsKernel(2)
-    fused = msvls_fuse(RaterSet((vol,)), kernel)
-    assert np.array_equal(fused.data, svls_smooth(vol, kernel).data)
+    fused = msvls_fuse(RaterSet((vol,)), 1.0)
+    assert np.array_equal(fused.data, svls_smooth(vol, 1.0).data)
 
 
 def test_msvls_unanimous_interior():
     raters = RaterSet(tuple(grid(np.ones((5, 5))) for _ in range(3)))
-    fused = msvls_fuse(raters, SvlsKernel(2))
+    fused = msvls_fuse(raters, 1.0)
     assert np.all(fused.data[1] == 1.0)
 
 
@@ -173,7 +178,7 @@ def test_msvls_averages_rater_probabilities():
     iso = np.zeros((3, 3), dtype=np.uint8)
     iso[1, 1] = 1
     raters = RaterSet((grid(np.ones((3, 3))), grid(iso)))
-    fused = msvls_fuse(raters, SvlsKernel(2))
+    fused = msvls_fuse(raters, 1.0)
     assert fused.data[1, 1, 1] == np.float32(0.75)
 
 
@@ -192,11 +197,10 @@ def test_moh_unanimous_is_one_hot(rng):
 def test_fusion_order_invariance(rng):
     dims, n = (4, 5), 3
     raters = [random_labels(rng, dims, n) for _ in range(4)]
-    kernel = SvlsKernel(2)
     shuffled = [raters[2], raters[0], raters[3], raters[1]]
     assert np.array_equal(
-        msvls_fuse(RaterSet(tuple(raters)), kernel).data,
-        msvls_fuse(RaterSet(tuple(shuffled)), kernel).data,
+        msvls_fuse(RaterSet(tuple(raters)), 1.0).data,
+        msvls_fuse(RaterSet(tuple(shuffled)), 1.0).data,
     )
     assert np.array_equal(
         moh_fuse(RaterSet(tuple(raters))).data, moh_fuse(RaterSet(tuple(shuffled))).data
@@ -215,7 +219,7 @@ def test_moh_zero_vs_msvls_positive_adjacent_class():
     raters = RaterSet((grid(base, 3), grid(shifted, 3)))
     probe = (2, 1)  # class 1 for both raters, class 2 within one voxel for both
     fused_votes = moh_fuse(raters)
-    fused_soft = msvls_fuse(raters, SvlsKernel(2))
+    fused_soft = msvls_fuse(raters, 1.0)
     assert fused_votes.data[(2,) + probe] == 0.0
     assert fused_soft.data[(2,) + probe] > 0.0
 
@@ -225,11 +229,11 @@ def test_rater_set_validation(rng):
         RaterSet(())
     a = random_labels(rng, (3, 3), 2)
     b = random_labels(rng, (4, 3), 2)
-    with pytest.raises(ValueError, match="dims"):
+    with pytest.raises(ValueError, match="rater 1 vs rater 0: shape mismatch: dims"):
         RaterSet((a, b))
     c = LabelVolume(np.zeros((3, 3), dtype=np.uint8), (2.0, 1.0), 2)
-    with pytest.raises(ValueError, match="spacing"):
-        RaterSet((a, c))
+    with pytest.raises(ValueError, match="rater 2 vs rater 0: spacing mismatch"):
+        RaterSet((a, a, c))
 
 
 @st.composite
@@ -250,7 +254,7 @@ def test_msvls_is_correctly_rounded_mean_of_naive_svls(raters):
     first = raters.raters[0]
     kernel = SvlsKernel(first.rank)
     expected = np.mean([naive_svls(r.data, first.num_classes, kernel.taps) for r in raters.raters], axis=0)
-    got = msvls_fuse(raters, kernel).data.astype(np.float64)
+    got = msvls_fuse(raters, kernel.sigma).data.astype(np.float64)
     _, exponent = np.frexp(expected)
     half_ulp = np.ldexp(0.5, exponent - 24)  # float32 ulp of the binade holding `expected`, halved
     assert np.all(np.abs(got - expected) <= half_ulp + 1e-15)
@@ -269,9 +273,9 @@ def test_svls_and_msvls_match_the_ndimage_correlation_within_one_ulp(raters, sig
     first = raters.raters[0]
     kernel = SvlsKernel(first.rank, sigma)
     single = ndimage_msvls([first.data], first.num_classes, kernel.taps)
-    assert float32_ulps(svls_smooth(first, kernel).data, single).max() <= 1
+    assert float32_ulps(svls_smooth(first, kernel.sigma).data, single).max() <= 1
     fused = ndimage_msvls([r.data for r in raters.raters], first.num_classes, kernel.taps)
-    assert float32_ulps(msvls_fuse(raters, kernel).data, fused).max() <= 1
+    assert float32_ulps(msvls_fuse(raters, kernel.sigma).data, fused).max() <= 1
 
 
 def test_msvls_vote_sums_of_many_raters_do_not_wrap(rng):
@@ -286,19 +290,18 @@ def test_msvls_vote_sums_of_many_raters_do_not_wrap(rng):
         raters.append(grid(data))
     kernel = SvlsKernel(3)
     fused = ndimage_msvls([r.data for r in raters], 2, kernel.taps)
-    assert float32_ulps(msvls_fuse(RaterSet(tuple(raters)), kernel).data, fused).max() <= 1
+    assert float32_ulps(msvls_fuse(RaterSet(tuple(raters)), kernel.sigma).data, fused).max() <= 1
 
 
 @settings(max_examples=60, deadline=None)
 @given(raters=rater_sets(), alpha=st.floats(0.0, 1.0))
 def test_every_soft_target_keeps_the_simplex(raters, alpha):
     first = raters.raters[0]
-    kernel = SvlsKernel(first.rank)
     for soft in (
         one_hot_encode(first),
         label_smooth(first, alpha),
-        svls_smooth(first, kernel),
-        msvls_fuse(raters, kernel),
+        svls_smooth(first, 1.0),
+        msvls_fuse(raters, 1.0),
         moh_fuse(raters),
     ):
         assert soft.data.shape == (first.num_classes,) + first.dims
@@ -344,7 +347,7 @@ def test_msvls_center_is_the_correctly_rounded_exact_shell_sum(rank, num_raters,
         blocks = (r * np.take(sizes, shell) + slot < counts[:, shell]).astype(np.uint8)
         data = blocks.reshape((3 * len(counts),) + (3,) * (rank - 1))  # blocks stacked on axis 0
         raters.append(LabelVolume(data, (1.0,) * rank, 2))
-    fused = msvls_fuse(RaterSet(tuple(raters)), kernel).data
+    fused = msvls_fuse(RaterSet(tuple(raters)), kernel.sigma).data
     got = fused[(1, slice(1, None, 3)) + (1,) * (rank - 1)]
 
     weights = [Fraction(float(kernel.taps[(0,) * m + (1,) * (rank - m)])) for m in range(rank + 1)]

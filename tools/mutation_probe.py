@@ -4,7 +4,8 @@
 
 Each mutant swaps one operator of `src/svls/MODULE.py`: `<` with `<=`, `>`
 with `>=`, `==` with `!=`, `+` with `-`, `*` with `//`, and `and` with `or`;
-or it drops one `raise`, which becomes `pass`.
+or it drops one `raise`, which becomes `pass`; or it turns one integer
+literal `n` (not `True` or `False`) into `n + 1`.
 The mutated module is written, as `ast.unparse` text, into a temporary copy
 of `src/`, `tests/`, `pyproject.toml` and `README.md`; the repository itself
 is never written. Each mutant
@@ -44,19 +45,19 @@ SYMBOLS = {
 
 def sites(tree: ast.AST):
     """(node index in ast.walk order, operator slot) of every swappable
-    operator and every `raise`."""
+    operator, every `raise` and every integer literal."""
     for i, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
             yield from ((i, k) for k, op in enumerate(node.ops) if type(op) in SWAPS)
         elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
             yield i, None
-        elif isinstance(node, ast.Raise):
+        elif isinstance(node, ast.Raise) or (isinstance(node, ast.Constant) and type(node.value) is int):
             yield i, None
 
 
 def mutant(source: str, site) -> tuple[str, int, str]:
-    """The module text with one operator swapped or one `raise` dropped, its
-    line and a description."""
+    """The module text with one operator swapped, one `raise` dropped or one
+    integer literal raised by 1, its line and a description."""
     tree = ast.parse(source)
     index, slot = site
     node = list(ast.walk(tree))[index]
@@ -66,6 +67,9 @@ def mutant(source: str, site) -> tuple[str, int, str]:
                 return ast.Pass() if raise_ is node else raise_
 
         return ast.unparse(Drop().visit(tree)), node.lineno, "raise -> pass"
+    if isinstance(node, ast.Constant):
+        node.value += 1
+        return ast.unparse(tree), node.lineno, f"{node.value - 1} -> {node.value}"
     old = node.ops[slot] if slot is not None else node.op
     new = SWAPS[type(old)]()
     if slot is not None:

@@ -4,7 +4,7 @@
 __version__ = "0.1.0"
 
 from .calibration import CalibrationReport, ReliabilityBin, calibrate_report, ece, reliability, tace
-from .kernel import SvlsKernel
+from .engine import SvlsKernel
 from .loss import LogitVolume, LossReport, ce_gradient, cross_entropy, softmax
 from .phantom import PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import SegmentationScores, dice, score_segmentation, surface_dice

@@ -42,7 +42,7 @@ import sys
 
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
-from .kernel import SvlsKernel
+from .engine import SvlsKernel
 from .loss import cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import check_tolerance, score_segmentation
@@ -381,7 +381,6 @@ def run_phantom(plan: dict) -> int:
         dims=plan["dims"],
         num_classes=plan["classes"],
         seed=plan["seed"],
-        strength=plan["strength"],
     )
     base_provenance = {"method": "phantom", "kind": spec.kind, "seed": spec.seed}
     if plan["raters"] is not None:
@@ -392,11 +391,11 @@ def run_phantom(plan: dict) -> int:
         return 0
     if spec.kind == "miscalibrated_pred":
         labels = generate_labels(spec)
-        predicted = generate_miscalibrated(labels, spec.strength, seed=spec.seed)
+        predicted = generate_miscalibrated(labels, plan["strength"], seed=spec.seed)
         tensor_io.write_volume(labels, os.path.join(plan["out"], "labels" + VOLUME_SUFFIX),
                                provenance=base_provenance)
         tensor_io.write_volume(predicted, os.path.join(plan["out"], "pred" + VOLUME_SUFFIX),
-                               provenance={**base_provenance, "strength": spec.strength})
+                               provenance={**base_provenance, "strength": plan["strength"]})
         return 0
     tensor_io.write_volume(generate_labels(spec), plan["out"], provenance=base_provenance)
     return 0

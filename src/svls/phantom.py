@@ -40,7 +40,6 @@ class PhantomSpec:
     dims: tuple[int, ...]
     num_classes: int = 2
     seed: int = 0
-    strength: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -51,8 +50,6 @@ class PhantomSpec:
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         _check_seed(self.seed)
-        if not 0 <= self.strength < math.inf:  # NaN fails too
-            raise ValueError(f"strength must be >= 0 and finite, got {self.strength}")
         object.__setattr__(self, "dims", dims)
 
 

@@ -20,8 +20,8 @@ annotation), transforms that integer vote plane, and stores it as float32.
     context.
 
 An SVLS or MSVLS target is fixed by its label map(s) and one sigma: the
-stencil is `SvlsKernel(rank, sigma)` of the volume's own rank. Votes are
-counted in the smallest unsigned dtype holding the rater count.
+stencil is `engine.SvlsKernel(rank, sigma)` of the volume's own rank.
+Votes are counted in the smallest unsigned dtype holding the rater count.
 `engine.correlate_padded` takes only such counts, and widens them where the
 widest shell (4 voxels in 2D, 12 in 3D) times the rater count would not fit.
 """
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .kernel import SvlsKernel
 from .volume import LabelVolume, SoftLabelVolume, check_same_grid
 
 
@@ -86,7 +85,7 @@ def msvls_fuse(raters: RaterSet, sigma: float) -> SoftLabelVolume:
     rater count and by the total weight (2). The stencil is
     reflection-symmetric, so correlation and convolution agree.
     """
-    kernel = SvlsKernel(raters.raters[0].rank, sigma)
+    kernel = engine.SvlsKernel(raters.raters[0].rank, sigma)
 
     def smooth(votes, num_raters):
         planes = engine.correlate_padded(votes, kernel.weights)

@@ -62,7 +62,7 @@ def test_criterion_01_kernel_exactness():
 
 def test_criterion_02_convolution_oracle():
     rng = np.random.default_rng(7130)
-    kernels = {2: SvlsKernel(2), 3: SvlsKernel(3)}
+    kernels = {2: SvlsKernel(2, 1.0), 3: SvlsKernel(3, 1.0)}
     start = time.perf_counter()
     worst = 0.0
     for rank in (2, 3):

@@ -1,7 +1,150 @@
+import itertools
+import math
+
 import numpy as np
 import pytest
 
-from svls import engine
+from svls import SvlsKernel, engine
+
+from oracles import hp_svls_taps
+
+# frozen from the 50-digit recomputation in oracles.hp_svls_taps
+EDGE_2D = 0.1556148328
+CORNER_2D = 0.0943851672
+FACE_3D = 0.0616469471
+EDGE_3D = 0.0373907635
+CORNER_3D = 0.0226786444
+
+
+def test_gaussian_taps_2d_sigma1():
+    # surround taps fall off as the Gaussian exp(-r^2 / 2) of their offset
+    w = SvlsKernel(2, 1.0).weights
+    assert w[0] == 1.0
+    assert w[2] / w[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
+
+
+def test_gaussian_taps_3d_sigma1():
+    w = SvlsKernel(3, 1.0).weights
+    assert w[2] / w[1] == pytest.approx(math.exp(-0.5), rel=1e-15)
+    assert w[3] / w[1] == pytest.approx(math.exp(-1.0), rel=1e-15)
+
+
+def test_gaussian_flat_limit():
+    # every surround tap of a flat Gaussian gets 1/8 of the surround
+    w = SvlsKernel(2, 1e6).weights
+    assert np.all(np.abs(w[1:] - 1 / 8) <= 1e-12)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 4])
+def test_gaussian_rejects_bad_rank(rank):
+    with pytest.raises(ValueError):
+        SvlsKernel(rank, 1.0)
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+def test_gaussian_rejects_bad_sigma(sigma):
+    # a sigma of 0 is not merely too small: it is rejected before its weights are formed
+    with pytest.raises(ValueError, match="sigma must be positive and finite"):
+        SvlsKernel(2, sigma)
+
+
+@pytest.mark.parametrize("rank, sigma", [(2, 0.036), (3, 0.044), (3, 1e-160), (2, 1e-300)])
+def test_sigma_whose_corner_weight_underflows_is_rejected(rank, sigma):
+    with pytest.raises(ValueError, match="too small"):
+        SvlsKernel(rank, sigma)
+
+
+def test_svls_weights_2d_values():
+    k = SvlsKernel(2, 1.0)
+    assert k.taps[1, 1] == 1.0
+    assert k.taps[0, 1] == pytest.approx(EDGE_2D, abs=1e-9)
+    assert k.taps[0, 0] == pytest.approx(CORNER_2D, abs=1e-9)
+    assert k.total_weight == pytest.approx(2.0, abs=1e-12)
+
+
+def test_svls_weights_3d_values():
+    k = SvlsKernel(3, 1.0)
+    assert k.taps[1, 1, 1] == 1.0
+    assert k.taps[1, 1, 0] == pytest.approx(FACE_3D, abs=1e-9)
+    assert k.taps[1, 0, 0] == pytest.approx(EDGE_3D, abs=1e-9)
+    assert k.taps[0, 0, 0] == pytest.approx(CORNER_3D, abs=1e-9)
+    assert k.total_weight == pytest.approx(2.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+def test_total_weight_two_and_equal_contribution(rank, sigma):
+    k = SvlsKernel(rank, sigma)
+    assert abs(k.total_weight - 2.0) <= 1e-12
+    # center and combined surroundings contribute equally
+    assert k.taps[(1,) * rank] / k.total_weight == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("sigma", [0.1, 0.12, 0.15, 0.5, 1.0, 2.0])
+def test_matches_high_precision_recomputation(rank, sigma):
+    # relative error: the small-sigma taps are far below 1
+    expected = hp_svls_taps(rank, sigma)
+    got = SvlsKernel(rank, sigma).taps
+    assert np.abs(got / expected - 1.0).max() <= 1e-13
+
+
+def test_taps_strictly_decrease_with_squared_offset():
+    k = SvlsKernel(3, 1.0)
+    by_r2 = {}
+    for off in itertools.product((-1, 0, 1), repeat=3):
+        if off == (0, 0, 0):
+            continue
+        by_r2.setdefault(sum(o * o for o in off), set()).add(k.taps[tuple(o + 1 for o in off)])
+    radii = sorted(by_r2)
+    values = [by_r2[r].pop() for r in radii]
+    assert all(len(by_r2[r]) == 0 for r in radii)  # equal within each shell
+    assert all(a > b for a, b in zip(values, values[1:]))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_signed_permutation_symmetry(rank):
+    taps = SvlsKernel(rank, 1.0).taps
+    for perm in itertools.permutations(range(rank)):
+        permuted = np.transpose(taps, perm)
+        for flips in itertools.product([1, -1], repeat=rank):
+            view = permuted[tuple(slice(None, None, f) for f in flips)]
+            assert np.array_equal(view, taps)
+
+
+def test_kernel_holds_read_only_shell_weights():
+    k = SvlsKernel(3, 1.0)
+    assert k.weights.shape == (4,) and k.weights.dtype == np.float64
+    assert not k.weights.flags.writeable
+    assert k.total_weight == float(k.taps.sum())
+
+
+def test_kernel_total_weight_is_computed_not_given():
+    k = SvlsKernel(2, 1.0)
+    assert k.total_weight == pytest.approx(2.0, abs=1e-12)
+    # the weights and their sum follow from rank and sigma alone
+    with pytest.raises(TypeError):
+        SvlsKernel(2, 1.0, weights=k.weights)
+    with pytest.raises(TypeError):
+        SvlsKernel(2, 1.0, total_weight=5.0)
+
+
+def test_kernels_compare_and_hash_by_rank_and_sigma():
+    assert SvlsKernel(3, 1) == SvlsKernel(3, 1.0)
+    assert SvlsKernel(3, 1.0) != SvlsKernel(3, 2.0)
+    assert SvlsKernel(3, 1.0) != SvlsKernel(2, 1.0)
+    assert len({SvlsKernel(3, 1), SvlsKernel(3, 1.0), SvlsKernel(2, 1.0)}) == 2
+
+
+def test_rank_or_sigma_of_the_wrong_type_is_a_value_error():
+    # a rank is an integer, a numpy one too; sigma is a real number, never a bool
+    for rank, sigma, message in [(3.0, 1.0, "rank must be 2 or 3, got 3.0"),
+                                 (2, "1", "sigma must be positive and finite, got 1"),
+                                 (3, None, "sigma must be positive and finite, got None"),
+                                 (2, True, "sigma must be positive and finite, got True")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SvlsKernel(rank, sigma)
+    assert SvlsKernel(np.int64(3), np.float32(0.5)) == SvlsKernel(3, 0.5)
 
 
 def clamped_correlation(grid, taps):

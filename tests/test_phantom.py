@@ -102,9 +102,9 @@ def test_rater_single_equals_base_smoothing():
 
 def test_rater_set_validation():
     spec = PhantomSpec(kind="homogeneous", dims=(3, 3))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need at least 1 rater, got 0$"):
         generate_rater_set(spec, num_raters=0, jitter=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^jitter must be >= 0, got -1$"):
         generate_rater_set(spec, num_raters=2, jitter=-1)
 
 
@@ -115,6 +115,11 @@ def test_fig3_multirater_geometry():
     # the two foreground classes touch along the last axis
     touching = (vol.data[:, :-1] == 1) & (vol.data[:, 1:] == 2)
     assert touching.any()
+    # the box spans the middle half of each axis, split at the middle of the last
+    expected = np.zeros((6, 12), np.uint8)
+    expected[1:5, 3:6], expected[1:5, 6:9] = 1, 2
+    assert np.array_equal(generate_labels(PhantomSpec(kind="fig3_multirater", dims=(6, 12), num_classes=3)).data,
+                          expected)
 
 
 def test_miscalibrated_on_simplex():
@@ -173,13 +178,10 @@ def test_phantom_spec_validation():
         PhantomSpec(kind="cube", dims=(3, 3))
     with pytest.raises(ValueError, match="dims"):
         PhantomSpec(kind="homogeneous", dims=(3,))
-    with pytest.raises(ValueError, match="strength"):
-        PhantomSpec(kind="homogeneous", dims=(3, 3), strength=-1.0)
-    for bad in (math.inf, math.nan):
-        with pytest.raises(ValueError, match="strength"):
-            PhantomSpec(kind="miscalibrated_pred", dims=(3, 3), strength=bad)
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         PhantomSpec(kind="homogeneous", dims=(3, 3), seed=-1)
+    with pytest.raises(ValueError, match="^num_classes must be >= 2, got 1$"):
+        PhantomSpec(kind="homogeneous", dims=(3, 3), num_classes=1)
     with pytest.raises(ValueError, match="classes"):
         generate_labels(PhantomSpec(kind="nested_spheres", dims=(9, 9, 9), num_classes=2))
 
@@ -201,6 +203,24 @@ def test_miscalibrated_rejects_a_strength_that_is_negative_or_not_finite():
                                         ("nested_spheres", (5, 5, 5)), ("fig3_multirater", (4, 4))])
 def test_each_kind_accepts_its_smallest_dims(kind, dims):
     assert generate_labels(PhantomSpec(kind, dims, num_classes=3)).dims == dims
+
+
+@pytest.mark.parametrize("kind, dims, classes, message", [
+    ("straight_boundary", (1, 4), 2, r"straight_boundary needs dims\[0\] >= 2, got \(1, 4\)"),
+    ("nested_spheres", (5, 5, 4), 3, r"nested_spheres needs all dims >= 5, got \(5, 5, 4\)"),
+    ("fig3_multirater", (4, 3), 3, r"fig3_multirater needs all dims >= 4, got \(4, 3\)"),
+    ("fig3_multirater", (4, 4), 2, "fig3_multirater needs at least 3 classes"),
+])
+def test_each_kind_rejects_a_volume_it_cannot_draw(kind, dims, classes, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate_labels(PhantomSpec(kind, dims, num_classes=classes))
+
+
+def test_defaults_are_two_classes_and_seed_0():
+    spec = PhantomSpec("miscalibrated_pred", (4, 5))
+    assert spec == PhantomSpec("miscalibrated_pred", (4, 5), num_classes=2, seed=0)
+    labels = generate_labels(spec)
+    assert np.array_equal(generate_miscalibrated(labels, 0.1).data, generate_miscalibrated(labels, 0.1, seed=0).data)
 
 
 # sha256 of the payload bytes (C order) at one small seeded spec per kind,

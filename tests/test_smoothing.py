@@ -90,7 +90,7 @@ def test_svls_straight_boundary_worked_value():
 
 
 def test_svls_matches_naive_oracle(rng):
-    kernel2, kernel3 = SvlsKernel(2), SvlsKernel(3)
+    kernel2, kernel3 = SvlsKernel(2, 1.0), SvlsKernel(3, 1.0)
     for _ in range(10):
         rank = int(rng.integers(2, 4))
         dims = tuple(rng.integers(1, 8, size=rank))
@@ -252,7 +252,7 @@ def test_msvls_is_correctly_rounded_mean_of_naive_svls(raters):
     # one stencil pass over the vote shares, rounded to float32 once: every
     # voxel lies within half a float32 ulp of the float64 per-rater mean
     first = raters.raters[0]
-    kernel = SvlsKernel(first.rank)
+    kernel = SvlsKernel(first.rank, 1.0)
     expected = np.mean([naive_svls(r.data, first.num_classes, kernel.taps) for r in raters.raters], axis=0)
     got = msvls_fuse(raters, kernel.sigma).data.astype(np.float64)
     _, exponent = np.frexp(expected)
@@ -288,7 +288,7 @@ def test_msvls_vote_sums_of_many_raters_do_not_wrap(rng):
         data = base.copy()
         data[tuple(rng.integers(0, n) for n in data.shape)] ^= 1
         raters.append(grid(data))
-    kernel = SvlsKernel(3)
+    kernel = SvlsKernel(3, 1.0)
     fused = ndimage_msvls([r.data for r in raters], 2, kernel.taps)
     assert float32_ulps(msvls_fuse(RaterSet(tuple(raters)), kernel.sigma).data, fused).max() <= 1
 

@@ -92,7 +92,8 @@ def run_tests(copy: Path, tests: list[str]) -> tuple[str, str]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("module", help="a module of src/svls, such as calibration")
+    modules = sorted(p.stem for p in (ROOT / "src" / "svls").glob("*.py") if p.stem != "__init__")
+    parser.add_argument("module", choices=modules, help="a module of src/svls, such as calibration")
     args = parser.parse_args(argv)
     path = ROOT / "src" / "svls" / f"{args.module}.py"
     source = path.read_text(encoding="utf-8")

@@ -16,9 +16,9 @@ count from `np.searchsorted` at the bin edges, its mean probability from a
 float64 sum over its slice. The stored float32 or float64 values are sorted
 and searched in their own dtype (reliability's edges are rounded down to that
 dtype, which for right-closed bins keeps every membership), and each slice is
-summed in float64 blocks of SUM_BLOCK values, added in order: a float32
-population is widened one block at a time, never whole, and scores exactly
-as its float64 widening.
+summed in float64 blocks of `volume.SUM_BLOCK` values (its `volume.slabs`),
+added in order: a float32 population is widened one block at a time, never
+whole, and scores exactly as its float64 widening.
 """
 
 from __future__ import annotations
@@ -27,9 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import LabelVolume, SoftLabelVolume, check_same_grid, top_class
-
-SUM_BLOCK = 1 << 14  # values widened to float64 at once: 128 KiB
+from .volume import LabelVolume, SoftLabelVolume, _check_int, check_same_grid, slabs, top_class
 
 
 @dataclass(frozen=True)
@@ -60,23 +58,21 @@ class CalibrationReport:
 
 
 def check_num_bins(num_bins: int) -> None:
-    """Reject a reliability bin count below 1."""
-    if num_bins < 1:
-        raise ValueError(f"num_bins must be >= 1, got {num_bins}")
+    """Reject a reliability bin count that is not an integer or is below 1."""
+    _check_int(num_bins, f"num_bins must be >= 1, got {num_bins}", 1)
 
 
 def check_tace_params(threshold: float, num_ranges: int) -> None:
-    """Reject a TACE floor outside [0, 1) or a range count below 1."""
+    """Reject a TACE floor outside [0, 1), or a range count that is not an
+    integer or is below 1."""
     if not (0.0 <= threshold < 1.0):
         raise ValueError(f"threshold must be in [0, 1), got {threshold}")
-    if num_ranges < 1:
-        raise ValueError(f"num_ranges must be >= 1, got {num_ranges}")
+    _check_int(num_ranges, f"num_ranges must be >= 1, got {num_ranges}", 1)
 
 
 def _sum64(values: np.ndarray) -> float:
-    """Float64 sum of a 1-D array, SUM_BLOCK values at a time."""
-    blocks = range(0, values.size, SUM_BLOCK)
-    return sum((values[i : i + SUM_BLOCK].astype(np.float64, copy=False).sum() for i in blocks), 0.0)
+    """Float64 sum of a 1-D array, `volume.SUM_BLOCK` values at a time."""
+    return sum((values[part].astype(np.float64, copy=False).sum() for part in slabs(values.shape)), 0.0)
 
 
 def _bin_stats(probs: np.ndarray, hit_probs: np.ndarray, cuts: np.ndarray, side: str):

@@ -26,6 +26,12 @@ grid holds counts: unsigned integers of at most 32 bits, nothing else. No
 shell sum covers more voxels than the widest shell (4 in 2D, 12 in 3D), so
 the sums are taken exactly in the smallest unsigned type that holds that many
 times the largest count.
+
+The shell sums are whole-grid integer arrays; only the float64 result is a
+whole plane. Each weighted shell is added into it one slab of rows at a time
+(`volume.slabs`), through one slab of float64 scratch, in shell order within
+each slab: per voxel the same additions in the same order as whole-plane
+terms, so the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +41,8 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .volume import _check_int, slabs
 
 
 def _shell_sizes(rank: int) -> list[int]:
@@ -61,8 +69,7 @@ class SvlsKernel:
 
     def __post_init__(self):
         rank, sigma = self.rank, self.sigma
-        if not isinstance(rank, numbers.Integral) or rank not in (2, 3):  # a bool is 0 or 1
-            raise ValueError(f"rank must be 2 or 3, got {rank}")
+        _check_int(rank, f"rank must be 2 or 3, got {rank}", 2, 3)
         real = isinstance(sigma, numbers.Real) and not isinstance(sigma, bool)
         if not (real and 0 < sigma < math.inf):  # NaN fails too
             raise ValueError(f"sigma must be positive and finite, got {sigma}")
@@ -117,14 +124,14 @@ def correlate_padded(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # shells[m]: sum of the neighbours whose offset leaves the center on m axes
     shells = [counts]
     for axis in range(rank):
-        for m in range(len(shells), 0, -1):
-            pairs = _pair_sum(shells[m - 1], axis)
-            if m == len(shells):
-                shells.append(pairs)
-            else:
-                shells[m] += pairs
+        shells.append(_pair_sum(shells[-1], axis))
+        for m in range(len(shells) - 2, 0, -1):  # descending: shells[m - 1] still holds the last axis's sums
+            shells[m] += _pair_sum(shells[m - 1], axis)
     out = np.multiply(shells[0], weights[0], dtype=np.float64)
-    term = np.empty_like(out)
-    for sums, weight in zip(shells[1:], weights[1:]):
-        out += np.multiply(sums, weight, out=term)
+    parts = slabs(out.shape)
+    scratch = np.empty_like(out[parts[0]])
+    for part in parts:
+        acc, term = out[part], scratch[: part.stop - part.start]
+        for sums, weight in zip(shells[1:], weights[1:]):
+            acc += np.multiply(sums[part], weight, out=term)
     return out

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .volume import SoftLabelVolume, _check_class_axis, _check_spacing, _owned, check_same_grid
+from .volume import SoftLabelVolume, _check_class_axis, _check_spacing, _owned, check_same_grid, slabs
 
 LOG_FLOOR = 1e-12  # the loss is undefined at p=0; predictions are clamped here
 
@@ -63,9 +63,10 @@ def softmax(logits: LogitVolume) -> SoftLabelVolume:
 
     Computed in float64 for either score dtype: each class plane minus the
     class max is cast into one fresh float64 volume, which is exponentiated
-    and divided by its class sum in place, then handed to the container
-    without a copy. Widening float32 is exact, so float32 scores give the
-    bytes of the same scores given as float64.
+    in place and divided by its class sum one slab of rows at a time
+    (`volume.slabs`), so the sum is one float64 slab, then handed to the
+    container without a copy. Widening float32 is exact, so float32 scores
+    give the bytes of the same scores given as float64.
     """
     scores = logits.data
     top = scores.max(axis=0)
@@ -73,7 +74,9 @@ def softmax(logits: LogitVolume) -> SoftLabelVolume:
     for z_c, p_c in zip(scores, probs):
         np.subtract(z_c, top, out=p_c, dtype=np.float64)
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0)
+    for part in slabs(top.shape):
+        slab = probs[:, part]
+        slab /= slab.sum(axis=0)
     probs.setflags(write=False)
     return SoftLabelVolume(probs, logits.spacing)
 
@@ -81,26 +84,30 @@ def softmax(logits: LogitVolume) -> SoftLabelVolume:
 def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossReport:
     """Per-voxel -sum_c target*log(predicted) and its unweighted voxel mean.
 
-    The terms are summed one float64 class plane at a time, in class order
-    from class 0's term and negated at the end: the operations and order of
-    one float64 sum over the class axis, without a float64 copy of either
-    whole volume. Class 0's term is computed in the sum's own plane and each
-    later term in one reusable scratch plane, so the loss holds two float64
-    planes whatever the class count.
+    The terms are summed one slab of rows (`volume.slabs`) at a time, in
+    class order from class 0's term and negated at the end: per voxel the
+    operations and order of one float64 sum over the class axis, without a
+    float64 copy of either whole volume. Class 0's term is computed in the
+    sum's own slab and each later term in one reusable float64 slab of
+    scratch, so the loss holds its float64 per-voxel plane and one slab
+    whatever the class count.
     """
     for operand in (target, predicted):
         if not isinstance(operand, SoftLabelVolume):
             raise TypeError(f"cross_entropy scores probability volumes, got a {type(operand).__name__}")
     check_same_grid(target, predicted)
     per_voxel = np.empty(target.dims, dtype=np.float64)
-    scratch = np.empty_like(per_voxel)
-    for c, (t, p) in enumerate(zip(target.data, predicted.data)):
-        term = scratch if c else per_voxel
-        np.maximum(p, LOG_FLOOR, out=term, dtype=np.float64)
-        np.log(term, out=term)
-        term *= t
-        if c:
-            per_voxel += term
+    parts = slabs(target.dims)
+    scratch = np.empty_like(per_voxel[parts[0]])
+    for part in parts:
+        acc = per_voxel[part]
+        for c, (t, p) in enumerate(zip(target.data[:, part], predicted.data[:, part])):
+            term = scratch[: part.stop - part.start] if c else acc
+            np.maximum(p, LOG_FLOOR, out=term, dtype=np.float64)
+            np.log(term, out=term)
+            term *= t
+            if c:
+                acc += term
     np.negative(per_voxel, out=per_voxel)
     return LossReport(total=float(per_voxel.mean()), per_voxel=per_voxel)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothing import RaterSet
-from .volume import LabelVolume, SoftLabelVolume
+from .volume import LabelVolume, SoftLabelVolume, _check_int
 
 KINDS = (
     "homogeneous",
@@ -28,13 +28,13 @@ BASE_ACCURACY = 0.7  # share of generate_miscalibrated's voxels whose predicted 
 
 
 def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_int(seed, f"seed must be >= 0, got {seed}", 0)
 
 
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Parameters of a synthetic volume."""
+    """Parameters of a synthetic volume. The extents, class count and seed
+    are integers, numpy ones too, but not bools."""
 
     kind: str
     dims: tuple[int, ...]
@@ -44,13 +44,15 @@ class PhantomSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        dims = tuple(int(d) for d in self.dims)
-        if len(dims) not in (2, 3) or any(d < 1 for d in dims):
-            raise ValueError(f"dims must be 2 or 3 positive extents, got {self.dims}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        dims = tuple(self.dims)
+        what = f"dims must be 2 or 3 positive extents, got {self.dims}"
+        if len(dims) not in (2, 3):
+            raise ValueError(what)
+        for d in dims:
+            _check_int(d, what, 1)
+        _check_int(self.num_classes, f"num_classes must be >= 2, got {self.num_classes}", 2)
         _check_seed(self.seed)
-        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
 
 
 def _spacing(spec: PhantomSpec) -> tuple[float, ...]:
@@ -127,10 +129,8 @@ def generate_rater_set(spec: PhantomSpec, num_raters: int, jitter: int) -> Rater
     (spec.seed, rater index); out-of-range reads replicate the border. With
     jitter 0 all raters are identical to the base volume.
     """
-    if num_raters < 1:
-        raise ValueError(f"need at least 1 rater, got {num_raters}")
-    if jitter < 0:
-        raise ValueError(f"jitter must be >= 0, got {jitter}")
+    _check_int(num_raters, f"need at least 1 rater, got {num_raters}", 1)
+    _check_int(jitter, f"jitter must be >= 0, got {jitter}", 0)
     base = generate_labels(spec)
     raters = []
     for j in range(num_raters):

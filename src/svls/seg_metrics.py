@@ -89,10 +89,13 @@ def _tolerance_ball(shape, spacing, tolerance_mm: float) -> np.ndarray:
     bit with an EDT distance compared against the tolerance. The reach keeps
     one step beyond `tol // s`, because the floor division can round a
     lattice point lying exactly at the tolerance down (0.8999999999999999 //
-    0.3 == 2); offsets past the volume never matter.
+    0.3 == 2); offsets past the volume never matter, so the reach is capped
+    at `n - 1` before it becomes an integer. The quotient is a Python float
+    division: where it overflows (a huge tolerance, a tiny spacing) it is inf,
+    without a numpy warning, and the cap takes over.
     """
+    reach = np.array([int(min(float(tolerance_mm) // float(s) + 1, n - 1)) for s, n in zip(spacing, shape)])
     spacing = np.asarray(spacing, dtype=np.float64)
-    reach = np.array([min(int(tolerance_mm // s) + 1, n - 1) for s, n in zip(spacing, shape)])
     column = (-1,) + (1,) * len(reach)
     offsets = np.indices(2 * reach + 1) - reach.reshape(column)
     return np.sqrt(np.add.reduce((offsets * spacing.reshape(column)) ** 2, axis=0)) <= tolerance_mm

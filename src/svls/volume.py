@@ -12,11 +12,18 @@ a caller's own array is never frozen. Producers that build a fresh array for
 a container (the readers, the soft-label encoders, softmax) allocate it in
 its final shape and freeze it once they are done writing, so they hand it
 over without a copy.
+
+Float64 scratch that only feeds a per-voxel step (the soft-volume sum check
+here, the stencil's weighted shells, softmax's divisor, the loss's class
+terms) is held one slab at a time: `slabs` cuts a grid along its first axis
+into runs of rows of at most SUM_BLOCK voxels, at least one row each. Every
+step is per voxel, so a slab gives each voxel the bytes the whole grid would.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +32,22 @@ import numpy as np
 SUM_TOL = 1e-6
 
 MAX_CLASSES = 256  # labels are stored as uint8
+
+SUM_BLOCK = 1 << 14  # values held in float64 scratch at once: 128 KiB
+
+
+def slabs(shape) -> list[slice]:
+    """Slices along the first axis of a grid of `shape`, in order, each
+    covering at most SUM_BLOCK voxels and at least one row."""
+    rows = max(1, SUM_BLOCK // math.prod(shape[1:]))
+    return [slice(i, min(i + rows, shape[0])) for i in range(0, shape[0], rows)]
+
+
+def _check_int(value, what: str, low: int, high: float = math.inf) -> None:
+    """Reject anything but an integer in [low, high], a numpy one too but
+    not a bool, with the message `what`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not low <= value <= high:
+        raise ValueError(what)
 
 
 def _check_spacing(spacing, rank: int) -> tuple[float, ...]:
@@ -52,9 +75,9 @@ def _owned(arr: np.ndarray, dtype) -> np.ndarray:
 
 
 def _check_num_classes(num_classes: int) -> None:
-    """Reject a label class count that uint8 storage cannot hold, or below 2."""
-    if not (2 <= num_classes <= MAX_CLASSES):
-        raise ValueError(f"num_classes must be in [2, {MAX_CLASSES}], got {num_classes}")
+    """Reject a label class count that is not an integer, that uint8 storage
+    cannot hold, or below 2."""
+    _check_int(num_classes, f"num_classes must be in [2, {MAX_CLASSES}], got {num_classes}", 2, MAX_CLASSES)
 
 
 def _check_class_axis(arr: np.ndarray, kind: str) -> None:
@@ -140,14 +163,17 @@ class SoftLabelVolume:
             raise ValueError(
                 f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
             )
-        # one float64 plane: the deviation is taken in place, and only the error takes the sums again
-        deviation = arr.sum(axis=0, dtype=np.float64)
-        deviation -= 1.0
-        bad = np.abs(deviation, out=deviation) > SUM_TOL
-        if bad.any():
-            sums = arr.sum(axis=0, dtype=np.float64)
-            idx = tuple(int(i) for i in np.unravel_index(int(np.argmax(bad)), sums.shape))
-            raise ValueError(f"voxel {idx} probabilities sum to {float(sums[idx])}, expected 1 +/- {SUM_TOL}")
+        # one float64 slab: the deviation is taken in place, and only the error takes the sums again
+        parts = slabs(arr.shape[1:])
+        scratch = np.empty((parts[0].stop,) + arr.shape[2:], dtype=np.float64)
+        for part in parts:
+            deviation = arr[:, part].sum(axis=0, dtype=np.float64, out=scratch[: part.stop - part.start])
+            deviation -= 1.0
+            if (np.abs(deviation, out=deviation) > SUM_TOL).any():
+                sums = arr.sum(axis=0, dtype=np.float64)
+                bad = np.argmax(np.abs(sums - 1.0) > SUM_TOL)
+                idx = tuple(int(i) for i in np.unravel_index(int(bad), sums.shape))
+                raise ValueError(f"voxel {idx} probabilities sum to {float(sums[idx])}, expected 1 +/- {SUM_TOL}")
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, arr.ndim - 1))
 

@@ -1,10 +1,13 @@
+import contextlib
 import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from svls import LabelVolume, tensor_io
+from svls import LabelVolume, tensor_io, volume
 
 
 @pytest.fixture
@@ -40,3 +43,28 @@ def forbid_payload_read(monkeypatch):
         return open(file, mode, *args, **kwargs)
 
     monkeypatch.setattr(tensor_io, "open", guarded_open, raising=False)
+
+
+@st.composite
+def slab_cuts(draw):
+    """2-D or 3-D spatial dims, a `volume.SUM_BLOCK` that cuts them into slabs
+    of `rows` rows, and the slab count. The first extent is 1, rows - 1,
+    rows, rows + 1, or 2 * rows plus a ragged last slab; the other extents
+    are 1-4, and a block below one row still gives one-row slabs."""
+    rest = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)))
+    row = math.prod(rest)
+    rows = draw(st.integers(1, 4))
+    block = rows * row + draw(st.integers(0, row - 1))
+    if rows == 1 and draw(st.booleans()):
+        block = draw(st.integers(1, row))
+    first = draw(st.sampled_from([1, rows - 1, rows, rows + 1, 2 * rows + draw(st.integers(1, max(rows - 1, 1)))]))
+    first = max(first, 1)
+    return (first,) + rest, block, -(-first // rows)
+
+
+@contextlib.contextmanager
+def sum_block(block):
+    """Run the body with `volume.SUM_BLOCK`, and so every slab, set to `block` voxels."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(volume, "SUM_BLOCK", block)
+        yield

@@ -174,6 +174,25 @@ def test_tace_parameter_validation(rng):
         tace(ref, pred, num_ranges=0)
 
 
+@pytest.mark.parametrize("bad", [2.5, True, np.float64(3.0)])
+def test_bin_and_range_counts_must_be_integers(bad):
+    ref = labels_2d([[0, 1]])
+    pred = one_hot_encode(ref)
+    with pytest.raises(ValueError) as info:
+        reliability(ref, pred, num_bins=bad)
+    assert str(info.value) == f"num_bins must be >= 1, got {bad}"
+    with pytest.raises(ValueError) as info:
+        tace(ref, pred, num_ranges=bad)
+    assert str(info.value) == f"num_ranges must be >= 1, got {bad}"
+
+
+def test_bin_and_range_counts_may_be_numpy_integers():
+    ref = labels_2d([[0, 1]])
+    pred = one_hot_encode(ref)
+    assert len(reliability(ref, pred, num_bins=np.int64(3))) == 3
+    assert tace(ref, pred, num_ranges=np.int32(2)) == 0.0
+
+
 def test_tace_rejects_class_count_mismatch():
     ref = labels_2d([[0, 3]], num_classes=4)
     pred = probs_2d([[[0.5, 0.5]], [[0.5, 0.5]]])

@@ -676,6 +676,30 @@ def test_evaluate_checks_tolerance_before_reading(tmp_path, capsys, tolerance):
     assert "tolerance" in error["message"]
 
 
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning would reach stderr as a second line
+@pytest.mark.parametrize("tolerance, spacing", [("1e308", 0.5), ("2", 5e-324)])
+def test_evaluate_survives_a_tolerance_ball_reach_beyond_float_range(tmp_path, capsys, tolerance, spacing):
+    # tolerance / spacing overflows to inf; the reach is capped by the volume
+    spec = svls.PhantomSpec("nested_spheres", (8, 10, 12), num_classes=3)
+    labels = svls.generate_labels(spec)
+    ref = LabelVolume(labels.data, (spacing,) * 3, 3)
+    write_volume(ref, tmp_path / "ref.svlv")
+    write_volume(one_hot_encode(ref), tmp_path / "pred.svlv")
+    out_dir = tmp_path / "eval"
+    code, _, err = run(
+        ["evaluate", "--ref", str(tmp_path / "ref.svlv"), "--pred", str(tmp_path / "pred.svlv"),
+         "--sd-tolerance", tolerance, "--out", str(out_dir)], capsys,
+    )
+    assert code in (0, 1, 2)
+    lines = err.splitlines()
+    assert len(lines) <= 1, err
+    if lines:
+        assert json.loads(lines[0])["error"] != "internal"
+    assert code == 0
+    rows = json.loads((out_dir / "segmentation.json").read_text())["classes"]
+    assert all(row["sd"] == 1.0 for row in rows)
+
+
 @pytest.mark.parametrize(
     "flag, value, word",
     [("--ece-bins", "0", "num_bins"), ("--tace-ranges", "0", "num_ranges"), ("--tace-threshold", "1.5", "threshold"),

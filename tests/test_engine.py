@@ -3,10 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from svls import SvlsKernel, engine
+from svls import LabelVolume, RaterSet, SvlsKernel, engine, msvls_fuse, svls_smooth, volume
 
-from oracles import hp_svls_taps
+from conftest import slab_cuts, sum_block
+from oracles import hp_svls_taps, naive_svls, ndimage_msvls
 
 # frozen from the 50-digit recomputation in oracles.hp_svls_taps
 EDGE_2D = 0.1556148328
@@ -223,3 +227,31 @@ def test_correlate_rejects_mismatched_taps(rng):
         engine.correlate_padded(grid, rng.random((3, 3, 3)))
     with pytest.raises(ValueError, match="shell weights"):
         engine.correlate_padded(grid[0, 0], rng.random(2))
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=slab_cuts(), data=st.data())
+def test_slabbed_stencil_keeps_the_whole_plane_bytes(cut, data):
+    # the weighted shells go into the result one slab of rows at a time;
+    # one slab over the whole plane is the unslabbed stencil
+    dims, block, num_slabs = cut
+    n = data.draw(st.integers(2, 4))
+    labels = arrays(np.uint8, dims, elements=st.integers(0, n - 1))
+    raters = [data.draw(labels) for _ in range(data.draw(st.integers(1, 3)))]
+    rater_set = RaterSet(tuple(LabelVolume(r, (1.0,) * len(dims), n) for r in raters))
+    sigma = data.draw(st.sampled_from([0.5, 1.0, 2.0]))
+    with sum_block(block):
+        assert len(volume.slabs(dims)) == num_slabs
+        single = svls_smooth(rater_set.raters[0], sigma).data
+        fused = msvls_fuse(rater_set, sigma).data
+    with sum_block(math.prod(dims)):
+        assert len(volume.slabs(dims)) == 1
+        assert single.tobytes() == svls_smooth(rater_set.raters[0], sigma).data.tobytes()
+        assert fused.tobytes() == msvls_fuse(rater_set, sigma).data.tobytes()
+    taps = SvlsKernel(len(dims), sigma).taps
+    # within half a float32 ulp of the float64 naive loop, one ulp of scipy's correlation
+    expected = naive_svls(raters[0], n, taps)
+    half_ulp = np.ldexp(0.5, np.frexp(expected)[1] - 24)
+    assert np.all(np.abs(single - expected) <= half_ulp + 1e-15)
+    ulps = np.abs(fused.view(np.int32).astype(np.int64) - ndimage_msvls(raters, n, taps).view(np.int32))
+    assert ulps.max() <= 1

@@ -16,9 +16,11 @@ from svls import (
     one_hot_encode,
     softmax,
     svls_smooth,
+    volume,
 )
 from svls.loss import LOG_FLOOR
 
+from conftest import slab_cuts, sum_block
 from oracles import whole_volume_cross_entropy, whole_volume_softmax
 
 SPACING2 = (1.0, 1.0)
@@ -162,10 +164,12 @@ def test_cross_entropy_affine_in_alpha(rng):
 
 
 @st.composite
-def scored_grids(draw):
+def scored_grids(draw, dims=None):
     """Targets (shares of random counts, float32 or float64, or one-hot) and
-    float32 or float64 logits on one random 2-D or 3-D grid."""
-    dims = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=3)))
+    float32 or float64 logits on one grid, the given dims or random 2-D or
+    3-D ones."""
+    if dims is None:
+        dims = tuple(draw(st.lists(st.integers(1, 6), min_size=2, max_size=3)))
     n = draw(st.integers(2, 5))
     spacing = (1.0,) * len(dims)
     counts = draw(arrays(np.int64, (n,) + dims, elements=st.integers(0, 6)))
@@ -181,10 +185,7 @@ def scored_grids(draw):
     return target, LogitVolume(scores, spacing)
 
 
-@settings(max_examples=150, deadline=None)
-@given(grids=scored_grids())
-def test_per_voxel_loss_has_the_whole_volume_oracles_bytes(grids):
-    target, scores = grids
+def assert_whole_volume_oracle_bytes(target, scores):
     predicted = softmax(scores)
     # float32 scores stay float32 in the container; widening them is exact
     expected_probs = whole_volume_softmax(scores.data.astype(np.float64))
@@ -195,3 +196,20 @@ def test_per_voxel_loss_has_the_whole_volume_oracles_bytes(grids):
         # bytes, not values: the sign of a zero loss counts too
         assert report.per_voxel.tobytes() == expected.tobytes()
         assert report.total == expected.mean()
+
+
+@settings(max_examples=150, deadline=None)
+@given(grids=scored_grids())
+def test_per_voxel_loss_has_the_whole_volume_oracles_bytes(grids):
+    assert_whole_volume_oracle_bytes(*grids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=slab_cuts(), data=st.data())
+def test_slabbed_softmax_and_loss_keep_the_whole_volume_oracles_bytes(cut, data):
+    # softmax's divisor and the loss's class terms are taken one slab of rows at a time
+    dims, block, num_slabs = cut
+    grids = data.draw(scored_grids(dims))
+    with sum_block(block):
+        assert len(volume.slabs(dims)) == num_slabs
+        assert_whole_volume_oracle_bytes(*grids)

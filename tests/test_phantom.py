@@ -186,6 +186,43 @@ def test_phantom_spec_validation():
         generate_labels(PhantomSpec(kind="nested_spheres", dims=(9, 9, 9), num_classes=2))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dims", (2.7, 3.9), "dims must be 2 or 3 positive extents, got (2.7, 3.9)"),
+    ("dims", (True, 3), "dims must be 2 or 3 positive extents, got (True, 3)"),
+    ("num_classes", 2.5, "num_classes must be >= 2, got 2.5"),
+    ("seed", 1.5, "seed must be >= 0, got 1.5"),
+    ("seed", True, "seed must be >= 0, got True"),
+])
+def test_spec_rejects_extents_class_counts_and_seeds_that_are_not_integers(field, value, message):
+    kwargs = dict(kind="homogeneous", dims=(2, 3), num_classes=2, seed=0)
+    kwargs[field] = value
+    with pytest.raises(ValueError) as info:
+        PhantomSpec(**kwargs)
+    assert str(info.value) == message
+
+
+def test_spec_takes_numpy_integers_as_python_ints():
+    spec = PhantomSpec("homogeneous", (np.int64(2), np.uint8(3)), num_classes=np.int32(2), seed=np.int64(1))
+    assert spec.dims == (2, 3) and all(type(d) is int for d in spec.dims)
+
+
+@pytest.mark.parametrize("num_raters, jitter, message", [
+    (2.5, 0, "need at least 1 rater, got 2.5"),
+    (True, 0, "need at least 1 rater, got True"),
+    (2, 1.5, "jitter must be >= 0, got 1.5"),
+])
+def test_rater_set_rejects_a_count_or_jitter_that_is_not_an_integer(num_raters, jitter, message):
+    with pytest.raises(ValueError) as info:
+        generate_rater_set(PhantomSpec("homogeneous", (3, 3)), num_raters, jitter)
+    assert str(info.value) == message
+
+
+def test_miscalibrated_rejects_a_seed_that_is_not_an_integer():
+    labels = generate_labels(PhantomSpec(kind="homogeneous", dims=(4, 4)))
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got 1.5$"):
+        generate_miscalibrated(labels, 0.1, seed=1.5)
+
+
 def test_miscalibrated_rejects_a_negative_seed():
     labels = generate_labels(PhantomSpec(kind="homogeneous", dims=(4, 4)))
     with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):

@@ -19,10 +19,11 @@ from svls import (
     score_segmentation,
     surface_dice,
     tace,
+    volume,
 )
 from svls.volume import top_class
 
-from conftest import random_labels
+from conftest import random_labels, slab_cuts, sum_block
 
 
 def test_one_hot_single_voxel():
@@ -113,6 +114,27 @@ def test_label_volume_rejects_single_class():
         LabelVolume(np.zeros((2, 2), dtype=np.uint8), (1.0, 1.0), 1)
 
 
+@pytest.mark.parametrize("num_classes", [2.5, 3.0, True, "3"])
+def test_label_volume_rejects_a_class_count_that_is_not_an_integer(num_classes):
+    with pytest.raises(ValueError) as info:
+        LabelVolume(np.zeros((3, 3), dtype=np.uint8), (1.0, 1.0), num_classes)
+    assert str(info.value) == f"num_classes must be in [2, 256], got {num_classes}"
+
+
+def test_label_volume_takes_a_numpy_integer_class_count():
+    assert LabelVolume(np.zeros((3, 3), dtype=np.uint8), (1.0, 1.0), np.int64(3)).num_classes == 3
+
+
+@pytest.mark.parametrize("data, message", [
+    (np.zeros(3, dtype=np.uint8), "label volume must have 2 or 3 axes, got 1"),
+    (np.zeros((0, 3), dtype=np.uint8), r"all dims must be >= 1, got \(0, 3\)"),
+    (np.zeros((2, 2), dtype=np.float32), "labels must be integers, got dtype float32"),
+])
+def test_label_volume_names_its_shape_or_dtype_fault(data, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LabelVolume(data, (1.0,) * max(data.ndim, 2), 2)
+
+
 def test_label_volume_rejects_bad_spacing():
     with pytest.raises(ValueError):
         LabelVolume(np.zeros((2, 2), dtype=np.uint8), (1.0, 0.0), 2)
@@ -156,6 +178,51 @@ def test_soft_volume_rejects_bad_sum():
     assert str(info.value) == "voxel (0, 1) probabilities sum to 1.2000000476837158, expected 1 +/- 1e-06"
 
 
+def test_soft_volume_rejects_a_bad_sum_in_the_last_partial_slab():
+    # slabs of two rows cut axis 0 as [0, 2), [2, 4), [4, 5): the bad voxel is in the last
+    data = np.full((2, 5, 3, 2), 0.5, dtype=np.float32)
+    data[0, 4, 2, 1] = 0.75
+    with sum_block(12):
+        assert volume.slabs((5, 3, 2)) == [slice(0, 2), slice(2, 4), slice(4, 5)]
+        with pytest.raises(ValueError) as info:
+            SoftLabelVolume(data, (1.0, 1.0, 1.0))
+    assert str(info.value) == "voxel (4, 2, 1) probabilities sum to 1.25, expected 1 +/- 1e-06"
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=slab_cuts(), data=st.data())
+def test_sum_check_names_the_first_bad_voxel_whatever_its_slab(cut, data):
+    dims, block, num_slabs = cut
+    n = data.draw(st.integers(2, 4))
+    planes = np.full((n,) + dims, 1 / n, dtype=np.float32)
+    voxels = st.tuples(*(st.integers(0, d - 1) for d in dims))
+    bad = data.draw(st.lists(voxels, max_size=3, unique=True))
+    for voxel in bad:
+        planes[(0,) + voxel] += np.float32(0.25)
+    with sum_block(block):
+        assert len(volume.slabs(dims)) == num_slabs
+        if not bad:
+            SoftLabelVolume(planes, (1.0,) * len(dims))
+            return
+        with pytest.raises(ValueError) as info:
+            SoftLabelVolume(planes, (1.0,) * len(dims))
+    first = min(bad)  # C order
+    total = float(planes.sum(axis=0, dtype=np.float64)[first])
+    assert str(info.value) == f"voxel {first} probabilities sum to {total}, expected 1 +/- 1e-06"
+
+
+@pytest.mark.parametrize("shape, block, expected", [
+    ((5,), 2, [slice(0, 2), slice(2, 4), slice(4, 5)]),
+    ((4, 3), 6, [slice(0, 2), slice(2, 4)]),
+    ((4, 3), 8, [slice(0, 2), slice(2, 4)]),
+    ((3, 3), 2, [slice(0, 1), slice(1, 2), slice(2, 3)]),
+    ((1, 7, 7), 1 << 14, [slice(0, 1)]),
+])
+def test_slabs_cover_the_first_axis_in_runs_of_whole_rows(shape, block, expected):
+    with sum_block(block):
+        assert volume.slabs(shape) == expected
+
+
 def test_soft_volume_rejects_out_of_range():
     data = np.array([[[1.2]], [[-0.2]]], dtype=np.float32)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -180,7 +247,8 @@ def test_soft_volume_rejects_nan():
 @pytest.mark.parametrize("make", [SoftLabelVolume, LogitVolume], ids=["probs", "logits"])
 @pytest.mark.parametrize(
     "shape, message",
-    [((2, 3), "class axis plus 2 or 3"), ((1, 3, 3), "at least 2 classes"), ((2, 0, 3), "dims must be >= 1")],
+    [((2, 3), "class axis plus 2 or 3"), ((1, 3, 3), "at least 2 classes, got 1$"),
+     ((2, 0, 3), r"dims must be >= 1, got \(0, 3\)$")],
     ids=["no-class-axis", "one-class", "zero-extent"],
 )
 def test_class_axis_containers_share_one_shape_rule(make, shape, message):

@@ -27,11 +27,13 @@ shell sum covers more voxels than the widest shell (4 in 2D, 12 in 3D), so
 the sums are taken exactly in the smallest unsigned type that holds that many
 times the largest count.
 
-The shell sums are whole-grid integer arrays; only the float64 result is a
-whole plane. Each weighted shell is added into it one slab of rows at a time
-(`volume.slabs`), through one slab of float64 scratch, in shell order within
-each slab: per voxel the same additions in the same order as whole-plane
-terms, so the same bytes.
+The shell sums are whole-grid integer arrays; no float64 array is a whole
+plane. The result is built one slab of rows at a time (`volume.slabs`) in
+one float64 slab: the weighted shells are added in shell order, the sum is
+divided by each divisor in turn (the rater count, then the total weight),
+and the slab is written into the caller's plane, float32 for the encoders.
+Per voxel these are the same operations in the same order as on a whole
+float64 plane, so the same bytes.
 """
 
 from __future__ import annotations
@@ -105,12 +107,14 @@ def _pair_sum(a: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def correlate_padded(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Correlate a 2D/3D grid of counts with the stencil of `rank + 1` shell weights; float64 result.
+def correlate_padded(counts: np.ndarray, weights: np.ndarray, divisors, out: np.ndarray) -> np.ndarray:
+    """Correlate a 2D/3D grid of counts with the stencil of `rank + 1` shell
+    weights, divide by each of `divisors` in turn, and write it into `out`.
 
     Reads past the edge take the nearest in-range voxel (a replicated
-    border), so the result has the shape of `counts`. The counts must be
-    uint8, uint16 or uint32; their shell sums are exact.
+    border), so `out` has the shape of `counts`. The counts must be uint8,
+    uint16 or uint32; their shell sums are exact. Each voxel is taken in
+    float64 and rounded once, into `out`'s dtype; `out` is returned.
     """
     counts = np.asarray(counts)
     weights = np.asarray(weights, dtype=np.float64)
@@ -119,6 +123,8 @@ def correlate_padded(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
         raise ValueError(f"rank-{rank} grid does not match {weights.size} shell weights")
     if counts.dtype not in (np.uint8, np.uint16, np.uint32):
         raise ValueError(f"counts must be uint8, uint16 or uint32, got {counts.dtype}")
+    if out.shape != counts.shape:
+        raise ValueError(f"output of shape {out.shape} does not match the {counts.shape} grid")
     sums = np.min_scalar_type(max(_shell_sizes(rank)) * int(counts.max()))
     counts = counts.astype(np.result_type(counts.dtype, sums), copy=False)
     # shells[m]: sum of the neighbours whose offset leaves the center on m axes
@@ -127,11 +133,14 @@ def correlate_padded(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
         shells.append(_pair_sum(shells[-1], axis))
         for m in range(len(shells) - 2, 0, -1):  # descending: shells[m - 1] still holds the last axis's sums
             shells[m] += _pair_sum(shells[m - 1], axis)
-    out = np.multiply(shells[0], weights[0], dtype=np.float64)
     parts = slabs(out.shape)
-    scratch = np.empty_like(out[parts[0]])
+    scratch = np.empty((2, parts[0].stop) + out.shape[1:], dtype=np.float64)
     for part in parts:
-        acc, term = out[part], scratch[: part.stop - part.start]
+        acc, term = scratch[:, : part.stop - part.start]
+        np.multiply(shells[0][part], weights[0], out=acc)
         for sums, weight in zip(shells[1:], weights[1:]):
             acc += np.multiply(sums[part], weight, out=term)
+        for divisor in divisors:
+            acc /= divisor
+        out[part] = acc
     return out

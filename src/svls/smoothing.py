@@ -2,7 +2,9 @@
 
 Every soft target is built by one loop over classes: for each class it counts
 the raters that label each voxel with that class (0 or 1 for a single
-annotation), transforms that integer vote plane, and stores it as float32.
+annotation) and transforms that integer vote plane straight into the class's
+float32 output plane, one slab of rows (`volume.slabs`) at a time. Each slab
+is taken in float64 and rounded once, so no float64 array is a whole plane.
 
   - one_hot_encode: the vote plane of one annotation as is.
   - label_smooth:   mix each one-hot vector with the uniform distribution.
@@ -14,8 +16,8 @@ annotation), transforms that integer vote plane, and stores it as float32.
   - msvls_fuse:     SVLS of the rater vote shares. The stencil is linear, so
     this equals the mean of the per-rater SVLS maps, but it takes one
     stencil pass per class whatever the number of raters. The stencil runs
-    on the exact integer counts; the float64 result is divided by the rater
-    count and then by the total weight.
+    on the exact integer counts; each float64 slab of its result is divided
+    by the rater count and then by the total weight.
   - moh_fuse:       per-voxel rater vote shares, ignoring all spatial
     context.
 
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine
-from .volume import LabelVolume, SoftLabelVolume, check_same_grid
+from .volume import LabelVolume, SoftLabelVolume, check_same_grid, slabs
 
 
 @dataclass(frozen=True)
@@ -57,8 +59,9 @@ class RaterSet:
         return len(self.raters)
 
 
-def _class_planes(raters: RaterSet, transform) -> SoftLabelVolume:
-    """Apply `transform(votes, num_raters)` to each class's unsigned vote count; store float32."""
+def _class_planes(raters: RaterSet, fill) -> SoftLabelVolume:
+    """Let `fill(votes, num_raters, plane)` write each class's float32 plane
+    from its unsigned vote count."""
     first, *rest = raters.raters
     dtype = np.min_scalar_type(len(raters))
     out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
@@ -66,14 +69,24 @@ def _class_planes(raters: RaterSet, transform) -> SoftLabelVolume:
         votes = (first.data == c).astype(dtype)
         for rater in rest:
             votes += rater.data == c
-        out[c] = transform(votes, len(raters))
+        fill(votes, len(raters), out[c])
     out.setflags(write=False)  # fresh: the container adopts it without a copy
     return SoftLabelVolume(out, first.spacing)
 
 
+def _per_voxel(transform):
+    """A fill that writes `transform(votes, num_raters)`, a float64 per-voxel
+    step, one slab of rows at a time."""
+    def fill(votes, num_raters, plane):
+        for part in slabs(votes.shape):
+            plane[part] = transform(votes[part], num_raters)
+
+    return fill
+
+
 def moh_fuse(raters: RaterSet) -> SoftLabelVolume:
     """Per-voxel fraction of raters voting for each class."""
-    return _class_planes(raters, lambda votes, num_raters: votes / num_raters)
+    return _class_planes(raters, _per_voxel(lambda votes, num_raters: votes / num_raters))
 
 
 def msvls_fuse(raters: RaterSet, sigma: float) -> SoftLabelVolume:
@@ -87,12 +100,8 @@ def msvls_fuse(raters: RaterSet, sigma: float) -> SoftLabelVolume:
     """
     kernel = engine.SvlsKernel(raters.raters[0].rank, sigma)
 
-    def smooth(votes, num_raters):
-        planes = engine.correlate_padded(votes, kernel.weights)
-        if num_raters > 1:  # one rater's counts already are its shares
-            planes /= num_raters
-        planes /= kernel.total_weight
-        return planes
+    def smooth(votes, num_raters, plane):
+        engine.correlate_padded(votes, kernel.weights, (num_raters, kernel.total_weight), plane)
 
     return _class_planes(raters, smooth)
 
@@ -108,7 +117,7 @@ def label_smooth(labels: LabelVolume, alpha: float) -> SoftLabelVolume:
     if not (0.0 <= alpha <= 1.0):
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
     n = labels.num_classes
-    return _class_planes(RaterSet((labels,)), lambda votes, _: alpha / n + votes * (1.0 - alpha))
+    return _class_planes(RaterSet((labels,)), _per_voxel(lambda votes, _: alpha / n + votes * (1.0 - alpha)))
 
 
 def one_hot_encode(labels: LabelVolume) -> SoftLabelVolume:

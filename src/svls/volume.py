@@ -14,10 +14,11 @@ its final shape and freeze it once they are done writing, so they hand it
 over without a copy.
 
 Float64 scratch that only feeds a per-voxel step (the soft-volume sum check
-here, the stencil's weighted shells, softmax's divisor, the loss's class
-terms) is held one slab at a time: `slabs` cuts a grid along its first axis
-into runs of rows of at most SUM_BLOCK voxels, at least one row each. Every
-step is per voxel, so a slab gives each voxel the bytes the whole grid would.
+here, the encoders' class planes and the stencil's weighted shells in them,
+softmax's divisor, the loss's class terms) is held one slab at a time:
+`slabs` cuts a grid along its first axis into runs of rows of at most
+SUM_BLOCK voxels, at least one row each. Every step is per voxel, so a slab
+gives each voxel the bytes the whole grid would.
 """
 
 from __future__ import annotations

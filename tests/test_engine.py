@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from svls import LabelVolume, RaterSet, SvlsKernel, engine, msvls_fuse, svls_smooth, volume
+from svls import (LabelVolume, RaterSet, SvlsKernel, engine, label_smooth, moh_fuse, msvls_fuse, one_hot_encode,
+                  svls_smooth, volume)
 
 from conftest import slab_cuts, sum_block
 from oracles import hp_svls_taps, naive_svls, ndimage_msvls
@@ -161,9 +162,14 @@ def clamped_correlation(grid, taps):
     return out
 
 
+def correlate(grid, weights):
+    """The stencil's float64 correlation of `grid`, divided by nothing."""
+    return engine.correlate_padded(grid, weights, (), np.empty(np.shape(grid)))
+
+
 def test_identity_stencil_returns_grid():
     grid = np.arange(25, dtype=np.uint8).reshape(5, 5)
-    assert np.array_equal(engine.correlate_padded(grid, np.array([1.0, 0.0, 0.0])), grid)
+    assert np.array_equal(correlate(grid, np.array([1.0, 0.0, 0.0])), grid)
 
 
 def expand(weights):
@@ -180,7 +186,7 @@ def test_shell_symmetric_taps_match_clamped_index_loop(rng):
         dims = tuple(rng.integers(1, 7, size=rank))
         grid = rng.integers(0, 28, size=dims).astype(np.uint8)
         weights = rng.random(rank + 1)
-        got = engine.correlate_padded(grid, weights)
+        got = correlate(grid, weights)
         assert got.shape == grid.shape
         assert got.dtype == np.float64
         np.testing.assert_allclose(got, clamped_correlation(grid, expand(weights)), rtol=1e-13, atol=0)
@@ -208,7 +214,7 @@ def test_integer_grid_sums_do_not_wrap(rng, monkeypatch):
         grid[(0,) * len(dims)] = 0  # not one value everywhere
         weights = rng.random(grid.ndim + 1)
         seen.clear()
-        np.testing.assert_allclose(engine.correlate_padded(grid, weights),
+        np.testing.assert_allclose(correlate(grid, weights),
                                    clamped_correlation(grid, expand(weights)), rtol=1e-13, atol=0)
         assert seen == {np.dtype(sums)}, (dims, dtype, value)
 
@@ -216,17 +222,38 @@ def test_integer_grid_sums_do_not_wrap(rng, monkeypatch):
 def test_grid_that_is_not_uint8_16_or_32_counts_is_rejected():
     for dtype in (np.int8, np.int64, np.uint64, np.float64, np.bool_):
         with pytest.raises(ValueError, match=f"counts must be uint8, uint16 or uint32, got {np.dtype(dtype)}"):
-            engine.correlate_padded(np.ones((3, 3), dtype), np.ones(3))
+            correlate(np.ones((3, 3), dtype), np.ones(3))
 
 
 def test_correlate_rejects_mismatched_taps(rng):
     grid = rng.integers(0, 3, size=(4, 4, 4), dtype=np.uint8)
     with pytest.raises(ValueError, match="shell weights"):
-        engine.correlate_padded(grid, rng.random(3))
+        correlate(grid, rng.random(3))
     with pytest.raises(ValueError, match="shell weights"):
-        engine.correlate_padded(grid, rng.random((3, 3, 3)))
+        correlate(grid, rng.random((3, 3, 3)))
     with pytest.raises(ValueError, match="shell weights"):
-        engine.correlate_padded(grid[0, 0], rng.random(2))
+        correlate(grid[0, 0], rng.random(2))
+
+
+def test_correlate_rejects_an_output_of_another_shape(rng):
+    grid = rng.integers(0, 3, size=(4, 4, 4), dtype=np.uint8)
+    for shape in ((5, 4, 4), (3, 4, 4), (4, 4), (4, 4, 4, 1)):
+        out = np.full(shape, -1.0, np.float32)
+        with pytest.raises(ValueError, match=rf"output of shape \({shape[0]}, .* does not match the \(4, 4, 4\) grid"):
+            engine.correlate_padded(grid, rng.random(4), (), out)
+        assert np.all(out == -1.0)
+
+
+def test_correlate_divides_by_each_divisor_in_turn_and_rounds_once_into_its_output(rng):
+    grid = rng.integers(0, 4, size=(5, 6, 7), dtype=np.uint8)
+    weights = SvlsKernel(3, 1.0).weights
+    divisors = (3, 2.0000000000000004)
+    whole = correlate(grid, weights)
+    for divisor in divisors:
+        whole /= divisor
+    out = np.empty(grid.shape, np.float32)
+    assert engine.correlate_padded(grid, weights, divisors, out) is out
+    assert out.tobytes() == whole.astype(np.float32).tobytes()
 
 
 @settings(max_examples=80, deadline=None)
@@ -255,3 +282,32 @@ def test_slabbed_stencil_keeps_the_whole_plane_bytes(cut, data):
     assert np.all(np.abs(single - expected) <= half_ulp + 1e-15)
     ulps = np.abs(fused.view(np.int32).astype(np.int64) - ndimage_msvls(raters, n, taps).view(np.int32))
     assert ulps.max() <= 1
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=slab_cuts(), data=st.data())
+def test_slabbed_per_voxel_encoders_keep_the_whole_plane_bytes(cut, data):
+    # LS, one-hot and MOH write each class plane one slab of rows at a time:
+    # the bytes of one slab over the whole plane, and of the float64 formula
+    # rounded once to float32
+    dims, block, num_slabs = cut
+    n = data.draw(st.integers(2, 4))
+    labels = arrays(np.uint8, dims, elements=st.integers(0, n - 1))
+    raters = [data.draw(labels) for _ in range(data.draw(st.integers(1, 3)))]
+    rater_set = RaterSet(tuple(LabelVolume(r, (1.0,) * len(dims), n) for r in raters))
+    first = rater_set.raters[0]
+    alphas = data.draw(st.lists(st.one_of(st.sampled_from([0.0, 0.1, 1 / 3, 1.0]), st.floats(0.0, 1.0)),
+                                min_size=1, max_size=3))
+    encoders = [lambda: one_hot_encode(first), lambda: moh_fuse(rater_set)]
+    encoders += [lambda alpha=alpha: label_smooth(first, alpha) for alpha in alphas]
+    with sum_block(block):
+        assert len(volume.slabs(dims)) == num_slabs
+        sliced = [encode().data for encode in encoders]
+    with sum_block(math.prod(dims)):
+        assert len(volume.slabs(dims)) == 1
+        assert [s.tobytes() for s in sliced] == [encode().data.tobytes() for encode in encoders]
+    one_hot = np.stack([raters[0] == c for c in range(n)]).astype(np.float64)
+    votes = sum(np.stack([r == c for c in range(n)]).astype(np.float64) for r in raters)
+    expected = [one_hot, votes / len(raters)]
+    expected += [alpha / n + one_hot * (1.0 - alpha) for alpha in alphas]
+    assert [s.tobytes() for s in sliced] == [e.astype(np.float32).tobytes() for e in expected]

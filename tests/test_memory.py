@@ -13,17 +13,21 @@ softmax's divisor and the loss's scratch whole float64 planes the two
 peaked at 4.82x and 4.13x; before the containers adopted fresh arrays and
 logits stayed float32 the first peaked at 8.50x, and the subcommand at
 5.39x while it read the target first. SVLS and MSVLS (three raters) peak
-at 1.95x: the float32 result, one class's float64 correlation (0.5x), its
-uint8 shell sums and one float64 slab of weighted shells. They peaked at
-2.38x while the weighted shells took a whole float64 plane and the last
-pair sum outlived the shell loop. `argmax_labels` peaks at 0.38x with its
-one class-plane sweep, 1.50x with an int64 `np.argmax`. The calibration
-report of a float32 prediction peaks at 0.75x: each metric sorts its
-float32 population in place and sums one bin at a time, widening it to
-float64 one fixed-size block at a time. A miscalibrated prediction, whose
-confidences all fall in one bin, peaks at 0.68x; it peaked at 1.06x, and
-the smoothed one at 0.88x, while each bin was widened whole. It peaked at
-1.38x while TACE copied its population into `np.partition` and both
+at 1.57x: the float32 result, one class's uint8 vote count and shell sums
+(0.25x), and two float64 slabs (0.25x) in which the stencil sums, divides
+and rounds into the result. They peaked at 1.95x while each class's
+correlation was a whole float64 plane (0.5x), and at 2.38x while the
+weighted shells took a second one and the last pair sum outlived the shell
+loop. LS, one-hot and MOH (three raters) peak at 1.25-1.31x: the float32
+result, one class's vote count and float64 slabs of the per-voxel step;
+1.63x while that step took a whole float64 plane. `argmax_labels` peaks at
+0.38x with its one class-plane sweep, 1.50x with an int64 `np.argmax`. The
+calibration report of a float32 prediction peaks at 0.75x: each metric
+sorts its float32 population in place and sums one bin at a time, widening
+it to float64 one fixed-size block at a time. A miscalibrated prediction,
+whose confidences all fall in one bin, peaks at 0.68x; it peaked at 1.06x,
+and the smoothed one at 0.88x, while each bin was widened whole. It peaked
+at 1.38x while TACE copied its population into `np.partition` and both
 metrics binned through an int64 `np.digitize` index, 1.75x while
 `reliability` took `np.argmax` and `max` apart, and 2.00x while
 reliability and TACE binned float64 copies of the kept probabilities.
@@ -41,7 +45,10 @@ from svls import (
     argmax_labels,
     calibrate_report,
     generate_miscalibrated,
+    label_smooth,
+    moh_fuse,
     msvls_fuse,
+    one_hot_encode,
     svls_smooth,
 )
 from svls.cli import main
@@ -54,7 +61,8 @@ PAYLOAD = 4 * 4 * int(np.prod(DIMS))  # 4 float32 class planes: 1 MiB
 READ_BOUND = 1.3
 LOSS_BOUND = 4.5
 CLI_LOSS_BOUND = 3.9
-SMOOTH_BOUND = 2.1
+SMOOTH_BOUND = 1.6
+ENCODE_BOUND = 1.4
 ARGMAX_BOUND = 0.6
 CALIBRATION_BOUND = 0.9
 
@@ -108,7 +116,8 @@ def test_svls_smooth_peak():
     rng = np.random.default_rng(0)
     labels = LabelVolume(rng.integers(0, 4, size=DIMS).astype(np.uint8), (1.0,) * 3, 4)
     ratio = peak_ratio(lambda: svls_smooth(labels, 1.0))
-    # at least the float32 result and one float64 class plane
+    # at least the float32 result, the vote count and its three shell sums,
+    # and the two float64 slabs of the sum and one weighted shell
     assert 1.5 <= ratio <= SMOOTH_BOUND, ratio
 
 
@@ -117,6 +126,19 @@ def test_msvls_fuse_peak():
     raters = [LabelVolume(rng.integers(0, 4, size=DIMS).astype(np.uint8), (1.0,) * 3, 4) for _ in range(3)]
     ratio = peak_ratio(lambda: msvls_fuse(RaterSet(tuple(raters)), 1.0))
     assert 1.5 <= ratio <= SMOOTH_BOUND, ratio
+
+
+@pytest.mark.parametrize("encode", [
+    lambda labels, raters: label_smooth(labels, 0.1),
+    lambda labels, raters: one_hot_encode(labels),
+    lambda labels, raters: moh_fuse(RaterSet(raters)),
+], ids=["label_smooth", "one_hot_encode", "moh_fuse"])
+def test_per_voxel_encoder_peak(encode):
+    rng = np.random.default_rng(0)
+    raters = tuple(LabelVolume(rng.integers(0, 4, size=DIMS).astype(np.uint8), (1.0,) * 3, 4) for _ in range(3))
+    ratio = peak_ratio(lambda: encode(raters[0], raters))
+    # at least the float32 result
+    assert 1.0 <= ratio <= ENCODE_BOUND, ratio
 
 
 def test_argmax_labels_peak(paths):

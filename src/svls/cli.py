@@ -40,14 +40,16 @@ import logging
 import os
 import sys
 
+import numpy as np
+
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
 from .engine import SvlsKernel
-from .loss import cross_entropy, softmax
+from .loss import LogitVolume, LossReport, cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import check_tolerance, score_segmentation
 from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
-from .volume import LabelVolume, SoftLabelVolume, argmax_labels
+from .volume import LabelVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
 
 log = logging.getLogger("svls")
 
@@ -324,19 +326,48 @@ def run_fuse(plan: dict) -> int:
     return 0
 
 
+def streamed_loss(target: SoftLabelVolume, predicted: SoftLabelVolume | LogitVolume) -> LossReport:
+    """Cross-entropy of a probability or logit prediction against `target`,
+    one `volume.slabs` slab of rows at a time, with no float64 copy of the
+    whole prediction.
+
+    The grids are checked whole first: the slabs are the target's, so a
+    prediction with more rows would otherwise be cut to fit. Every step of
+    `softmax` and `cross_entropy` is per voxel, so `per_voxel` and its mean
+    keep the bytes of `cross_entropy(target, softmax(logits))`.
+    """
+    check_same_grid(target, predicted)
+    per_voxel = np.empty(target.dims, dtype=np.float64)
+    for part in slabs(target.dims):
+        per_voxel[part] = _slab_loss(target, predicted, part)
+    return LossReport(per_voxel)
+
+
+def _slab_loss(target: SoftLabelVolume, predicted: SoftLabelVolume | LogitVolume, part: slice) -> np.ndarray:
+    """The per-voxel loss of one slab. Each operand's slab is wrapped, and
+    so checked, by its public constructor; logits go through `softmax`. The
+    slab copies are freed on return, before the next slab's are built."""
+    if isinstance(predicted, LogitVolume):
+        probs = softmax(LogitVolume(predicted.data[:, part], predicted.spacing))
+    else:
+        probs = SoftLabelVolume(predicted.data[:, part], predicted.spacing)
+    return cross_entropy(SoftLabelVolume(target.data[:, part], target.spacing), probs).per_voxel
+
+
 def run_loss(plan: dict) -> int:
     for src, target_path, dst in _iter_in_out(plan["pred"], plan["out"], ".json", partner=plan["target"]):
-        # the prediction first: logits are freed by the time the target is read
+        # the prediction first: when both operands are bad, the error names --pred
         if plan["pred_kind"] == "logits":
-            predicted = softmax(tensor_io.read_logits(src))
+            predicted = tensor_io.read_logits(src)
         else:
             predicted = _read(src, SoftLabelVolume, "loss --pred")
         target = _read(target_path, SoftLabelVolume, "loss --target")
-        report = cross_entropy(target, predicted)
+        report = streamed_loss(target, predicted)
         if dst.endswith(VOLUME_SUFFIX):  # a single --out x.svlv is written as x.json
             dst = dst.removesuffix(VOLUME_SUFFIX) + ".json"
         tensor_io.write_report(report, dst, format="json")
         log.info("loss %s vs %s: %.6f nats", src, target_path, report.total)
+        del predicted, target, report  # a batch's next volumes are read without this one's
     return 0
 
 

@@ -7,11 +7,16 @@ derivative with respect to the scores (softmax minus target).
 
 Logit volumes keep float32 or float64 scores as given; softmax and the loss
 compute in float64 whatever the stored dtype. Values are in nats.
+
+Every step of softmax and cross_entropy is per voxel, so a slab of rows
+scores as it would inside the whole volume. The `loss` subcommand relies on
+it (`cli.streamed_loss`): it calls both on one `volume.slabs` slab at a time
+and never holds a float64 probability volume.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,10 +57,17 @@ class LogitVolume:
 
 @dataclass(frozen=True)
 class LossReport:
-    """Mean cross-entropy over voxels plus the per-voxel grid behind it."""
+    """A per-voxel cross-entropy grid and its unweighted voxel mean.
 
-    total: float
+    `total` is derived from `per_voxel` at construction, so a report is
+    built as `LossReport(per_voxel)` and its two values cannot disagree.
+    """
+
     per_voxel: np.ndarray
+    total: float = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "total", float(self.per_voxel.mean()))
 
 
 def softmax(logits: LogitVolume) -> SoftLabelVolume:
@@ -109,7 +121,7 @@ def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossRe
             if c:
                 acc += term
     np.negative(per_voxel, out=per_voxel)
-    return LossReport(total=float(per_voxel.mean()), per_voxel=per_voxel)
+    return LossReport(per_voxel)
 
 
 def ce_gradient(target: SoftLabelVolume, logits: LogitVolume) -> np.ndarray:

@@ -18,7 +18,10 @@ here, the encoders' class planes and the stencil's weighted shells in them,
 softmax's divisor, the loss's class terms) is held one slab at a time:
 `slabs` cuts a grid along its first axis into runs of rows of at most
 SUM_BLOCK voxels, at least one row each. Every step is per voxel, so a slab
-gives each voxel the bytes the whole grid would.
+gives each voxel the bytes the whole grid would. The `loss` subcommand goes
+further and cuts its operands by the same slabs: each slab of the target and
+of the prediction is wrapped in its own container, softmaxed if it holds
+logits and scored, so its float64 probabilities are one slab too.
 """
 
 from __future__ import annotations

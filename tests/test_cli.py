@@ -50,6 +50,7 @@ def test_kernel_json_output(capsys):
     assert doc["total_weight"] == pytest.approx(2.0, abs=1e-12)
     expected = SvlsKernel(3, 1.0).taps.ravel()
     assert np.allclose(doc["taps"], expected, atol=0)
+    assert out.startswith('{\n  "rank": 3,\n')  # indented by two spaces
 
 
 def test_kernel_text_output(capsys):
@@ -499,6 +500,20 @@ def test_config_value_gets_its_flag_checks(tmp_path, capsys, monkeypatch, argv, 
     assert next(iter(config)).replace("_", "-") in error["message"]
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("foreground_only", "no", 'takes true or false, got "no"'),
+    ("ece_bins", None, "takes a string or number, got null"),
+], ids=["switch", "value"])
+def test_config_value_of_the_wrong_kind_names_the_kind(tmp_path, capsys, key, value, message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({key: value}))
+    argv = ["evaluate", "--ref", "ref.svlv", "--pred", "pred.svlv", "--out", "eval", "--config", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    flag = "--" + key.replace("_", "-")
+    assert last_error(err) == {"error": "validation", "message": f"config {path}: {flag} {message}"}
+
+
 def test_config_values_of_the_right_kind_are_accepted(tmp_path, rng, capsys):
     src, vol = make_labels(tmp_path, rng, dims=(5, 5), n=3)
     pred = tmp_path / "pred.svlv"
@@ -757,6 +772,28 @@ def test_loss_rejects_a_spacing_mismatch(tmp_path, rng, capsys):
     error = last_error(err)
     assert error["error"] == "validation"
     assert "spacing mismatch" in error["message"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dims, classes, spacing, message", [
+    ((7, 6, 6), 2, (1.0,) * 3, "shape mismatch: dims (6, 6, 6) vs (7, 6, 6)"),  # more rows: not cut to fit
+    ((6, 6, 5), 2, (1.0,) * 3, "shape mismatch: dims (6, 6, 6) vs (6, 6, 5)"),
+    ((6, 6, 6), 3, (1.0,) * 3, "class count mismatch: 2 vs 3"),
+    ((6, 6, 6), 2, (1.0, 1.0, 2.0), "spacing mismatch: (1.0, 1.0, 1.0) vs (1.0, 1.0, 2.0)"),
+], ids=["more-rows", "other-dims", "classes", "spacing"])
+def test_loss_rejects_logits_on_another_grid(tmp_path, rng, capsys, dims, classes, spacing, message):
+    # the loss goes slab by slab over the target's rows, so the grids are checked whole first
+    from svls.loss import LogitVolume
+
+    _, vol = make_labels(tmp_path, rng, n=2)
+    target, logits = tmp_path / "target.svlv", tmp_path / "logits.svlv"
+    write_volume(one_hot_encode(vol), target)
+    write_volume(LogitVolume(rng.normal(size=(classes,) + dims), spacing), logits)
+    out = tmp_path / "loss.json"
+    argv = ["loss", "--target", str(target), "--pred", str(logits), "--pred-kind", "logits", "--out", str(out)]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert last_error(err) == {"error": "validation", "message": message}
     assert not out.exists()
 
 
@@ -1037,6 +1074,33 @@ def test_threads_flag_is_gone(capsys):
 def test_unknown_subcommand(capsys):
     code, _, err = run(["frobnicate"], capsys)
     assert code == 1
+
+
+@pytest.mark.parametrize("argv, defaults", [
+    (["evaluate", "--ref", "r.svlv", "--pred", "p.svlv", "--out", "e"],
+     {"sd_tolerance": 2.0, "ece_bins": 15, "tace_threshold": 1e-3, "tace_ranges": 15}),
+    (["phantom", "--kind", "homogeneous", "--dims", "4,4", "--out", "p.svlv"],
+     {"classes": 2, "jitter": 0, "strength": 0.0, "seed": 0}),
+], ids=["evaluate", "phantom"])
+def test_flag_defaults(argv, defaults):
+    plan = vars(cli.build_parser().parse_args(argv))
+    assert {key: plan[key] for key in defaults} == defaults
+
+
+def test_no_subcommand_is_a_validation_error(capsys):
+    code, _, err = run([], capsys)
+    assert code == 1
+    assert last_error(err) == {"error": "validation", "message": "a subcommand is required (see svls --help)"}
+
+
+def test_input_directory_without_volumes_is_rejected(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
+    out = tmp_path / "out"
+    code, _, err = run(["encode", "--in", str(tmp_path / "empty"), "--method", "onehot", "--out", str(out)], capsys)
+    assert code == 1
+    assert last_error(err) == {"error": "validation",
+                               "message": f"directory {tmp_path / 'empty'} contains no .svlv volumes"}
+    assert not out.exists()
 
 
 def test_help_lists_defaults(capsys):

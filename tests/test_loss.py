@@ -18,6 +18,7 @@ from svls import (
     svls_smooth,
     volume,
 )
+from svls.cli import streamed_loss
 from svls.loss import LOG_FLOOR
 
 from conftest import slab_cuts, sum_block
@@ -213,3 +214,20 @@ def test_slabbed_softmax_and_loss_keep_the_whole_volume_oracles_bytes(cut, data)
     with sum_block(block):
         assert len(volume.slabs(dims)) == num_slabs
         assert_whole_volume_oracle_bytes(*grids)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cut=slab_cuts(), data=st.data(), kind=st.sampled_from(["logits", "probs"]))
+def test_streamed_loss_keeps_the_whole_volume_oracles_bytes(cut, data, kind):
+    # the CLI's loss softmaxes and scores one slab of rows at a time, the last one ragged
+    dims, block, num_slabs = cut
+    target, scores = data.draw(scored_grids(dims))
+    probs = whole_volume_softmax(scores.data.astype(np.float64))
+    # probabilities as read: float32 or float64, as the logits were
+    predicted = scores if kind == "logits" else SoftLabelVolume(probs.astype(scores.data.dtype), scores.spacing)
+    expected = whole_volume_cross_entropy(target.data, probs if kind == "logits" else predicted.data, LOG_FLOOR)
+    with sum_block(block):
+        assert len(volume.slabs(dims)) == num_slabs
+        report = streamed_loss(target, predicted)
+    assert report.per_voxel.tobytes() == expected.tobytes()
+    assert report.total == expected.mean()

@@ -7,32 +7,40 @@ its payload: the payload and one float64 slab (`volume.slabs`, 0.125x) of
 the voxel sums' deviation from 1. It peaked at 1.57x while that deviation
 was a whole float64 plane, 2.07x while the sums were a second one.
 Reading, softmaxing and scoring float32 logits against a target peaks at
-4.40x, and the `loss` subcommand on logits at 3.75x: it softmaxes the
-prediction, and frees the logits, before it reads the target. With
-softmax's divisor and the loss's scratch whole float64 planes the two
-peaked at 4.82x and 4.13x; before the containers adopted fresh arrays and
-logits stayed float32 the first peaked at 8.50x, and the subcommand at
-5.39x while it read the target first. SVLS and MSVLS (three raters) peak
-at 1.57x: the float32 result, one class's uint8 vote count and shell sums
-(0.25x), and two float64 slabs (0.25x) in which the stencil sums, divides
-and rounds into the result. They peaked at 1.95x while each class's
-correlation was a whole float64 plane (0.5x), and at 2.38x while the
-weighted shells took a second one and the last pair sum outlived the shell
-loop. LS, one-hot and MOH (three raters) peak at 1.25-1.31x: the float32
-result, one class's vote count and float64 slabs of the per-voxel step;
-1.63x while that step took a whole float64 plane. `argmax_labels` peaks at
-0.38x with its one class-plane sweep, 1.50x with an int64 `np.argmax`. The
-calibration report of a float32 prediction peaks at 0.75x: each metric
-sorts its float32 population in place and sums one bin at a time, widening
-it to float64 one fixed-size block at a time. A miscalibrated prediction,
-whose confidences all fall in one bin, peaks at 0.68x; it peaked at 1.06x,
-and the smoothed one at 0.88x, while each bin was widened whole. It peaked
-at 1.38x while TACE copied its population into `np.partition` and both
-metrics binned through an int64 `np.digitize` index, 1.75x while
-`reliability` took `np.argmax` and `max` apart, and 2.00x while
-reliability and TACE binned float64 copies of the kept probabilities.
+4.40x. The `loss` subcommand on logits peaks at 3.63x, and at 2.78x on a
+64x64x64 cube (4 MiB): it holds the float32 logits and target and the
+float64 per-voxel loss (2.5x), plus one slab's copies of both operands, its
+float64 probabilities and its loss. A slab is a quarter of the 1 MiB volume
+and a sixteenth of the cube. The subcommand peaked at 3.75x and 3.56x while
+it softmaxed the whole prediction into float64 before it read the target;
+a batch of two cubes peaked at 6.80x while the first pair's volumes stayed
+bound as the second pair was read, 3.76x once the loss was streamed.
+With softmax's divisor and the loss's scratch whole float64 planes the
+library path and the subcommand peaked at 4.82x and 4.13x; before the
+containers adopted fresh arrays and logits stayed float32 the first peaked
+at 8.50x, and the subcommand at 5.39x while it read the target first.
+SVLS and MSVLS (three raters) peak at 1.57x: the float32 result, one
+class's uint8 vote count and shell sums (0.25x), and two float64 slabs
+(0.25x) in which the stencil sums, divides and rounds into the result. They
+peaked at 1.95x while each class's correlation was a whole float64 plane
+(0.5x), and at 2.38x while the weighted shells took a second one and the
+last pair sum outlived the shell loop. LS, one-hot and MOH (three raters)
+peak at 1.25-1.31x: the float32 result, one class's vote count and float64
+slabs of the per-voxel step; 1.63x while that step took a whole float64
+plane. `argmax_labels` peaks at 0.38x with its one class-plane sweep, 1.50x
+with an int64 `np.argmax`. The calibration report of a float32 prediction
+peaks at 0.75x: each metric sorts its float32 population in place and sums
+one bin at a time, widening it to float64 one fixed-size block at a time. A
+miscalibrated prediction, whose confidences all fall in one bin, peaks at
+0.68x; it peaked at 1.06x, and the smoothed one at 0.88x, while each bin
+was widened whole. It peaked at 1.38x while TACE copied its population into
+`np.partition` and both metrics binned through an int64 `np.digitize`
+index, 1.75x while `reliability` took `np.argmax` and `max` apart, and
+2.00x while reliability and TACE binned float64 copies of the kept
+probabilities.
 """
 
+import shutil
 import tracemalloc
 
 import numpy as np
@@ -57,28 +65,34 @@ from svls.tensor_io import read_logits, read_volume, write_volume
 
 DIMS = (64, 32, 32)
 PAYLOAD = 4 * 4 * int(np.prod(DIMS))  # 4 float32 class planes: 1 MiB
+CUBE = (64, 64, 64)  # 16 slabs of 4 rows: 4 MiB
 
 READ_BOUND = 1.3
 LOSS_BOUND = 4.5
 CLI_LOSS_BOUND = 3.9
+CLI_LOSS_CUBE_BOUND = 3.1
 SMOOTH_BOUND = 1.6
 ENCODE_BOUND = 1.4
 ARGMAX_BOUND = 0.6
 CALIBRATION_BOUND = 0.9
 
 
-@pytest.fixture(scope="module")
-def paths(tmp_path_factory):
+def write_loss_inputs(d, dims):
+    """A 4-class SVLS target and float32 logits of `dims`; their paths."""
     rng = np.random.default_rng(0)
-    d = tmp_path_factory.mktemp("memory")
-    labels = LabelVolume(rng.integers(0, 4, size=DIMS).astype(np.uint8), (1.0,) * 3, 4)
+    labels = LabelVolume(rng.integers(0, 4, size=dims).astype(np.uint8), (1.0,) * 3, 4)
     write_volume(svls_smooth(labels, 1.0), d / "target.svlv")
-    scores = rng.normal(size=(4,) + DIMS).astype(np.float32)
+    scores = rng.normal(size=(4,) + dims).astype(np.float32)
     write_volume(LogitVolume(scores, labels.spacing), d / "logits.svlv")
     return d / "target.svlv", d / "logits.svlv"
 
 
-def peak_ratio(fn) -> float:
+@pytest.fixture(scope="module")
+def paths(tmp_path_factory):
+    return write_loss_inputs(tmp_path_factory.mktemp("memory"), DIMS)
+
+
+def peak_ratio(fn, payload=PAYLOAD) -> float:
     """Peak traced bytes while `fn` runs, above those held before it, per payload byte."""
     tracemalloc.start()
     try:
@@ -88,7 +102,7 @@ def peak_ratio(fn) -> float:
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return (peak - before) / PAYLOAD
+    return (peak - before) / payload
 
 
 def test_read_volume_peak(paths):
@@ -110,6 +124,25 @@ def test_cli_loss_from_logits_peak(paths, tmp_path):
     ratio = peak_ratio(lambda: main(argv))
     assert (tmp_path / "loss.json").exists()
     assert 1.0 <= ratio <= CLI_LOSS_BOUND, ratio
+
+
+@pytest.mark.parametrize("batch", [1, 2])
+def test_cli_loss_from_logits_peak_over_many_slabs(tmp_path, batch):
+    # the slab copies shrink with the slab share: the float32 logits and
+    # target and the float64 per-voxel loss (2.5x), and one slab's copies;
+    # a batch holds one pair of volumes at a time
+    target, logits = write_loss_inputs(tmp_path, CUBE)
+    pred_dir, target_dir = tmp_path / "pred", tmp_path / "target"
+    for d, src in ((pred_dir, logits), (target_dir, target)):
+        d.mkdir()
+        for i in range(batch):
+            for suffix in ("", ".json"):
+                shutil.copy(f"{src}{suffix}", d / f"v{i}.svlv{suffix}")
+    argv = ["loss", "--target", str(target_dir), "--pred", str(pred_dir), "--pred-kind", "logits",
+            "--out", str(tmp_path / "out")]
+    ratio = peak_ratio(lambda: main(argv), payload=4 * 4 * int(np.prod(CUBE)))
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [f"v{i}.json" for i in range(batch)]
+    assert 2.5 <= ratio <= CLI_LOSS_CUBE_BOUND, ratio
 
 
 def test_svls_smooth_peak():

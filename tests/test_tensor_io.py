@@ -391,7 +391,7 @@ def test_scores_csv_rows(tmp_path):
 
 
 def test_loss_report_json(tmp_path):
-    report = LossReport(total=0.6931471805599453, per_voxel=np.full((2, 2), 0.69314718))
+    report = LossReport(np.full((2, 2), 0.6931471805599453))
     path = tmp_path / "loss.json"
     write_report(report, path, format="json")
     doc = json.loads(path.read_text())
@@ -504,7 +504,7 @@ def test_report_bytes_are_pinned(tmp_path, kind, fmt):
     report = {
         "calibration": _sample_calibration(),
         "scores": _sample_scores(),
-        "loss": LossReport(total=0.6931471805599453, per_voxel=np.zeros((2, 3))),
+        "loss": LossReport(np.full((2, 3), 0.6931471805599453)),
     }[kind]
     path = tmp_path / f"report.{fmt}"
     write_report(report, path, format=fmt)

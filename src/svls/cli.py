@@ -45,11 +45,11 @@ import numpy as np
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
 from .engine import SvlsKernel
-from .loss import LogitVolume, LossReport, cross_entropy, softmax
+from .loss import LossReport, cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import check_tolerance, score_segmentation
 from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
-from .volume import LabelVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
+from .volume import LabelVolume, LogitVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
 
 log = logging.getLogger("svls")
 
@@ -328,14 +328,18 @@ def run_fuse(plan: dict) -> int:
 
 def streamed_loss(target: SoftLabelVolume, predicted: SoftLabelVolume | LogitVolume) -> LossReport:
     """Cross-entropy of a probability or logit prediction against `target`,
-    one `volume.slabs` slab of rows at a time, with no float64 copy of the
-    whole prediction.
+    with no float64 copy of the whole prediction.
 
-    The grids are checked whole first: the slabs are the target's, so a
+    Probabilities were checked whole when they were read, so they are
+    scored whole: `cross_entropy` holds one float64 slab of scratch. Logits
+    are softmaxed and scored one `volume.slabs` slab of rows at a time,
+    after the grids are checked whole: the slabs are the target's, so a
     prediction with more rows would otherwise be cut to fit. Every step of
     `softmax` and `cross_entropy` is per voxel, so `per_voxel` and its mean
     keep the bytes of `cross_entropy(target, softmax(logits))`.
     """
+    if isinstance(predicted, SoftLabelVolume):
+        return cross_entropy(target, predicted)
     check_same_grid(target, predicted)
     per_voxel = np.empty(target.dims, dtype=np.float64)
     for part in slabs(target.dims):
@@ -343,14 +347,12 @@ def streamed_loss(target: SoftLabelVolume, predicted: SoftLabelVolume | LogitVol
     return LossReport(per_voxel)
 
 
-def _slab_loss(target: SoftLabelVolume, predicted: SoftLabelVolume | LogitVolume, part: slice) -> np.ndarray:
-    """The per-voxel loss of one slab. Each operand's slab is wrapped, and
-    so checked, by its public constructor; logits go through `softmax`. The
-    slab copies are freed on return, before the next slab's are built."""
-    if isinstance(predicted, LogitVolume):
-        probs = softmax(LogitVolume(predicted.data[:, part], predicted.spacing))
-    else:
-        probs = SoftLabelVolume(predicted.data[:, part], predicted.spacing)
+def _slab_loss(target: SoftLabelVolume, logits: LogitVolume, part: slice) -> np.ndarray:
+    """The per-voxel loss of one slab of logits. Each operand's slab is
+    wrapped, and so checked, by its public constructor, and the logits go
+    through `softmax`. The slab copies are freed on return, before the next
+    slab's are built."""
+    probs = softmax(LogitVolume(logits.data[:, part], logits.spacing))
     return cross_entropy(SoftLabelVolume(target.data[:, part], target.spacing), probs).per_voxel
 
 

@@ -5,13 +5,14 @@ stack: softmax turns raw scores into predicted probabilities, cross_entropy
 evaluates the loss against any soft target, and ce_gradient gives the exact
 derivative with respect to the scores (softmax minus target).
 
-Logit volumes keep float32 or float64 scores as given; softmax and the loss
-compute in float64 whatever the stored dtype. Values are in nats.
+Logit volumes (`volume.LogitVolume`, also importable from here) keep
+float32 or float64 scores as given; softmax and the loss compute in float64
+whatever the stored dtype. Values are in nats. This module holds only the
+loss math: both containers and their checks live in `volume`.
 
 Every step of softmax and cross_entropy is per voxel, so a slab of rows
 scores as it would inside the whole volume. The `loss` subcommand relies on
-it (`cli.streamed_loss`): it calls both on one `volume.slabs` slab at a time
-and never holds a float64 probability volume.
+it for logits (`cli.streamed_loss`).
 """
 
 from __future__ import annotations
@@ -20,39 +21,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .volume import SoftLabelVolume, _check_class_axis, _check_spacing, _owned, check_same_grid, slabs
+from .volume import LogitVolume, SoftLabelVolume, check_same_grid, slabs
 
 LOG_FLOOR = 1e-12  # the loss is undefined at p=0; predictions are clamped here
-
-
-@dataclass(frozen=True)
-class LogitVolume:
-    """Per-voxel real-valued score vectors, shape (num_classes, *dims).
-
-    float32 and float64 scores are stored as given (a float32 read stays
-    float32); any other dtype becomes float64. The array is adopted or
-    copied by the ownership rule of the `volume` module.
-    """
-
-    data: np.ndarray
-    spacing: tuple[float, ...]
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
-        _check_class_axis(arr, "logit")
-        arr = _owned(arr, arr.dtype if arr.dtype in (np.float32, np.float64) else np.float64)
-        if not np.isfinite(arr).all():
-            raise ValueError("logits must be finite")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "spacing", _check_spacing(self.spacing, arr.ndim - 1))
-
-    @property
-    def num_classes(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.data.shape[1:]
 
 
 @dataclass(frozen=True)

@@ -61,12 +61,8 @@ def _spacing(spec: PhantomSpec) -> tuple[float, ...]:
 
 def _center_distances(dims) -> np.ndarray:
     """Per-voxel Euclidean distance (in voxel units) from the volume center."""
-    center = [(d - 1) / 2.0 for d in dims]
-    grids = np.indices(dims).astype(np.float64)
-    d2 = np.zeros(dims)
-    for g, c in zip(grids, center):
-        d2 += (g - c) ** 2
-    return np.sqrt(d2)
+    d2 = sum(np.ix_(*[(np.arange(d) - (d - 1) / 2.0) ** 2 for d in dims]))
+    return np.sqrt(d2, out=d2)
 
 
 def nested_sphere_radii(dims) -> tuple[float, float]:

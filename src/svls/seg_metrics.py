@@ -94,11 +94,9 @@ def _tolerance_ball(shape, spacing, tolerance_mm: float) -> np.ndarray:
     division: where it overflows (a huge tolerance, a tiny spacing) it is inf,
     without a numpy warning, and the cap takes over.
     """
-    reach = np.array([int(min(float(tolerance_mm) // float(s) + 1, n - 1)) for s, n in zip(spacing, shape)])
-    spacing = np.asarray(spacing, dtype=np.float64)
-    column = (-1,) + (1,) * len(reach)
-    offsets = np.indices(2 * reach + 1) - reach.reshape(column)
-    return np.sqrt(np.add.reduce((offsets * spacing.reshape(column)) ** 2, axis=0)) <= tolerance_mm
+    reach = [int(min(float(tolerance_mm) // float(s) + 1, n - 1)) for s, n in zip(spacing, shape)]
+    squares = sum(np.ix_(*[(np.arange(-r, r + 1) * float(s)) ** 2 for r, s in zip(reach, spacing)]))
+    return np.sqrt(squares, out=squares) <= tolerance_mm
 
 
 def _ball_lines(shape, spacing, tolerance_mm: float) -> list:

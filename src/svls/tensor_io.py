@@ -32,9 +32,9 @@ import numpy as np
 
 from . import __version__
 from .calibration import CalibrationReport
-from .loss import LogitVolume, LossReport
+from .loss import LossReport
 from .seg_metrics import SegmentationScores
-from .volume import LabelVolume, SoftLabelVolume, _check_num_classes, _check_spacing
+from .volume import LabelVolume, LogitVolume, SoftLabelVolume, _check_num_classes, _check_spacing
 
 MAGIC = b"SVLV"
 VERSION = 1

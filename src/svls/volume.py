@@ -1,8 +1,9 @@
-"""Core volume containers: integer label grids and per-class probability grids.
+"""Core volume containers: integer label grids, and per-class probability
+and logit grids.
 
 Volumes are 2D or 3D, carry physical voxel spacing (mm per axis), and are
-immutable after construction. Probability volumes store the class axis first
-so each class plane is contiguous.
+immutable after construction. Probability and logit volumes store the class
+axis first so each class plane is contiguous.
 
 Ownership: a container adopts its input array without a copy only when it
 is read-only, C-contiguous, of the stored dtype and owns its memory
@@ -18,10 +19,7 @@ here, the encoders' class planes and the stencil's weighted shells in them,
 softmax's divisor, the loss's class terms) is held one slab at a time:
 `slabs` cuts a grid along its first axis into runs of rows of at most
 SUM_BLOCK voxels, at least one row each. Every step is per voxel, so a slab
-gives each voxel the bytes the whole grid would. The `loss` subcommand goes
-further and cuts its operands by the same slabs: each slab of the target and
-of the prediction is wrapped in its own container, softmaxed if it holds
-logits and scored, so its float64 probabilities are one slab too.
+gives each voxel the bytes the whole grid would.
 """
 
 from __future__ import annotations
@@ -84,17 +82,6 @@ def _check_num_classes(num_classes: int) -> None:
     _check_int(num_classes, f"num_classes must be in [2, {MAX_CLASSES}], got {num_classes}", 2, MAX_CLASSES)
 
 
-def _check_class_axis(arr: np.ndarray, kind: str) -> None:
-    """Shape rule of a class-first volume: a class axis of at least 2
-    classes plus 2 or 3 spatial axes, every extent >= 1."""
-    if arr.ndim not in (3, 4):
-        raise ValueError(f"{kind} volume must have a class axis plus 2 or 3 spatial axes, got {arr.ndim} axes")
-    if arr.shape[0] < 2:
-        raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
-    if any(n < 1 for n in arr.shape[1:]):
-        raise ValueError(f"all dims must be >= 1, got {arr.shape[1:]}")
-
-
 def check_same_grid(a, b) -> None:
     """Reject two volumes that do not lie on one grid: equal dims, then
     class count, then spacing. Every metric and the loss compare volumes
@@ -147,12 +134,14 @@ class LabelVolume:
 
 
 @dataclass(frozen=True)
-class SoftLabelVolume:
-    """Per-voxel class probability grid, shape (num_classes, *dims).
+class _ClassFirstVolume:
+    """A per-voxel vector grid, shape (num_classes, *dims), class axis first
+    so each class plane is contiguous, with voxel spacing in millimeters.
 
-    Values must lie in [0, 1] and sum to 1 per voxel within SUM_TOL. Storage
-    is float32 by default; float64 inputs are kept as-is (the loss evaluator
-    needs the extra precision).
+    Checked in order: the shape (a class axis of at least 2 classes plus 2
+    or 3 spatial axes, every extent >= 1), then the values, then the
+    spacing. Each kind names itself in `_KIND` and gives its stored dtype and
+    its value rule; the array is adopted or copied by the ownership rule.
     """
 
     data: np.ndarray
@@ -160,24 +149,14 @@ class SoftLabelVolume:
 
     def __post_init__(self):
         arr = np.asarray(self.data)
-        _check_class_axis(arr, "probability")
-        arr = _owned(arr, np.float64 if arr.dtype == np.float64 else np.float32)
-        # written so that NaN, which fails every comparison, is rejected too
-        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
-            raise ValueError(
-                f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
-            )
-        # one float64 slab: the deviation is taken in place, and only the error takes the sums again
-        parts = slabs(arr.shape[1:])
-        scratch = np.empty((parts[0].stop,) + arr.shape[2:], dtype=np.float64)
-        for part in parts:
-            deviation = arr[:, part].sum(axis=0, dtype=np.float64, out=scratch[: part.stop - part.start])
-            deviation -= 1.0
-            if (np.abs(deviation, out=deviation) > SUM_TOL).any():
-                sums = arr.sum(axis=0, dtype=np.float64)
-                bad = np.argmax(np.abs(sums - 1.0) > SUM_TOL)
-                idx = tuple(int(i) for i in np.unravel_index(int(bad), sums.shape))
-                raise ValueError(f"voxel {idx} probabilities sum to {float(sums[idx])}, expected 1 +/- {SUM_TOL}")
+        if arr.ndim not in (3, 4):
+            raise ValueError(f"{self._KIND} volume must have a class axis plus 2 or 3 spatial axes, got {arr.ndim} axes")
+        if arr.shape[0] < 2:
+            raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
+        if any(n < 1 for n in arr.shape[1:]):
+            raise ValueError(f"all dims must be >= 1, got {arr.shape[1:]}")
+        arr = _owned(arr, self._stored_dtype(arr.dtype))
+        self._check_values(arr)
         object.__setattr__(self, "data", arr)
         object.__setattr__(self, "spacing", _check_spacing(self.spacing, arr.ndim - 1))
 
@@ -188,6 +167,59 @@ class SoftLabelVolume:
     @property
     def dims(self) -> tuple[int, ...]:
         return self.data.shape[1:]
+
+
+@dataclass(frozen=True)
+class SoftLabelVolume(_ClassFirstVolume):
+    """Per-voxel class probability grid, shape (num_classes, *dims).
+
+    Values must lie in [0, 1] and sum to 1 per voxel within SUM_TOL. Storage
+    is float32 by default; float64 inputs are kept as-is (the loss evaluator
+    needs the extra precision).
+    """
+
+    _KIND = "probability"
+
+    def _stored_dtype(self, dtype):
+        return np.float64 if dtype == np.float64 else np.float32
+
+    def _check_values(self, arr: np.ndarray) -> None:
+        # written so that NaN, which fails every comparison, is rejected too
+        if not (arr.min() >= 0.0 and arr.max() <= 1.0):
+            raise ValueError(
+                f"probabilities must lie in [0, 1], found range [{arr.min()}, {arr.max()}]"
+            )
+        # one float64 slab: the deviation is taken in place, and only the
+        # failing slab, which holds the first bad voxel, is summed again
+        parts = slabs(arr.shape[1:])
+        scratch = np.empty((parts[0].stop,) + arr.shape[2:], dtype=np.float64)
+        for part in parts:
+            deviation = arr[:, part].sum(axis=0, dtype=np.float64, out=scratch[: part.stop - part.start])
+            deviation -= 1.0
+            failing = np.abs(deviation, out=deviation) > SUM_TOL
+            if failing.any():
+                bad = np.unravel_index(int(np.argmax(failing)), failing.shape)
+                sums = arr[:, part].sum(axis=0, dtype=np.float64)
+                idx = (part.start + int(bad[0]),) + tuple(int(i) for i in bad[1:])
+                raise ValueError(f"voxel {idx} probabilities sum to {float(sums[bad])}, expected 1 +/- {SUM_TOL}")
+
+
+@dataclass(frozen=True)
+class LogitVolume(_ClassFirstVolume):
+    """Per-voxel real-valued score vectors, shape (num_classes, *dims).
+
+    float32 and float64 scores are stored as given (a float32 read stays
+    float32); any other dtype becomes float64. Every score must be finite.
+    """
+
+    _KIND = "logit"
+
+    def _stored_dtype(self, dtype):
+        return dtype if dtype in (np.float32, np.float64) else np.float64
+
+    def _check_values(self, arr: np.ndarray) -> None:
+        if not np.isfinite(arr).all():
+            raise ValueError("logits must be finite")
 
 
 def top_class(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

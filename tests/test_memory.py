@@ -14,7 +14,11 @@ float64 probabilities and its loss. A slab is a quarter of the 1 MiB volume
 and a sixteenth of the cube. The subcommand peaked at 3.75x and 3.56x while
 it softmaxed the whole prediction into float64 before it read the target;
 a batch of two cubes peaked at 6.80x while the first pair's volumes stayed
-bound as the second pair was read, 3.76x once the loss was streamed.
+bound as the second pair was read, 3.76x once the loss was streamed. On
+probabilities it peaks at 2.74x: they were checked whole when read, so they
+are scored whole, with the two float32 operands, the float64 per-voxel loss
+and one float64 slab of scratch; 3.37x while each slab of both operands was
+copied and checked again.
 With softmax's divisor and the loss's scratch whole float64 planes the
 library path and the subcommand peaked at 4.82x and 4.13x; before the
 containers adopted fresh arrays and logits stayed float32 the first peaked
@@ -38,6 +42,12 @@ was widened whole. It peaked at 1.38x while TACE copied its population into
 index, 1.75x while `reliability` took `np.argmax` and `max` apart, and
 2.00x while reliability and TACE binned float64 copies of the kept
 probabilities.
+The Surface Dice tolerance ball peaks at 9.0 bytes per offset, its float64
+squared lengths and the boolean ball, summed from each axis's 1-D squares;
+56 bytes while it took them from a rank-by-ball int64 offset grid. A
+nested-spheres phantom of 24x36x36 peaks at 12.5 bytes per voxel, with its
+float64 distances built the same way; 48 bytes while it held a float64
+index grid of every axis.
 """
 
 import shutil
@@ -49,9 +59,11 @@ import pytest
 from svls import (
     LabelVolume,
     LogitVolume,
+    PhantomSpec,
     RaterSet,
     argmax_labels,
     calibrate_report,
+    generate_labels,
     generate_miscalibrated,
     label_smooth,
     moh_fuse,
@@ -61,6 +73,7 @@ from svls import (
 )
 from svls.cli import main
 from svls.loss import cross_entropy, softmax
+from svls.seg_metrics import _tolerance_ball
 from svls.tensor_io import read_logits, read_volume, write_volume
 
 DIMS = (64, 32, 32)
@@ -71,10 +84,13 @@ READ_BOUND = 1.3
 LOSS_BOUND = 4.5
 CLI_LOSS_BOUND = 3.9
 CLI_LOSS_CUBE_BOUND = 3.1
+CLI_PROBS_LOSS_BOUND = 3.0
 SMOOTH_BOUND = 1.6
 ENCODE_BOUND = 1.4
 ARGMAX_BOUND = 0.6
 CALIBRATION_BOUND = 0.9
+BALL_BYTES_BOUND = 16  # traced bytes per offset of a Surface Dice tolerance ball
+PHANTOM_BYTES_BOUND = 16  # traced bytes per voxel of a nested-spheres phantom
 
 
 def write_loss_inputs(d, dims):
@@ -124,6 +140,17 @@ def test_cli_loss_from_logits_peak(paths, tmp_path):
     ratio = peak_ratio(lambda: main(argv))
     assert (tmp_path / "loss.json").exists()
     assert 1.0 <= ratio <= CLI_LOSS_BOUND, ratio
+
+
+def test_cli_loss_from_probabilities_peak(paths, tmp_path):
+    # scored whole: the float32 prediction and target, the float64 per-voxel
+    # loss (2.5x) and one float64 slab of scratch, no slab copy of either
+    target, _ = paths
+    argv = ["loss", "--target", str(target), "--pred", str(target), "--pred-kind", "probs",
+            "--out", str(tmp_path / "loss.json")]
+    ratio = peak_ratio(lambda: main(argv))
+    assert (tmp_path / "loss.json").exists()
+    assert 2.5 <= ratio <= CLI_PROBS_LOSS_BOUND, ratio
 
 
 @pytest.mark.parametrize("batch", [1, 2])
@@ -199,3 +226,20 @@ def test_calibrate_report_peak_with_one_occupied_bin():
     assert sum(b.count > 0 for b in calibrate_report(reference, predicted).bins) == 1
     ratio = peak_ratio(lambda: calibrate_report(reference, predicted))
     assert 0.25 <= ratio <= CALIBRATION_BOUND, ratio
+
+
+def test_tolerance_ball_peak():
+    # a tolerance past the volume clamps the reach to n - 1 on every axis
+    shape, spacing = (24, 36, 36), (1.0, 1.0, 1.0)
+    size = _tolerance_ball(shape, spacing, 1000.0).size
+    assert size == 47 * 71 * 71
+    ratio = peak_ratio(lambda: _tolerance_ball(shape, spacing, 1000.0), payload=size)
+    # at least the float64 squared lengths and the boolean ball
+    assert 9.0 <= ratio <= BALL_BYTES_BOUND, ratio
+
+
+def test_nested_spheres_peak():
+    spec = PhantomSpec("nested_spheres", (24, 36, 36), num_classes=3)
+    ratio = peak_ratio(lambda: generate_labels(spec), payload=24 * 36 * 36)
+    # at least the float64 distances and the uint8 labels
+    assert 9.0 <= ratio <= PHANTOM_BYTES_BOUND, ratio

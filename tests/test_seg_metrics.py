@@ -344,3 +344,12 @@ def test_boundaries_and_close_counts_equal_the_ndimage_oracles(case):
     ball = _tolerance_ball(b_t.shape, spacing, tolerance)
     assert _close_count(b_p, b_t, lines) == dilation_close_count(b_p, b_t, ball)
     assert _close_count(b_t, b_p, lines) == dilation_close_count(b_t, b_p, ball)
+
+
+def test_tolerance_ball_spans_one_step_past_the_floored_reach_and_no_more():
+    # tol // 0.3 == 2, yet 3 steps of 0.3 mm lie exactly at the tolerance
+    tol = 0.8999999999999999
+    assert tol // 0.3 == 2 and 3 * 0.3 == tol
+    ball = _tolerance_ball((20, 20), (0.3, 1.0), tol)
+    assert ball.shape == (7, 3)
+    assert ball[0, 1] and ball[6, 1]

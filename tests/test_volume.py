@@ -223,6 +223,13 @@ def test_slabs_cover_the_first_axis_in_runs_of_whole_rows(shape, block, expected
         assert volume.slabs(shape) == expected
 
 
+def test_default_slabs_hold_at_most_16384_voxels():
+    # the bound of every float64 scratch slab (128 KiB), and the block size
+    # of calibration's sums, whose bytes depend on it
+    assert volume.slabs((8, 64, 64)) == [slice(0, 4), slice(4, 8)]
+    assert volume.slabs((3, 1 << 14)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
+
+
 def test_soft_volume_rejects_out_of_range():
     data = np.array([[[1.2]], [[-0.2]]], dtype=np.float32)
     with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -254,6 +261,23 @@ def test_soft_volume_rejects_nan():
 def test_class_axis_containers_share_one_shape_rule(make, shape, message):
     with pytest.raises(ValueError, match=message):
         make(np.zeros(shape, dtype=np.float32), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("make, values, message", [
+    (SoftLabelVolume, 2.0, r"probabilities must lie in \[0, 1\]"),
+    (LogitVolume, np.inf, "logits must be finite$"),
+], ids=["probs", "logits"])
+def test_class_axis_containers_check_shape_then_values_then_spacing(make, values, message):
+    bad_spacing = (0.0, 1.0)
+    with pytest.raises(ValueError, match="at least 2 classes"):
+        make(np.full((1, 2, 2), values, dtype=np.float32), bad_spacing)
+    with pytest.raises(ValueError, match=message):
+        make(np.full((2, 2, 2), values, dtype=np.float32), bad_spacing)
+
+
+def test_logit_volume_is_one_class_defined_in_volume():
+    from svls import loss
+    assert loss.LogitVolume is volume.LogitVolume is LogitVolume
 
 
 def test_volumes_are_immutable(rng):

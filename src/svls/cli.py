@@ -23,7 +23,9 @@ never leave partial outputs. Every subcommand makes an output's directory,
 and any missing parent of it, when it writes the first file into it, so a
 run that fails before its first write leaves no directory either; `evaluate`
 checks its flags, and the JSON shape of a --region-merge map, before it reads
-anything, and the map's class ids and names once the volumes are read.
+anything, and the map's class ids and names once the volumes are read; `loss`
+checks both operands' headers, sidecars and kinds, and their grids, before
+it reads a payload, then reads and scores them one slab of rows at a time.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -49,7 +51,7 @@ from .loss import LossReport, cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import check_tolerance, score_segmentation
 from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
-from .volume import LabelVolume, LogitVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
+from .volume import LabelVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
 
 log = logging.getLogger("svls")
 
@@ -257,13 +259,18 @@ def _iter_in_out(in_path: str, out_path: str, suffix: str, partner: str | None =
         yield src, mate(src), os.path.join(out_path, name + suffix)
 
 
+def _kind_error(path: str, kind: type, flag: str) -> CliError:
+    """The error for a volume of the other kind given to `flag`, which
+    needs a `kind` volume (LabelVolume or SoftLabelVolume)."""
+    held, wanted = ("labels", "probability") if kind is SoftLabelVolume else ("probabilities", "label")
+    return CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
+
+
 def _read(path: str, kind: type, flag: str):
-    """Read the volume given to `flag`, which must be a `kind` volume
-    (LabelVolume or SoftLabelVolume)."""
+    """Read the volume given to `flag`, which must be a `kind` volume."""
     volume = tensor_io.read_volume(path)
     if not isinstance(volume, kind):
-        held, wanted = ("labels", "probability") if kind is SoftLabelVolume else ("probabilities", "label")
-        raise CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
+        raise _kind_error(path, kind, flag)
     return volume
 
 
@@ -326,50 +333,56 @@ def run_fuse(plan: dict) -> int:
     return 0
 
 
-def streamed_loss(target: SoftLabelVolume, predicted: SoftLabelVolume | LogitVolume) -> LossReport:
-    """Cross-entropy of a probability or logit prediction against `target`,
-    with no float64 copy of the whole prediction.
+def _loss_operand(path: str, flag: str, logits: bool = False) -> tensor_io.VolumeHeader:
+    """Check the header, sidecar and kind of a loss operand, reading none of
+    its payload."""
+    head = tensor_io.read_header(path, logits)
+    if head.dtype_code == tensor_io.DTYPE_LABELS:
+        raise _kind_error(path, SoftLabelVolume, flag)
+    return head
 
-    Probabilities were checked whole when they were read, so they are
-    scored whole: `cross_entropy` holds one float64 slab of scratch. Logits
-    are softmaxed and scored one `volume.slabs` slab of rows at a time,
-    after the grids are checked whole: the slabs are the target's, so a
-    prediction with more rows would otherwise be cut to fit. Every step of
-    `softmax` and `cross_entropy` is per voxel, so `per_voxel` and its mean
-    keep the bytes of `cross_entropy(target, softmax(logits))`.
+
+def streamed_loss(target_path: str, pred_path: str, pred_kind: str) -> LossReport:
+    """Cross-entropy of the probability or logit prediction in `pred_path`
+    against the target in `target_path`, with no whole operand held.
+
+    Both files are checked before any payload is read: --pred's header,
+    sidecar and kind, then --target's, then that the two declare one grid.
+    Then each `volume.slabs` slab of rows is read from both files, the
+    prediction first, each checked by its container; logits go through
+    `softmax`, and the pair through `cross_entropy`, into one float64
+    `per_voxel` grid. Every step is per voxel, so `per_voxel` and its mean
+    keep the bytes of scoring the whole volumes.
     """
-    if isinstance(predicted, SoftLabelVolume):
-        return cross_entropy(target, predicted)
+    logits = pred_kind == "logits"
+    predicted = _loss_operand(pred_path, "loss --pred", logits)
+    target = _loss_operand(target_path, "loss --target")
     check_same_grid(target, predicted)
     per_voxel = np.empty(target.dims, dtype=np.float64)
     for part in slabs(target.dims):
-        per_voxel[part] = _slab_loss(target, predicted, part)
+        per_voxel[part] = _slab_loss(target_path, pred_path, logits, part)
     return LossReport(per_voxel)
 
 
-def _slab_loss(target: SoftLabelVolume, logits: LogitVolume, part: slice) -> np.ndarray:
-    """The per-voxel loss of one slab of logits. Each operand's slab is
-    wrapped, and so checked, by its public constructor, and the logits go
-    through `softmax`. The slab copies are freed on return, before the next
-    slab's are built."""
-    probs = softmax(LogitVolume(logits.data[:, part], logits.spacing))
-    return cross_entropy(SoftLabelVolume(target.data[:, part], target.spacing), probs).per_voxel
+def _slab_loss(target_path: str, pred_path: str, logits: bool, part: slice) -> np.ndarray:
+    """The per-voxel loss of rows `part`, read from both files, the
+    prediction first. The slabs are freed on return, before the next
+    slab's are read."""
+    if logits:
+        predicted = softmax(tensor_io.read_logits(pred_path, part))
+    else:
+        predicted = tensor_io.read_volume(pred_path, part)
+    return cross_entropy(tensor_io.read_volume(target_path, part), predicted).per_voxel
 
 
 def run_loss(plan: dict) -> int:
     for src, target_path, dst in _iter_in_out(plan["pred"], plan["out"], ".json", partner=plan["target"]):
-        # the prediction first: when both operands are bad, the error names --pred
-        if plan["pred_kind"] == "logits":
-            predicted = tensor_io.read_logits(src)
-        else:
-            predicted = _read(src, SoftLabelVolume, "loss --pred")
-        target = _read(target_path, SoftLabelVolume, "loss --target")
-        report = streamed_loss(target, predicted)
+        report = streamed_loss(target_path, src, plan["pred_kind"])
         if dst.endswith(VOLUME_SUFFIX):  # a single --out x.svlv is written as x.json
             dst = dst.removesuffix(VOLUME_SUFFIX) + ".json"
         tensor_io.write_report(report, dst, format="json")
         log.info("loss %s vs %s: %.6f nats", src, target_path, report.total)
-        del predicted, target, report  # a batch's next volumes are read without this one's
+        del report  # a batch's next grid is built without this one's
     return 0
 
 

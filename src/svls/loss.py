@@ -12,7 +12,8 @@ loss math: both containers and their checks live in `volume`.
 
 Every step of softmax and cross_entropy is per voxel, so a slab of rows
 scores as it would inside the whole volume. The `loss` subcommand relies on
-it for logits (`cli.streamed_loss`).
+it for both prediction kinds (`cli.streamed_loss`): it reads each slab of
+rows of both files and scores it, so it never holds a whole operand.
 """
 
 from __future__ import annotations

@@ -11,6 +11,15 @@ little-endian regardless of host:
                 probability volumes (leading class axis first)
     then        raw row-major little-endian payload, nothing after it
 
+A reader checks the header against the file size, and the sidecar against
+the header, before it reads a payload byte; `read_header` does only that.
+`read_volume` and `read_logits` read the whole payload, or with `rows` (a
+slice of the first spatial axis) only those rows of each class plane, each
+read at its plane's offset into one fresh array that the container adopts.
+A payload fault of a row read names the rows and the file first:
+`payload: rows 33:34 of PATH: voxel (0, 7, 2) probabilities sum to ...`,
+where the voxel index is the slab's own.
+
 A JSON sidecar at `<path>.json` carries what the payload cannot: spacing
 (mm per axis, a list of numbers), num_classes (an integer) and provenance
 (an object: method, alpha, sigma, rater files, tool version). Any other key,
@@ -88,12 +97,19 @@ def write_volume(volume, path, provenance=None) -> None:
     """Write a volume and its sidecar; both writes are atomic (temp + rename).
 
     LogitVolume payloads use the f32 dtype code and are readable only via
-    read_logits (their voxel sums are not probability sums).
+    read_logits (their voxel sums are not probability sums). A float64
+    value beyond float32 range is rejected before any file is made, since
+    f32 would hold it as inf.
     """
     if isinstance(volume, LabelVolume):
         dtype_code, payload = DTYPE_LABELS, volume.data
     elif isinstance(volume, (SoftLabelVolume, LogitVolume)):
-        dtype_code, payload = DTYPE_PROBS, volume.data.astype("<f4", copy=False)  # leading class axis included
+        with np.errstate(over="ignore"):  # a float64 score beyond float32 range becomes inf, rejected below
+            payload = volume.data.astype("<f4", copy=False)  # leading class axis included
+        dtype_code = DTYPE_PROBS
+        if payload is not volume.data and not np.isfinite(payload).all():
+            raise ValueError("values beyond float32 range cannot be written as f32, "
+                             f"largest magnitude {np.abs(volume.data).max()}")
     else:
         raise TypeError(f"cannot serialize {type(volume).__name__}")
     header = MAGIC + struct.pack(f"<{3 + payload.ndim}I", VERSION, dtype_code, len(volume.dims), *payload.shape)
@@ -131,72 +147,122 @@ def read_sidecar(path) -> SidecarMeta:
     return SidecarMeta(tuple(spacing), num_classes, provenance)
 
 
-def _fault_of(field: str, call, *args):
+def _fault_of(field: str, call, *args, where: str = ""):
     """`call(*args)`, a container or one of its rules, with what it rejects
-    reported as a fault of `field`."""
+    reported as a fault of `field`, its message prefixed by `where`."""
     try:
         return call(*args)
     except ValueError as exc:
-        raise VolumeFormatError(field, str(exc))
+        raise VolumeFormatError(field, f"{where}{exc}")
 
 
-def _read_container(path):
-    """Check the header against the file size and the sidecar against the
-    header and the containers' spacing and class-count rules, then read the
-    payload into its final array: (dtype code, array, sidecar)."""
-    with open(path, "rb") as fh:
-        head = fh.read(16)
-        if len(head) < 16:
-            raise VolumeFormatError("header", f"file is {len(head)} bytes, header needs 16")
-        if head[:4] != MAGIC:
-            raise VolumeFormatError("magic", f"expected {MAGIC!r}, got {head[:4]!r}")
-        version, dtype_code, rank = struct.unpack_from("<3I", head, 4)
-        if version != VERSION:
-            raise VolumeFormatError("version", f"expected {VERSION}, got {version}")
-        if dtype_code not in (DTYPE_LABELS, DTYPE_PROBS):
-            raise VolumeFormatError("dtype", f"unknown dtype code {dtype_code}")
-        if rank not in (2, 3):
-            raise VolumeFormatError("rank", f"rank must be 2 or 3, got {rank}")
-        naxes = rank if dtype_code == DTYPE_LABELS else rank + 1
-        extents = fh.read(4 * naxes)
-        if len(extents) < 4 * naxes:
-            raise VolumeFormatError("dims", "header ends before the extent list")
-        axes = struct.unpack(f"<{naxes}I", extents)
-        if any(a < 1 for a in axes):
-            raise VolumeFormatError("dims", f"extents must be >= 1, got {axes}")
-        dtype = np.dtype("<u1") if dtype_code == DTYPE_LABELS else np.dtype("<f4")
-        size = dtype.itemsize * math.prod(axes)  # a Python int: no int64 wrap-around
-        found = os.fstat(fh.fileno()).st_size - fh.tell()
-        if found != size:
-            raise VolumeFormatError("payload", f"expected {size} payload bytes, found {found}")
-        meta = read_sidecar(path)
-        _fault_of("spacing", _check_spacing, meta.spacing, rank)
-        if dtype_code == DTYPE_LABELS:
-            _fault_of("num_classes", _check_num_classes, meta.num_classes)
-        elif axes[0] != meta.num_classes:
-            raise VolumeFormatError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")
-        data = np.empty(axes, dtype)
-        read = fh.readinto(data)
-        if read != size:
-            raise VolumeFormatError("payload", f"expected {size} payload bytes, read {read}")
-    data.setflags(write=False)  # fresh: the container adopts it without a copy
-    return dtype_code, data, meta
+@dataclass(frozen=True)
+class VolumeHeader:
+    """What a volume file declares, checked: its dtype code, the extents of
+    its payload (the class axis first in an f32 file), its spacing and its
+    class count. `dims` and `num_classes` are those of the volume it holds,
+    so two headers go through `volume.check_same_grid` as volumes do."""
+
+    dtype_code: int
+    shape: tuple[int, ...]
+    spacing: tuple[float, ...]
+    num_classes: int
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return self.shape if self.dtype_code == DTYPE_LABELS else self.shape[1:]
 
 
-def read_volume(path):
-    """Read a label or probability volume (decided by the dtype code)."""
-    dtype_code, data, meta = _read_container(path)
+_DTYPES = {DTYPE_LABELS: np.dtype("<u1"), DTYPE_PROBS: np.dtype("<f4")}
+
+
+def _check_header(fh, path, logits: bool) -> VolumeHeader:
+    """Check the header of the open file `fh` against the file size, and the
+    sidecar against the header and the containers' spacing and class-count
+    rules; with `logits`, reject a label dtype code too. Leaves `fh` at the
+    first payload byte."""
+    head = fh.read(16)
+    if len(head) < 16:
+        raise VolumeFormatError("header", f"file is {len(head)} bytes, header needs 16")
+    if head[:4] != MAGIC:
+        raise VolumeFormatError("magic", f"expected {MAGIC!r}, got {head[:4]!r}")
+    version, dtype_code, rank = struct.unpack_from("<3I", head, 4)
+    if version != VERSION:
+        raise VolumeFormatError("version", f"expected {VERSION}, got {version}")
+    if dtype_code not in _DTYPES:
+        raise VolumeFormatError("dtype", f"unknown dtype code {dtype_code}")
+    if rank not in (2, 3):
+        raise VolumeFormatError("rank", f"rank must be 2 or 3, got {rank}")
+    naxes = rank if dtype_code == DTYPE_LABELS else rank + 1
+    extents = fh.read(4 * naxes)
+    if len(extents) < 4 * naxes:
+        raise VolumeFormatError("dims", "header ends before the extent list")
+    axes = struct.unpack(f"<{naxes}I", extents)
+    if any(a < 1 for a in axes):
+        raise VolumeFormatError("dims", f"extents must be >= 1, got {axes}")
+    size = _DTYPES[dtype_code].itemsize * math.prod(axes)  # a Python int: no int64 wrap-around
+    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    if found != size:
+        raise VolumeFormatError("payload", f"expected {size} payload bytes, found {found}")
+    meta = read_sidecar(path)
+    spacing = _fault_of("spacing", _check_spacing, meta.spacing, rank)
     if dtype_code == DTYPE_LABELS:
-        return _fault_of("payload", LabelVolume, data, meta.spacing, meta.num_classes)
-    return _fault_of("payload", SoftLabelVolume, data, meta.spacing)
-
-
-def read_logits(path) -> LogitVolume:
-    """Read an f32 volume as raw scores, skipping the probability checks."""
-    dtype_code, data, meta = _read_container(path)
-    if dtype_code != DTYPE_PROBS:
+        _fault_of("num_classes", _check_num_classes, meta.num_classes)
+    elif axes[0] != meta.num_classes:
+        raise VolumeFormatError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")
+    if logits and dtype_code != DTYPE_PROBS:
         raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
-    return _fault_of("payload", LogitVolume, data, meta.spacing)
+    return VolumeHeader(dtype_code, axes, spacing, meta.num_classes)
+
+
+def read_header(path, logits: bool = False) -> VolumeHeader:
+    """Check a volume file as every read does before its first payload byte,
+    and read no payload: the header, the file size and the sidecar, and with
+    `logits` the dtype code as `read_logits` checks it."""
+    with open(path, "rb") as fh:
+        return _check_header(fh, path, logits)
+
+
+def _read_container(path, rows, logits: bool):
+    """Check the file as `read_header` does, then read rows `rows` (a slice
+    of the first spatial axis, all of them for None) of each class plane, at
+    that plane's offset, into one fresh array: (header, array, the prefix
+    of a payload fault's message)."""
+    with open(path, "rb") as fh:
+        head = _check_header(fh, path, logits)
+        start = fh.tell()
+        lead = head.shape[:1] if head.dtype_code == DTYPE_PROBS else ()  # the class axis
+        n, *rest = head.dims
+        part = range(n)[slice(None) if rows is None else rows]
+        if part.step != 1 or not part:
+            raise ValueError(f"rows must be a non-empty run of the {n} rows, got {rows}")
+        dtype = _DTYPES[head.dtype_code]
+        row = dtype.itemsize * math.prod(rest)
+        data = np.empty((*lead, len(part), *rest), dtype)
+        read = 0
+        for c, plane in enumerate(data if lead else [data]):
+            fh.seek(start + row * (c * n + part.start))
+            read += fh.readinto(plane)
+        if read != data.nbytes:
+            raise VolumeFormatError("payload", f"expected {data.nbytes} payload bytes, read {read}")
+    data.setflags(write=False)  # fresh: the container adopts it without a copy
+    return head, data, "" if rows is None else f"rows {part.start}:{part.stop} of {path}: "
+
+
+def read_volume(path, rows=None):
+    """Read a label or probability volume (decided by the dtype code), or
+    with `rows` only those rows of its first spatial axis."""
+    head, data, where = _read_container(path, rows, False)
+    if head.dtype_code == DTYPE_LABELS:
+        return _fault_of("payload", LabelVolume, data, head.spacing, head.num_classes, where=where)
+    return _fault_of("payload", SoftLabelVolume, data, head.spacing, where=where)
+
+
+def read_logits(path, rows=None) -> LogitVolume:
+    """Read an f32 volume as raw scores, skipping the probability checks,
+    or with `rows` only those rows of its first spatial axis."""
+    head, data, where = _read_container(path, rows, True)
+    return _fault_of("payload", LogitVolume, data, head.spacing, where=where)
 
 
 def _sig6(x: float):

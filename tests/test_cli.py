@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import struct
@@ -9,12 +10,21 @@ import numpy as np
 import pytest
 
 import svls
-from svls import LabelVolume, SvlsKernel, one_hot_encode, score_segmentation
+from svls import (
+    LabelVolume,
+    LogitVolume,
+    SoftLabelVolume,
+    SvlsKernel,
+    one_hot_encode,
+    score_segmentation,
+    softmax,
+    svls_smooth,
+)
 from svls import cli
 from svls.cli import main
 from svls.tensor_io import read_volume, write_report, write_volume
 
-from conftest import forbid_payload_read, random_labels, set_sidecar_token
+from conftest import forbid_payload_read, random_labels, set_sidecar_token, sum_block
 
 
 def run(args, capsys):
@@ -794,6 +804,124 @@ def test_loss_rejects_logits_on_another_grid(tmp_path, rng, capsys, dims, classe
     code, _, err = run(argv, capsys)
     assert code == 1
     assert last_error(err) == {"error": "validation", "message": message}
+    assert not out.exists()
+
+
+def write_loss_files(d, rng, dims, classes=3):
+    """A float32 SVLS target, float32 logits, a probability prediction and a
+    label volume, all on one grid of `dims`; their paths by role."""
+    labels = random_labels(rng, dims, classes)
+    scores = LogitVolume(rng.normal(size=(classes,) + dims).astype(np.float32), labels.spacing)
+    probs = softmax(scores)
+    volumes = {
+        "target": svls_smooth(labels, 1.0),
+        "logits": scores,
+        "probs": SoftLabelVolume(probs.data.astype(np.float32), probs.spacing),
+        "labels": labels,
+    }
+    paths = {}
+    for role, vol in volumes.items():
+        paths[role] = d / f"{role}.svlv"
+        write_volume(vol, paths[role])
+    return paths
+
+
+def one_error_line(err: str) -> dict:
+    lines = err.splitlines()
+    assert len(lines) == 1, err
+    return json.loads(lines[0])
+
+
+# (operand at fault, fault); the messages are those of whole-volume reads
+LOSS_READ_FAULTS = {
+    "labels-as-pred": ("pred", "labels"),
+    "labels-as-target": ("target", "labels"),
+    "sidecar-of-pred": ("pred", "sidecar"),
+    "sidecar-of-target": ("target", "sidecar"),
+    "target-a-row-short": ("target", "short"),
+}
+
+
+@pytest.mark.parametrize("kind", ["logits", "probs"])
+@pytest.mark.parametrize("case", LOSS_READ_FAULTS)
+def test_loss_checks_both_operands_before_any_payload_read(tmp_path, rng, capsys, monkeypatch, kind, case):
+    role, fault = LOSS_READ_FAULTS[case]
+    paths = write_loss_files(tmp_path, rng, (8, 10, 12))
+    operands = {"pred": paths[kind], "target": paths["target"]}
+    if fault == "labels":
+        operands[role] = paths["labels"]
+        if role == "pred" and kind == "logits":
+            message = "dtype: logits must use the f32 dtype code"
+        else:
+            message = f"{paths['labels']} holds labels; loss --{role} needs a probability volume"
+    elif fault == "sidecar":
+        set_sidecar_token(operands[role], "spacing", '"x"')
+        message = 'spacing: spacing must be a list of numbers, got "x"'
+    else:
+        (tmp_path / "short").mkdir()
+        operands["target"] = write_loss_files(tmp_path / "short", rng, (7, 10, 12))["target"]
+        message = "shape mismatch: dims (7, 10, 12) vs (8, 10, 12)"
+    forbid_payload_read(monkeypatch)
+    out = tmp_path / "loss.json"
+    argv = ["loss", "--target", str(operands["target"]), "--pred", str(operands["pred"]),
+            "--pred-kind", kind, "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert one_error_line(err) == {"error": "validation", "message": message}
+    assert not out.exists()
+
+
+def _set_float(path, index, value):
+    """Set one payload float of a rank-3 class-first file, at (class, *voxel)."""
+    blob = bytearray(path.read_bytes())
+    shape = struct.unpack_from("<4I", blob, 16)
+    offset = 32 + 4 * int(np.ravel_multi_index(index, shape))
+    if callable(value):
+        value = value(struct.unpack_from("<f", blob, offset)[0])
+    struct.pack_into("<f", blob, offset, value)
+    path.write_bytes(bytes(blob))
+
+
+def _off_sum(p):
+    return p + 0.25 if p < 0.5 else p - 0.25
+
+
+# (prediction kind, row of a fault in the prediction, row of a sum fault in
+# the target, operand and row named); None is no fault
+LOSS_SLAB_FAULTS = {
+    "target-sum-at-row-33": ("logits", None, 33, "target", 33),
+    "target-sum-at-row-33-probs": ("probs", None, 33, "target", 33),
+    "nan-in-the-last-logit-slab": ("logits", 39, None, "pred", 39),
+    "target-slab-first": ("logits", 30, 10, "target", 10),
+    "logit-slab-first": ("logits", 10, 30, "pred", 10),
+    "same-slab-pred-first": ("logits", 20, 20, "pred", 20),
+    "probs-slab-first": ("probs", 12, 25, "pred", 12),
+    "probs-target-slab-first": ("probs", 25, 12, "target", 12),
+}
+
+
+@pytest.mark.parametrize("case", LOSS_SLAB_FAULTS)
+def test_loss_reports_the_first_slab_fault_it_meets(tmp_path, rng, capsys, case):
+    # 40 one-row slabs: a fault is met at its slab, --pred's rows before --target's
+    kind, pred_row, target_row, named, row = LOSS_SLAB_FAULTS[case]
+    paths = write_loss_files(tmp_path, rng, (40, 4, 4))
+    pred, target = paths[kind], paths["target"]
+    if pred_row is not None:
+        _set_float(pred, (1, pred_row, 2, 3), math.nan if kind == "logits" else 1.5)
+    if target_row is not None:
+        _set_float(target, (0, target_row, 1, 2), _off_sum)
+    out = tmp_path / "loss.json"
+    argv = ["loss", "--target", str(target), "--pred", str(pred), "--pred-kind", kind, "--out", str(out)]
+    with sum_block(16):
+        code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    error = one_error_line(err)
+    assert error["error"] == "validation"
+    if named == "target":
+        path, fault = target, "voxel (0, 1, 2) probabilities sum to "
+    else:
+        path, fault = pred, "logits must be finite" if kind == "logits" else "probabilities must lie in [0, 1]"
+    assert error["message"].startswith(f"payload: rows {row}:{row + 1} of {path}: {fault}"), error
     assert not out.exists()
 
 

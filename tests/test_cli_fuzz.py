@@ -1,0 +1,159 @@
+"""Fault fuzzer of the `loss` subcommand: one change to one operand of a
+valid pair ends in exit 0, 1 or 2, never in a traceback or KIND `internal`.
+
+Each example copies a valid 8x10x12 pair, a 3-class float32 target and a
+prediction (logits or probabilities), and changes exactly one thing in one
+operand: a header field, a sidecar value, or one payload float (NaN, +-inf,
+a value above 1, or a value moved by 1e-3 so its voxel's sum is off). It
+then runs `svls.cli.main` in this process, with slabs of one row, of two,
+or of the whole volume. Stderr must be empty on exit 0 and exactly one JSON
+line of KIND `validation` or `io` otherwise, a report must be written only
+on exit 0, and nothing may raise a warning: outside pytest a warning prints
+a line of its own.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import struct
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from svls import LabelVolume, LogitVolume, SoftLabelVolume, softmax, svls_smooth
+from svls.cli import main
+from svls.tensor_io import write_volume
+
+from conftest import sum_block
+
+DIMS = (8, 10, 12)
+CLASSES = 3
+HEADER = 16 + 4 * (1 + len(DIMS))  # magic, version, dtype, rank, then the class axis and dims
+# u32 header fields by byte offset: version, dtype, rank, then the four extents
+HEADER_FIELDS = (4, 8, 12, 16, 20, 24, 28)
+U32_VALUES = st.one_of(st.sampled_from([0, 1, 2, 3, 4, 7, 8, 9, 255, 256, 2**31, 2**32 - 1]),
+                       st.integers(0, 2**32 - 1))
+SIDECAR_VALUES = {
+    "spacing": ["[5e-324, 1, 1]", "[1e308, 1, 1]", "[-0.0, 1, 1]", "[1" + "0" * 400 + ", 1, 1]",
+                "[1e999, 1, 1]", "[NaN, 1, 1]", "[1, 1]", "[1, 1, 1, 1]", '"111"', "[true, 1, 1]",
+                "null", "{}", "[2, 1, 1]"],
+    "num_classes": ["0", "1", "2", "4", "256", "257", "2.5", '"3"', "true", "null", "1" + "0" * 400],
+    "provenance": ['"svls"', "[]", "null", "{}"],
+}
+PAYLOAD_VALUES = {
+    "nan": lambda p: float("nan"),
+    "inf": lambda p: float("inf"),
+    "-inf": lambda p: float("-inf"),
+    "above-one": lambda p: 1.5,
+    "sum-off": lambda p: p + 1e-3,
+}
+
+
+@pytest.fixture(scope="module")
+def pair(tmp_path_factory):
+    """A valid pair's files, by role: target, logits and probabilities."""
+    d = tmp_path_factory.mktemp("fuzz_pair")
+    rng = np.random.default_rng(7)
+    labels = LabelVolume(rng.integers(0, CLASSES, size=DIMS).astype(np.uint8), (1.0, 0.5, 2.0), CLASSES)
+    scores = LogitVolume(rng.normal(size=(CLASSES,) + DIMS).astype(np.float32), labels.spacing)
+    probs = softmax(scores)
+    volumes = {
+        "target": svls_smooth(labels, 1.0),
+        "logits": scores,
+        "probs": SoftLabelVolume(probs.data.astype(np.float32), probs.spacing),
+    }
+    for role, vol in volumes.items():
+        write_volume(vol, d / f"{role}.svlv")
+    return d
+
+
+@st.composite
+def faults(draw):
+    """(prediction kind, operand, a description, a function that damages a file)."""
+    kind = draw(st.sampled_from(["logits", "probs"]))
+    operand = draw(st.sampled_from(["target", "pred"]))
+    where = draw(st.sampled_from(["header", "sidecar", "payload"]))
+    if where == "header":
+        what = draw(st.sampled_from(["magic", "truncate", "append", "u32"]))
+        if what == "magic":
+            magic = draw(st.binary(min_size=4, max_size=4).filter(lambda m: m != b"SVLV"))
+            return kind, operand, f"magic {magic!r}", lambda path: _edit(path, lambda b: magic + b[4:])
+        if what == "truncate":
+            keep = draw(st.integers(0, HEADER + 4 * CLASSES * int(np.prod(DIMS)) - 1))
+            return kind, operand, f"cut to {keep} bytes", lambda path: _edit(path, lambda b: b[:keep])
+        if what == "append":
+            extra = draw(st.binary(min_size=1, max_size=8))
+            return kind, operand, f"{len(extra)} bytes appended", lambda path: _edit(path, lambda b: b + extra)
+        offset, value = draw(st.sampled_from(HEADER_FIELDS)), draw(U32_VALUES)
+
+        def set_u32(blob):
+            if struct.unpack_from("<I", blob, offset)[0] == value:
+                return blob
+            return blob[:offset] + struct.pack("<I", value) + blob[offset + 4:]
+
+        return kind, operand, f"u32 at {offset} = {value}", lambda path: _edit(path, set_u32)
+    if where == "sidecar":
+        key = draw(st.sampled_from(sorted(SIDECAR_VALUES) + ["missing", "unparseable"]))
+        if key == "missing":
+            return kind, operand, "no sidecar", lambda path: _sidecar(path).unlink()
+        if key == "unparseable":
+            return kind, operand, "unparseable sidecar", lambda path: _sidecar(path).write_text("{")
+        token = draw(st.sampled_from(SIDECAR_VALUES[key]))
+
+        def set_token(path):
+            meta = json.loads(_sidecar(path).read_text())
+            meta[key] = "@"
+            _sidecar(path).write_text(json.dumps(meta).replace('"@"', token))
+
+        return kind, operand, f"sidecar {key} = {token[:20]}", set_token
+    index = draw(st.integers(0, CLASSES * int(np.prod(DIMS)) - 1))
+    name = draw(st.sampled_from(sorted(PAYLOAD_VALUES)))
+
+    def set_float(blob):
+        offset = HEADER + 4 * index
+        old = struct.unpack_from("<f", blob, offset)[0]
+        return blob[:offset] + struct.pack("<f", PAYLOAD_VALUES[name](old)) + blob[offset + 4:]
+
+    return kind, operand, f"payload float {index} {name}", lambda path: _edit(path, set_float)
+
+
+def _sidecar(path):
+    return path.parent / (path.name + ".json")
+
+
+def _edit(path, change):
+    path.write_bytes(change(path.read_bytes()))
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(fault=faults(), block=st.sampled_from([120, 240, 1 << 14]))
+def test_one_fault_in_one_loss_operand_never_ends_internal(pair, tmp_path_factory, fault, block):
+    kind, operand, description, damage = fault
+    d = tmp_path_factory.mktemp("fuzz")
+    for role in ("target", kind):
+        for suffix in ("", ".json"):
+            shutil.copy(pair / f"{role}.svlv{suffix}", d / f"{role}.svlv{suffix}")
+    damage(d / ("target.svlv" if operand == "target" else f"{kind}.svlv"))
+    out = d / "loss.json"
+    argv = ["loss", "--target", str(d / "target.svlv"), "--pred", str(d / f"{kind}.svlv"),
+            "--pred-kind", kind, "--out", str(out)]
+    err = io.StringIO()
+    with sum_block(block), warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == [], description
+    lines = err.getvalue().splitlines()
+    if code == 0:
+        assert lines == [], description
+        assert out.exists(), description
+        return
+    assert code in (1, 2), description
+    assert len(lines) == 1, (description, lines)
+    error = json.loads(lines[0])
+    assert set(error) == {"error", "message"}, description
+    assert error["error"] in ("validation", "io"), (description, error)
+    assert not out.exists(), description

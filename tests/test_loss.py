@@ -20,6 +20,7 @@ from svls import (
 )
 from svls.cli import streamed_loss
 from svls.loss import LOG_FLOOR
+from svls.tensor_io import write_volume
 
 from conftest import slab_cuts, sum_block
 from oracles import whole_volume_cross_entropy, whole_volume_softmax
@@ -218,16 +219,24 @@ def test_slabbed_softmax_and_loss_keep_the_whole_volume_oracles_bytes(cut, data)
 
 @settings(max_examples=80, deadline=None)
 @given(cut=slab_cuts(), data=st.data(), kind=st.sampled_from(["logits", "probs"]))
-def test_streamed_loss_keeps_the_whole_volume_oracles_bytes(cut, data, kind):
-    # the CLI's loss softmaxes and scores one slab of rows at a time, the last one ragged
+def test_streamed_loss_keeps_the_whole_volume_oracles_bytes(tmp_path_factory, cut, data, kind):
+    # the CLI's loss reads, softmaxes and scores one slab of rows of each
+    # file at a time, the last one ragged; files hold float32
     dims, block, num_slabs = cut
     target, scores = data.draw(scored_grids(dims))
-    probs = whole_volume_softmax(scores.data.astype(np.float64))
-    # probabilities as read: float32 or float64, as the logits were
-    predicted = scores if kind == "logits" else SoftLabelVolume(probs.astype(scores.data.dtype), scores.spacing)
+    target = SoftLabelVolume(target.data.astype(np.float32), target.spacing)
+    scores = scores.data.astype(np.float32)
+    probs = whole_volume_softmax(scores.astype(np.float64))
+    if kind == "logits":
+        predicted = LogitVolume(scores, target.spacing)
+    else:
+        predicted = SoftLabelVolume(probs.astype(np.float32), target.spacing)
+    d = tmp_path_factory.mktemp("streamed")
+    write_volume(target, d / "target.svlv")
+    write_volume(predicted, d / "pred.svlv")
     expected = whole_volume_cross_entropy(target.data, probs if kind == "logits" else predicted.data, LOG_FLOOR)
     with sum_block(block):
         assert len(volume.slabs(dims)) == num_slabs
-        report = streamed_loss(target, predicted)
+        report = streamed_loss(str(d / "target.svlv"), str(d / "pred.svlv"), kind)
     assert report.per_voxel.tobytes() == expected.tobytes()
     assert report.total == expected.mean()

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,6 +63,37 @@ def test_header_layout_is_fixed_little_endian(tmp_path):
     assert len(blob) == 16 + 8 + 6
 
 
+def test_probability_header_layout_is_fixed_little_endian(tmp_path):
+    vol = one_hot_encode(LabelVolume(np.zeros((2, 3), dtype=np.uint8), (1.0, 1.0), 2))
+    path = tmp_path / "v.svlv"
+    write_volume(vol, path)
+    blob = path.read_bytes()
+    assert struct.unpack_from("<3I", blob, 4) == (1, 1, 2)  # version, the f32 dtype code, rank
+    assert struct.unpack_from("<3I", blob, 16) == (2, 2, 3)
+    assert len(blob) == 16 + 12 + 4 * 12
+
+
+def test_writers_reject_what_they_cannot_serialize(tmp_path):
+    with pytest.raises(TypeError, match="cannot serialize ndarray"):
+        write_volume(np.zeros((2, 2), np.uint8), tmp_path / "v.svlv")
+    with pytest.raises(TypeError, match="cannot serialize dict"):
+        write_report({"total": 0.0}, tmp_path / "r.json")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_files_are_world_readable(tmp_path, rng):
+    # the temporary file is made 0600; the written one gets a regular file's mode
+    write_volume(random_labels(rng, (2, 2), 2), tmp_path / "v.svlv")
+    for name in ("v.svlv", "v.svlv.json"):
+        assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
+
+def test_failed_write_raises_and_leaves_no_file(tmp_path):
+    with pytest.raises(TypeError):
+        tensor_io._atomic_write_bytes(tmp_path / "out" / "v.svlv", b"SVLV", object())
+    assert list((tmp_path / "out").iterdir()) == []
+
+
 def test_bad_magic_rejected(tmp_path, rng):
     path = tmp_path / "v.svlv"
     write_volume(random_labels(rng, (2, 2), 2), path)
@@ -71,6 +103,7 @@ def test_bad_magic_rejected(tmp_path, rng):
     with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
     assert err.value.field == "magic"
+    assert str(err.value) == "magic: expected b'SVLV', got b'XXXX'"
 
 
 def test_version_mismatch_rejected(tmp_path, rng):
@@ -237,6 +270,25 @@ def test_payload_guard_fires_once_the_sidecar_is_valid(tmp_path, rng, monkeypatc
         read_volume(path)
 
 
+@pytest.mark.parametrize("kind", ["labels", "probs"])
+@pytest.mark.parametrize("value", ["3", 2.5])
+def test_sidecar_class_count_of_another_kind_is_named_as_such(tmp_path, rng, kind, value):
+    # the kind check comes before the count is compared with the payload
+    path = _sidecar_fault_volume(tmp_path, rng, kind, _set("num_classes", value))
+    with pytest.raises(VolumeFormatError) as err:
+        read_volume(path)
+    assert str(err.value) == f"num_classes: num_classes must be an integer, got {json.dumps(value)}"
+
+
+def test_probability_class_count_must_match_the_payloads(tmp_path, rng):
+    path = tmp_path / "v.svlv"
+    write_volume(one_hot_encode(random_labels(rng, (4, 5), 3)), path)
+    _set("num_classes", 5)(tmp_path / "v.svlv.json")
+    with pytest.raises(VolumeFormatError) as err:
+        read_volume(path)
+    assert str(err.value) == "num_classes: sidecar says 5 classes, payload has 3"
+
+
 def test_valid_sidecar_numbers_read_as_floats(tmp_path, rng):
     path = _sidecar_fault_volume(tmp_path, rng, "labels", _set("spacing", [2, 0.5]))
     vol = read_volume(path)
@@ -266,6 +318,130 @@ def test_readers_hand_over_an_array_owning_its_memory(tmp_path, rng, kind):
     back = read_logits(path) if kind == "logits" else read_volume(path)
     assert back.data.flags.owndata and not back.data.flags.writeable
     assert back.data.tobytes() == vol.data.tobytes()
+
+
+def _three_class_rows(tmp_path, rows=5):
+    """A 3-class probability file of `rows` x 2 x 3 voxels whose values tell
+    class, row and voxel apart; its path and volume."""
+    raw = np.arange(1, 3 * rows * 6 + 1, dtype=np.float64).reshape(3, rows, 2, 3)
+    vol = SoftLabelVolume((raw / raw.sum(axis=0)).astype(np.float32), (1.0, 2.0, 0.5))
+    path = tmp_path / "v.svlv"
+    write_volume(vol, path)
+    return path, vol
+
+
+@pytest.mark.parametrize("rows", [slice(0, 5), slice(0, 1), slice(2, 4), slice(4, 5), slice(3, None), slice(-2, 9)])
+def test_row_read_holds_those_rows_of_every_class_plane(tmp_path, rows):
+    path, vol = _three_class_rows(tmp_path)
+    part = read_volume(path, rows)
+    assert type(part) is SoftLabelVolume and part.spacing == vol.spacing
+    assert part.data.tobytes() == np.ascontiguousarray(vol.data[:, rows]).tobytes()
+    # one fresh array, adopted without a copy
+    assert part.data.flags.owndata and not part.data.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["labels", "logits"])
+def test_row_read_of_labels_and_logits(tmp_path, rng, kind):
+    labels = random_labels(rng, (4, 3, 2), 3)
+    vol = labels if kind == "labels" else LogitVolume(rng.normal(size=(3, 4, 3, 2)).astype(np.float32), labels.spacing)
+    path = tmp_path / "v.svlv"
+    write_volume(vol, path)
+    part = read_volume(path, slice(1, 3)) if kind == "labels" else read_logits(path, slice(1, 3))
+    assert type(part) is type(vol)
+    expected = vol.data[1:3] if kind == "labels" else vol.data[:, 1:3]
+    assert part.data.tobytes() == np.ascontiguousarray(expected).tobytes()
+    if kind == "labels":
+        assert part.num_classes == 3
+
+
+@pytest.mark.parametrize("rows", [slice(2, 2), slice(0, 4, 2), slice(5, 9), slice(4, 1)])
+def test_row_read_rejects_an_empty_or_strided_run(tmp_path, rows):
+    path, _ = _three_class_rows(tmp_path)
+    with pytest.raises(ValueError, match=r"rows must be a non-empty run of the 5 rows"):
+        read_volume(path, rows)
+
+
+def test_row_read_names_its_rows_and_file_in_a_payload_fault(tmp_path):
+    path, vol = _three_class_rows(tmp_path)
+    blob = bytearray(path.read_bytes())
+    # class 2 of voxel (3, 1, 0): the sum of row 3 is off by 0.1
+    offset = 16 + 16 + 4 * (2 * 30 + 3 * 6 + 1 * 3 + 0)
+    struct.pack_into("<f", blob, offset, struct.unpack_from("<f", blob, offset)[0] + 0.1)
+    path.write_bytes(bytes(blob))
+    assert read_volume(path, slice(0, 3)).data.tobytes() == vol.data[:, :3].tobytes()
+    assert read_volume(path, slice(4, 5)).data.tobytes() == vol.data[:, 4:].tobytes()
+    with pytest.raises(VolumeFormatError) as err:
+        read_volume(path, slice(2, 4))
+    assert err.value.field == "payload"
+    # the voxel index is the slab's own
+    assert str(err.value).startswith(f"payload: rows 2:4 of {path}: voxel (1, 1, 0) probabilities sum to 1.1")
+    with pytest.raises(VolumeFormatError) as err:
+        read_volume(path)
+    assert str(err.value).startswith("payload: voxel (3, 1, 0) probabilities sum to 1.1")
+
+
+def test_short_row_read_is_a_payload_error(tmp_path, monkeypatch):
+    path, _ = _three_class_rows(tmp_path)
+    path.write_bytes(path.read_bytes()[:-4])
+    fstat = tensor_io.os.fstat
+    monkeypatch.setattr(tensor_io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    # rows 3:5 are 12 floats of each plane; the last plane's lack its last one
+    with pytest.raises(VolumeFormatError, match="expected 144 payload bytes, read 140") as err:
+        read_volume(path, slice(3, 5))
+    assert err.value.field == "payload"
+    assert read_volume(path, slice(0, 3)).dims == (3, 2, 3)
+
+
+@pytest.mark.parametrize("case", SIDECAR_FAULTS)
+def test_header_read_checks_the_sidecar_without_the_payload(tmp_path, rng, monkeypatch, case):
+    kind, fault, field = SIDECAR_FAULTS[case]
+    path = _sidecar_fault_volume(tmp_path, rng, kind, fault)
+    forbid_payload_read(monkeypatch)
+    with pytest.raises(VolumeFormatError) as err:
+        tensor_io.read_header(path)
+    assert err.value.field == field
+
+
+@pytest.mark.parametrize("kind", ["labels", "probs"])
+def test_header_read_declares_the_volumes_grid(tmp_path, rng, monkeypatch, kind):
+    path = _sidecar_fault_volume(tmp_path, rng, kind, _set("spacing", [2, 0.5]))
+    forbid_payload_read(monkeypatch)
+    head = tensor_io.read_header(path)
+    assert (head.dims, head.num_classes, head.spacing) == ((3, 4), 3, (2.0, 0.5))
+    assert all(type(s) is float for s in head.spacing)
+    assert head.shape == ((3, 4) if kind == "labels" else (3, 3, 4))
+    assert head.dtype_code == (tensor_io.DTYPE_LABELS if kind == "labels" else tensor_io.DTYPE_PROBS)
+    if kind == "probs":
+        assert tensor_io.read_header(path, logits=True) == head
+
+
+def test_logit_reader_rejects_a_label_file_before_its_payload(tmp_path, rng, monkeypatch):
+    path = _sidecar_fault_volume(tmp_path, rng, "labels", lambda side: None)
+    forbid_payload_read(monkeypatch)
+    for read in (read_logits, lambda p: tensor_io.read_header(p, logits=True)):
+        with pytest.raises(VolumeFormatError, match="logits must use the f32 dtype code") as err:
+            read(path)
+        assert err.value.field == "dtype"
+
+
+@pytest.mark.parametrize("score", [1e300, -1e300, 3.5e38])
+def test_scores_beyond_float32_range_are_rejected_before_any_file(tmp_path, score):
+    data = np.zeros((2, 2, 3))
+    data[1, 1, 2] = score
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warning on the way
+        with pytest.raises(ValueError, match="beyond float32 range"):
+            write_volume(LogitVolume(data, (1.0, 1.0)), tmp_path / "out" / "v.svlv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_scores_rounding_to_the_float32_extreme_are_written(tmp_path):
+    # the largest float32 and values within half an ulp above it round to it
+    top = float(np.finfo(np.float32).max)
+    data = np.zeros((2, 1, 3))
+    data[0] = [top, -top, math.nextafter(top, math.inf)]
+    write_volume(LogitVolume(data, (1.0, 1.0)), tmp_path / "v.svlv")
+    assert read_logits(tmp_path / "v.svlv").data[0].tolist() == [[top, -top, top]]
 
 
 GOLDEN_SIDECARS = {

@@ -23,9 +23,10 @@ never leave partial outputs. Every subcommand makes an output's directory,
 and any missing parent of it, when it writes the first file into it, so a
 run that fails before its first write leaves no directory either; `evaluate`
 checks its flags, and the JSON shape of a --region-merge map, before it reads
-anything, and the map's class ids and names once the volumes are read; `loss`
-checks both operands' headers, sidecars and kinds, and their grids, before
-it reads a payload, then reads and scores them one slab of rows at a time.
+anything, and the map's class ids and names once the volumes are read. Every
+input's header, sidecar and kind, and the grids of an `evaluate` or `loss`
+pair, are checked before any payload is read; `loss` then reads and scores
+its pair one slab of rows at a time.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -39,10 +40,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
@@ -259,19 +259,16 @@ def _iter_in_out(in_path: str, out_path: str, suffix: str, partner: str | None =
         yield src, mate(src), os.path.join(out_path, name + suffix)
 
 
-def _kind_error(path: str, kind: type, flag: str) -> CliError:
-    """The error for a volume of the other kind given to `flag`, which
-    needs a `kind` volume (LabelVolume or SoftLabelVolume)."""
-    held, wanted = ("labels", "probability") if kind is SoftLabelVolume else ("probabilities", "label")
-    return CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
-
-
-def _read(path: str, kind: type, flag: str):
-    """Read the volume given to `flag`, which must be a `kind` volume."""
-    volume = tensor_io.read_volume(path)
-    if not isinstance(volume, kind):
-        raise _kind_error(path, kind, flag)
-    return volume
+def _header(path: str, kind: type, flag: str, logits: bool = False) -> tensor_io.VolumeHeader:
+    """Check the header, sidecar and kind of the `kind` volume (LabelVolume
+    or SoftLabelVolume) given to `flag`, reading none of its payload; with
+    `logits`, the dtype code as `read_logits` checks it."""
+    head = tensor_io.read_header(path, logits)
+    labels = head.dtype_code == tensor_io.DTYPE_LABELS
+    if labels != (kind is LabelVolume):
+        held, wanted = ("labels", "probability") if labels else ("probabilities", "label")
+        raise CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
+    return head
 
 
 def run_kernel(plan: dict) -> int:
@@ -300,7 +297,8 @@ def run_encode(plan: dict) -> int:
     if method == "ls" and plan["alpha"] is None:
         raise CliError("--alpha is required for method ls")
     for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
-        labels = _read(src, LabelVolume, "encode --in")
+        _header(src, LabelVolume, "encode --in")
+        labels = tensor_io.read_volume(src)
         provenance = {"method": method, "source": os.path.basename(src)}
         if method == "onehot":
             soft = one_hot_encode(labels)
@@ -319,7 +317,9 @@ def run_fuse(plan: dict) -> int:
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
-    raters = RaterSet(tuple(_read(p, LabelVolume, "fuse --in") for p in paths))
+    for p in paths:
+        _header(p, LabelVolume, "fuse --in")
+    raters = RaterSet(tuple(tensor_io.read_volume(p) for p in paths))
     provenance = {
         "method": plan["method"],
         "rater_files": [os.path.basename(p) for p in paths],
@@ -333,15 +333,6 @@ def run_fuse(plan: dict) -> int:
     return 0
 
 
-def _loss_operand(path: str, flag: str, logits: bool = False) -> tensor_io.VolumeHeader:
-    """Check the header, sidecar and kind of a loss operand, reading none of
-    its payload."""
-    head = tensor_io.read_header(path, logits)
-    if head.dtype_code == tensor_io.DTYPE_LABELS:
-        raise _kind_error(path, SoftLabelVolume, flag)
-    return head
-
-
 def streamed_loss(target_path: str, pred_path: str, pred_kind: str) -> LossReport:
     """Cross-entropy of the probability or logit prediction in `pred_path`
     against the target in `target_path`, with no whole operand held.
@@ -350,29 +341,26 @@ def streamed_loss(target_path: str, pred_path: str, pred_kind: str) -> LossRepor
     sidecar and kind, then --target's, then that the two declare one grid.
     Then each `volume.slabs` slab of rows is read from both files, the
     prediction first, each checked by its container; logits go through
-    `softmax`, and the pair through `cross_entropy`, into one float64
-    `per_voxel` grid. Every step is per voxel, so `per_voxel` and its mean
-    keep the bytes of scoring the whole volumes.
+    `softmax`, and the pair through `cross_entropy`. Each is one slab of the
+    loss's slab rule, so the `math.fsum` of their `loss_sum`s is the
+    library's, bit for bit, and no per-voxel grid is kept.
     """
     logits = pred_kind == "logits"
-    predicted = _loss_operand(pred_path, "loss --pred", logits)
-    target = _loss_operand(target_path, "loss --target")
+    predicted = _header(pred_path, SoftLabelVolume, "loss --pred", logits)
+    target = _header(target_path, SoftLabelVolume, "loss --target")
     check_same_grid(target, predicted)
-    per_voxel = np.empty(target.dims, dtype=np.float64)
-    for part in slabs(target.dims):
-        per_voxel[part] = _slab_loss(target_path, pred_path, logits, part)
-    return LossReport(per_voxel)
+    sums = (_slab_loss(target_path, pred_path, logits, part) for part in slabs(target.dims))
+    return LossReport(math.fsum(sums), math.prod(target.dims))
 
 
-def _slab_loss(target_path: str, pred_path: str, logits: bool, part: slice) -> np.ndarray:
-    """The per-voxel loss of rows `part`, read from both files, the
-    prediction first. The slabs are freed on return, before the next
-    slab's are read."""
+def _slab_loss(target_path: str, pred_path: str, logits: bool, part: slice) -> float:
+    """The summed loss of rows `part`, read from both files, the prediction
+    first. The slabs are freed on return, before the next slab's are read."""
     if logits:
         predicted = softmax(tensor_io.read_logits(pred_path, part))
     else:
         predicted = tensor_io.read_volume(pred_path, part)
-    return cross_entropy(tensor_io.read_volume(target_path, part), predicted).per_voxel
+    return cross_entropy(tensor_io.read_volume(target_path, part), predicted).loss_sum
 
 
 def run_loss(plan: dict) -> int:
@@ -382,7 +370,6 @@ def run_loss(plan: dict) -> int:
             dst = dst.removesuffix(VOLUME_SUFFIX) + ".json"
         tensor_io.write_report(report, dst, format="json")
         log.info("loss %s vs %s: %.6f nats", src, target_path, report.total)
-        del report  # a batch's next grid is built without this one's
     return 0
 
 
@@ -401,8 +388,10 @@ def run_evaluate(plan: dict) -> int:
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
     regions = _load_regions(plan["region_merge"]) if plan["region_merge"] else {}
     for src, ref_path, out_dir in _iter_in_out(plan["pred"], plan["out"], "", partner=plan["ref"]):
-        reference = _read(ref_path, LabelVolume, "evaluate --ref")
-        predicted = _read(src, SoftLabelVolume, "evaluate --pred")
+        check_same_grid(_header(ref_path, LabelVolume, "evaluate --ref"),
+                        _header(src, SoftLabelVolume, "evaluate --pred"))
+        reference = tensor_io.read_volume(ref_path)
+        predicted = tensor_io.read_volume(src)
         scores = score_segmentation(reference, argmax_labels(predicted), plan["sd_tolerance"],
                                     regions, plan["composite"])
         calib = calibrate_report(

@@ -11,13 +11,16 @@ whatever the stored dtype. Values are in nats. This module holds only the
 loss math: both containers and their checks live in `volume`.
 
 Every step of softmax and cross_entropy is per voxel, so a slab of rows
-scores as it would inside the whole volume. The `loss` subcommand relies on
-it for both prediction kinds (`cli.streamed_loss`): it reads each slab of
-rows of both files and scores it, so it never holds a whole operand.
+scores as it would inside the whole volume. The loss total has one slab
+rule: the `math.fsum` of the float64 numpy sums of the `volume.slabs` slabs
+of the per-voxel losses, over the voxel count. So the `loss` subcommand
+(`cli.streamed_loss`) scores a file one such slab of rows at a time, adds
+up their sums and gets the library's total, holding no whole operand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,17 +32,19 @@ LOG_FLOOR = 1e-12  # the loss is undefined at p=0; predictions are clamped here
 
 @dataclass(frozen=True)
 class LossReport:
-    """A per-voxel cross-entropy grid and its unweighted voxel mean.
-
-    `total` is derived from `per_voxel` at construction, so a report is
-    built as `LossReport(per_voxel)` and its two values cannot disagree.
+    """The summed cross-entropy of `voxels` voxels by the slab rule of the
+    module docstring, and the per-voxel grid if one is kept (not compared).
+    Reports of disjoint slabs add up: their union's `loss_sum` is the
+    `math.fsum` of theirs.
     """
 
-    per_voxel: np.ndarray
-    total: float = field(init=False)
+    loss_sum: float
+    voxels: int
+    per_voxel: np.ndarray | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "total", float(self.per_voxel.mean()))
+    @property
+    def total(self) -> float:  # the unweighted voxel mean
+        return self.loss_sum / self.voxels
 
 
 def softmax(logits: LogitVolume) -> SoftLabelVolume:
@@ -66,15 +71,14 @@ def softmax(logits: LogitVolume) -> SoftLabelVolume:
 
 
 def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossReport:
-    """Per-voxel -sum_c target*log(predicted) and its unweighted voxel mean.
+    """Per-voxel -sum_c target*log(predicted) and their sum by the slab rule.
 
     The terms are summed one slab of rows (`volume.slabs`) at a time, in
-    class order from class 0's term and negated at the end: per voxel the
-    operations and order of one float64 sum over the class axis, without a
-    float64 copy of either whole volume. Class 0's term is computed in the
-    sum's own slab and each later term in one reusable float64 slab of
-    scratch, so the loss holds its float64 per-voxel plane and one slab
-    whatever the class count.
+    class order from class 0's term, then negated: per voxel one float64 sum
+    over the class axis, without a float64 copy of either whole volume.
+    Class 0's term is computed in the sum's own slab and each later term in
+    one reusable float64 slab of scratch, so the loss holds its float64
+    per-voxel plane and one slab whatever the class count.
     """
     for operand in (target, predicted):
         if not isinstance(operand, SoftLabelVolume):
@@ -83,6 +87,7 @@ def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossRe
     per_voxel = np.empty(target.dims, dtype=np.float64)
     parts = slabs(target.dims)
     scratch = np.empty_like(per_voxel[parts[0]])
+    sums = []
     for part in parts:
         acc = per_voxel[part]
         for c, (t, p) in enumerate(zip(target.data[:, part], predicted.data[:, part])):
@@ -92,8 +97,9 @@ def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossRe
             term *= t
             if c:
                 acc += term
-    np.negative(per_voxel, out=per_voxel)
-    return LossReport(per_voxel)
+        np.negative(acc, out=acc)
+        sums.append(acc.sum())
+    return LossReport(math.fsum(sums), per_voxel.size, per_voxel)
 
 
 def ce_gradient(target: SoftLabelVolume, logits: LogitVolume) -> np.ndarray:

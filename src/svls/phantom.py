@@ -24,6 +24,7 @@ KINDS = (
 )
 
 DEFAULT_SPACING = 1.0
+MAX_EXTENT = 2**32 - 1  # the container stores each extent as a u32
 BASE_ACCURACY = 0.7  # share of generate_miscalibrated's voxels whose predicted class is the label
 
 
@@ -50,6 +51,8 @@ class PhantomSpec:
             raise ValueError(what)
         for d in dims:
             _check_int(d, what, 1)
+        if max(dims) > MAX_EXTENT:
+            raise ValueError(f"dims must be at most {MAX_EXTENT}, the container's u32 limit, got {self.dims}")
         _check_int(self.num_classes, f"num_classes must be >= 2, got {self.num_classes}", 2)
         _check_seed(self.seed)
         object.__setattr__(self, "dims", tuple(int(d) for d in dims))
@@ -115,6 +118,7 @@ def generate_labels(spec: PhantomSpec) -> LabelVolume:
         data = rng.integers(0, spec.num_classes, size=dims).astype(np.uint8)
     else:  # pragma: no cover - PhantomSpec already validated the kind
         raise ValueError(spec.kind)
+    data.setflags(write=False)  # fresh: the container adopts it without a copy
     return LabelVolume(data, _spacing(spec), spec.num_classes)
 
 
@@ -134,6 +138,7 @@ def generate_rater_set(spec: PhantomSpec, num_raters: int, jitter: int) -> Rater
         offsets = rng.integers(-jitter, jitter + 1, size=base.rank)
         index = [np.clip(np.arange(n) - off, 0, n - 1) for n, off in zip(base.dims, offsets)]
         shifted = base.data[np.ix_(*index)]
+        shifted.setflags(write=False)  # fresh: the container adopts it without a copy
         raters.append(LabelVolume(shifted, base.spacing, base.num_classes))
     return RaterSet(tuple(raters))
 

@@ -296,7 +296,7 @@ def _report_table(report):
         ]
         return {"tolerance_mm": _sig6(report.tolerance_mm)}, "classes", ("class", "dsc", "sd"), rows
     if isinstance(report, LossReport):
-        summary = {"total": _sig6(report.total), "voxels": int(report.per_voxel.size)}
+        summary = {"total": _sig6(report.total), "voxels": report.voxels}
         return summary, None, tuple(summary), [tuple(summary.values())]
     raise TypeError(f"cannot serialize {type(report).__name__}")
 

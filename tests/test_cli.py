@@ -431,6 +431,20 @@ def test_phantom_rater_count_below_one_is_rejected(tmp_path, capsys, raters):
     assert not out.exists()
 
 
+def test_phantom_rejects_an_extent_the_container_cannot_hold_before_generating(tmp_path, capsys, monkeypatch):
+    def never(spec):
+        raise AssertionError("a volume was generated")
+
+    monkeypatch.setattr(cli, "generate_labels", never)  # 4 GiB if it ran
+    out = tmp_path / "o.svlv"
+    code, stdout, err = run(["phantom", "--kind", "homogeneous", "--dims", "4294967296,1", "--out", str(out)],
+                            capsys)
+    assert (code, stdout) == (1, "")
+    message = "dims must be at most 4294967295, the container's u32 limit, got (4294967296, 1)"
+    assert one_error_line(err) == {"error": "validation", "message": message}
+    assert not out.exists()
+
+
 def test_loss_directory_batch(tmp_path, rng, capsys):
     target_dir = tmp_path / "targets"
     pred_dir = tmp_path / "preds"
@@ -868,6 +882,36 @@ def test_loss_checks_both_operands_before_any_payload_read(tmp_path, rng, capsys
     code, stdout, err = run(argv, capsys)
     assert (code, stdout) == (1, "")
     assert one_error_line(err) == {"error": "validation", "message": message}
+    assert not out.exists()
+
+
+# the command line, less --out, and its message, for a volume of the wrong
+# kind or another grid; the volumes are those of `write_loss_files`
+KIND_AND_GRID_FAULTS = {
+    "probs-as-encode-in": (lambda p: ["encode", "--in", p["probs"], "--method", "onehot"],
+                           "{probs} holds probabilities; encode --in needs a label volume"),
+    "probs-as-fuse-in": (lambda p: ["fuse", "--in", p["labels"], p["probs"], "--method", "moh"],
+                         "{probs} holds probabilities; fuse --in needs a label volume"),
+    "labels-as-evaluate-pred": (lambda p: ["evaluate", "--ref", p["labels"], "--pred", p["labels"]],
+                                "{labels} holds labels; evaluate --pred needs a probability volume"),
+    "probs-as-evaluate-ref": (lambda p: ["evaluate", "--ref", p["probs"], "--pred", p["probs"]],
+                              "{probs} holds probabilities; evaluate --ref needs a label volume"),
+    "evaluate-on-another-grid": (lambda p: ["evaluate", "--ref", p["short"], "--pred", p["probs"]],
+                                 "shape mismatch: dims (7, 10, 12) vs (8, 10, 12)"),
+}
+
+
+@pytest.mark.parametrize("case", KIND_AND_GRID_FAULTS)
+def test_kind_and_grid_are_checked_before_any_payload_read(tmp_path, rng, capsys, monkeypatch, case):
+    command, message = KIND_AND_GRID_FAULTS[case]
+    paths = {role: str(path) for role, path in write_loss_files(tmp_path, rng, (8, 10, 12)).items()}
+    (tmp_path / "short").mkdir()
+    paths["short"] = str(write_loss_files(tmp_path / "short", rng, (7, 10, 12))["labels"])
+    forbid_payload_read(monkeypatch)
+    out = tmp_path / "out"
+    code, stdout, err = run(command(paths) + ["--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert one_error_line(err) == {"error": "validation", "message": message.format(**paths)}
     assert not out.exists()
 
 

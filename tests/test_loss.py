@@ -109,6 +109,47 @@ def test_cross_entropy_total_is_mean_of_per_voxel(rng):
     assert report.total >= 0.0
 
 
+def slab_rule_total(grid):
+    """The total of a per-voxel loss grid by the slab rule: the `math.fsum`
+    of numpy's float64 sums of its `volume.slabs` slabs, over its size."""
+    return math.fsum(grid[part].sum() for part in volume.slabs(grid.shape)) / grid.size
+
+
+# How far the slab rule's total may lie from the exactly rounded mean
+# `math.fsum(every voxel) / voxels`, in units in the last place of the
+# latter. numpy sums a contiguous run of n float64 values pairwise: a run of
+# more than 128 is split in two, the first part rounded down to a multiple
+# of 8, so the larger part holds at most n/2 + 7.5 values, and halving one
+# SUM_BLOCK slab (2**14 values) down to runs of at most 128 takes at most 8
+# levels. A run of at most 128 goes through 8 interleaved running sums (at
+# most 15 additions each), 3 levels that join them and at most 7 additions
+# of the rest: 25 roundings. With one more addition into the reduction's
+# initial value, every term meets at most d = 8 + 25 + 1 = 34 roundings, so
+# for non-negative terms a slab's sum is within gamma_d = d*u / (1 - d*u)
+# of its exact sum, u = 2**-53 (Higham, Accuracy and Stability of Numerical
+# Algorithms, 2nd ed., section 4.2), and so is the exact sum of the slab
+# sums. `math.fsum` and the division add two roundings (u each) to the
+# total and two to the reference, so the two differ by at most about
+# (d + 4) * u * mean, and an ulp of a float x exceeds x * u: under d + 5.
+TOTAL_ULPS = 34 + 5
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 200), scale=st.floats(0.1, 60.0))
+def test_total_is_within_a_derived_bound_of_the_exactly_rounded_mean(seed, rows, scale):
+    # 256 voxels a row: 64-row slabs, up to 4 of them at 200 rows; a large
+    # score scale spreads the terms over many orders of magnitude
+    rng = np.random.default_rng(seed)
+    dims = (rows, 16, 16)
+    target = random_simplex(rng, 3, dims)
+    predicted = softmax(LogitVolume(scale * rng.standard_normal((3,) + dims), target.spacing))
+    report = cross_entropy(target, predicted)
+    assert report.voxels == report.per_voxel.size
+    assert report.loss_sum == math.fsum(report.per_voxel[part].sum() for part in volume.slabs(dims))
+    exact = math.fsum(report.per_voxel.ravel()) / report.voxels
+    assert abs(report.total - exact) <= TOTAL_ULPS * math.ulp(exact)
+
+
 def test_gibbs_inequality(rng):
     for _ in range(50):
         target = random_simplex(rng, 4, (2, 2))
@@ -197,7 +238,7 @@ def assert_whole_volume_oracle_bytes(target, scores):
         expected = whole_volume_cross_entropy(target.data, expected_pred, LOG_FLOOR)
         # bytes, not values: the sign of a zero loss counts too
         assert report.per_voxel.tobytes() == expected.tobytes()
-        assert report.total == expected.mean()
+        assert (report.total, report.voxels) == (slab_rule_total(expected), expected.size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -238,5 +279,8 @@ def test_streamed_loss_keeps_the_whole_volume_oracles_bytes(tmp_path_factory, cu
     with sum_block(block):
         assert len(volume.slabs(dims)) == num_slabs
         report = streamed_loss(str(d / "target.svlv"), str(d / "pred.svlv"), kind)
-    assert report.per_voxel.tobytes() == expected.tobytes()
-    assert report.total == expected.mean()
+        library = cross_entropy(target, softmax(predicted) if kind == "logits" else predicted)
+        expected_total = slab_rule_total(expected)
+    assert (report.total, report.voxels) == (expected_total, expected.size)
+    assert report.per_voxel is None
+    assert report == library  # equal sums and voxel counts; per_voxel is not compared

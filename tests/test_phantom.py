@@ -189,6 +189,7 @@ def test_phantom_spec_validation():
 @pytest.mark.parametrize("field, value, message", [
     ("dims", (2.7, 3.9), "dims must be 2 or 3 positive extents, got (2.7, 3.9)"),
     ("dims", (True, 3), "dims must be 2 or 3 positive extents, got (True, 3)"),
+    ("dims", (0, 3), "dims must be 2 or 3 positive extents, got (0, 3)"),
     ("num_classes", 2.5, "num_classes must be >= 2, got 2.5"),
     ("seed", 1.5, "seed must be >= 0, got 1.5"),
     ("seed", True, "seed must be >= 0, got True"),
@@ -199,6 +200,18 @@ def test_spec_rejects_extents_class_counts_and_seeds_that_are_not_integers(field
     with pytest.raises(ValueError) as info:
         PhantomSpec(**kwargs)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("dims", [(2**32, 1), (3, 2**32, 3), (np.uint64(2**40), 2)], ids=str)
+def test_spec_rejects_an_extent_the_container_cannot_hold(dims):
+    # the container stores each extent as a u32; only the spec is built here
+    with pytest.raises(ValueError) as info:
+        PhantomSpec("homogeneous", dims)
+    assert str(info.value) == f"dims must be at most 4294967295, the container's u32 limit, got {dims}"
+
+
+def test_spec_takes_the_largest_extent_the_container_holds():
+    assert PhantomSpec("homogeneous", (2**32 - 1, 1)).dims == (2**32 - 1, 1)
 
 
 def test_spec_takes_numpy_integers_as_python_ints():

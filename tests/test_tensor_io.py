@@ -567,7 +567,7 @@ def test_scores_csv_rows(tmp_path):
 
 
 def test_loss_report_json(tmp_path):
-    report = LossReport(np.full((2, 2), 0.6931471805599453))
+    report = LossReport(4 * 0.6931471805599453, 4)
     path = tmp_path / "loss.json"
     write_report(report, path, format="json")
     doc = json.loads(path.read_text())
@@ -680,7 +680,7 @@ def test_report_bytes_are_pinned(tmp_path, kind, fmt):
     report = {
         "calibration": _sample_calibration(),
         "scores": _sample_scores(),
-        "loss": LossReport(np.full((2, 3), 0.6931471805599453)),
+        "loss": LossReport(6 * 0.6931471805599453, 6),
     }[kind]
     path = tmp_path / f"report.{fmt}"
     write_report(report, path, format=fmt)

@@ -5,7 +5,7 @@
 Each mutant swaps one operator of `src/svls/MODULE.py`: `<` with `<=`, `>`
 with `>=`, `==` with `!=`, `+` with `-`, `*` with `//`, and `and` with `or`;
 or it drops one `raise`, which becomes `pass`; or it turns one integer
-literal `n` (not `True` or `False`) into `n + 1`.
+literal `n` (not `True` or `False`) into `n + 1`, or into `n - 1`.
 The mutated module is written, as `ast.unparse` text, into a temporary copy
 of `src/`, `tests/`, `pyproject.toml` and `README.md`; the repository itself
 is never written. Each mutant
@@ -45,19 +45,22 @@ SYMBOLS = {
 
 def sites(tree: ast.AST):
     """(node index in ast.walk order, operator slot) of every swappable
-    operator, every `raise` and every integer literal."""
+    operator and every `raise`, and (node index, +1 or -1) of every integer
+    literal."""
     for i, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
             yield from ((i, k) for k, op in enumerate(node.ops) if type(op) in SWAPS)
         elif isinstance(node, (ast.BinOp, ast.AugAssign, ast.BoolOp)) and type(node.op) in SWAPS:
             yield i, None
-        elif isinstance(node, ast.Raise) or (isinstance(node, ast.Constant) and type(node.value) is int):
+        elif isinstance(node, ast.Raise):
             yield i, None
+        elif isinstance(node, ast.Constant) and type(node.value) is int:
+            yield from ((i, step) for step in (1, -1))
 
 
 def mutant(source: str, site) -> tuple[str, int, str]:
     """The module text with one operator swapped, one `raise` dropped or one
-    integer literal raised by 1, its line and a description."""
+    integer literal moved by 1, its line and a description."""
     tree = ast.parse(source)
     index, slot = site
     node = list(ast.walk(tree))[index]
@@ -68,8 +71,8 @@ def mutant(source: str, site) -> tuple[str, int, str]:
 
         return ast.unparse(Drop().visit(tree)), node.lineno, "raise -> pass"
     if isinstance(node, ast.Constant):
-        node.value += 1
-        return ast.unparse(tree), node.lineno, f"{node.value - 1} -> {node.value}"
+        node.value += slot
+        return ast.unparse(tree), node.lineno, f"{node.value - slot} -> {node.value}"
     old = node.ops[slot] if slot is not None else node.op
     new = SWAPS[type(old)]()
     if slot is not None:

@@ -24,9 +24,11 @@ and any missing parent of it, when it writes the first file into it, so a
 run that fails before its first write leaves no directory either; `evaluate`
 checks its flags, and the JSON shape of a --region-merge map, before it reads
 anything, and the map's class ids and names once the volumes are read. Every
-input's header, sidecar and kind, and the grids of an `evaluate` or `loss`
-pair, are checked before any payload is read; `loss` then reads and scores
-its pair one slab of rows at a time.
+input's header, sidecar and kind (a logit volume is any f32 file), and the
+grids of an `evaluate` or `loss` pair or of `fuse`'s raters, are checked
+before any payload is read, with one message for each kind fault: "PATH holds
+labels; loss --pred needs a logit volume". `loss` then reads and scores its
+pair one slab of rows at a time.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -51,7 +53,7 @@ from .loss import LossReport, cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
 from .seg_metrics import check_tolerance, score_segmentation
 from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
-from .volume import LabelVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
+from .volume import LabelVolume, LogitVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
 
 log = logging.getLogger("svls")
 
@@ -259,14 +261,14 @@ def _iter_in_out(in_path: str, out_path: str, suffix: str, partner: str | None =
         yield src, mate(src), os.path.join(out_path, name + suffix)
 
 
-def _header(path: str, kind: type, flag: str, logits: bool = False) -> tensor_io.VolumeHeader:
-    """Check the header, sidecar and kind of the `kind` volume (LabelVolume
-    or SoftLabelVolume) given to `flag`, reading none of its payload; with
-    `logits`, the dtype code as `read_logits` checks it."""
-    head = tensor_io.read_header(path, logits)
+def _header(path: str, kind: type, flag: str) -> tensor_io.VolumeHeader:
+    """Check the header, sidecar and kind of the `kind` volume (LabelVolume,
+    SoftLabelVolume or LogitVolume) given to `flag`, reading none of its
+    payload."""
+    head = tensor_io.read_header(path)
     labels = head.dtype_code == tensor_io.DTYPE_LABELS
     if labels != (kind is LabelVolume):
-        held, wanted = ("labels", "probability") if labels else ("probabilities", "label")
+        held, wanted = ("labels", kind._KIND) if labels else ("probabilities", "label")
         raise CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
     return head
 
@@ -317,8 +319,7 @@ def run_fuse(plan: dict) -> int:
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
-    for p in paths:
-        _header(p, LabelVolume, "fuse --in")
+    RaterSet(tuple(_header(p, LabelVolume, "fuse --in") for p in paths))  # its grid rule, on the headers
     raters = RaterSet(tuple(tensor_io.read_volume(p) for p in paths))
     provenance = {
         "method": plan["method"],
@@ -346,7 +347,7 @@ def streamed_loss(target_path: str, pred_path: str, pred_kind: str) -> LossRepor
     library's, bit for bit, and no per-voxel grid is kept.
     """
     logits = pred_kind == "logits"
-    predicted = _header(pred_path, SoftLabelVolume, "loss --pred", logits)
+    predicted = _header(pred_path, LogitVolume if logits else SoftLabelVolume, "loss --pred")
     target = _header(target_path, SoftLabelVolume, "loss --target")
     check_same_grid(target, predicted)
     sums = (_slab_loss(target_path, pred_path, logits, part) for part in slabs(target.dims))

@@ -12,10 +12,12 @@ little-endian regardless of host:
     then        raw row-major little-endian payload, nothing after it
 
 A reader checks the header against the file size, and the sidecar against
-the header, before it reads a payload byte; `read_header` does only that.
-`read_volume` and `read_logits` read the whole payload, or with `rows` (a
-slice of the first spatial axis) only those rows of each class plane, each
-read at its plane's offset into one fresh array that the container adopts.
+the header, before it reads a payload byte; `read_header` does only that,
+and returns what both declare as one `VolumeHeader`. `read_logits` then
+rejects a label dtype code, still before the payload. `read_volume` and
+`read_logits` read the whole payload, or with `rows` (a slice of the first
+spatial axis) only those rows of each class plane, each read at its plane's
+offset into one fresh array that the container adopts.
 A payload fault of a row read names the rows and the file first:
 `payload: rows 33:34 of PATH: voxel (0, 7, 2) probabilities sum to ...`,
 where the voxel index is the slab's own.
@@ -86,20 +88,14 @@ def atomic_write_text(path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
-@dataclass(frozen=True)
-class SidecarMeta:
-    spacing: tuple[float, ...]
-    num_classes: int
-    provenance: dict
-
-
 def write_volume(volume, path, provenance=None) -> None:
     """Write a volume and its sidecar; both writes are atomic (temp + rename).
 
     LogitVolume payloads use the f32 dtype code and are readable only via
     read_logits (their voxel sums are not probability sums). A float64
     value beyond float32 range is rejected before any file is made, since
-    f32 would hold it as inf.
+    f32 would hold it as inf, and so is a provenance that JSON cannot hold
+    (NaN, infinity, or a value of no JSON kind).
     """
     if isinstance(volume, LabelVolume):
         dtype_code, payload = DTYPE_LABELS, volume.data
@@ -112,39 +108,16 @@ def write_volume(volume, path, provenance=None) -> None:
                              f"largest magnitude {np.abs(volume.data).max()}")
     else:
         raise TypeError(f"cannot serialize {type(volume).__name__}")
-    header = MAGIC + struct.pack(f"<{3 + payload.ndim}I", VERSION, dtype_code, len(volume.dims), *payload.shape)
-    _atomic_write_bytes(path, header, payload)
-
     meta = {
         "spacing": list(volume.spacing),
         "num_classes": volume.num_classes,
         "provenance": dict(provenance or {}),
     }
     meta["provenance"].setdefault("tool_version", __version__)
-    atomic_write_text(sidecar_path(path), json.dumps(meta, indent=2) + "\n")
-
-
-def read_sidecar(path) -> SidecarMeta:
-    """Read a sidecar whose values have the JSON kinds of the module docstring."""
-    side = sidecar_path(path)
-    try:
-        with open(side, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    except FileNotFoundError:
-        raise VolumeFormatError("sidecar", f"missing sidecar {side}")
-    except json.JSONDecodeError as exc:
-        raise VolumeFormatError("sidecar", f"unparseable sidecar {side}: {exc}")
-    if not isinstance(meta, dict):
-        raise VolumeFormatError("sidecar", f"sidecar {side} must hold a JSON object")
-    # a missing key reads as null
-    spacing, num_classes, provenance = meta.get("spacing"), meta.get("num_classes"), meta.get("provenance", {})
-    if not (isinstance(spacing, list) and all(type(s) in (int, float) for s in spacing)):  # bool is no number
-        raise VolumeFormatError("spacing", f"spacing must be a list of numbers, got {json.dumps(spacing)}")
-    if type(num_classes) is not int:
-        raise VolumeFormatError("num_classes", f"num_classes must be an integer, got {json.dumps(num_classes)}")
-    if not isinstance(provenance, dict):
-        raise VolumeFormatError("sidecar", f"provenance must be an object, got {json.dumps(provenance)}")
-    return SidecarMeta(tuple(spacing), num_classes, provenance)
+    sidecar = json.dumps(meta, indent=2, allow_nan=False) + "\n"  # before any file: JSON has no NaN
+    header = MAGIC + struct.pack(f"<{3 + payload.ndim}I", VERSION, dtype_code, len(volume.dims), *payload.shape)
+    _atomic_write_bytes(path, header, payload)
+    atomic_write_text(sidecar_path(path), sidecar)
 
 
 def _fault_of(field: str, call, *args, where: str = ""):
@@ -158,15 +131,17 @@ def _fault_of(field: str, call, *args, where: str = ""):
 
 @dataclass(frozen=True)
 class VolumeHeader:
-    """What a volume file declares, checked: its dtype code, the extents of
-    its payload (the class axis first in an f32 file), its spacing and its
-    class count. `dims` and `num_classes` are those of the volume it holds,
-    so two headers go through `volume.check_same_grid` as volumes do."""
+    """What a volume file and its sidecar declare, checked: the dtype code,
+    the extents of the payload (the class axis first in an f32 file), the
+    spacing, the class count and the provenance. `dims` and `num_classes`
+    are those of the volume it holds, so two headers go through
+    `volume.check_same_grid` as volumes do."""
 
     dtype_code: int
     shape: tuple[int, ...]
     spacing: tuple[float, ...]
     num_classes: int
+    provenance: dict
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -176,11 +151,11 @@ class VolumeHeader:
 _DTYPES = {DTYPE_LABELS: np.dtype("<u1"), DTYPE_PROBS: np.dtype("<f4")}
 
 
-def _check_header(fh, path, logits: bool) -> VolumeHeader:
+def _check_header(fh, path) -> VolumeHeader:
     """Check the header of the open file `fh` against the file size, and the
-    sidecar against the header and the containers' spacing and class-count
-    rules; with `logits`, reject a label dtype code too. Leaves `fh` at the
-    first payload byte."""
+    sidecar's JSON kinds (module docstring) against the header and the
+    containers' spacing and class-count rules. Leaves `fh` at the first
+    payload byte."""
     head = fh.read(16)
     if len(head) < 16:
         raise VolumeFormatError("header", f"file is {len(head)} bytes, header needs 16")
@@ -204,32 +179,49 @@ def _check_header(fh, path, logits: bool) -> VolumeHeader:
     found = os.fstat(fh.fileno()).st_size - fh.tell()
     if found != size:
         raise VolumeFormatError("payload", f"expected {size} payload bytes, found {found}")
-    meta = read_sidecar(path)
-    spacing = _fault_of("spacing", _check_spacing, meta.spacing, rank)
+    side = sidecar_path(path)
+    try:
+        with open(side, "r", encoding="utf-8") as text:
+            meta = json.load(text)
+    except FileNotFoundError:
+        raise VolumeFormatError("sidecar", f"missing sidecar {side}")
+    except json.JSONDecodeError as exc:
+        raise VolumeFormatError("sidecar", f"unparseable sidecar {side}: {exc}")
+    if not isinstance(meta, dict):
+        raise VolumeFormatError("sidecar", f"sidecar {side} must hold a JSON object")
+    # a missing key reads as null
+    spacing, num_classes, provenance = meta.get("spacing"), meta.get("num_classes"), meta.get("provenance", {})
+    if not (isinstance(spacing, list) and all(type(s) in (int, float) for s in spacing)):  # bool is no number
+        raise VolumeFormatError("spacing", f"spacing must be a list of numbers, got {json.dumps(spacing)}")
+    if type(num_classes) is not int:
+        raise VolumeFormatError("num_classes", f"num_classes must be an integer, got {json.dumps(num_classes)}")
+    if not isinstance(provenance, dict):
+        raise VolumeFormatError("sidecar", f"provenance must be an object, got {json.dumps(provenance)}")
+    spacing = _fault_of("spacing", _check_spacing, spacing, rank)
     if dtype_code == DTYPE_LABELS:
-        _fault_of("num_classes", _check_num_classes, meta.num_classes)
-    elif axes[0] != meta.num_classes:
-        raise VolumeFormatError("num_classes", f"sidecar says {meta.num_classes} classes, payload has {axes[0]}")
-    if logits and dtype_code != DTYPE_PROBS:
-        raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
-    return VolumeHeader(dtype_code, axes, spacing, meta.num_classes)
+        _fault_of("num_classes", _check_num_classes, num_classes)
+    elif axes[0] != num_classes:
+        raise VolumeFormatError("num_classes", f"sidecar says {num_classes} classes, payload has {axes[0]}")
+    return VolumeHeader(dtype_code, axes, spacing, num_classes, provenance)
 
 
-def read_header(path, logits: bool = False) -> VolumeHeader:
+def read_header(path) -> VolumeHeader:
     """Check a volume file as every read does before its first payload byte,
-    and read no payload: the header, the file size and the sidecar, and with
-    `logits` the dtype code as `read_logits` checks it."""
+    and read no payload: the header, the file size and the sidecar."""
     with open(path, "rb") as fh:
-        return _check_header(fh, path, logits)
+        return _check_header(fh, path)
 
 
 def _read_container(path, rows, logits: bool):
-    """Check the file as `read_header` does, then read rows `rows` (a slice
-    of the first spatial axis, all of them for None) of each class plane, at
-    that plane's offset, into one fresh array: (header, array, the prefix
-    of a payload fault's message)."""
+    """Check the file as `read_header` does, and with `logits` that it has
+    the f32 dtype code, then read rows `rows` (a slice of the first spatial
+    axis, all of them for None) of each class plane, at that plane's offset,
+    into one fresh array: (header, array, the prefix of a payload fault's
+    message)."""
     with open(path, "rb") as fh:
-        head = _check_header(fh, path, logits)
+        head = _check_header(fh, path)
+        if logits and head.dtype_code != DTYPE_PROBS:
+            raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
         start = fh.tell()
         lead = head.shape[:1] if head.dtype_code == DTYPE_PROBS else ()  # the class axis
         n, *rest = head.dims
@@ -260,7 +252,8 @@ def read_volume(path, rows=None):
 
 def read_logits(path, rows=None) -> LogitVolume:
     """Read an f32 volume as raw scores, skipping the probability checks,
-    or with `rows` only those rows of its first spatial axis."""
+    or with `rows` only those rows of its first spatial axis; a label file
+    is rejected before any payload byte is read."""
     head, data, where = _read_container(path, rows, True)
     return _fault_of("payload", LogitVolume, data, head.spacing, where=where)
 

@@ -10,9 +10,9 @@ is read-only, C-contiguous, of the stored dtype and owns its memory
 (`flags.owndata`). Anything else (a writable array, any view, an array over
 a bytearray or other foreign buffer, another dtype or layout) is copied, so
 a caller's own array is never frozen. Producers that build a fresh array for
-a container (the readers, the soft-label encoders, softmax) allocate it in
-its final shape and freeze it once they are done writing, so they hand it
-over without a copy.
+a container (the readers, the soft-label encoders, softmax, argmax_labels)
+allocate it in its final shape and freeze it once they are done writing, so
+they hand it over without a copy.
 
 Float64 scratch that only feeds a per-voxel step (the soft-volume sum check
 here, the encoders' class planes and the stencil's weighted shells in them,
@@ -250,11 +250,9 @@ def argmax_labels(probs: SoftLabelVolume) -> LabelVolume:
     class), taken by the one class-plane sweep of `top_class`.
 
     There is no second simplex check: every SoftLabelVolume passed it at
-    construction, and its data is read-only. The LabelVolume copies the
-    labels rather than adopting them: a frozen, adopted array raised the
-    peak RSS of `evaluate` on the dense benchmark workload (96x144x144, 4
-    classes, 2 cores: 120.6 against 118.5 MiB), as glibc then serves the
-    later TACE temporaries from other memory.
+    construction, and its data is read-only. The labels are fresh, so they
+    are frozen and the LabelVolume adopts them.
     """
     labels, _ = top_class(probs.data)
+    labels.setflags(write=False)
     return LabelVolume(labels, probs.spacing, probs.num_classes)

@@ -233,6 +233,18 @@ def test_report_internal_consistency(rng):
     assert report.ece <= max(gaps) + 1e-12
 
 
+def test_defaults_are_15_bins_and_15_ranges_above_1e_3(rng):
+    ref = labels_2d(rng.integers(0, 3, size=(20, 20)), 3)
+    raw = rng.random((3, 20, 20)) + 1e-3
+    pred = probs_2d(raw / raw.sum(axis=0))
+    assert len(reliability(ref, pred)) == 15
+    ranges = {n: tace(ref, pred, 1e-3, n) for n in (14, 15, 16)}
+    assert len(set(ranges.values())) == 3  # so the default's own value is seen
+    assert tace(ref, pred) == ranges[15]
+    report = calibrate_report(ref, pred)
+    assert (report.num_bins, report.tace_ranges, report.tace) == (15, 15, ranges[15])
+
+
 def test_report_foreground_only(rng):
     ref_data = rng.integers(0, 2, size=(6, 6)).astype(np.uint8)
     ref = labels_2d(ref_data)

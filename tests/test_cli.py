@@ -864,10 +864,8 @@ def test_loss_checks_both_operands_before_any_payload_read(tmp_path, rng, capsys
     operands = {"pred": paths[kind], "target": paths["target"]}
     if fault == "labels":
         operands[role] = paths["labels"]
-        if role == "pred" and kind == "logits":
-            message = "dtype: logits must use the f32 dtype code"
-        else:
-            message = f"{paths['labels']} holds labels; loss --{role} needs a probability volume"
+        wanted = "logit" if role == "pred" and kind == "logits" else "probability"
+        message = f"{paths['labels']} holds labels; loss --{role} needs a {wanted} volume"
     elif fault == "sidecar":
         set_sidecar_token(operands[role], "spacing", '"x"')
         message = 'spacing: spacing must be a list of numbers, got "x"'
@@ -898,6 +896,8 @@ KIND_AND_GRID_FAULTS = {
                               "{probs} holds probabilities; evaluate --ref needs a label volume"),
     "evaluate-on-another-grid": (lambda p: ["evaluate", "--ref", p["short"], "--pred", p["probs"]],
                                  "shape mismatch: dims (7, 10, 12) vs (8, 10, 12)"),
+    "fuse-on-another-grid": (lambda p: ["fuse", "--in", p["labels"], p["short"], "--method", "moh"],
+                             "rater 1 vs rater 0: shape mismatch: dims (7, 10, 12) vs (8, 10, 12)"),
 }
 
 

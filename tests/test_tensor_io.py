@@ -131,6 +131,27 @@ def test_truncated_payload_rejected(tmp_path, rng):
     assert err.value.field == "payload"
 
 
+# a 2D label file's header is 16 fixed bytes and two u32 extents; its
+# size cut to each length, with the fault's field and message
+SHORT_HEADERS = {
+    0: ("header", "file is 0 bytes, header needs 16"),
+    15: ("header", "file is 15 bytes, header needs 16"),
+    16: ("dims", "header ends before the extent list"),
+    23: ("dims", "header ends before the extent list"),
+}
+
+
+@pytest.mark.parametrize("size", SHORT_HEADERS)
+def test_file_cut_inside_its_header_rejected(tmp_path, rng, size):
+    field, message = SHORT_HEADERS[size]
+    path = tmp_path / "v.svlv"
+    write_volume(random_labels(rng, (3, 3), 2), path)
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(VolumeFormatError, match=message) as err:
+        read_volume(path)
+    assert err.value.field == field
+
+
 def test_corrupt_probability_sums_name_first_voxel(tmp_path):
     labels = LabelVolume(np.array([[0, 1], [1, 0]], dtype=np.uint8), (1.0, 1.0), 2)
     path = tmp_path / "p.svlv"
@@ -411,17 +432,17 @@ def test_header_read_declares_the_volumes_grid(tmp_path, rng, monkeypatch, kind)
     assert all(type(s) is float for s in head.spacing)
     assert head.shape == ((3, 4) if kind == "labels" else (3, 3, 4))
     assert head.dtype_code == (tensor_io.DTYPE_LABELS if kind == "labels" else tensor_io.DTYPE_PROBS)
-    if kind == "probs":
-        assert tensor_io.read_header(path, logits=True) == head
+    assert head.provenance == {"tool_version": svls.__version__}
 
 
 def test_logit_reader_rejects_a_label_file_before_its_payload(tmp_path, rng, monkeypatch):
     path = _sidecar_fault_volume(tmp_path, rng, "labels", lambda side: None)
     forbid_payload_read(monkeypatch)
-    for read in (read_logits, lambda p: tensor_io.read_header(p, logits=True)):
-        with pytest.raises(VolumeFormatError, match="logits must use the f32 dtype code") as err:
-            read(path)
-        assert err.value.field == "dtype"
+    with pytest.raises(VolumeFormatError, match="logits must use the f32 dtype code") as err:
+        read_logits(path, slice(0, 1))
+    assert err.value.field == "dtype"
+    with pytest.raises(VolumeFormatError, match="logits must use the f32 dtype code"):
+        read_logits(path)
 
 
 @pytest.mark.parametrize("score", [1e300, -1e300, 3.5e38])
@@ -433,6 +454,14 @@ def test_scores_beyond_float32_range_are_rejected_before_any_file(tmp_path, scor
         with pytest.raises(ValueError, match="beyond float32 range"):
             write_volume(LogitVolume(data, (1.0, 1.0)), tmp_path / "out" / "v.svlv")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", [object(), float("nan"), float("inf")], ids=["no-json-kind", "nan", "inf"])
+@pytest.mark.parametrize("sub", ["", "out"])
+def test_provenance_json_cannot_hold_is_rejected_before_any_file(tmp_path, rng, value, sub):
+    with pytest.raises((TypeError, ValueError)):
+        write_volume(random_labels(rng, (3, 4), 3), tmp_path / sub / "v.svlv", provenance={"x": value})
+    assert list(tmp_path.iterdir()) == []  # no volume, sidecar, directory or temp file
 
 
 def test_scores_rounding_to_the_float32_extreme_are_written(tmp_path):

@@ -65,6 +65,19 @@ def test_argmax_tie_breaks_low():
     assert argmax_labels(soft).data[0, 0] == 0
 
 
+def test_argmax_labels_adopts_the_labels_it_built(monkeypatch):
+    soft = SoftLabelVolume(np.array([0.2, 0.5, 0.3], dtype=np.float32).reshape(3, 1, 1), (1.0, 1.0))
+    built = []
+
+    def recording(planes):
+        labels, top = top_class(planes)
+        built.append(labels)
+        return labels, top
+
+    monkeypatch.setattr(volume, "top_class", recording)
+    assert argmax_labels(soft).data is built[0]
+
+
 @st.composite
 def tied_planes(draw):
     """Class-first float32 or float64 planes, 2-6 classes over 2 or 3 axes,

@@ -18,17 +18,20 @@ machine-readable JSON line on stderr, `{"error": KIND, "message": TEXT}` with
 KIND `validation` or `io`; any other exception is a fault of the program and
 exits 1 with KIND `internal` and TEXT `<Type>: <text>`, never a traceback
 (SVLS_LOG=debug logs it).
-Output files are written to a temp name and atomically renamed, so failures
-never leave partial outputs. Every subcommand makes an output's directory,
-and any missing parent of it, when it writes the first file into it, so a
-run that fails before its first write leaves no directory either; `evaluate`
-checks its flags, and the JSON shape of a --region-merge map, before it reads
-anything, and the map's class ids and names once the volumes are read. Every
-input's header, sidecar and kind (a logit volume is any f32 file), and the
-grids of an `evaluate` or `loss` pair or of `fuse`'s raters, are checked
-before any payload is read, with one message for each kind fault: "PATH holds
-labels; loss --pred needs a logit volume". `loss` then reads and scores its
-pair one slab of rows at a time.
+Each output is one commit: its files (a volume's payload and sidecar, or one
+report) are written to temp names and then renamed into place, so a failed
+write leaves no file of that output. A report is CSV when its path ends in
+`.csv` and JSON otherwise. Every subcommand makes an output's directory, and
+any missing parent of it, when it writes the first file into it, so a run
+that fails before its first write leaves no directory either. `evaluate`
+checks its flags, and the JSON shape of a --region-merge map, before it
+reads anything. Every input's header, sidecar and kind (a logit volume is
+any f32 file), the grids of an `evaluate` or `loss` pair or of `fuse`'s
+raters, `encode`'s --alpha, the --sigma of `encode` and `fuse` at their
+inputs' rank, and the class ids and names of `evaluate`'s region map against
+the headers' class count are checked before any payload is read, with one
+message for each kind fault: "PATH holds labels; loss --pred needs a logit
+volume". `loss` then reads and scores its pair one slab of rows at a time.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -51,8 +54,8 @@ from .calibration import calibrate_report, check_num_bins, check_tace_params
 from .engine import SvlsKernel
 from .loss import LossReport, cross_entropy, softmax
 from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
-from .seg_metrics import check_tolerance, score_segmentation
-from .smoothing import RaterSet, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
+from .seg_metrics import check_regions, check_tolerance, score_segmentation
+from .smoothing import RaterSet, check_alpha, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
 from .volume import LabelVolume, LogitVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
 
 log = logging.getLogger("svls")
@@ -296,10 +299,14 @@ def run_kernel(plan: dict) -> int:
 
 def run_encode(plan: dict) -> int:
     method = plan["method"]
-    if method == "ls" and plan["alpha"] is None:
-        raise CliError("--alpha is required for method ls")
+    if method == "ls":
+        if plan["alpha"] is None:
+            raise CliError("--alpha is required for method ls")
+        check_alpha(plan["alpha"])
     for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
-        _header(src, LabelVolume, "encode --in")
+        head = _header(src, LabelVolume, "encode --in")
+        if method == "svls":
+            SvlsKernel(len(head.dims), plan["sigma"])  # its sigma rule, at this volume's rank
         labels = tensor_io.read_volume(src)
         provenance = {"method": method, "source": os.path.basename(src)}
         if method == "onehot":
@@ -319,7 +326,9 @@ def run_fuse(plan: dict) -> int:
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
-    RaterSet(tuple(_header(p, LabelVolume, "fuse --in") for p in paths))  # its grid rule, on the headers
+    heads = RaterSet(tuple(_header(p, LabelVolume, "fuse --in") for p in paths))  # its grid rule, on the headers
+    if plan["method"] == "msvls":
+        SvlsKernel(len(heads.raters[0].dims), plan["sigma"])  # its sigma rule, at the raters' rank
     raters = RaterSet(tuple(tensor_io.read_volume(p) for p in paths))
     provenance = {
         "method": plan["method"],
@@ -369,7 +378,7 @@ def run_loss(plan: dict) -> int:
         report = streamed_loss(target_path, src, plan["pred_kind"])
         if dst.endswith(VOLUME_SUFFIX):  # a single --out x.svlv is written as x.json
             dst = dst.removesuffix(VOLUME_SUFFIX) + ".json"
-        tensor_io.write_report(report, dst, format="json")
+        tensor_io.write_report(report, dst)
         log.info("loss %s vs %s: %.6f nats", src, target_path, report.total)
     return 0
 
@@ -389,8 +398,9 @@ def run_evaluate(plan: dict) -> int:
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
     regions = _load_regions(plan["region_merge"]) if plan["region_merge"] else {}
     for src, ref_path, out_dir in _iter_in_out(plan["pred"], plan["out"], "", partner=plan["ref"]):
-        check_same_grid(_header(ref_path, LabelVolume, "evaluate --ref"),
-                        _header(src, SoftLabelVolume, "evaluate --pred"))
+        ref_head = _header(ref_path, LabelVolume, "evaluate --ref")
+        check_same_grid(ref_head, _header(src, SoftLabelVolume, "evaluate --pred"))
+        check_regions(regions, ref_head.num_classes, plan["composite"])
         reference = tensor_io.read_volume(ref_path)
         predicted = tensor_io.read_volume(src)
         scores = score_segmentation(reference, argmax_labels(predicted), plan["sd_tolerance"],
@@ -403,10 +413,10 @@ def run_evaluate(plan: dict) -> int:
             tace_ranges=plan["tace_ranges"],
             foreground_only=plan["foreground_only"],
         )
-        tensor_io.write_report(calib, os.path.join(out_dir, "calibration.json"), format="json")
-        tensor_io.write_report(calib, os.path.join(out_dir, "reliability.csv"), format="csv")
-        tensor_io.write_report(scores, os.path.join(out_dir, "segmentation.json"), format="json")
-        tensor_io.write_report(scores, os.path.join(out_dir, "segmentation.csv"), format="csv")
+        tensor_io.write_report(calib, os.path.join(out_dir, "calibration.json"))
+        tensor_io.write_report(calib, os.path.join(out_dir, "reliability.csv"))
+        tensor_io.write_report(scores, os.path.join(out_dir, "segmentation.json"))
+        tensor_io.write_report(scores, os.path.join(out_dir, "segmentation.csv"))
         log.info("evaluated %s vs %s -> %s", src, ref_path, out_dir)
     return 0
 

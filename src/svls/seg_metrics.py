@@ -179,6 +179,18 @@ def surface_dice(
     return surface_dice_masks(*_masks(reference, predicted, class_ids), reference.spacing, tolerance_mm)
 
 
+def check_regions(regions: dict, num_classes: int, composite: bool) -> None:
+    """Reject a region of `regions` (name -> class ids) with an id that is no
+    class of `num_classes`, or whose name as text is another row's (the key 1
+    is "1"; 'comp' under `composite`)."""
+    taken = {str(c) for c in range(num_classes)} | ({"comp"} if composite else set())
+    for name, ids in regions.items():
+        _class_ids(ids, num_classes, f"region {name!r} has class ids")
+        if str(name) in taken:
+            raise ValueError(f"region name {name!r} collides with the {str(name)!r} row of the report")
+        taken.add(str(name))
+
+
 def score_segmentation(
     reference: LabelVolume,
     predicted: LabelVolume,
@@ -188,17 +200,11 @@ def score_segmentation(
 ) -> SegmentationScores:
     """DSC and Surface DSC rows: each class, each region of `regions` (name
     -> class ids, scored as their union), then under `composite` 'comp', the
-    unweighted mean of the non-background class rows. A region with an id
-    that is no class, or whose name as text is another row's (the key 1 is
-    "1"), is rejected before any row is scored; `dice` checks the grid."""
+    unweighted mean of the non-background class rows. `check_regions`
+    rejects a bad region before any row is scored; `dice` checks the grid."""
     regions = regions or {}
     num_classes = reference.num_classes
-    taken = {str(c) for c in range(num_classes)} | ({"comp"} if composite else set())
-    for name, ids in regions.items():
-        _class_ids(ids, num_classes, f"region {name!r} has class ids")
-        if str(name) in taken:
-            raise ValueError(f"region name {name!r} collides with the {str(name)!r} row of the report")
-        taken.add(str(name))
+    check_regions(regions, num_classes, composite)
     rows = {**{c: c for c in range(num_classes)}, **regions}
     dsc = {row: dice(reference, predicted, ids) for row, ids in rows.items()}
     sd = {row: surface_dice(reference, predicted, ids, tolerance_mm) for row, ids in rows.items()}

@@ -111,11 +111,16 @@ def svls_smooth(labels: LabelVolume, sigma: float) -> SoftLabelVolume:
     return msvls_fuse(RaterSet((labels,)), sigma)
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a smoothing weight outside [0, 1], NaN included."""
+    if not (0.0 <= alpha <= 1.0):
+        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+
+
 def label_smooth(labels: LabelVolume, alpha: float) -> SoftLabelVolume:
     """Uniformly smoothed targets: annotated class gets (1-alpha)+alpha/N,
     every other class gets alpha/N."""
-    if not (0.0 <= alpha <= 1.0):
-        raise ValueError(f"alpha must be in [0, 1], got {alpha}")
+    check_alpha(alpha)
     n = labels.num_classes
     return _class_planes(RaterSet((labels,)), _per_voxel(lambda votes, _: alpha / n + votes * (1.0 - alpha)))
 

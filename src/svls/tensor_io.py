@@ -28,6 +28,10 @@ A JSON sidecar at `<path>.json` carries what the payload cannot: spacing
 such as the class-name map that older versions wrote, is ignored. Readers
 reject invalid files, a sidecar value of another JSON kind included, instead
 of repairing them, with a VolumeFormatError naming the faulty field.
+
+Every output is one commit (`_write_files`): a volume's payload and sidecar,
+or a report, are staged as temp files and then renamed into place, payload
+first, so a failed write leaves no file of its output.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from . import __version__
 from .calibration import CalibrationReport
 from .loss import LossReport
 from .seg_metrics import SegmentationScores
-from .volume import LabelVolume, LogitVolume, SoftLabelVolume, _check_num_classes, _check_spacing
+from .volume import LabelVolume, LogitVolume, SoftLabelVolume, _check_class_axis, _check_num_classes, _check_spacing
 
 MAGIC = b"SVLV"
 VERSION = 1
@@ -65,31 +69,35 @@ def sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
-def _atomic_write_bytes(path, *chunks) -> None:
-    """Write the chunks (bytes or C-contiguous arrays) in order, as one new
-    file, first making any missing parent directory of `path`."""
-    path = str(path)
-    directory = os.path.dirname(path) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+def _write_files(*files) -> None:
+    """Commit one output: stage each `(path, chunks)` as a temp file beside
+    `path` (its missing parents made), writing the chunks, bytes or
+    C-contiguous arrays, in order; then rename the temp files into place in
+    order. A failure removes the temp files and every file already renamed."""
+    staged, renamed = [], []
     try:
-        with os.fdopen(fd, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
-        os.chmod(tmp, 0o644)  # mkstemp creates 0600; match regular file creation
-        os.replace(tmp, path)
+        for path, chunks in files:
+            directory = os.path.dirname(str(path)) or "."
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+            staged.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                for chunk in chunks:
+                    fh.write(chunk)
+            os.chmod(tmp, 0o644)  # mkstemp creates 0600; match regular file creation
+        for tmp, (path, _) in zip(staged, files):
+            os.replace(tmp, path)
+            renamed.append(path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for name in [*staged, *renamed]:
+            if os.path.lexists(name):
+                os.unlink(name)
         raise
 
 
-def atomic_write_text(path, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def write_volume(volume, path, provenance=None) -> None:
-    """Write a volume and its sidecar; both writes are atomic (temp + rename).
+    """Write a volume and its sidecar as one commit: the payload is renamed
+    into place first and the sidecar last, and a failure leaves neither.
 
     LogitVolume payloads use the f32 dtype code and are readable only via
     read_logits (their voxel sums are not probability sums). A float64
@@ -108,16 +116,12 @@ def write_volume(volume, path, provenance=None) -> None:
                              f"largest magnitude {np.abs(volume.data).max()}")
     else:
         raise TypeError(f"cannot serialize {type(volume).__name__}")
-    meta = {
-        "spacing": list(volume.spacing),
-        "num_classes": volume.num_classes,
-        "provenance": dict(provenance or {}),
-    }
-    meta["provenance"].setdefault("tool_version", __version__)
+    provenance = dict(provenance or {})
+    provenance.setdefault("tool_version", __version__)
+    meta = {"spacing": list(volume.spacing), "num_classes": volume.num_classes, "provenance": provenance}
     sidecar = json.dumps(meta, indent=2, allow_nan=False) + "\n"  # before any file: JSON has no NaN
     header = MAGIC + struct.pack(f"<{3 + payload.ndim}I", VERSION, dtype_code, len(volume.dims), *payload.shape)
-    _atomic_write_bytes(path, header, payload)
-    atomic_write_text(sidecar_path(path), sidecar)
+    _write_files((path, (header, payload)), (sidecar_path(path), (sidecar.encode("utf-8"),)))
 
 
 def _fault_of(field: str, call, *args, where: str = ""):
@@ -154,8 +158,8 @@ _DTYPES = {DTYPE_LABELS: np.dtype("<u1"), DTYPE_PROBS: np.dtype("<f4")}
 def _check_header(fh, path) -> VolumeHeader:
     """Check the header of the open file `fh` against the file size, and the
     sidecar's JSON kinds (module docstring) against the header and the
-    containers' spacing and class-count rules. Leaves `fh` at the first
-    payload byte."""
+    containers' spacing and class-count rules, an f32 file's class axis
+    included. Leaves `fh` at the first payload byte."""
     head = fh.read(16)
     if len(head) < 16:
         raise VolumeFormatError("header", f"file is {len(head)} bytes, header needs 16")
@@ -198,10 +202,9 @@ def _check_header(fh, path) -> VolumeHeader:
     if not isinstance(provenance, dict):
         raise VolumeFormatError("sidecar", f"provenance must be an object, got {json.dumps(provenance)}")
     spacing = _fault_of("spacing", _check_spacing, spacing, rank)
-    if dtype_code == DTYPE_LABELS:
-        _fault_of("num_classes", _check_num_classes, num_classes)
-    elif axes[0] != num_classes:
+    if dtype_code == DTYPE_PROBS and axes[0] != num_classes:
         raise VolumeFormatError("num_classes", f"sidecar says {num_classes} classes, payload has {axes[0]}")
+    _fault_of("num_classes", _check_num_classes if dtype_code == DTYPE_LABELS else _check_class_axis, num_classes)
     return VolumeHeader(dtype_code, axes, spacing, num_classes, provenance)
 
 
@@ -215,9 +218,8 @@ def read_header(path) -> VolumeHeader:
 def _read_container(path, rows, logits: bool):
     """Check the file as `read_header` does, and with `logits` that it has
     the f32 dtype code, then read rows `rows` (a slice of the first spatial
-    axis, all of them for None) of each class plane, at that plane's offset,
-    into one fresh array: (header, array, the prefix of a payload fault's
-    message)."""
+    axis, all of them for None) of each class plane, at its offset, into one
+    fresh array: (header, array, the prefix of a payload fault's message)."""
     with open(path, "rb") as fh:
         head = _check_header(fh, path)
         if logits and head.dtype_code != DTYPE_PROBS:
@@ -301,19 +303,17 @@ def _csv_cell(value) -> str:
     return f"{value:.6g}" if isinstance(value, float) else str(value)
 
 
-def write_report(report, path, format: str = "json") -> None:
-    """Serialize a metric report with fixed field order and 6 significant decimals.
-
-    JSON holds the summary fields, then the rows as objects under the row
-    list's name; CSV holds the column names, then one line per row.
-    """
-    if format not in ("json", "csv"):
-        raise ValueError(f"format must be json or csv, got {format!r}")
+def write_report(report, path) -> None:
+    """Serialize a metric report with fixed field order and 6 significant
+    decimals, as CSV when `path` ends in `.csv` (the column names, then one
+    line per row) and as JSON otherwise (the summary fields, then the rows
+    as objects under the row list's name)."""
     summary, rows_name, columns, rows = _report_table(report)
-    if format == "json":
+    if str(path).endswith(".csv"):
+        text = "".join(",".join(map(_csv_cell, line)) + "\n" for line in (columns, *rows))
+    else:
         doc = dict(summary)
         if rows_name is not None:
             doc[rows_name] = [dict(zip(columns, row)) for row in rows]
-        atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
-    else:
-        atomic_write_text(path, "".join(",".join(map(_csv_cell, line)) + "\n" for line in (columns, *rows)))
+        text = json.dumps(doc, indent=2) + "\n"
+    _write_files((path, (text.encode("utf-8"),)))

@@ -82,6 +82,11 @@ def _check_num_classes(num_classes: int) -> None:
     _check_int(num_classes, f"num_classes must be in [2, {MAX_CLASSES}], got {num_classes}", 2, MAX_CLASSES)
 
 
+def _check_class_axis(num_classes: int) -> None:
+    """Reject a class axis of fewer than 2 classes."""
+    _check_int(num_classes, f"need at least 2 classes, got {num_classes}", 2)
+
+
 def check_same_grid(a, b) -> None:
     """Reject two volumes that do not lie on one grid: equal dims, then
     class count, then spacing. Every metric and the loss compare volumes
@@ -151,8 +156,7 @@ class _ClassFirstVolume:
         arr = np.asarray(self.data)
         if arr.ndim not in (3, 4):
             raise ValueError(f"{self._KIND} volume must have a class axis plus 2 or 3 spatial axes, got {arr.ndim} axes")
-        if arr.shape[0] < 2:
-            raise ValueError(f"need at least 2 classes, got {arr.shape[0]}")
+        _check_class_axis(arr.shape[0])
         if any(n < 1 for n in arr.shape[1:]):
             raise ValueError(f"all dims must be >= 1, got {arr.shape[1:]}")
         arr = _owned(arr, self._stored_dtype(arr.dtype))

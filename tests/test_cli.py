@@ -195,6 +195,15 @@ def test_loss_out_with_the_volume_suffix_is_written_as_json(tmp_path, rng, capsy
     assert json.loads((tmp_path / "x.json").read_text())["total"] == 0.0
 
 
+def test_loss_out_with_the_csv_suffix_is_written_as_csv(tmp_path, rng, capsys):
+    _, vol = make_labels(tmp_path, rng, dims=(4, 4), n=2)
+    target = tmp_path / "target.svlv"
+    write_volume(one_hot_encode(vol), target)
+    argv = ["loss", "--target", str(target), "--pred", str(target), "--out", str(tmp_path / "r.csv")]
+    assert run(argv, capsys)[0] == 0
+    assert (tmp_path / "r.csv").read_text() == "total,voxels\n0,16\n"
+
+
 def test_loss_reads_the_prediction_before_the_target(tmp_path, capsys):
     # with both operands bad, the one error names the operand read first
     labels = tmp_path / "labels.svlv"
@@ -681,7 +690,7 @@ def test_evaluate_region_and_comp_rows_are_the_library_rows(tmp_path, rng, capsy
     scores = score_segmentation(reference, other, 1.5, regions=regions, composite=True)
     assert list(scores.per_class_dsc) == [0, 1, 2, "fg", "all", "edge", "comp"]
     for name in ("segmentation.csv", "segmentation.json"):
-        write_report(scores, tmp_path / "lib" / name, format=name.rsplit(".", 1)[1])
+        write_report(scores, tmp_path / "lib" / name)
         assert (out_dir / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 
@@ -915,6 +924,49 @@ def test_kind_and_grid_are_checked_before_any_payload_read(tmp_path, rng, capsys
     assert not out.exists()
 
 
+UNDERFLOW = "sigma 0.01 is too small: its Gaussian weights underflow to 0"
+# the command line, less --out, and its message, for a flag or a region map
+# that the inputs' headers show to be bad; the volumes are those of
+# `write_loss_files`, and `ids` and `names` are region maps
+FLAG_FAULTS = {
+    "encode-ls-alpha": (lambda p: ["encode", "--in", p["labels"], "--method", "ls", "--alpha", "2"],
+                        "alpha must be in [0, 1], got 2.0"),
+    "encode-ls-alpha-nan": (lambda p: ["encode", "--in", p["labels"], "--method", "ls", "--alpha", "nan"],
+                            "alpha must be in [0, 1], got nan"),
+    "encode-svls-sigma": (lambda p: ["encode", "--in", p["labels"], "--method", "svls", "--sigma", "0.01"], UNDERFLOW),
+    "fuse-msvls-sigma": (lambda p: ["fuse", "--in", p["labels"], p["labels"], p["labels"], "--method", "msvls",
+                                    "--sigma", "0.01"], UNDERFLOW),
+    "evaluate-region-ids": (lambda p: ["evaluate", "--ref", p["labels"], "--pred", p["probs"], "--region-merge",
+                                       p["ids"]], "region 'tumor' has class ids outside [0, 3): [7]"),
+    "evaluate-region-name": (lambda p: ["evaluate", "--ref", p["labels"], "--pred", p["probs"], "--region-merge",
+                                        p["names"]], "region name '2' collides with the '2' row of the report"),
+}
+
+
+@pytest.mark.parametrize("case", FLAG_FAULTS)
+def test_flags_and_region_maps_are_checked_before_any_payload_read(tmp_path, rng, capsys, monkeypatch, case):
+    command, message = FLAG_FAULTS[case]
+    paths = {role: str(path) for role, path in write_loss_files(tmp_path, rng, (8, 10, 12)).items()}
+    for name, regions in (("ids", {"tumor": [7]}), ("names", {"2": [1]})):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(regions))
+    forbid_payload_read(monkeypatch)
+    out = tmp_path / "out"
+    code, stdout, err = run(command(paths) + ["--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert one_error_line(err) == {"error": "validation", "message": message}
+    assert not out.exists()
+
+
+def test_encode_sigma_rule_takes_the_inputs_rank(tmp_path, rng, capsys):
+    # 0.04 is below the 3D bound (about 0.045) and above the 2D one (about 0.037)
+    flat, _ = make_labels(tmp_path, rng, "flat.svlv", dims=(6, 6))
+    cube, _ = make_labels(tmp_path, rng, "cube.svlv", dims=(6, 6, 6))
+    argv = ["encode", "--method", "svls", "--sigma", "0.04", "--out", str(tmp_path / "o.svlv"), "--in"]
+    assert run(argv + [str(flat)], capsys)[0] == 0
+    assert run(argv + [str(cube)], capsys)[0] == 1
+
+
 def _set_float(path, index, value):
     """Set one payload float of a rank-3 class-first file, at (class, *voxel)."""
     blob = bytearray(path.read_bytes())
@@ -1003,6 +1055,16 @@ def test_encode_writes_into_missing_directories(tmp_path, rng, capsys):
     assert code == 0
     assert np.array_equal(read_volume(out).data, one_hot_encode(vol).data)
     assert sorted(p.name for p in out.parent.iterdir()) == ["o.svlv", "o.svlv.json"]
+
+
+def test_encode_leaves_no_volume_when_its_sidecar_cannot_be_placed(tmp_path, rng, capsys):
+    src, _ = make_labels(tmp_path, rng)
+    out = tmp_path / "o.svlv"
+    (tmp_path / "o.svlv.json").mkdir()  # the sidecar's rename fails after the payload's
+    code, stdout, err = run(["encode", "--in", str(src), "--method", "onehot", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert one_error_line(err)["error"] == "io"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.svlv", "labels.svlv.json", "o.svlv.json"]
 
 
 def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, capsys):

@@ -1,6 +1,6 @@
 """Fault fuzzers of the subcommands that read volumes: one change to one
-input of a valid `loss`, `evaluate` or `fuse` run ends in exit 0, 1 or 2,
-never in a traceback or KIND `internal`.
+input of a valid `loss`, `evaluate`, `fuse` or `encode` run ends in exit 0,
+1 or 2, never in a traceback or KIND `internal`.
 
 Each `loss` example copies a valid 8x10x12 pair, a 3-class float32 target
 and a prediction (logits or probabilities), and changes exactly one thing in
@@ -10,10 +10,13 @@ It then runs `svls.cli.main` in this process, with slabs of one row, of two,
 or of the whole volume. Each `evaluate` example changes one header field or
 sidecar value of a valid label reference or probability prediction; each
 `fuse` example changes the header, the sidecar or one payload byte of one of
-three label raters. Stderr must be empty on exit 0 and exactly one JSON line
-of KIND `validation` or `io` otherwise, an output must be written only on
-exit 0, and nothing may raise a warning: outside pytest a warning prints a
-line of its own.
+three label raters. Each `encode` example runs one method on a label volume
+with the header, the sidecar or one payload byte changed, or none, and its
+--alpha or --sigma drawn from float extremes. Stderr must be empty on exit 0
+and exactly one JSON line of KIND `validation` or `io` otherwise, an output
+must be written only on exit 0 and leave no file of its own (sidecar or
+`.tmp-*.part` included) otherwise, and nothing may raise a warning: outside
+pytest a warning prints a line of its own.
 """
 
 import contextlib
@@ -50,6 +53,7 @@ SIDECAR_VALUES = {
     "num_classes": ["0", "1", "2", "4", "256", "257", "2.5", '"3"', "true", "null", "1" + "0" * 400],
     "provenance": ['"svls"', "[]", "null", "{}"],
 }
+FLOAT_EXTREMES = ["1e308", "1e-320", "nan", "inf", "-0.0"]
 PAYLOAD_VALUES = {
     "nan": lambda p: float("nan"),
     "inf": lambda p: float("inf"),
@@ -177,7 +181,8 @@ def _check_exit(argv, out, description, block=1 << 14):
     error = json.loads(lines[0])
     assert set(error) == {"error", "message"}, description
     assert error["error"] in ("validation", "io"), (description, error)
-    assert not out.exists(), description
+    leftovers = [p.name for p in out.parent.iterdir() if p.name.startswith((out.name, ".tmp-"))]
+    assert leftovers == [], description
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
@@ -209,3 +214,19 @@ def test_one_fault_in_one_fuse_rater_never_ends_internal(pair, tmp_path_factory,
     damage(raters[rater])
     out = raters[0].parent / "fused.svlv"
     _check_exit(["fuse", "--in", *map(str, raters), "--method", "moh", "--out", str(out)], out, description)
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(method=st.sampled_from(["onehot", "ls", "svls"]), value=st.sampled_from([None, *FLOAT_EXTREMES]),
+       fault=st.none() | damages(labels=True, payload=True))
+def test_one_fault_in_encode_input_or_flag_never_ends_internal(pair, tmp_path_factory, method, value, fault):
+    [src] = _copies(pair, tmp_path_factory.mktemp("fuzz"), ("rater0",))
+    description, damage = fault or ("no fault", lambda path: None)
+    damage(src)
+    argv = ["encode", "--in", str(src), "--method", method]
+    if method == "ls":
+        argv.append(f"--alpha={value or 0.1}")
+    elif method == "svls" and value is not None:
+        argv.append(f"--sigma={value}")
+    out = src.parent / "encoded.svlv"
+    _check_exit(argv + ["--out", str(out)], out, f"{description}, {' '.join(argv[3:])}")

@@ -90,8 +90,32 @@ def test_written_files_are_world_readable(tmp_path, rng):
 
 def test_failed_write_raises_and_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
-        tensor_io._atomic_write_bytes(tmp_path / "out" / "v.svlv", b"SVLV", object())
+        tensor_io._write_files((tmp_path / "out" / "v.svlv", (b"SVLV", object())))
     assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failed_sidecar_staging_leaves_no_file_of_the_volume(tmp_path, rng, monkeypatch):
+    # the payload is staged, then the write of the sidecar's one chunk fails
+    class SidecarFails:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            if isinstance(chunk, bytes) and chunk.startswith(b"{"):
+                raise OSError(28, "No space left on device")
+            return self.fh.write(chunk)
+
+    fdopen = tensor_io.os.fdopen
+    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: SidecarFails(fdopen(fd, mode)))
+    with pytest.raises(OSError, match="No space left"):
+        write_volume(one_hot_encode(random_labels(rng, (3, 4), 2)), tmp_path / "v.svlv")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bad_magic_rejected(tmp_path, rng):
@@ -308,6 +332,21 @@ def test_probability_class_count_must_match_the_payloads(tmp_path, rng):
     with pytest.raises(VolumeFormatError) as err:
         read_volume(path)
     assert str(err.value) == "num_classes: sidecar says 5 classes, payload has 3"
+
+
+@pytest.mark.parametrize("reader", [tensor_io.read_header, read_volume, read_logits])
+def test_f32_class_axis_of_one_is_rejected_before_the_payload(tmp_path, monkeypatch, reader):
+    # header and sidecar agree on one class; the payload holds the plane of class 0
+    path = tmp_path / "v.svlv"
+    write_volume(LogitVolume(np.zeros((2, 3, 4), np.float32), (1.0, 1.0)), path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 16, 1)
+    path.write_bytes(bytes(blob[:28 + 4 * 12]))
+    _set("num_classes", 1)(tmp_path / "v.svlv.json")
+    forbid_payload_read(monkeypatch)
+    with pytest.raises(VolumeFormatError) as err:
+        reader(path)
+    assert str(err.value) == "num_classes: need at least 2 classes, got 1"
 
 
 def test_valid_sidecar_numbers_read_as_floats(tmp_path, rng):
@@ -562,7 +601,7 @@ def _sample_calibration():
 
 def test_calibration_csv_layout(tmp_path):
     path = tmp_path / "reliability.csv"
-    write_report(_sample_calibration(), path, format="csv")
+    write_report(_sample_calibration(), path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "lower,upper,count,mean_confidence,accuracy"
     assert len(lines) == 4
@@ -573,7 +612,7 @@ def test_calibration_csv_layout(tmp_path):
 
 def test_calibration_json_fields(tmp_path):
     path = tmp_path / "calibration.json"
-    write_report(_sample_calibration(), path, format="json")
+    write_report(_sample_calibration(), path)
     doc = json.loads(path.read_text())
     assert doc["ece"] == 0.1
     assert doc["num_bins"] == 3
@@ -588,7 +627,7 @@ def test_scores_csv_rows(tmp_path):
         tolerance_mm=2.0,
     )
     path = tmp_path / "seg.csv"
-    write_report(scores, path, format="csv")
+    write_report(scores, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "class,dsc,sd"
     assert len(lines) == 4
@@ -598,15 +637,17 @@ def test_scores_csv_rows(tmp_path):
 def test_loss_report_json(tmp_path):
     report = LossReport(4 * 0.6931471805599453, 4)
     path = tmp_path / "loss.json"
-    write_report(report, path, format="json")
+    write_report(report, path)
     doc = json.loads(path.read_text())
     assert doc["total"] == pytest.approx(0.693147, abs=1e-9)
     assert doc["voxels"] == 4
 
 
-def test_write_report_rejects_unknown_format(tmp_path):
-    with pytest.raises(ValueError):
-        write_report(_sample_calibration(), tmp_path / "x", format="yaml")
+@pytest.mark.parametrize("name, csv", [("r.csv", True), ("r", False), ("r.csv.txt", False)])
+def test_report_format_follows_the_path(tmp_path, name, csv):
+    write_report(LossReport(6 * 0.6931471805599453, 6), tmp_path / name)
+    text = (tmp_path / name).read_text()
+    assert text == (GOLDEN_REPORTS["loss", "csv"] if csv else GOLDEN_REPORTS["loss", "json"])
 
 
 def _sample_scores():
@@ -712,7 +753,7 @@ def test_report_bytes_are_pinned(tmp_path, kind, fmt):
         "loss": LossReport(6 * 0.6931471805599453, 6),
     }[kind]
     path = tmp_path / f"report.{fmt}"
-    write_report(report, path, format=fmt)
+    write_report(report, path)
     assert path.read_bytes() == GOLDEN_REPORTS[kind, fmt].encode()
 
 

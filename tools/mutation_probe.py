@@ -5,7 +5,8 @@
 Each mutant swaps one operator of `src/svls/MODULE.py`: `<` with `<=`, `>`
 with `>=`, `==` with `!=`, `+` with `-`, `*` with `//`, and `and` with `or`;
 or it drops one `raise`, which becomes `pass`; or it turns one integer
-literal `n` (not `True` or `False`) into `n + 1`, or into `n - 1`.
+literal `n` (not `True` or `False`) into `n + 1`, or into `n - 1`; or it
+makes one `return VALUE`, VALUE not a constant, return the constant `None`.
 The mutated module is written, as `ast.unparse` text, into a temporary copy
 of `src/`, `tests/`, `pyproject.toml` and `README.md`; the repository itself
 is never written. Each mutant
@@ -45,8 +46,9 @@ SYMBOLS = {
 
 def sites(tree: ast.AST):
     """(node index in ast.walk order, operator slot) of every swappable
-    operator and every `raise`, and (node index, +1 or -1) of every integer
-    literal."""
+    operator, and (node index, None) of every `raise` and of every `return`
+    of a value that is no constant, and (node index, +1 or -1) of every
+    integer literal."""
     for i, node in enumerate(ast.walk(tree)):
         if isinstance(node, ast.Compare):
             yield from ((i, k) for k, op in enumerate(node.ops) if type(op) in SWAPS)
@@ -54,13 +56,16 @@ def sites(tree: ast.AST):
             yield i, None
         elif isinstance(node, ast.Raise):
             yield i, None
+        elif isinstance(node, ast.Return) and node.value is not None and not isinstance(node.value, ast.Constant):
+            yield i, None
         elif isinstance(node, ast.Constant) and type(node.value) is int:
             yield from ((i, step) for step in (1, -1))
 
 
 def mutant(source: str, site) -> tuple[str, int, str]:
-    """The module text with one operator swapped, one `raise` dropped or one
-    integer literal moved by 1, its line and a description."""
+    """The module text with one operator swapped, one `raise` dropped, one
+    integer literal moved by 1 or one `return` made constant, its line and a
+    description."""
     tree = ast.parse(source)
     index, slot = site
     node = list(ast.walk(tree))[index]
@@ -70,6 +75,9 @@ def mutant(source: str, site) -> tuple[str, int, str]:
                 return ast.Pass() if raise_ is node else raise_
 
         return ast.unparse(Drop().visit(tree)), node.lineno, "raise -> pass"
+    if isinstance(node, ast.Return):
+        node.value = ast.Constant(None)
+        return ast.unparse(tree), node.lineno, "return VALUE -> return None"
     if isinstance(node, ast.Constant):
         node.value += slot
         return ast.unparse(tree), node.lineno, f"{node.value - slot} -> {node.value}"

@@ -43,6 +43,7 @@ built from numpy slices.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import logging
 import math
@@ -373,7 +374,28 @@ def _slab_loss(target_path: str, pred_path: str, logits: bool, part: slice) -> f
     return cross_entropy(tensor_io.read_volume(target_path, part), predicted).loss_sum
 
 
+# glibc mallopt parameters, and the largest mmap threshold it takes on 64-bit
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 << 20
+
+
+def _keep_freed_heap() -> None:
+    """Make glibc's malloc keep the memory that a loss slab frees, so the
+    next slab reuses those pages. By default it raises its mmap threshold to
+    the largest block freed so far and hands the free top of the heap back
+    to the OS past twice that; whether one slab's temporaries cross that
+    line depends on where earlier objects sit in the heap, so, by the length
+    of its paths alone, a run either reuses its pages or faults about 1 MiB
+    in again for every slab. This pins both thresholds where that rule tops
+    out. Off Linux, it does nothing (musl's mallopt is a no-op)."""
+    if sys.platform == "linux":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def run_loss(plan: dict) -> int:
+    _keep_freed_heap()
     for src, target_path, dst in _iter_in_out(plan["pred"], plan["out"], ".json", partner=plan["target"]):
         report = streamed_loss(target_path, src, plan["pred_kind"])
         if dst.endswith(VOLUME_SUFFIX):  # a single --out x.svlv is written as x.json

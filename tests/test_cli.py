@@ -23,6 +23,7 @@ from svls import (
 from svls import cli
 from svls.cli import main
 from svls.tensor_io import read_volume, write_report, write_volume
+from svls.volume import slabs
 
 from conftest import forbid_payload_read, random_labels, set_sidecar_token, sum_block
 
@@ -217,6 +218,33 @@ def test_loss_reads_the_prediction_before_the_target(tmp_path, capsys):
     assert error["error"] == "validation"
     assert "loss --pred needs a probability volume" in error["message"]
     assert not out.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts page faults as Linux reports them")
+def test_loss_reuses_the_pages_a_slab_frees(tmp_path, rng):
+    # 16 more slabs fault in no more pages, whatever the heap's layout, which
+    # the length of the --out path alone shifts; before the loss kept freed
+    # heap, some lengths faulted about 290 pages in again for each slab
+    def operands(rows):
+        shape = (4, rows, 144, 144)
+        assert len(slabs(shape[1:])) == rows
+        pred, target = tmp_path / f"z{rows}.svlv", tmp_path / f"t{rows}.svlv"
+        write_volume(LogitVolume(rng.standard_normal(shape).astype(np.float32), (1.0,) * 3), pred)
+        probs = softmax(LogitVolume(rng.standard_normal(shape), (1.0,) * 3)).data.astype(np.float32)
+        write_volume(SoftLabelVolume(probs, (1.0,) * 3), target)
+        return ["--target", str(target), "--pred", str(pred), "--pred-kind", "logits"]
+
+    def faults(argv, out):
+        proc = subprocess.Popen([sys.executable, "-m", "svls.cli", "loss", *argv, "--out", str(out)],
+                                env=child_env(), stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        _, status, usage = os.wait4(proc.pid, 0)
+        assert os.waitstatus_to_exitcode(status) == 0
+        return usage.ru_minflt
+
+    few, many = operands(2), operands(18)
+    for length in range(1, 17, 4):
+        out = tmp_path / ("x" * length) / "loss.json"
+        assert faults(many, out) - faults(few, out) < 16 * 32, length
 
 
 def test_evaluate_perfect_prediction(tmp_path, rng, capsys):

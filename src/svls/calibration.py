@@ -142,24 +142,32 @@ def tace(
     # a float64 threshold: against a Python float, NumPy would round it to the
     # plane's float32 and drop probabilities equal to float32(threshold)
     floor = np.float64(threshold)
-    class_errors = []
-    for c in range(predicted.num_classes):
-        plane = predicted.data[c].ravel()
-        keep = plane > floor
-        p = plane[keep]
-        if p.size == 0:
-            continue
-        hit_probs = p[ref[keep] == c]
-        p.sort()
-        hit_probs.sort()
-        # range i starts at the order statistic of rank starts[i]
-        starts = np.linspace(0, p.size, num_ranges, endpoint=False).round().astype(int)
-        starts = np.minimum(starts, p.size - 1)
-        count, mean_prob, hit_rate = _bin_stats(p, hit_probs, p[starts[1:]], "left")
-        class_errors.append(float(np.abs(hit_rate - mean_prob)[count > 0].mean()))
+    gaps = (_class_gap(predicted.data[c].ravel(), ref, c, floor, num_ranges) for c in range(predicted.num_classes))
+    class_errors = [gap for gap in gaps if gap is not None]
     if not class_errors:
         raise ValueError(f"no probabilities above threshold {threshold} in any class")
     return float(np.mean(class_errors))
+
+
+def _class_gap(plane: np.ndarray, ref: np.ndarray, c: int, floor: np.float64, num_ranges: int):
+    """TACE's mean gap over the occupied ranges of class `c`, from its plane
+    (raveled) and the raveled reference; None when no probability of the
+    plane exceeds `floor`. A plane read from a file is freed before the hits
+    are taken, and the rest before the next plane is read."""
+    keep = plane > floor
+    p = plane[keep]
+    del plane
+    if p.size == 0:
+        return None
+    hit_probs = p[ref[keep] == c]
+    del keep
+    p.sort()
+    hit_probs.sort()
+    # range i starts at the order statistic of rank starts[i]
+    starts = np.linspace(0, p.size, num_ranges, endpoint=False).round().astype(int)
+    starts = np.minimum(starts, p.size - 1)
+    count, mean_prob, hit_rate = _bin_stats(p, hit_probs, p[starts[1:]], "left")
+    return float(np.abs(hit_rate - mean_prob)[count > 0].mean())
 
 
 def calibrate_report(

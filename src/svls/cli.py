@@ -32,6 +32,8 @@ inputs' rank, and the class ids and names of `evaluate`'s region map against
 the headers' class count are checked before any payload is read, with one
 message for each kind fault: "PATH holds labels; loss --pred needs a logit
 volume". `loss` then reads and scores its pair one slab of rows at a time.
+`evaluate` checks --pred one slab of rows at a time, then reads it one class
+plane at a time, and a --pred that changes in between is an I/O error.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -380,14 +382,16 @@ _MMAP_THRESHOLD_MAX = 32 << 20
 
 
 def _keep_freed_heap() -> None:
-    """Make glibc's malloc keep the memory that a loss slab frees, so the
-    next slab reuses those pages. By default it raises its mmap threshold to
-    the largest block freed so far and hands the free top of the heap back
-    to the OS past twice that; whether one slab's temporaries cross that
-    line depends on where earlier objects sit in the heap, so, by the length
-    of its paths alone, a run either reuses its pages or faults about 1 MiB
-    in again for every slab. This pins both thresholds where that rule tops
-    out. Off Linux, it does nothing (musl's mallopt is a no-op)."""
+    """Make glibc's malloc keep the memory that a loss slab or an evaluate
+    class plane frees, so the next one reuses those pages. By default it
+    raises its mmap threshold to the largest block freed so far and hands
+    the free top of the heap back to the OS past twice that; whether one
+    slab's temporaries cross that line depends on where earlier objects sit
+    in the heap, so, by the length of its paths alone, a loss run either
+    reuses its pages or faults about 1 MiB in again for every slab, and an
+    evaluate run mapped each fresh class plane anew. This pins both
+    thresholds where that rule tops out. Off Linux, it does nothing (musl's
+    mallopt is a no-op)."""
     if sys.platform == "linux":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
@@ -415,6 +419,7 @@ def _load_regions(path: str) -> dict:
 
 
 def run_evaluate(plan: dict) -> int:
+    _keep_freed_heap()
     check_tolerance(plan["sd_tolerance"])
     check_num_bins(plan["ece_bins"])
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
@@ -424,17 +429,17 @@ def run_evaluate(plan: dict) -> int:
         check_same_grid(ref_head, _header(src, SoftLabelVolume, "evaluate --pred"))
         check_regions(regions, ref_head.num_classes, plan["composite"])
         reference = tensor_io.read_volume(ref_path)
-        predicted = tensor_io.read_volume(src)
-        scores = score_segmentation(reference, argmax_labels(predicted), plan["sd_tolerance"],
-                                    regions, plan["composite"])
-        calib = calibrate_report(
-            reference,
-            predicted,
-            num_bins=plan["ece_bins"],
-            tace_threshold=plan["tace_threshold"],
-            tace_ranges=plan["tace_ranges"],
-            foreground_only=plan["foreground_only"],
-        )
+        with tensor_io.open_prediction(src) as predicted:
+            scores = score_segmentation(reference, argmax_labels(predicted), plan["sd_tolerance"],
+                                        regions, plan["composite"])
+            calib = calibrate_report(
+                reference,
+                predicted,
+                num_bins=plan["ece_bins"],
+                tace_threshold=plan["tace_threshold"],
+                tace_ranges=plan["tace_ranges"],
+                foreground_only=plan["foreground_only"],
+            )
         tensor_io.write_report(calib, os.path.join(out_dir, "calibration.json"))
         tensor_io.write_report(calib, os.path.join(out_dir, "reliability.csv"))
         tensor_io.write_report(scores, os.path.join(out_dir, "segmentation.json"))

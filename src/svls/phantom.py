@@ -2,6 +2,10 @@
 
 Every generator is a pure function of (spec, seed): the same inputs produce
 bit-identical output on any platform (numpy's PCG64 generator is stable).
+`generate_labels` builds the labels of nested_spheres and miscalibrated_pred
+one `volume.slabs` slab of rows at a time, so their float64 distances and
+int64 draws are held one slab at a time: each voxel's distance is computed
+alone, and successive int64 draws of one generator continue its stream.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .smoothing import RaterSet
-from .volume import LabelVolume, SoftLabelVolume, _check_int
+from .volume import LabelVolume, SoftLabelVolume, _check_int, slabs
 
 KINDS = (
     "homogeneous",
@@ -62,9 +66,12 @@ def _spacing(spec: PhantomSpec) -> tuple[float, ...]:
     return (DEFAULT_SPACING,) * len(spec.dims)
 
 
-def _center_distances(dims) -> np.ndarray:
-    """Per-voxel Euclidean distance (in voxel units) from the volume center."""
-    d2 = sum(np.ix_(*[(np.arange(d) - (d - 1) / 2.0) ** 2 for d in dims]))
+def _center_distances(dims, rows: slice) -> np.ndarray:
+    """Per-voxel Euclidean distance (in voxel units) from the volume center,
+    of rows `rows` of the first axis."""
+    axes = [np.arange(d) - (d - 1) / 2.0 for d in dims]
+    axes[0] = axes[0][rows]
+    d2 = sum(np.ix_(*[a**2 for a in axes]))
     return np.sqrt(d2, out=d2)
 
 
@@ -95,10 +102,12 @@ def generate_labels(spec: PhantomSpec) -> LabelVolume:
         if any(d < 5 for d in dims):
             raise ValueError(f"nested_spheres needs all dims >= 5, got {dims}")
         r_inner, r_outer = nested_sphere_radii(dims)
-        dist = _center_distances(dims)
-        data = np.zeros(dims, dtype=np.uint8)
-        data[dist <= r_outer] = 1
-        data[dist <= r_inner] = 2
+        data = np.empty(dims, dtype=np.uint8)
+        for part in slabs(dims):
+            dist = _center_distances(dims, part)
+            # 1 in the outer sphere, 2 in the inner one, which it holds
+            np.add(dist <= r_outer, dist <= r_inner, out=data[part], dtype=np.uint8)
+            del dist  # freed before the next slab's are built
     elif spec.kind == "fig3_multirater":
         if spec.num_classes < 3:
             raise ValueError("fig3_multirater needs at least 3 classes")
@@ -115,7 +124,9 @@ def generate_labels(spec: PhantomSpec) -> LabelVolume:
     elif spec.kind == "miscalibrated_pred":
         # base labels for the miscalibration generator: seeded uniform draws
         rng = np.random.default_rng(spec.seed)
-        data = rng.integers(0, spec.num_classes, size=dims).astype(np.uint8)
+        data = np.empty(dims, dtype=np.uint8)
+        for part in slabs(dims):
+            data[part] = rng.integers(0, spec.num_classes, size=data[part].shape)
     else:  # pragma: no cover - PhantomSpec already validated the kind
         raise ValueError(spec.kind)
     data.setflags(write=False)  # fresh: the container adopts it without a copy

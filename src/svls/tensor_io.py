@@ -21,6 +21,11 @@ offset into one fresh array that the container adopts.
 A payload fault of a row read names the rows and the file first:
 `payload: rows 33:34 of PATH: voxel (0, 7, 2) probabilities sum to ...`,
 where the voxel index is the slab's own.
+`open_prediction` holds no whole probability volume: it checks the file one
+`volume.slabs` slab of rows at a time, by row reads, and then reads a class
+plane, one contiguous run of the file, each time one is asked for. A file
+whose device, inode, size or `mtime_ns` changes once it is open is an
+`OSError` at the end of the check or at the next plane read.
 
 A JSON sidecar at `<path>.json` carries what the payload cannot: spacing
 (mm per axis, a list of numbers), num_classes (an integer) and provenance
@@ -36,8 +41,10 @@ first, so a failed write leaves no file of its output.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import operator
 import os
 import struct
 import tempfile
@@ -49,7 +56,8 @@ from . import __version__
 from .calibration import CalibrationReport
 from .loss import LossReport
 from .seg_metrics import SegmentationScores
-from .volume import LabelVolume, LogitVolume, SoftLabelVolume, _check_class_axis, _check_num_classes, _check_spacing
+from .volume import (LabelVolume, LogitVolume, SoftLabelVolume, _check_class_axis, _check_num_classes,
+                     _check_spacing, slabs)
 
 MAGIC = b"SVLV"
 VERSION = 1
@@ -258,6 +266,68 @@ def read_logits(path, rows=None) -> LogitVolume:
     is rejected before any payload byte is read."""
     head, data, where = _read_container(path, rows, True)
     return _fault_of("payload", LogitVolume, data, head.spacing, where=where)
+
+
+def _identity(stat) -> tuple[int, int, int, int]:
+    return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
+
+
+class ClassPlanes:
+    """The class planes of a probability file held open: `len()` is the
+    class count, and `planes[c]` checks that the file at its path is still
+    the one opened, then reads plane c into a fresh read-only float32 array."""
+
+    def __init__(self, fh, path, head: VolumeHeader):
+        self._fh, self._path = fh, path
+        self._identity = _identity(os.fstat(fh.fileno()))
+        self._start, self._dims = fh.tell(), head.dims
+        self._count = head.num_classes
+
+    def __len__(self) -> int:
+        return self._count
+
+    def check_unchanged(self) -> None:
+        """Raise an OSError if the path no longer names the file as opened."""
+        if _identity(os.stat(self._path)) != self._identity:
+            raise OSError(f"{self._path} changed while it was being read")
+
+    def __getitem__(self, c) -> np.ndarray:
+        c = range(self._count)[operator.index(c)]
+        self.check_unchanged()
+        plane = np.empty(self._dims, _DTYPES[DTYPE_PROBS])
+        self._fh.seek(self._start + c * plane.nbytes)
+        if self._fh.readinto(plane) != plane.nbytes:
+            raise OSError(f"{self._path} changed while it was being read")
+        plane.setflags(write=False)
+        return plane
+
+
+@dataclass(frozen=True)
+class PlaneVolume:
+    """A checked probability file whose class planes are read on demand:
+    what the metrics take of a SoftLabelVolume."""
+
+    data: ClassPlanes
+    dims: tuple[int, ...]
+    num_classes: int
+    spacing: tuple[float, ...]
+
+
+@contextlib.contextmanager
+def open_prediction(path):
+    """Open a probability file, check it one `volume.slabs` slab of rows at a
+    time as `read_volume(path, rows)` checks it (a payload fault names its
+    rows and the file), and yield it as a `PlaneVolume` that holds no plane.
+    A label file is rejected before any payload byte is read."""
+    with open(path, "rb") as fh:
+        head = _check_header(fh, path)
+        if head.dtype_code != DTYPE_PROBS:
+            raise VolumeFormatError("dtype", "a prediction must use the f32 dtype code")
+        planes = ClassPlanes(fh, path, head)
+        for part in slabs(head.dims):
+            read_volume(path, part)
+        planes.check_unchanged()
+        yield PlaneVolume(planes, head.dims, head.num_classes, head.spacing)
 
 
 def _sig6(x: float):

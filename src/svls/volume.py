@@ -226,9 +226,11 @@ class LogitVolume(_ClassFirstVolume):
             raise ValueError("logits must be finite")
 
 
-def top_class(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def top_class(planes) -> tuple[np.ndarray, np.ndarray]:
     """Each voxel's top class (uint8) and its value (the planes' dtype), from
-    one sweep over the class planes of a class-first array.
+    one sweep over a sequence of class planes: a class-first array, or any
+    `len()`-able sequence whose item c is plane c, such as the planes that
+    `tensor_io.open_prediction` reads from a file one at a time.
 
     Ties keep the lowest class: a plane takes a voxel only where it is
     strictly greater than the running maximum, and since the class index
@@ -237,24 +239,28 @@ def top_class(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     values `planes.max(axis=0)`, for any planes without NaN. More classes
     than uint8 labels hold are rejected, as a LabelVolume rejects them.
     """
-    _check_num_classes(planes.shape[0])
+    _check_num_classes(len(planes))
     top = planes[0].copy()
     labels = np.zeros(top.shape, dtype=np.uint8)
     better = np.empty(top.shape, dtype=np.uint8)
-    for c in range(1, planes.shape[0]):
-        np.greater(planes[c], top, out=better)
+    for c in range(1, len(planes)):
+        plane = planes[c]
+        np.greater(plane, top, out=better)
         better *= np.uint8(c)
         np.maximum(labels, better, out=labels)
-        np.maximum(top, planes[c], out=top)
+        np.maximum(top, plane, out=top)
+        del plane  # freed before the next one is read
     return labels, top
 
 
 def argmax_labels(probs: SoftLabelVolume) -> LabelVolume:
     """Collapse a probability volume to hard labels (ties go to the lowest
-    class), taken by the one class-plane sweep of `top_class`.
+    class), taken by the one class-plane sweep of `top_class`; the volume
+    may also be the `tensor_io.PlaneVolume` of a checked file.
 
     There is no second simplex check: every SoftLabelVolume passed it at
-    construction, and its data is read-only. The labels are fresh, so they
+    construction, and its data is read-only, as every slab of a
+    PlaneVolume's file did before it was opened. The labels are fresh, so they
     are frozen and the LabelVolume adopts them.
     """
     labels, _ = top_class(probs.data)

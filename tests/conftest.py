@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -60,6 +61,21 @@ def slab_cuts(draw):
     first = draw(st.sampled_from([1, rows - 1, rows, rows + 1, 2 * rows + draw(st.integers(1, max(rows - 1, 1)))]))
     first = max(first, 1)
     return (first,) + rest, block, -(-first // rows)
+
+
+def rename_over(path, other):
+    """Rename file `other` over file `path`: the path names a new inode."""
+    other.replace(path)
+
+
+def rewrite_in_place(path, other):
+    """Write the bytes of file `other` over file `path`, keeping its inode,
+    with the mtime a write a second later gives: one that keeps a file's size
+    and mtime_ns is seen by no stat."""
+    before = path.stat()
+    with open(path, "r+b") as fh:
+        fh.write(other.read_bytes())
+    os.utime(path, ns=(before.st_atime_ns, max(path.stat().st_mtime_ns, before.st_mtime_ns + 10**9)))
 
 
 @contextlib.contextmanager

@@ -25,7 +25,7 @@ from svls.cli import main
 from svls.tensor_io import read_volume, write_report, write_volume
 from svls.volume import slabs
 
-from conftest import forbid_payload_read, random_labels, set_sidecar_token, sum_block
+from conftest import forbid_payload_read, random_labels, rename_over, rewrite_in_place, set_sidecar_token, sum_block
 
 
 def run(args, capsys):
@@ -1046,6 +1046,42 @@ def test_loss_reports_the_first_slab_fault_it_meets(tmp_path, rng, capsys, case)
     else:
         path, fault = pred, "logits must be finite" if kind == "logits" else "probabilities must lie in [0, 1]"
     assert error["message"].startswith(f"payload: rows {row}:{row + 1} of {path}: {fault}"), error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("row", [0, 27, 39])
+def test_evaluate_names_the_rows_of_a_payload_fault_in_pred(tmp_path, rng, capsys, row):
+    # 40 one-row slabs: --pred is checked slab by slab before any metric
+    paths = write_loss_files(tmp_path, rng, (40, 4, 4))
+    _set_float(paths["probs"], (1, row, 2, 3), math.nan)
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--ref", str(paths["labels"]), "--pred", str(paths["probs"]), "--out", str(out)]
+    with sum_block(16):
+        code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    error = one_error_line(err)
+    assert error["error"] == "validation"
+    assert error["message"].startswith(f"payload: rows {row}:{row + 1} of {paths['probs']}: "
+                                       "probabilities must lie in [0, 1]"), error
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change", [rename_over, rewrite_in_place], ids=["renamed-over", "rewritten-in-place"])
+def test_evaluate_pred_changed_after_its_check_is_an_io_error(tmp_path, rng, capsys, monkeypatch, change):
+    paths = write_loss_files(tmp_path, rng, (8, 10, 12))
+    pred, other = paths["probs"], paths["target"]  # two valid files of one grid and size
+    argmax_labels = cli.argmax_labels
+
+    def change_then_argmax(predicted):  # after the check pass, before the first plane read
+        change(pred, other)
+        return argmax_labels(predicted)
+
+    monkeypatch.setattr(cli, "argmax_labels", change_then_argmax)
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--ref", str(paths["labels"]), "--pred", str(pred), "--out", str(out)]
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert one_error_line(err) == {"error": "io", "message": f"{pred} changed while it was being read"}
     assert not out.exists()
 
 

@@ -7,10 +7,12 @@ and a prediction (logits or probabilities), and changes exactly one thing in
 one operand: a header field, a sidecar value, or one payload float (NaN,
 +-inf, a value above 1, or a value moved by 1e-3 so its voxel's sum is off).
 It then runs `svls.cli.main` in this process, with slabs of one row, of two,
-or of the whole volume. Each `evaluate` example changes one header field or
-sidecar value of a valid label reference or probability prediction; each
-`fuse` example changes the header, the sidecar or one payload byte of one of
-three label raters. Each `encode` example runs one method on a label volume
+or of the whole volume. Each `evaluate` example changes one header field,
+sidecar value or payload value of a valid label reference or probability
+prediction, with the same slabs, or runs on valid files with
+--sd-tolerance or --tace-threshold drawn from float extremes; each `fuse`
+example changes the header, the sidecar or one payload byte of one of three
+label raters. Each `encode` example runs one method on a label volume
 with the header, the sidecar or one payload byte changed, or none, and its
 --alpha or --sigma drawn from float extremes. Stderr must be empty on exit 0
 and exactly one JSON line of KIND `validation` or `io` otherwise, an output
@@ -197,13 +199,26 @@ def test_one_fault_in_one_loss_operand_never_ends_internal(pair, tmp_path_factor
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
-@given(operand=st.sampled_from(["ref", "pred"]), damage=st.data())
-def test_one_fault_in_one_evaluate_operand_never_ends_internal(pair, tmp_path_factory, operand, damage):
-    description, change = damage.draw(damages(labels=operand == "ref", payload=False))
+@given(operand=st.sampled_from(["ref", "pred"]), damage=st.data(), block=st.sampled_from([120, 240, 1 << 14]))
+def test_one_fault_in_one_evaluate_operand_never_ends_internal(pair, tmp_path_factory, operand, damage, block):
+    description, change = damage.draw(damages(labels=operand == "ref", payload=True))
     ref, pred = _copies(pair, tmp_path_factory.mktemp("fuzz"), ("rater0", "probs"))
     change(ref if operand == "ref" else pred)
     out = ref.parent / "out"
-    _check_exit(["evaluate", "--ref", str(ref), "--pred", str(pred), "--out", str(out)], out, description)
+    _check_exit(["evaluate", "--ref", str(ref), "--pred", str(pred), "--out", str(out)], out, description, block)
+
+
+# --ece-bins and --tace-ranges are not drawn large: 10**9 bins would allocate gigabytes
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(flag=st.sampled_from(["--sd-tolerance", "--tace-threshold"]), value=st.sampled_from(FLOAT_EXTREMES),
+       other=st.none() | st.sampled_from(FLOAT_EXTREMES))
+def test_evaluate_float_flag_extremes_never_end_internal(pair, tmp_path_factory, flag, value, other):
+    ref, pred = _copies(pair, tmp_path_factory.mktemp("fuzz"), ("rater0", "probs"))
+    flags = [f"{flag}={value}"]
+    if other is not None:
+        flags.append(("--tace-threshold" if flag == "--sd-tolerance" else "--sd-tolerance") + f"={other}")
+    out = ref.parent / "out"
+    _check_exit(["evaluate", "--ref", str(ref), "--pred", str(pred), *flags, "--out", str(out)], out, " ".join(flags))
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)

@@ -41,14 +41,22 @@ was widened whole. It peaked at 1.38x while TACE copied its population into
 index, 1.75x while `reliability` took `np.argmax` and `max` apart, and
 2.00x while reliability and TACE binned float64 copies of the kept
 probabilities.
+The `evaluate` subcommand on a 4-class SVLS-smoothed prediction of this
+size peaks at 0.88x: it checks the prediction one slab of rows at a time,
+then reads it one class plane (0.25x) at a time, for each sweep of
+`top_class` and for each class of TACE, so the largest step holds about two
+planes and their sorted population. It peaked at 1.88x while it held the
+whole prediction from its read to the last metric.
 A homogeneous phantom peaks at 1.0x its uint8 labels, which the container
 adopts; 2.0x while it copied them.
 The Surface Dice tolerance ball peaks at 9.0 bytes per offset, its float64
 squared lengths and the boolean ball, summed from each axis's 1-D squares;
 56 bytes while it took them from a rank-by-ball int64 offset grid. A
-nested-spheres phantom of 24x36x36 peaks at 12.5 bytes per voxel, with its
-float64 distances built the same way; 48 bytes while it held a float64
-index grid of every axis.
+nested-spheres phantom of 64x64x64 peaks at 2.0 bytes per voxel: its uint8
+labels and the float64 distances of one slab of rows (0.5 bytes per voxel
+of the cube), with numpy's 128 KiB of ufunc buffers while they are summed;
+10.0 bytes while it built the distances of the whole grid, and 48 bytes
+while it held a float64 index grid of every axis.
 """
 
 import shutil
@@ -90,8 +98,9 @@ SMOOTH_BOUND = 1.6
 ENCODE_BOUND = 1.4
 ARGMAX_BOUND = 0.6
 CALIBRATION_BOUND = 0.9
+CLI_EVALUATE_BOUND = 1.1
 BALL_BYTES_BOUND = 16  # traced bytes per offset of a Surface Dice tolerance ball
-PHANTOM_BYTES_BOUND = 16  # traced bytes per voxel of a nested-spheres phantom
+PHANTOM_BYTES_BOUND = 2.5  # traced bytes per voxel of a nested-spheres phantom
 HOMOGENEOUS_BOUND = 1.2  # a homogeneous phantom, per byte of its labels
 
 
@@ -230,6 +239,20 @@ def test_calibrate_report_peak_with_one_occupied_bin():
     assert 0.25 <= ratio <= CALIBRATION_BOUND, ratio
 
 
+def test_cli_evaluate_peak(tmp_path):
+    rng = np.random.default_rng(0)
+    labels = LabelVolume(rng.integers(0, 4, size=DIMS).astype(np.uint8), (1.0,) * 3, 4)
+    write_volume(labels, tmp_path / "ref.svlv")
+    write_volume(svls_smooth(labels, 1.0), tmp_path / "pred.svlv")
+    out = tmp_path / "eval"
+    argv = ["evaluate", "--ref", str(tmp_path / "ref.svlv"), "--pred", str(tmp_path / "pred.svlv"), "--out", str(out)]
+    ratio = peak_ratio(lambda: main(argv))
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["calibration.json", "reliability.csv", "segmentation.json", "segmentation.csv"])
+    # at least the float32 top value and one class plane of a `top_class` sweep
+    assert 0.5 <= ratio <= CLI_EVALUATE_BOUND, ratio
+
+
 def test_tolerance_ball_peak():
     # a tolerance past the volume clamps the reach to n - 1 on every axis
     shape, spacing = (24, 36, 36), (1.0, 1.0, 1.0)
@@ -241,10 +264,11 @@ def test_tolerance_ball_peak():
 
 
 def test_nested_spheres_peak():
-    spec = PhantomSpec("nested_spheres", (24, 36, 36), num_classes=3)
-    ratio = peak_ratio(lambda: generate_labels(spec), payload=24 * 36 * 36)
-    # at least the float64 distances and the uint8 labels
-    assert 9.0 <= ratio <= PHANTOM_BYTES_BOUND, ratio
+    # 16 slabs of 4 rows
+    spec = PhantomSpec("nested_spheres", CUBE, num_classes=3)
+    ratio = peak_ratio(lambda: generate_labels(spec), payload=64**3)
+    # at least the uint8 labels and one slab of float64 distances
+    assert 1.5 <= ratio <= PHANTOM_BYTES_BOUND, ratio
 
 
 def test_homogeneous_phantom_peak():

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import struct
 import warnings
 from types import SimpleNamespace
@@ -17,13 +18,15 @@ from svls.loss import LossReport
 from svls.seg_metrics import SegmentationScores
 from svls.tensor_io import (
     VolumeFormatError,
+    open_prediction,
     read_logits,
     read_volume,
     write_report,
     write_volume,
 )
+from svls.volume import top_class
 
-from conftest import forbid_payload_read, random_labels, set_sidecar_token
+from conftest import forbid_payload_read, random_labels, rename_over, rewrite_in_place, set_sidecar_token, sum_block
 
 
 def test_label_roundtrip_bit_exact(tmp_path, rng):
@@ -450,6 +453,98 @@ def test_short_row_read_is_a_payload_error(tmp_path, monkeypatch):
         read_volume(path, slice(3, 5))
     assert err.value.field == "payload"
     assert read_volume(path, slice(0, 3)).dims == (3, 2, 3)
+
+
+def test_prediction_reads_each_class_plane_on_demand(tmp_path):
+    path, vol = _three_class_rows(tmp_path)
+    with open_prediction(path) as pred:
+        assert (pred.dims, pred.num_classes, pred.spacing) == (vol.dims, 3, vol.spacing)
+        assert len(pred.data) == 3
+        for c in (0, 1, 2, -1):
+            plane = pred.data[c]
+            assert plane.dtype == np.float32 and plane.tobytes() == vol.data[c].tobytes()
+            assert plane.flags.owndata and not plane.flags.writeable
+        assert pred.data[1] is not pred.data[1]  # read afresh each time
+        with pytest.raises(IndexError):
+            pred.data[3]
+        labels, top = top_class(pred.data)
+        want_labels, want_top = top_class(vol.data)
+        assert labels.tobytes() == want_labels.tobytes() and top.tobytes() == want_top.tobytes()
+
+
+@pytest.mark.parametrize("row", [0, 3, 4])
+def test_prediction_is_checked_slab_by_slab_and_names_the_rows_of_a_fault(tmp_path, row):
+    path, _ = _three_class_rows(tmp_path)
+    blob = bytearray(path.read_bytes())
+    offset = 16 + 16 + 4 * (1 * 30 + row * 6 + 2)  # class 1 of voxel (row, 0, 2)
+    struct.pack_into("<f", blob, offset, float("nan"))
+    path.write_bytes(bytes(blob))
+    with sum_block(12), pytest.raises(VolumeFormatError) as err:  # slabs of two rows
+        with open_prediction(path):
+            pass
+    start = row - row % 2
+    assert err.value.field == "payload"
+    assert str(err.value).startswith(f"payload: rows {start}:{min(start + 2, 5)} of {path}: probabilities must lie")
+
+
+def test_prediction_reader_rejects_a_label_file_before_its_payload(tmp_path, rng, monkeypatch):
+    path = _sidecar_fault_volume(tmp_path, rng, "labels", lambda side: None)
+    forbid_payload_read(monkeypatch)
+    with pytest.raises(VolumeFormatError, match="a prediction must use the f32 dtype code") as err:
+        with open_prediction(path):
+            pass
+    assert err.value.field == "dtype"
+
+
+def _other_prediction(tmp_path, vol):
+    """A valid file of `vol`'s grid and size that holds other values; its path."""
+    other = tmp_path / "other.svlv"
+    write_volume(SoftLabelVolume(vol.data[::-1].copy(), vol.spacing), other)
+    return other
+
+
+@pytest.mark.parametrize("change", [rename_over, rewrite_in_place], ids=["renamed-over", "rewritten-in-place"])
+def test_a_plane_read_of_a_changed_file_is_an_os_error(tmp_path, change):
+    path, vol = _three_class_rows(tmp_path)
+    other = _other_prediction(tmp_path, vol)
+    with open_prediction(path) as pred:
+        assert pred.data[0].tobytes() == vol.data[0].tobytes()
+        change(path, other)
+        with pytest.raises(OSError, match=f"{path} changed while it was being read"):
+            pred.data[1]
+
+
+def test_a_file_changed_during_the_slab_check_is_an_os_error(tmp_path, monkeypatch):
+    path, vol = _three_class_rows(tmp_path)
+    other = _other_prediction(tmp_path, vol)
+    checked = []
+
+    def read_then_swap(p, rows=None):
+        checked.append(rows)
+        part = read_volume(p, rows)
+        if rows.stop == 5:  # the last slab: the next read would be a plane's
+            rename_over(path, other)
+        return part
+
+    monkeypatch.setattr(tensor_io, "read_volume", read_then_swap)
+    with sum_block(12), pytest.raises(OSError, match="changed while it was being read"):
+        with open_prediction(path):
+            pytest.fail("a file changed during its check was opened")
+    assert checked == [slice(0, 2), slice(2, 4), slice(4, 5)]
+
+
+def test_a_short_plane_read_is_an_os_error(tmp_path, rng, monkeypatch):
+    # planes of 16 KiB, past what the file's read buffer holds of them
+    path = tmp_path / "v.svlv"
+    write_volume(one_hot_encode(random_labels(rng, (4, 32, 32), 3)), path)
+    with open_prediction(path) as pred:
+        recorded, stat = os.stat(path), os.stat
+        os.truncate(path, recorded.st_size - 4)
+        # a change no stat shows: the reader relies on the read's length alone
+        monkeypatch.setattr(os, "stat", lambda p, **kw: recorded if p == path else stat(p, **kw))
+        assert pred.data[1].nbytes == 4 * 32 * 32 * 4
+        with pytest.raises(OSError, match="changed while it was being read"):
+            pred.data[2]
 
 
 @pytest.mark.parametrize("case", SIDECAR_FAULTS)

@@ -19,6 +19,12 @@ dtype, which for right-closed bins keeps every membership), and each slice is
 summed in float64 blocks of `volume.SUM_BLOCK` values (its `volume.slabs`),
 added in order: a float32 population is widened one block at a time, never
 whole, and scores exactly as its float64 widening.
+Both metrics take the prediction's class planes one at a time, as
+`predicted.data[c]`: `reliability` in the `top_class` sweep, and TACE one
+class at a time, dropping each plane before it takes the hits and keeping
+nothing of a class once it reads the next plane. So a
+`tensor_io.PlaneVolume`, whose planes are read from its file on demand, is
+scored with no whole prediction held.
 """
 
 from __future__ import annotations

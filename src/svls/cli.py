@@ -34,6 +34,11 @@ message for each kind fault: "PATH holds labels; loss --pred needs a logit
 volume". `loss` then reads and scores its pair one slab of rows at a time.
 `evaluate` checks --pred one slab of rows at a time, then reads it one class
 plane at a time, and a --pred that changes in between is an I/O error.
+`encode` and `fuse` build their soft volume one class plane at a time into
+one reused float32 plane, which `tensor_io.write_volume` writes as soon as it
+is built; the staged payload is checked one slab of rows at a time before it
+is renamed into place, so no whole soft volume is held and a bad plane
+leaves no output.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -51,6 +56,8 @@ import logging
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
@@ -311,14 +318,15 @@ def run_encode(plan: dict) -> int:
         if method == "svls":
             SvlsKernel(len(head.dims), plan["sigma"])  # its sigma rule, at this volume's rank
         labels = tensor_io.read_volume(src)
+        plane = np.empty(labels.dims, np.float32)  # each class is built into it and written in turn
         provenance = {"method": method, "source": os.path.basename(src)}
         if method == "onehot":
-            soft = one_hot_encode(labels)
+            soft = one_hot_encode(labels, plane=plane)
         elif method == "ls":
-            soft = label_smooth(labels, plan["alpha"])
+            soft = label_smooth(labels, plan["alpha"], plane=plane)
             provenance["alpha"] = plan["alpha"]
         else:
-            soft = svls_smooth(labels, plan["sigma"])
+            soft = svls_smooth(labels, plan["sigma"], plane=plane)
             provenance["sigma"] = plan["sigma"]
         tensor_io.write_volume(soft, dst, provenance=provenance)
         log.info("encoded %s -> %s", src, dst)
@@ -333,15 +341,16 @@ def run_fuse(plan: dict) -> int:
     if plan["method"] == "msvls":
         SvlsKernel(len(heads.raters[0].dims), plan["sigma"])  # its sigma rule, at the raters' rank
     raters = RaterSet(tuple(tensor_io.read_volume(p) for p in paths))
+    plane = np.empty(heads.raters[0].dims, np.float32)  # each class is built into it and written in turn
     provenance = {
         "method": plan["method"],
         "rater_files": [os.path.basename(p) for p in paths],
     }
     if plan["method"] == "msvls":
-        fused = msvls_fuse(raters, plan["sigma"])
+        fused = msvls_fuse(raters, plan["sigma"], plane=plane)
         provenance["sigma"] = plan["sigma"]
     else:
-        fused = moh_fuse(raters)
+        fused = moh_fuse(raters, plane=plane)
     tensor_io.write_volume(fused, plan["out"], provenance=provenance)
     return 0
 
@@ -382,16 +391,19 @@ _MMAP_THRESHOLD_MAX = 32 << 20
 
 
 def _keep_freed_heap() -> None:
-    """Make glibc's malloc keep the memory that a loss slab or an evaluate
-    class plane frees, so the next one reuses those pages. By default it
-    raises its mmap threshold to the largest block freed so far and hands
-    the free top of the heap back to the OS past twice that; whether one
-    slab's temporaries cross that line depends on where earlier objects sit
-    in the heap, so, by the length of its paths alone, a loss run either
-    reuses its pages or faults about 1 MiB in again for every slab, and an
-    evaluate run mapped each fresh class plane anew. This pins both
-    thresholds where that rule tops out. Off Linux, it does nothing (musl's
-    mallopt is a no-op)."""
+    """Make glibc's malloc keep the memory that a slab or a class plane
+    frees, so the next one reuses those pages; `main` calls it before every
+    subcommand. By default malloc raises its mmap threshold to the largest
+    block freed so far and hands the free top of the heap back to the OS
+    past twice that; whether one slab's temporaries cross that line depends
+    on where earlier objects sit in the heap, so, by the length of its paths
+    alone, a loss run either reuses its pages or faults about 1 MiB in again
+    for every slab, and an evaluate run mapped each fresh class plane anew,
+    as encode and fuse did each class's vote count and shell sums (15.9 and
+    16.9 thousand page faults for encode svls and fuse msvls at
+    96x144x144x4, 8.2 and 9.1 thousand with this).
+    This pins both thresholds where that rule tops out. Off Linux, it does
+    nothing (musl's mallopt is a no-op)."""
     if sys.platform == "linux":
         mallopt = ctypes.CDLL(None).mallopt
         mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX)
@@ -399,7 +411,6 @@ def _keep_freed_heap() -> None:
 
 
 def run_loss(plan: dict) -> int:
-    _keep_freed_heap()
     for src, target_path, dst in _iter_in_out(plan["pred"], plan["out"], ".json", partner=plan["target"]):
         report = streamed_loss(target_path, src, plan["pred_kind"])
         if dst.endswith(VOLUME_SUFFIX):  # a single --out x.svlv is written as x.json
@@ -419,7 +430,6 @@ def _load_regions(path: str) -> dict:
 
 
 def run_evaluate(plan: dict) -> int:
-    _keep_freed_heap()
     check_tolerance(plan["sd_tolerance"])
     check_num_bins(plan["ece_bins"])
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
@@ -495,6 +505,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         command, plan = _parse(parser, sys.argv[1:] if argv is None else list(argv))
+        _keep_freed_heap()
         return _HANDLERS[command](plan)
     except ValueError as exc:  # CliError and tensor_io.VolumeFormatError included
         _emit_error("validation", str(exc))

@@ -1,10 +1,11 @@
 """Soft-label generation from expert label volumes.
 
-Every soft target is built by one loop over classes: for each class it counts
-the raters that label each voxel with that class (0 or 1 for a single
-annotation) and transforms that integer vote plane straight into the class's
-float32 output plane, one slab of rows (`volume.slabs`) at a time. Each slab
-is taken in float64 and rounded once, so no float64 array is a whole plane.
+Every soft target is built by one loop over classes (`_class_planes`): for
+each class it counts the raters that label each voxel with that class (0 or
+1 for a single annotation) and transforms that integer vote plane straight
+into the class's float32 output plane, one slab of rows (`volume.slabs`) at
+a time. Each slab is taken in float64 and rounded once, so no float64 array
+is a whole plane.
 
   - one_hot_encode: the vote plane of one annotation as is.
   - label_smooth:   mix each one-hot vector with the uniform distribution.
@@ -26,10 +27,18 @@ stencil is `engine.SvlsKernel(rank, sigma)` of the volume's own rank.
 Votes are counted in the smallest unsigned dtype holding the rater count.
 `engine.correlate_padded` takes only such counts, and widens them where the
 widest shell (4 voxels in 2D, 12 in 3D) times the rater count would not fit.
+
+Each entry point returns a SoftLabelVolume that adopts the one float32 array
+its planes were built into. Given `plane`, a float32 array of the volume's
+dims, it builds nothing yet: it returns a `SoftPlanes` whose iteration runs
+the same loop, building each class plane into `plane` in turn, so that
+`tensor_io.write_volume` writes each plane as it is built and no whole soft
+volume is held (how the CLI's `encode` and `fuse` write).
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,19 +68,49 @@ class RaterSet:
         return len(self.raters)
 
 
-def _class_planes(raters: RaterSet, fill) -> SoftLabelVolume:
+@dataclass(frozen=True)
+class SoftPlanes:
+    """A soft-label volume built one class plane at a time: iterating `data`
+    builds class 0, 1, ... in turn into one reused float32 plane and yields
+    it, valid until the next one is built. `data` can be iterated once."""
+
+    data: Iterator[np.ndarray]
+    dims: tuple[int, ...]
+    num_classes: int
+    spacing: tuple[float, ...]
+
+
+def _class_planes(raters: RaterSet, fill, out) -> Iterator[np.ndarray]:
     """Let `fill(votes, num_raters, plane)` write each class's float32 plane
-    from its unsigned vote count."""
+    `out[c]` from its unsigned vote count, and yield it once written."""
     first, *rest = raters.raters
     dtype = np.min_scalar_type(len(raters))
-    out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
     for c in range(first.num_classes):
         votes = (first.data == c).astype(dtype)
         for rater in rest:
             votes += rater.data == c
         fill(votes, len(raters), out[c])
-    out.setflags(write=False)  # fresh: the container adopts it without a copy
-    return SoftLabelVolume(out, first.spacing)
+        del votes  # freed before the next class's votes are counted
+        yield out[c]
+
+
+def _encoded(raters: RaterSet, fill, plane):
+    """The soft volume whose class planes `fill` writes: built whole into
+    one fresh array, or with `plane` a `SoftPlanes` that builds each class
+    into it as it is iterated (module docstring)."""
+    first = raters.raters[0]
+    if plane is None:
+        out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
+        for _ in _class_planes(raters, fill, out):
+            pass
+        out.setflags(write=False)  # fresh: the container adopts it without a copy
+        return SoftLabelVolume(out, first.spacing)
+    if not (plane.shape == first.dims and plane.dtype == np.float32 and plane.flags.c_contiguous
+            and plane.flags.writeable):
+        raise ValueError(f"plane must be a writable C-contiguous float32 array of dims {first.dims}, "
+                         f"got {plane.dtype} of shape {plane.shape}")
+    planes = _class_planes(raters, fill, (plane,) * first.num_classes)
+    return SoftPlanes(planes, first.dims, first.num_classes, first.spacing)
 
 
 def _per_voxel(transform):
@@ -84,12 +123,12 @@ def _per_voxel(transform):
     return fill
 
 
-def moh_fuse(raters: RaterSet) -> SoftLabelVolume:
+def moh_fuse(raters: RaterSet, *, plane=None) -> SoftLabelVolume | SoftPlanes:
     """Per-voxel fraction of raters voting for each class."""
-    return _class_planes(raters, _per_voxel(lambda votes, num_raters: votes / num_raters))
+    return _encoded(raters, _per_voxel(lambda votes, num_raters: votes / num_raters), plane)
 
 
-def msvls_fuse(raters: RaterSet, sigma: float) -> SoftLabelVolume:
+def msvls_fuse(raters: RaterSet, sigma: float, *, plane=None) -> SoftLabelVolume | SoftPlanes:
     """SVLS of the rater vote shares, equal by linearity to the mean of the
     per-rater SVLS maps.
 
@@ -103,12 +142,12 @@ def msvls_fuse(raters: RaterSet, sigma: float) -> SoftLabelVolume:
     def smooth(votes, num_raters, plane):
         engine.correlate_padded(votes, kernel.weights, (num_raters, kernel.total_weight), plane)
 
-    return _class_planes(raters, smooth)
+    return _encoded(raters, smooth, plane)
 
 
-def svls_smooth(labels: LabelVolume, sigma: float) -> SoftLabelVolume:
+def svls_smooth(labels: LabelVolume, sigma: float, *, plane=None) -> SoftLabelVolume | SoftPlanes:
     """Spatially varying soft targets for one annotation, from the stencil of its rank and `sigma`."""
-    return msvls_fuse(RaterSet((labels,)), sigma)
+    return msvls_fuse(RaterSet((labels,)), sigma, plane=plane)
 
 
 def check_alpha(alpha: float) -> None:
@@ -117,14 +156,14 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
-def label_smooth(labels: LabelVolume, alpha: float) -> SoftLabelVolume:
+def label_smooth(labels: LabelVolume, alpha: float, *, plane=None) -> SoftLabelVolume | SoftPlanes:
     """Uniformly smoothed targets: annotated class gets (1-alpha)+alpha/N,
     every other class gets alpha/N."""
     check_alpha(alpha)
     n = labels.num_classes
-    return _class_planes(RaterSet((labels,)), _per_voxel(lambda votes, _: alpha / n + votes * (1.0 - alpha)))
+    return _encoded(RaterSet((labels,)), _per_voxel(lambda votes, _: alpha / n + votes * (1.0 - alpha)), plane)
 
 
-def one_hot_encode(labels: LabelVolume) -> SoftLabelVolume:
+def one_hot_encode(labels: LabelVolume, *, plane=None) -> SoftLabelVolume | SoftPlanes:
     """Expand a label volume into indicator probability planes, one per class."""
-    return moh_fuse(RaterSet((labels,)))
+    return moh_fuse(RaterSet((labels,)), plane=plane)

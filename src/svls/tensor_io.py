@@ -22,8 +22,9 @@ A payload fault of a row read names the rows and the file first:
 `payload: rows 33:34 of PATH: voxel (0, 7, 2) probabilities sum to ...`,
 where the voxel index is the slab's own.
 `open_prediction` holds no whole probability volume: it checks the file one
-`volume.slabs` slab of rows at a time, by row reads, and then reads a class
-plane, one contiguous run of the file, each time one is asked for. A file
+`volume.slabs` slab of rows at a time, reading the rows from the file it
+holds open under the header it checked, and then reads a class plane, one
+contiguous run of the file, each time one is asked for. A file
 whose device, inode, size or `mtime_ns` changes once it is open is an
 `OSError` at the end of the check or at the next plane read.
 
@@ -36,12 +37,18 @@ of repairing them, with a VolumeFormatError naming the faulty field.
 
 Every output is one commit (`_write_files`): a volume's payload and sidecar,
 or a report, are staged as temp files and then renamed into place, payload
-first, so a failed write leaves no file of its output.
+first, so a failed write leaves no file of its output. `write_volume` is the
+one writer: it writes a payload one class plane at a time (a
+`smoothing.SoftPlanes` builds each plane as it is written), and before the
+rename it checks the staged payload one `volume.slabs` slab of rows at a
+time, as a reader checks it, with the slab check (`_check_slabs`) that
+`open_prediction` runs on its open file. Neither holds a whole volume.
 """
 
 from __future__ import annotations
 
 import contextlib
+import itertools
 import json
 import math
 import operator
@@ -56,6 +63,7 @@ from . import __version__
 from .calibration import CalibrationReport
 from .loss import LossReport
 from .seg_metrics import SegmentationScores
+from .smoothing import SoftPlanes
 from .volume import (LabelVolume, LogitVolume, SoftLabelVolume, _check_class_axis, _check_num_classes,
                      _check_spacing, slabs)
 
@@ -77,11 +85,13 @@ def sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
-def _write_files(*files) -> None:
+def _write_files(*files, check=None) -> None:
     """Commit one output: stage each `(path, chunks)` as a temp file beside
     `path` (its missing parents made), writing the chunks, bytes or
-    C-contiguous arrays, in order; then rename the temp files into place in
-    order. A failure removes the temp files and every file already renamed."""
+    C-contiguous arrays, in order; with `check`, call `check(staged)` with
+    the first file's temp path, which raises to refuse the output; then
+    rename the temp files into place in order. A failure removes the temp
+    files and every file already renamed."""
     staged, renamed = [], []
     try:
         for path, chunks in files:
@@ -93,6 +103,8 @@ def _write_files(*files) -> None:
                 for chunk in chunks:
                     fh.write(chunk)
             os.chmod(tmp, 0o644)  # mkstemp creates 0600; match regular file creation
+        if check is not None:
+            check(staged[0])
         for tmp, (path, _) in zip(staged, files):
             os.replace(tmp, path)
             renamed.append(path)
@@ -107,6 +119,13 @@ def write_volume(volume, path, provenance=None) -> None:
     """Write a volume and its sidecar as one commit: the payload is renamed
     into place first and the sidecar last, and a failure leaves neither.
 
+    The payload is written one class plane at a time (a label volume is one
+    plane), and before the rename the staged file is read back and checked
+    one `volume.slabs` slab of rows at a time, as its container checks it
+    (a `smoothing.SoftPlanes` as a SoftLabelVolume); a fault names its rows
+    and `path`. So a SoftPlanes, whose planes are built as they are written,
+    is never held whole, and what lands at `path` always reads back.
+
     LogitVolume payloads use the f32 dtype code and are readable only via
     read_logits (their voxel sums are not probability sums). A float64
     value beyond float32 range is rejected before any file is made, since
@@ -114,22 +133,31 @@ def write_volume(volume, path, provenance=None) -> None:
     (NaN, infinity, or a value of no JSON kind).
     """
     if isinstance(volume, LabelVolume):
-        dtype_code, payload = DTYPE_LABELS, volume.data
+        dtype_code, kind, planes = DTYPE_LABELS, LabelVolume, (volume.data,)
     elif isinstance(volume, (SoftLabelVolume, LogitVolume)):
-        with np.errstate(over="ignore"):  # a float64 score beyond float32 range becomes inf, rejected below
-            payload = volume.data.astype("<f4", copy=False)  # leading class axis included
-        dtype_code = DTYPE_PROBS
-        if payload is not volume.data and not np.isfinite(payload).all():
-            raise ValueError("values beyond float32 range cannot be written as f32, "
-                             f"largest magnitude {np.abs(volume.data).max()}")
+        dtype_code, kind, planes = DTYPE_PROBS, type(volume), volume.data
+        with np.errstate(over="ignore"):  # a float64 score beyond float32 range becomes inf, rejected here
+            if planes.dtype != np.float32 and not all(np.isfinite(p.astype("<f4")).all() for p in planes):
+                raise ValueError("values beyond float32 range cannot be written as f32, "
+                                 f"largest magnitude {np.abs(planes).max()}")
+    elif isinstance(volume, SoftPlanes):
+        dtype_code, kind, planes = DTYPE_PROBS, SoftLabelVolume, volume.data
     else:
         raise TypeError(f"cannot serialize {type(volume).__name__}")
     provenance = dict(provenance or {})
     provenance.setdefault("tool_version", __version__)
     meta = {"spacing": list(volume.spacing), "num_classes": volume.num_classes, "provenance": provenance}
     sidecar = json.dumps(meta, indent=2, allow_nan=False) + "\n"  # before any file: JSON has no NaN
-    header = MAGIC + struct.pack(f"<{3 + payload.ndim}I", VERSION, dtype_code, len(volume.dims), *payload.shape)
-    _write_files((path, (header, payload)), (sidecar_path(path), (sidecar.encode("utf-8"),)))
+    shape = volume.dims if dtype_code == DTYPE_LABELS else (volume.num_classes, *volume.dims)
+    head = VolumeHeader(dtype_code, shape, tuple(volume.spacing), volume.num_classes, provenance)
+    dtype = _DTYPES[dtype_code]
+    payload = itertools.chain((_header_bytes(head),), (p.astype(dtype, copy=False) for p in planes))
+
+    def check(staged):
+        with open(staged, "rb") as fh:
+            _check_slabs(fh, head, kind, path)
+
+    _write_files((path, payload), (sidecar_path(path), (sidecar.encode("utf-8"),)), check=check)
 
 
 def _fault_of(field: str, call, *args, where: str = ""):
@@ -223,49 +251,81 @@ def read_header(path) -> VolumeHeader:
         return _check_header(fh, path)
 
 
+def _payload_start(head: VolumeHeader) -> int:
+    return 16 + 4 * len(head.shape)
+
+
+def _header_bytes(head: VolumeHeader) -> bytes:
+    return MAGIC + struct.pack(f"<{3 + len(head.shape)}I", VERSION, head.dtype_code, len(head.dims), *head.shape)
+
+
+def _read_rows(fh, head: VolumeHeader, rows: slice) -> np.ndarray:
+    """Rows `rows` (a non-empty run of the first spatial axis, with its start
+    and stop) of each class plane of the open file `fh`, whose header `head`
+    declares, each read at its plane's offset into one fresh array."""
+    lead = head.shape[:1] if head.dtype_code == DTYPE_PROBS else ()  # the class axis
+    n, *rest = head.dims
+    dtype = _DTYPES[head.dtype_code]
+    row = dtype.itemsize * math.prod(rest)
+    data = np.empty((*lead, rows.stop - rows.start, *rest), dtype)
+    read = 0
+    for c, plane in enumerate(data if lead else [data]):
+        fh.seek(_payload_start(head) + row * (c * n + rows.start))
+        read += fh.readinto(plane)
+    if read != data.nbytes:
+        raise VolumeFormatError("payload", f"expected {data.nbytes} payload bytes, read {read}")
+    data.setflags(write=False)  # fresh: the container adopts it without a copy
+    return data
+
+
+def _adopt(kind, head: VolumeHeader, data, where: str):
+    """The `kind` container of `data`, read from the file `head` declares,
+    with what it rejects a payload fault whose message starts with `where`."""
+    args = (head.num_classes,) if kind is LabelVolume else ()
+    return _fault_of("payload", kind, data, head.spacing, *args, where=where)
+
+
+def _rows_of(rows: slice, path) -> str:
+    return f"rows {rows.start}:{rows.stop} of {path}: "
+
+
+def _check_slabs(fh, head: VolumeHeader, kind, path) -> None:
+    """Check the payload of the open file `fh`, whose header `head` declares,
+    one `volume.slabs` slab of rows at a time, as its container `kind` checks
+    it; a fault names its rows and `path`."""
+    for rows in slabs(head.dims):
+        _adopt(kind, head, _read_rows(fh, head, rows), _rows_of(rows, path))
+
+
 def _read_container(path, rows, logits: bool):
     """Check the file as `read_header` does, and with `logits` that it has
     the f32 dtype code, then read rows `rows` (a slice of the first spatial
-    axis, all of them for None) of each class plane, at its offset, into one
-    fresh array: (header, array, the prefix of a payload fault's message)."""
+    axis, all of them for None) of each class plane into its container: a
+    LogitVolume with `logits`, else the kind its dtype code says."""
     with open(path, "rb") as fh:
         head = _check_header(fh, path)
         if logits and head.dtype_code != DTYPE_PROBS:
             raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
-        start = fh.tell()
-        lead = head.shape[:1] if head.dtype_code == DTYPE_PROBS else ()  # the class axis
-        n, *rest = head.dims
+        n = head.dims[0]
         part = range(n)[slice(None) if rows is None else rows]
         if part.step != 1 or not part:
             raise ValueError(f"rows must be a non-empty run of the {n} rows, got {rows}")
-        dtype = _DTYPES[head.dtype_code]
-        row = dtype.itemsize * math.prod(rest)
-        data = np.empty((*lead, len(part), *rest), dtype)
-        read = 0
-        for c, plane in enumerate(data if lead else [data]):
-            fh.seek(start + row * (c * n + part.start))
-            read += fh.readinto(plane)
-        if read != data.nbytes:
-            raise VolumeFormatError("payload", f"expected {data.nbytes} payload bytes, read {read}")
-    data.setflags(write=False)  # fresh: the container adopts it without a copy
-    return head, data, "" if rows is None else f"rows {part.start}:{part.stop} of {path}: "
+        data = _read_rows(fh, head, slice(part.start, part.stop))
+    kind = LogitVolume if logits else LabelVolume if head.dtype_code == DTYPE_LABELS else SoftLabelVolume
+    return _adopt(kind, head, data, "" if rows is None else _rows_of(part, path))
 
 
 def read_volume(path, rows=None):
     """Read a label or probability volume (decided by the dtype code), or
     with `rows` only those rows of its first spatial axis."""
-    head, data, where = _read_container(path, rows, False)
-    if head.dtype_code == DTYPE_LABELS:
-        return _fault_of("payload", LabelVolume, data, head.spacing, head.num_classes, where=where)
-    return _fault_of("payload", SoftLabelVolume, data, head.spacing, where=where)
+    return _read_container(path, rows, False)
 
 
 def read_logits(path, rows=None) -> LogitVolume:
     """Read an f32 volume as raw scores, skipping the probability checks,
     or with `rows` only those rows of its first spatial axis; a label file
     is rejected before any payload byte is read."""
-    head, data, where = _read_container(path, rows, True)
-    return _fault_of("payload", LogitVolume, data, head.spacing, where=where)
+    return _read_container(path, rows, True)
 
 
 def _identity(stat) -> tuple[int, int, int, int]:
@@ -280,7 +340,7 @@ class ClassPlanes:
     def __init__(self, fh, path, head: VolumeHeader):
         self._fh, self._path = fh, path
         self._identity = _identity(os.fstat(fh.fileno()))
-        self._start, self._dims = fh.tell(), head.dims
+        self._start, self._dims = _payload_start(head), head.dims
         self._count = head.num_classes
 
     def __len__(self) -> int:
@@ -316,16 +376,16 @@ class PlaneVolume:
 @contextlib.contextmanager
 def open_prediction(path):
     """Open a probability file, check it one `volume.slabs` slab of rows at a
-    time as `read_volume(path, rows)` checks it (a payload fault names its
-    rows and the file), and yield it as a `PlaneVolume` that holds no plane.
-    A label file is rejected before any payload byte is read."""
+    time from the open file, as `read_volume(path, rows)` checks it (a
+    payload fault names its rows and the file), and yield it as a
+    `PlaneVolume` that holds no plane. A label file is rejected before any
+    payload byte is read."""
     with open(path, "rb") as fh:
         head = _check_header(fh, path)
         if head.dtype_code != DTYPE_PROBS:
             raise VolumeFormatError("dtype", "a prediction must use the f32 dtype code")
         planes = ClassPlanes(fh, path, head)
-        for part in slabs(head.dims):
-            read_volume(path, part)
+        _check_slabs(fh, head, SoftLabelVolume, path)
         planes.check_unchanged()
         yield PlaneVolume(planes, head.dims, head.num_classes, head.spacing)
 

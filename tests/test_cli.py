@@ -13,14 +13,18 @@ import svls
 from svls import (
     LabelVolume,
     LogitVolume,
+    RaterSet,
     SoftLabelVolume,
     SvlsKernel,
+    label_smooth,
+    moh_fuse,
+    msvls_fuse,
     one_hot_encode,
     score_segmentation,
     softmax,
     svls_smooth,
 )
-from svls import cli
+from svls import cli, smoothing, tensor_io
 from svls.cli import main
 from svls.tensor_io import read_volume, write_report, write_volume
 from svls.volume import slabs
@@ -1129,6 +1133,115 @@ def test_encode_leaves_no_volume_when_its_sidecar_cannot_be_placed(tmp_path, rng
     assert (code, stdout) == (2, "")
     assert one_error_line(err)["error"] == "io"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.svlv", "labels.svlv.json", "o.svlv.json"]
+
+
+# encode and fuse commands, less --out, over the 4-class label volumes `in0`-`in2`
+STREAMED_WRITES = {
+    "encode-svls": ["encode", "--in", "{in0}", "--method", "svls"],
+    "encode-ls": ["encode", "--in", "{in0}", "--method", "ls", "--alpha", "0.1"],
+    "fuse-msvls": ["fuse", "--in", "{in0}", "{in1}", "{in2}", "--method", "msvls"],
+    "fuse-moh": ["fuse", "--in", "{in0}", "{in1}", "{in2}", "--method", "moh"],
+}
+
+
+def streamed_write(tmp_path, rng, case, dims=(10, 4, 4)):
+    """The argv of STREAMED_WRITES[case] over fresh inputs, writing
+    `out/o.svlv`; the output directory, made empty."""
+    (tmp_path / "in").mkdir()
+    paths = {f"in{j}": str(make_labels(tmp_path / "in", rng, f"r{j}.svlv", dims, 4)[0]) for j in range(3)}
+    out = tmp_path / "out"
+    out.mkdir()
+    return [a.format(**paths) for a in STREAMED_WRITES[case]] + ["--out", str(out / "o.svlv")], out
+
+
+@pytest.mark.parametrize("case", ["encode-svls", "fuse-msvls"])
+@pytest.mark.parametrize("row", [0, 6, 9])
+def test_a_bad_class_plane_is_refused_before_any_output_lands(tmp_path, rng, capsys, monkeypatch, case, row):
+    # one voxel of class 2 is 1.5 when it is built; the staged payload is
+    # checked one two-row slab at a time before anything is renamed
+    argv, out = streamed_write(tmp_path, rng, case)
+    class_planes = smoothing._class_planes
+
+    def one_bad_voxel(raters, fill, planes):
+        for c, plane in enumerate(class_planes(raters, fill, planes)):
+            if c == 2:
+                plane[row, 1, 3] = 1.5
+            yield plane
+
+    monkeypatch.setattr(smoothing, "_class_planes", one_bad_voxel)
+    with sum_block(32):
+        code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    error = one_error_line(err)
+    start = row - row % 2
+    assert error["error"] == "validation"
+    assert error["message"].startswith(f"payload: rows {start}:{start + 2} of {out / 'o.svlv'}: "
+                                       "probabilities must lie in [0, 1], found range ["), error
+    assert error["message"].endswith(", 1.5]"), error
+    assert list(out.iterdir()) == []  # no output, sidecar or .tmp-*.part
+
+
+class _ThirdPlaneFails:
+    """A staged file whose third array chunk, the third class plane, fails to be written."""
+
+    def __init__(self, fh, planes):
+        self.fh, self.planes = fh, planes
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        if isinstance(chunk, np.ndarray):
+            self.planes.append(chunk.shape)
+            if len(self.planes) == 3:
+                raise OSError(28, "No space left on device")
+        return self.fh.write(chunk)
+
+
+@pytest.mark.parametrize("case", STREAMED_WRITES)
+def test_a_failed_plane_write_leaves_no_output(tmp_path, rng, capsys, monkeypatch, case):
+    argv, out = streamed_write(tmp_path, rng, case)
+    planes, fdopen = [], tensor_io.os.fdopen
+    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: _ThirdPlaneFails(fdopen(fd, mode), planes))
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert one_error_line(err) == {"error": "io", "message": "[Errno 28] No space left on device"}
+    assert planes == [(10, 4, 4)] * 3  # written one class plane at a time
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", STREAMED_WRITES)
+def test_a_streamed_write_holds_the_library_volumes_bytes(tmp_path, rng, capsys, case):
+    argv, out = streamed_write(tmp_path, rng, case)
+    with sum_block(32):  # the staged check reads five slabs
+        assert run(argv, capsys) == (0, "", "")
+    raters = RaterSet(tuple(read_volume(p) for p in argv[argv.index("--in") + 1:argv.index("--method")]))
+    expected = {
+        "encode-svls": lambda: svls_smooth(raters.raters[0], 1.0),
+        "encode-ls": lambda: label_smooth(raters.raters[0], 0.1),
+        "fuse-msvls": lambda: msvls_fuse(raters, 1.0),
+        "fuse-moh": lambda: moh_fuse(raters),
+    }[case]()
+    assert read_volume(out / "o.svlv").data.tobytes() == expected.data.tobytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["kernel", "--rank", "2"],
+    ["phantom", "--kind", "homogeneous", "--dims", "2,2", "--out", "{d}/o.svlv"],
+    ["encode", "--in", "{labels}", "--method", "svls", "--out", "{d}/o.svlv"],
+    ["fuse", "--in", "{labels}", "{labels}", "--method", "msvls", "--out", "{d}/o.svlv"],
+    ["evaluate", "--ref", "{labels}", "--pred", "{probs}", "--out", "{d}/eval"],
+    ["loss", "--target", "{target}", "--pred", "{logits}", "--pred-kind", "logits", "--out", "{d}/loss.json"],
+], ids=lambda argv: argv[0])
+def test_every_subcommand_keeps_the_heap_it_frees(tmp_path, rng, capsys, monkeypatch, argv):
+    calls = []
+    monkeypatch.setattr(cli, "_keep_freed_heap", lambda: calls.append("kept"))
+    paths = write_loss_files(tmp_path, rng, (4, 5, 6))
+    assert run([a.format(d=tmp_path, **paths) for a in argv], capsys)[0] == 0
+    assert calls == ["kept"]
 
 
 def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, capsys):

@@ -19,6 +19,7 @@ from svls import (
     one_hot_encode,
     svls_smooth,
 )
+from svls.smoothing import SoftPlanes
 
 from conftest import random_labels
 from oracles import naive_svls, ndimage_msvls
@@ -358,3 +359,50 @@ def test_msvls_center_is_the_correctly_rounded_exact_shell_sum(rank, num_raters,
     expected = [nearest_float32(sum(a * int(c) for a, c in zip(numerators, row)), den) for row in counts]
     bad = np.flatnonzero(got != np.array(expected, dtype=np.float32))
     assert bad.size == 0, f"{bad.size} of {len(counts)} centers differ, first counts {counts[bad[0]]}"
+
+
+# every encoder, called on one label volume and on a rater set led by it
+ENCODERS = {
+    "onehot": lambda labels, raters, **kw: one_hot_encode(labels, **kw),
+    "ls": lambda labels, raters, **kw: label_smooth(labels, 0.2, **kw),
+    "svls": lambda labels, raters, **kw: svls_smooth(labels, 1.0, **kw),
+    "moh": lambda labels, raters, **kw: moh_fuse(raters, **kw),
+    "msvls": lambda labels, raters, **kw: msvls_fuse(raters, 1.0, **kw),
+}
+
+
+@pytest.mark.parametrize("name", ENCODERS)
+def test_streamed_planes_are_the_whole_volumes_built_into_one_plane(rng, name):
+    raters = RaterSet(tuple(random_labels(rng, (5, 6, 7), 3, spacing=(1.0, 2.0, 0.5)) for _ in range(3)))
+    whole = ENCODERS[name](raters.raters[0], raters)
+    plane = np.full((5, 6, 7), np.nan, np.float32)
+    planes = ENCODERS[name](raters.raters[0], raters, plane=plane)
+    assert isinstance(planes, SoftPlanes)
+    assert (planes.dims, planes.num_classes, planes.spacing) == (whole.dims, 3, whole.spacing)
+    assert np.isnan(plane).all()  # nothing is built before the planes are asked for
+    built = []
+    for c, each in enumerate(planes.data):
+        assert each is plane
+        assert each.tobytes() == whole.data[c].tobytes()
+        built.append(c)
+    assert built == [0, 1, 2]
+    assert list(planes.data) == []  # the planes are built once
+
+
+@pytest.mark.parametrize("plane", [
+    np.empty((5, 6), np.float32),
+    np.empty((5, 6, 7), np.float64),
+    np.empty((5, 6, 14), np.float32)[:, :, ::2],
+    np.empty((5, 6, 7), np.float32).view(np.dtype(np.float32).newbyteorder()),
+], ids=["dims", "dtype", "strided", "byte-swapped"])
+def test_a_plane_of_another_shape_dtype_or_layout_is_rejected(rng, plane):
+    labels = random_labels(rng, (5, 6, 7), 3)
+    with pytest.raises(ValueError, match=r"plane must be a writable C-contiguous float32 array of dims \(5, 6, 7\)"):
+        svls_smooth(labels, 1.0, plane=plane)
+
+
+def test_a_read_only_plane_is_rejected(rng):
+    plane = np.empty((5, 6, 7), np.float32)
+    plane.setflags(write=False)
+    with pytest.raises(ValueError, match="plane must be a writable"):
+        label_smooth(random_labels(rng, (5, 6, 7), 3), 0.1, plane=plane)

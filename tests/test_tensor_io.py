@@ -121,6 +121,55 @@ def test_failed_sidecar_staging_leaves_no_file_of_the_volume(tmp_path, rng, monk
     assert list(tmp_path.iterdir()) == []
 
 
+class _FirstValueFlipped:
+    """A staged file whose first array chunk lands with its first value set to `value`."""
+
+    def __init__(self, fh, value):
+        self.fh, self.value, self.flipped = fh, value, False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        if isinstance(chunk, np.ndarray) and not self.flipped:
+            chunk = chunk.copy()
+            chunk.flat[0], self.flipped = self.value, True
+        return self.fh.write(chunk)
+
+
+@pytest.mark.parametrize("kind, value, message", [
+    ("labels", 255, "labels must lie in [0, 3), found range [0, 255]"),
+    ("probs", math.nan, "probabilities must lie in [0, 1]"),
+    ("logits", math.inf, "logits must be finite"),
+])
+def test_a_staged_payload_is_checked_as_its_container_before_it_lands(tmp_path, rng, monkeypatch, kind, value,
+                                                                      message):
+    labels = random_labels(rng, (5, 2, 3), 3)
+    vol = {"labels": labels, "probs": one_hot_encode(labels),
+           "logits": LogitVolume(rng.normal(size=(3, 5, 2, 3)).astype(np.float32), labels.spacing)}[kind]
+    fdopen = tensor_io.os.fdopen
+    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: _FirstValueFlipped(fdopen(fd, mode), value))
+    path = tmp_path / "out" / "v.svlv"
+    with sum_block(12), pytest.raises(VolumeFormatError) as err:  # slabs of two rows
+        write_volume(vol, path)
+    assert err.value.field == "payload"
+    assert str(err.value).startswith(f"payload: rows 0:2 of {path}: {message}")
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_soft_planes_are_written_as_the_whole_volume_is(tmp_path, rng):
+    labels = random_labels(rng, (5, 6, 7), 4, spacing=(1.0, 0.5, 2.0))
+    write_volume(svls.svls_smooth(labels, 1.0), tmp_path / "whole.svlv", provenance={"method": "svls"})
+    planes = svls.svls_smooth(labels, 1.0, plane=np.empty((5, 6, 7), np.float32))
+    with sum_block(42):  # a staged check of five slabs
+        write_volume(planes, tmp_path / "planes.svlv", provenance={"method": "svls"})
+    for suffix in ("", ".json"):
+        assert (tmp_path / f"planes.svlv{suffix}").read_bytes() == (tmp_path / f"whole.svlv{suffix}").read_bytes()
+
+
 def test_bad_magic_rejected(tmp_path, rng):
     path = tmp_path / "v.svlv"
     write_volume(random_labels(rng, (2, 2), 2), path)
@@ -519,14 +568,16 @@ def test_a_file_changed_during_the_slab_check_is_an_os_error(tmp_path, monkeypat
     other = _other_prediction(tmp_path, vol)
     checked = []
 
-    def read_then_swap(p, rows=None):
+    read_rows = tensor_io._read_rows
+
+    def read_then_swap(fh, head, rows):
         checked.append(rows)
-        part = read_volume(p, rows)
+        part = read_rows(fh, head, rows)
         if rows.stop == 5:  # the last slab: the next read would be a plane's
             rename_over(path, other)
         return part
 
-    monkeypatch.setattr(tensor_io, "read_volume", read_then_swap)
+    monkeypatch.setattr(tensor_io, "_read_rows", read_then_swap)
     with sum_block(12), pytest.raises(OSError, match="changed while it was being read"):
         with open_prediction(path):
             pytest.fail("a file changed during its check was opened")

@@ -23,7 +23,7 @@ Both metrics take the prediction's class planes one at a time, as
 `predicted.data[c]`: `reliability` in the `top_class` sweep, and TACE one
 class at a time, dropping each plane before it takes the hits and keeping
 nothing of a class once it reads the next plane. So a
-`tensor_io.PlaneVolume`, whose planes are read from its file on demand, is
+`tensor_io.VolumeFile`, whose planes are read from its file on demand, is
 scored with no whole prediction held.
 """
 

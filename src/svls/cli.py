@@ -25,15 +25,18 @@ write leaves no file of that output. A report is CSV when its path ends in
 any missing parent of it, when it writes the first file into it, so a run
 that fails before its first write leaves no directory either. `evaluate`
 checks its flags, and the JSON shape of a --region-merge map, before it
-reads anything. Every input's header, sidecar and kind (a logit volume is
-any f32 file), the grids of an `evaluate` or `loss` pair or of `fuse`'s
-raters, `encode`'s --alpha, the --sigma of `encode` and `fuse` at their
-inputs' rank, and the class ids and names of `evaluate`'s region map against
-the headers' class count are checked before any payload is read, with one
-message for each kind fault: "PATH holds labels; loss --pred needs a logit
-volume". `loss` then reads and scores its pair one slab of rows at a time.
-`evaluate` checks --pred one slab of rows at a time, then reads it one class
-plane at a time, and a --pred that changes in between is an I/O error.
+reads anything. Each input is opened once (`tensor_io.open_volume`),
+checked once, and read only through that handle. Every input's header,
+sidecar and kind (a logit volume is any f32 file), the grids of an
+`evaluate` or `loss` pair or of `fuse`'s raters, `encode`'s --alpha, the
+--sigma of `encode` and `fuse` at their inputs' rank, and the class ids and
+names of `evaluate`'s region map against the headers' class count are
+checked before any payload is read, with one message for each kind fault:
+"PATH holds labels; loss --pred needs a logit volume". `loss` then reads and
+scores its pair one slab of rows at a time. `evaluate` checks --pred one
+slab of rows at a time, then reads it one class plane at a time. An input
+read more than once (each `loss` operand, `evaluate --pred`) that changes
+between two reads is an I/O error: "PATH changed while it was being read".
 `encode` and `fuse` build their soft volume one class plane at a time into
 one reused float32 plane, which `tensor_io.write_volume` writes as soon as it
 is built; the staged payload is checked one slab of rows at a time before it
@@ -50,6 +53,7 @@ built from numpy slices.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import ctypes
 import json
 import logging
@@ -274,16 +278,16 @@ def _iter_in_out(in_path: str, out_path: str, suffix: str, partner: str | None =
         yield src, mate(src), os.path.join(out_path, name + suffix)
 
 
-def _header(path: str, kind: type, flag: str) -> tensor_io.VolumeHeader:
-    """Check the header, sidecar and kind of the `kind` volume (LabelVolume,
-    SoftLabelVolume or LogitVolume) given to `flag`, reading none of its
-    payload."""
-    head = tensor_io.read_header(path)
-    labels = head.dtype_code == tensor_io.DTYPE_LABELS
+def _open(inputs: contextlib.ExitStack, path: str, kind: type, flag: str) -> tensor_io.VolumeFile:
+    """Open the `kind` volume (LabelVolume, SoftLabelVolume or LogitVolume)
+    given to `flag` until `inputs` closes, checking its header, sidecar and
+    kind and reading none of its payload."""
+    volume = inputs.enter_context(tensor_io.open_volume(path))
+    labels = volume.header.dtype_code == tensor_io.DTYPE_LABELS
     if labels != (kind is LabelVolume):
         held, wanted = ("labels", kind._KIND) if labels else ("probabilities", "label")
         raise CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
-    return head
+    return volume
 
 
 def run_kernel(plan: dict) -> int:
@@ -314,10 +318,11 @@ def run_encode(plan: dict) -> int:
             raise CliError("--alpha is required for method ls")
         check_alpha(plan["alpha"])
     for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
-        head = _header(src, LabelVolume, "encode --in")
-        if method == "svls":
-            SvlsKernel(len(head.dims), plan["sigma"])  # its sigma rule, at this volume's rank
-        labels = tensor_io.read_volume(src)
+        with contextlib.ExitStack() as inputs:
+            source = _open(inputs, src, LabelVolume, "encode --in")
+            if method == "svls":
+                SvlsKernel(len(source.dims), plan["sigma"])  # its sigma rule, at this volume's rank
+            labels = tensor_io.read_volume(source)
         plane = np.empty(labels.dims, np.float32)  # each class is built into it and written in turn
         provenance = {"method": method, "source": os.path.basename(src)}
         if method == "onehot":
@@ -337,11 +342,12 @@ def run_fuse(plan: dict) -> int:
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
-    heads = RaterSet(tuple(_header(p, LabelVolume, "fuse --in") for p in paths))  # its grid rule, on the headers
-    if plan["method"] == "msvls":
-        SvlsKernel(len(heads.raters[0].dims), plan["sigma"])  # its sigma rule, at the raters' rank
-    raters = RaterSet(tuple(tensor_io.read_volume(p) for p in paths))
-    plane = np.empty(heads.raters[0].dims, np.float32)  # each class is built into it and written in turn
+    with contextlib.ExitStack() as inputs:
+        files = RaterSet(tuple(_open(inputs, p, LabelVolume, "fuse --in") for p in paths))  # its grid rule, unread
+        if plan["method"] == "msvls":
+            SvlsKernel(len(files.raters[0].dims), plan["sigma"])  # its sigma rule, at the raters' rank
+        raters = RaterSet(tuple(tensor_io.read_volume(f) for f in files.raters))
+    plane = np.empty(raters.raters[0].dims, np.float32)  # each class is built into it and written in turn
     provenance = {
         "method": plan["method"],
         "rater_files": [os.path.basename(p) for p in paths],
@@ -359,30 +365,29 @@ def streamed_loss(target_path: str, pred_path: str, pred_kind: str) -> LossRepor
     """Cross-entropy of the probability or logit prediction in `pred_path`
     against the target in `target_path`, with no whole operand held.
 
-    Both files are checked before any payload is read: --pred's header,
-    sidecar and kind, then --target's, then that the two declare one grid.
-    Then each `volume.slabs` slab of rows is read from both files, the
-    prediction first, each checked by its container; logits go through
-    `softmax`, and the pair through `cross_entropy`. Each is one slab of the
-    loss's slab rule, so the `math.fsum` of their `loss_sum`s is the
-    library's, bit for bit, and no per-voxel grid is kept.
+    Each file is opened once and checked before any payload is read:
+    --pred's header, sidecar and kind, then --target's, then that the two
+    declare one grid. Then each `volume.slabs` slab of rows is read from
+    both open files, the prediction first, each checked by its container;
+    logits go through `softmax`, and the pair through `cross_entropy`. Each
+    is one slab of the loss's slab rule, so the `math.fsum` of their
+    `loss_sum`s is the library's, bit for bit, and no per-voxel grid is
+    kept. A file that changes between two slab reads is an OSError.
     """
     logits = pred_kind == "logits"
-    predicted = _header(pred_path, LogitVolume if logits else SoftLabelVolume, "loss --pred")
-    target = _header(target_path, SoftLabelVolume, "loss --target")
-    check_same_grid(target, predicted)
-    sums = (_slab_loss(target_path, pred_path, logits, part) for part in slabs(target.dims))
-    return LossReport(math.fsum(sums), math.prod(target.dims))
+    with contextlib.ExitStack() as inputs:
+        predicted = _open(inputs, pred_path, LogitVolume if logits else SoftLabelVolume, "loss --pred")
+        target = _open(inputs, target_path, SoftLabelVolume, "loss --target")
+        check_same_grid(target, predicted)
+        total = math.fsum(_slab_loss(target, predicted, logits, part) for part in slabs(target.dims))
+    return LossReport(total, math.prod(target.dims))
 
 
-def _slab_loss(target_path: str, pred_path: str, logits: bool, part: slice) -> float:
+def _slab_loss(target: tensor_io.VolumeFile, predicted: tensor_io.VolumeFile, logits: bool, part: slice) -> float:
     """The summed loss of rows `part`, read from both files, the prediction
     first. The slabs are freed on return, before the next slab's are read."""
-    if logits:
-        predicted = softmax(tensor_io.read_logits(pred_path, part))
-    else:
-        predicted = tensor_io.read_volume(pred_path, part)
-    return cross_entropy(tensor_io.read_volume(target_path, part), predicted).loss_sum
+    scores = softmax(tensor_io.read_logits(predicted, part)) if logits else tensor_io.read_volume(predicted, part)
+    return cross_entropy(tensor_io.read_volume(target, part), scores).loss_sum
 
 
 # glibc mallopt parameters, and the largest mmap threshold it takes on 64-bit
@@ -435,11 +440,13 @@ def run_evaluate(plan: dict) -> int:
     check_tace_params(plan["tace_threshold"], plan["tace_ranges"])
     regions = _load_regions(plan["region_merge"]) if plan["region_merge"] else {}
     for src, ref_path, out_dir in _iter_in_out(plan["pred"], plan["out"], "", partner=plan["ref"]):
-        ref_head = _header(ref_path, LabelVolume, "evaluate --ref")
-        check_same_grid(ref_head, _header(src, SoftLabelVolume, "evaluate --pred"))
-        check_regions(regions, ref_head.num_classes, plan["composite"])
-        reference = tensor_io.read_volume(ref_path)
-        with tensor_io.open_prediction(src) as predicted:
+        with contextlib.ExitStack() as inputs:
+            ref = _open(inputs, ref_path, LabelVolume, "evaluate --ref")
+            predicted = _open(inputs, src, SoftLabelVolume, "evaluate --pred")
+            check_same_grid(ref, predicted)
+            check_regions(regions, ref.num_classes, plan["composite"])
+            reference = tensor_io.read_volume(ref)
+            predicted.check_slabs(SoftLabelVolume)
             scores = score_segmentation(reference, argmax_labels(predicted), plan["sd_tolerance"],
                                         regions, plan["composite"])
             calib = calibrate_report(

@@ -11,22 +11,24 @@ little-endian regardless of host:
                 probability volumes (leading class axis first)
     then        raw row-major little-endian payload, nothing after it
 
-A reader checks the header against the file size, and the sidecar against
-the header, before it reads a payload byte; `read_header` does only that,
-and returns what both declare as one `VolumeHeader`. `read_logits` then
-rejects a label dtype code, still before the payload. `read_volume` and
-`read_logits` read the whole payload, or with `rows` (a slice of the first
-spatial axis) only those rows of each class plane, each read at its plane's
-offset into one fresh array that the container adopts.
-A payload fault of a row read names the rows and the file first:
+`open_volume` opens a file and checks it once, before it reads a payload
+byte: the header against the file size, and the sidecar against the header.
+It yields a `VolumeFile`, which holds the file and serves every read of it.
+The handle records the file's device, inode, size and `mtime_ns`, and each
+read first checks that its path still names that file: a file renamed over
+it or rewritten is an `OSError`, `PATH changed while it was being read`.
+`read_header` returns what a file and its sidecar declare, as one
+`VolumeHeader`. `read_volume` and `read_logits` take a path or an open
+`VolumeFile` and read the whole payload, or with `rows` (a slice of the
+first spatial axis) only those rows of each class plane, each read at its
+plane's offset into one fresh array that the container adopts;
+`read_logits` rejects a label dtype code before the payload. A payload
+fault of a row read names the rows and the file first:
 `payload: rows 33:34 of PATH: voxel (0, 7, 2) probabilities sum to ...`,
-where the voxel index is the slab's own.
-`open_prediction` holds no whole probability volume: it checks the file one
-`volume.slabs` slab of rows at a time, reading the rows from the file it
-holds open under the header it checked, and then reads a class plane, one
-contiguous run of the file, each time one is asked for. A file
-whose device, inode, size or `mtime_ns` changes once it is open is an
-`OSError` at the end of the check or at the next plane read.
+where the voxel index is the slab's own. `VolumeFile.check_slabs` checks a
+payload so, one `volume.slabs` slab of rows at a time; `open_prediction` is
+`open_volume` of a probability file so checked, whose class planes
+(`data[c]`) are then read one contiguous run of the file each.
 
 A JSON sidecar at `<path>.json` carries what the payload cannot: spacing
 (mm per axis, a list of numbers), num_classes (an integer) and provenance
@@ -40,9 +42,8 @@ or a report, are staged as temp files and then renamed into place, payload
 first, so a failed write leaves no file of its output. `write_volume` is the
 one writer: it writes a payload one class plane at a time (a
 `smoothing.SoftPlanes` builds each plane as it is written), and before the
-rename it checks the staged payload one `volume.slabs` slab of rows at a
-time, as a reader checks it, with the slab check (`_check_slabs`) that
-`open_prediction` runs on its open file. Neither holds a whole volume.
+rename it checks the staged payload with `VolumeFile.check_slabs`, as a
+reader checks it. Neither holds a whole volume.
 """
 
 from __future__ import annotations
@@ -155,7 +156,7 @@ def write_volume(volume, path, provenance=None) -> None:
 
     def check(staged):
         with open(staged, "rb") as fh:
-            _check_slabs(fh, head, kind, path)
+            VolumeFile(fh, staged, head).check_slabs(kind, path)
 
     _write_files((path, payload), (sidecar_path(path), (sidecar.encode("utf-8"),)), check=check)
 
@@ -191,10 +192,10 @@ class VolumeHeader:
 _DTYPES = {DTYPE_LABELS: np.dtype("<u1"), DTYPE_PROBS: np.dtype("<f4")}
 
 
-def _check_header(fh, path) -> VolumeHeader:
-    """Check the header of the open file `fh` against the file size, and the
-    sidecar's JSON kinds (module docstring) against the header and the
-    containers' spacing and class-count rules, an f32 file's class axis
+def _check_header(fh, path, file_size: int) -> VolumeHeader:
+    """Check the header of the open file `fh` against its `file_size`,
+    and the sidecar's JSON kinds (module docstring) against the header and
+    the containers' spacing and class-count rules, an f32 file's class axis
     included. Leaves `fh` at the first payload byte."""
     head = fh.read(16)
     if len(head) < 16:
@@ -216,7 +217,7 @@ def _check_header(fh, path) -> VolumeHeader:
     if any(a < 1 for a in axes):
         raise VolumeFormatError("dims", f"extents must be >= 1, got {axes}")
     size = _DTYPES[dtype_code].itemsize * math.prod(axes)  # a Python int: no int64 wrap-around
-    found = os.fstat(fh.fileno()).st_size - fh.tell()
+    found = file_size - fh.tell()
     if found != size:
         raise VolumeFormatError("payload", f"expected {size} payload bytes, found {found}")
     side = sidecar_path(path)
@@ -244,150 +245,137 @@ def _check_header(fh, path) -> VolumeHeader:
     return VolumeHeader(dtype_code, axes, spacing, num_classes, provenance)
 
 
-def read_header(path) -> VolumeHeader:
-    """Check a volume file as every read does before its first payload byte,
-    and read no payload: the header, the file size and the sidecar."""
-    with open(path, "rb") as fh:
-        return _check_header(fh, path)
-
-
-def _payload_start(head: VolumeHeader) -> int:
-    return 16 + 4 * len(head.shape)
-
-
 def _header_bytes(head: VolumeHeader) -> bytes:
     return MAGIC + struct.pack(f"<{3 + len(head.shape)}I", VERSION, head.dtype_code, len(head.dims), *head.shape)
-
-
-def _read_rows(fh, head: VolumeHeader, rows: slice) -> np.ndarray:
-    """Rows `rows` (a non-empty run of the first spatial axis, with its start
-    and stop) of each class plane of the open file `fh`, whose header `head`
-    declares, each read at its plane's offset into one fresh array."""
-    lead = head.shape[:1] if head.dtype_code == DTYPE_PROBS else ()  # the class axis
-    n, *rest = head.dims
-    dtype = _DTYPES[head.dtype_code]
-    row = dtype.itemsize * math.prod(rest)
-    data = np.empty((*lead, rows.stop - rows.start, *rest), dtype)
-    read = 0
-    for c, plane in enumerate(data if lead else [data]):
-        fh.seek(_payload_start(head) + row * (c * n + rows.start))
-        read += fh.readinto(plane)
-    if read != data.nbytes:
-        raise VolumeFormatError("payload", f"expected {data.nbytes} payload bytes, read {read}")
-    data.setflags(write=False)  # fresh: the container adopts it without a copy
-    return data
-
-
-def _adopt(kind, head: VolumeHeader, data, where: str):
-    """The `kind` container of `data`, read from the file `head` declares,
-    with what it rejects a payload fault whose message starts with `where`."""
-    args = (head.num_classes,) if kind is LabelVolume else ()
-    return _fault_of("payload", kind, data, head.spacing, *args, where=where)
-
-
-def _rows_of(rows: slice, path) -> str:
-    return f"rows {rows.start}:{rows.stop} of {path}: "
-
-
-def _check_slabs(fh, head: VolumeHeader, kind, path) -> None:
-    """Check the payload of the open file `fh`, whose header `head` declares,
-    one `volume.slabs` slab of rows at a time, as its container `kind` checks
-    it; a fault names its rows and `path`."""
-    for rows in slabs(head.dims):
-        _adopt(kind, head, _read_rows(fh, head, rows), _rows_of(rows, path))
-
-
-def _read_container(path, rows, logits: bool):
-    """Check the file as `read_header` does, and with `logits` that it has
-    the f32 dtype code, then read rows `rows` (a slice of the first spatial
-    axis, all of them for None) of each class plane into its container: a
-    LogitVolume with `logits`, else the kind its dtype code says."""
-    with open(path, "rb") as fh:
-        head = _check_header(fh, path)
-        if logits and head.dtype_code != DTYPE_PROBS:
-            raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
-        n = head.dims[0]
-        part = range(n)[slice(None) if rows is None else rows]
-        if part.step != 1 or not part:
-            raise ValueError(f"rows must be a non-empty run of the {n} rows, got {rows}")
-        data = _read_rows(fh, head, slice(part.start, part.stop))
-    kind = LogitVolume if logits else LabelVolume if head.dtype_code == DTYPE_LABELS else SoftLabelVolume
-    return _adopt(kind, head, data, "" if rows is None else _rows_of(part, path))
-
-
-def read_volume(path, rows=None):
-    """Read a label or probability volume (decided by the dtype code), or
-    with `rows` only those rows of its first spatial axis."""
-    return _read_container(path, rows, False)
-
-
-def read_logits(path, rows=None) -> LogitVolume:
-    """Read an f32 volume as raw scores, skipping the probability checks,
-    or with `rows` only those rows of its first spatial axis; a label file
-    is rejected before any payload byte is read."""
-    return _read_container(path, rows, True)
 
 
 def _identity(stat) -> tuple[int, int, int, int]:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
-class ClassPlanes:
-    """The class planes of a probability file held open: `len()` is the
-    class count, and `planes[c]` checks that the file at its path is still
-    the one opened, then reads plane c into a fresh read-only float32 array."""
+class VolumeFile:
+    """A volume file held open (module docstring): its header and sidecar
+    are checked once, into `header`, unless a staged file's `head` is given.
+    Like a volume it has `dims`, `num_classes`, `spacing`, and as `data` its
+    class planes: `len()` is the class count, and item c reads plane c of an
+    f32 file into a fresh read-only array. So `volume.check_same_grid`,
+    `volume.top_class` and the calibration metrics take it as they take a
+    SoftLabelVolume."""
 
-    def __init__(self, fh, path, head: VolumeHeader):
-        self._fh, self._path = fh, path
-        self._identity = _identity(os.fstat(fh.fileno()))
-        self._start, self._dims = _payload_start(head), head.dims
-        self._count = head.num_classes
+    def __init__(self, fh, path, head: VolumeHeader | None = None):
+        stat = os.fstat(fh.fileno())
+        self._fh, self.path, self._identity = fh, path, _identity(stat)
+        self.header = head or _check_header(fh, path, stat.st_size)
+        self.dims, self.num_classes, self.spacing = self.header.dims, self.header.num_classes, self.header.spacing
+        self._start = 16 + 4 * len(self.header.shape)  # the first payload byte
+
+    @property
+    def data(self) -> VolumeFile:
+        return self
 
     def __len__(self) -> int:
-        return self._count
+        return self.num_classes
 
     def check_unchanged(self) -> None:
-        """Raise an OSError if the path no longer names the file as opened."""
-        if _identity(os.stat(self._path)) != self._identity:
-            raise OSError(f"{self._path} changed while it was being read")
+        """Raise an OSError if `path` no longer names the file as opened."""
+        if _identity(os.stat(self.path)) != self._identity:
+            raise OSError(f"{self.path} changed while it was being read")
 
     def __getitem__(self, c) -> np.ndarray:
-        c = range(self._count)[operator.index(c)]
+        c = range(self.num_classes)[operator.index(c)]
         self.check_unchanged()
-        plane = np.empty(self._dims, _DTYPES[DTYPE_PROBS])
+        plane = np.empty(self.dims, _DTYPES[DTYPE_PROBS])
         self._fh.seek(self._start + c * plane.nbytes)
         if self._fh.readinto(plane) != plane.nbytes:
-            raise OSError(f"{self._path} changed while it was being read")
+            raise OSError(f"{self.path} changed while it was being read")
         plane.setflags(write=False)
         return plane
 
+    def _read(self, kind, rows, name=None):
+        """Rows `rows` (a slice of the first spatial axis, all of them for
+        None) of each class plane, each read at its plane's offset into one
+        fresh array, as the container `kind`. With `rows`, a payload fault
+        names the rows and `name`, by default `path`."""
+        head = self.header
+        n, *rest = head.dims
+        part = range(n)[slice(None) if rows is None else rows]
+        if part.step != 1 or not part:
+            raise ValueError(f"rows must be a non-empty run of the {n} rows, got {rows}")
+        self.check_unchanged()
+        lead = head.shape[:1] if head.dtype_code == DTYPE_PROBS else ()  # the class axis
+        dtype = _DTYPES[head.dtype_code]
+        row = dtype.itemsize * math.prod(rest)
+        data = np.empty((*lead, len(part), *rest), dtype)
+        read = 0
+        for c, plane in enumerate(data if lead else [data]):
+            self._fh.seek(self._start + row * (c * n + part.start))
+            read += self._fh.readinto(plane)
+        if read != data.nbytes:
+            raise VolumeFormatError("payload", f"expected {data.nbytes} payload bytes, read {read}")
+        data.setflags(write=False)  # fresh: the container adopts it without a copy
+        args = (head.num_classes,) if kind is LabelVolume else ()
+        where = "" if rows is None else f"rows {part.start}:{part.stop} of {name or self.path}: "
+        return _fault_of("payload", kind, data, head.spacing, *args, where=where)
 
-@dataclass(frozen=True)
-class PlaneVolume:
-    """A checked probability file whose class planes are read on demand:
-    what the metrics take of a SoftLabelVolume."""
+    def check_slabs(self, kind, name=None) -> None:
+        """Check the payload one `volume.slabs` slab of rows at a time, as
+        its container `kind` checks it, and then that the file is unchanged;
+        a fault names its rows and `name`, by default `path`."""
+        for rows in slabs(self.dims):
+            self._read(kind, rows, name)
+        self.check_unchanged()
 
-    data: ClassPlanes
-    dims: tuple[int, ...]
-    num_classes: int
-    spacing: tuple[float, ...]
+
+@contextlib.contextmanager
+def open_volume(path):
+    """Open a volume file, check its header and sidecar, and yield it as a
+    `VolumeFile`, which is closed when the block ends."""
+    with open(path, "rb") as fh:
+        yield VolumeFile(fh, path)
+
+
+def read_header(path) -> VolumeHeader:
+    """Check a volume file as every read does before its first payload byte,
+    and read no payload: the header, the file size and the sidecar."""
+    with open_volume(path) as volume:
+        return volume.header
+
+
+def _opened(source):
+    """A context holding the open VolumeFile `source`, or the file it names."""
+    return contextlib.nullcontext(source) if isinstance(source, VolumeFile) else open_volume(source)
+
+
+def read_volume(source, rows=None):
+    """Read a label or probability volume (decided by the dtype code) from a
+    path or an open VolumeFile, or with `rows` only those rows of its first
+    spatial axis."""
+    with _opened(source) as volume:
+        return volume._read(LabelVolume if volume.header.dtype_code == DTYPE_LABELS else SoftLabelVolume, rows)
+
+
+def read_logits(source, rows=None) -> LogitVolume:
+    """Read an f32 volume, from a path or an open VolumeFile, as raw scores,
+    skipping the probability checks, or with `rows` only those rows of its
+    first spatial axis; a label file is rejected before any payload byte is
+    read."""
+    with _opened(source) as volume:
+        if volume.header.dtype_code != DTYPE_PROBS:
+            raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
+        return volume._read(LogitVolume, rows)
 
 
 @contextlib.contextmanager
 def open_prediction(path):
     """Open a probability file, check it one `volume.slabs` slab of rows at a
-    time from the open file, as `read_volume(path, rows)` checks it (a
-    payload fault names its rows and the file), and yield it as a
-    `PlaneVolume` that holds no plane. A label file is rejected before any
-    payload byte is read."""
-    with open(path, "rb") as fh:
-        head = _check_header(fh, path)
-        if head.dtype_code != DTYPE_PROBS:
+    time, as `read_volume(path, rows)` checks it (a payload fault names its
+    rows and the file), and yield it as a `VolumeFile`, which holds no
+    plane. A label file is rejected before any payload byte is read."""
+    with open_volume(path) as volume:
+        if volume.header.dtype_code != DTYPE_PROBS:
             raise VolumeFormatError("dtype", "a prediction must use the f32 dtype code")
-        planes = ClassPlanes(fh, path, head)
-        _check_slabs(fh, head, SoftLabelVolume, path)
-        planes.check_unchanged()
-        yield PlaneVolume(planes, head.dims, head.num_classes, head.spacing)
+        volume.check_slabs(SoftLabelVolume)
+        yield volume
 
 
 def _sig6(x: float):

@@ -229,8 +229,8 @@ class LogitVolume(_ClassFirstVolume):
 def top_class(planes) -> tuple[np.ndarray, np.ndarray]:
     """Each voxel's top class (uint8) and its value (the planes' dtype), from
     one sweep over a sequence of class planes: a class-first array, or any
-    `len()`-able sequence whose item c is plane c, such as the planes that
-    `tensor_io.open_prediction` reads from a file one at a time.
+    `len()`-able sequence whose item c is plane c, such as the `data` of a
+    `tensor_io.VolumeFile`, which reads each plane from its file in turn.
 
     Ties keep the lowest class: a plane takes a voxel only where it is
     strictly greater than the running maximum, and since the class index
@@ -256,12 +256,12 @@ def top_class(planes) -> tuple[np.ndarray, np.ndarray]:
 def argmax_labels(probs: SoftLabelVolume) -> LabelVolume:
     """Collapse a probability volume to hard labels (ties go to the lowest
     class), taken by the one class-plane sweep of `top_class`; the volume
-    may also be the `tensor_io.PlaneVolume` of a checked file.
+    may also be a `tensor_io.VolumeFile` whose slabs were checked.
 
     There is no second simplex check: every SoftLabelVolume passed it at
-    construction, and its data is read-only, as every slab of a
-    PlaneVolume's file did before it was opened. The labels are fresh, so they
-    are frozen and the LabelVolume adopts them.
+    construction, and its data is read-only, as every slab of a checked
+    VolumeFile did. The labels are fresh, so they are frozen and the
+    LabelVolume adopts them.
     """
     labels, _ = top_class(probs.data)
     labels.setflags(write=False)

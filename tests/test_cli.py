@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -1087,6 +1088,109 @@ def test_evaluate_pred_changed_after_its_check_is_an_io_error(tmp_path, rng, cap
     assert (code, stdout) == (2, "")
     assert one_error_line(err) == {"error": "io", "message": f"{pred} changed while it was being read"}
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["logits", "probs"])
+@pytest.mark.parametrize("change", [rename_over, rewrite_in_place], ids=["renamed-over", "rewritten-in-place"])
+@pytest.mark.parametrize("role", ["pred", "target"])
+def test_loss_operand_changed_between_slab_reads_is_an_io_error(tmp_path, rng, capsys, monkeypatch, kind, change,
+                                                                role):
+    # 40 one-row slabs; after the first slab is scored, another valid file
+    # on the same grid, of the same size, takes the operand's place
+    paths = write_loss_files(tmp_path, rng, (40, 4, 4))
+    (tmp_path / "other").mkdir()
+    others = write_loss_files(tmp_path / "other", rng, (40, 4, 4))
+    operands = {"pred": paths[kind], "target": paths["target"]}
+    changed, other = operands[role], others[kind if role == "pred" else "target"]
+    cross_entropy, scored = cli.cross_entropy, []
+
+    def score_then_change(target, predicted):
+        scored.append(target.dims)
+        if len(scored) == 1:
+            change(changed, other)
+        return cross_entropy(target, predicted)
+
+    monkeypatch.setattr(cli, "cross_entropy", score_then_change)
+    out = tmp_path / "loss.json"
+    argv = ["loss", "--target", str(operands["target"]), "--pred", str(operands["pred"]), "--pred-kind", kind,
+            "--out", str(out)]
+    with sum_block(16):
+        code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert one_error_line(err) == {"error": "io", "message": f"{changed} changed while it was being read"}
+    assert scored == [(1, 4, 4)]
+    assert not out.exists()
+
+
+def count_opens(monkeypatch):
+    """Count, by path, the files the container reader opens for reading."""
+    opens = {}
+
+    def counting_open(file, mode="r", *args, **kwargs):
+        if mode == "rb":
+            opens[str(file)] = opens.get(str(file), 0) + 1
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(tensor_io, "open", counting_open, raising=False)
+    return opens
+
+
+# command lines, less --out, over the files of `write_loss_files`, another
+# label volume `rater`, and the directories `refs` and `preds` of two
+# volumes each; every path they name is an input volume, or a directory of them
+OPEN_ONCE = {
+    "encode-onehot": ["encode", "--in", "{labels}", "--method", "onehot"],
+    "encode-ls": ["encode", "--in", "{labels}", "--method", "ls", "--alpha", "0.1"],
+    "encode-svls": ["encode", "--in", "{labels}", "--method", "svls"],
+    "fuse-msvls": ["fuse", "--in", "{labels}", "--method", "msvls"],  # one rater, as MSVLS allows
+    "fuse-moh": ["fuse", "--in", "{labels}", "{rater}", "--method", "moh"],
+    "evaluate": ["evaluate", "--ref", "{labels}", "--pred", "{probs}"],
+    "loss-logits": ["loss", "--target", "{target}", "--pred", "{logits}", "--pred-kind", "logits"],
+    "loss-probs": ["loss", "--target", "{target}", "--pred", "{probs}", "--pred-kind", "probs"],
+    "evaluate-batch": ["evaluate", "--ref", "{refs}", "--pred", "{preds}"],
+}
+
+
+@pytest.mark.parametrize("case", OPEN_ONCE)
+def test_every_input_volume_is_opened_once(tmp_path, rng, capsys, monkeypatch, case):
+    paths = {role: str(path) for role, path in write_loss_files(tmp_path, rng, (8, 10, 12)).items()}
+    for name in ("rater", "refs", "preds"):
+        (tmp_path / name).mkdir()
+        paths[name] = str(tmp_path / name)
+    paths["rater"] = str(write_loss_files(tmp_path / "rater", rng, (8, 10, 12))["labels"])
+    for name in ("a.svlv", "b.svlv"):
+        write_volume(random_labels(rng, (4, 5), 3), tmp_path / "refs" / name)
+        write_volume(one_hot_encode(random_labels(rng, (4, 5), 3)), tmp_path / "preds" / name)
+    command = [arg.format(**paths) for arg in OPEN_ONCE[case]]
+    inputs = [arg for arg in command if arg.startswith(str(tmp_path))]
+    if case.endswith("batch"):
+        inputs = [os.path.join(d, name) for d in inputs for name in ("a.svlv", "b.svlv")]
+    opens = count_opens(monkeypatch)
+    assert run(command + ["--out", str(tmp_path / "out" / "o.svlv")], capsys)[0] == 0
+    assert {path: opens.get(path, 0) for path in inputs} == dict.fromkeys(inputs, 1)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="lists this process's descriptors as Linux shows them")
+def test_failed_runs_leave_no_descriptor_open(tmp_path, rng, capsys, monkeypatch, request):
+    paths = write_loss_files(tmp_path, rng, (40, 4, 4))
+    _set_float(paths["logits"], (1, 2, 2, 3), math.nan)  # in the third of 40 one-row slabs
+    gc.disable()  # so a descriptor that a reference cycle holds stays open
+    request.addfinalizer(gc.enable)
+    before = sorted(os.listdir("/proc/self/fd"))
+    argv = ["loss", "--target", str(paths["target"]), "--pred", str(paths["logits"]), "--pred-kind", "logits",
+            "--out", str(tmp_path / "loss.json")]
+    with sum_block(16):
+        assert run(argv, capsys)[0] == 1
+    argmax_labels = cli.argmax_labels
+
+    def change_then_argmax(predicted):
+        rename_over(paths["probs"], paths["target"])
+        return argmax_labels(predicted)
+
+    monkeypatch.setattr(cli, "argmax_labels", change_then_argmax)
+    argv = ["evaluate", "--ref", str(paths["labels"]), "--pred", str(paths["probs"]), "--out", str(tmp_path / "e")]
+    assert run(argv, capsys)[0] == 2
+    assert sorted(os.listdir("/proc/self/fd")) == before
 
 
 @pytest.mark.parametrize("command", ["encode", "loss", "evaluate"])

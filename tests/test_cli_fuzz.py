@@ -1,6 +1,6 @@
-"""Fault fuzzers of the subcommands that read volumes: one change to one
-input of a valid `loss`, `evaluate`, `fuse` or `encode` run ends in exit 0,
-1 or 2, never in a traceback or KIND `internal`.
+"""Fault fuzzers of the subcommands: one change to one input of a valid
+`loss`, `evaluate`, `fuse` or `encode` run, or extreme `phantom` flags, end
+in exit 0, 1 or 2, never in a traceback or KIND `internal`.
 
 Each `loss` example copies a valid 8x10x12 pair, a 3-class float32 target
 and a prediction (logits or probabilities), and changes exactly one thing in
@@ -14,11 +14,13 @@ prediction, with the same slabs, or runs on valid files with
 example changes the header, the sidecar or one payload byte of one of three
 label raters. Each `encode` example runs one method on a label volume
 with the header, the sidecar or one payload byte changed, or none, and its
---alpha or --sigma drawn from float extremes. Stderr must be empty on exit 0
-and exactly one JSON line of KIND `validation` or `io` otherwise, an output
-must be written only on exit 0 and leave no file of its own (sidecar or
-`.tmp-*.part` included) otherwise, and nothing may raise a warning: outside
-pytest a warning prints a line of its own.
+--alpha or --sigma drawn from float extremes. Each `phantom` example draws
+its kind, small dims, and its other flags from float extremes and huge
+integers, with a --config file that holds values of every JSON kind. Stderr
+must be empty on exit 0 and exactly one JSON line of KIND `validation` or
+`io` otherwise, an output must be written only on exit 0 and leave no file
+of its own (sidecar or `.tmp-*.part` included) otherwise, and nothing may
+raise a warning: outside pytest a warning prints a line of its own.
 """
 
 import contextlib
@@ -35,6 +37,7 @@ from hypothesis import strategies as st
 
 from svls import LabelVolume, LogitVolume, SoftLabelVolume, softmax, svls_smooth
 from svls.cli import main
+from svls.phantom import KINDS
 from svls.tensor_io import write_volume
 
 from conftest import sum_block
@@ -245,3 +248,48 @@ def test_one_fault_in_encode_input_or_flag_never_ends_internal(pair, tmp_path_fa
         argv.append(f"--sigma={value}")
     out = src.parent / "encoded.svlv"
     _check_exit(argv + ["--out", str(out)], out, f"{description}, {' '.join(argv[3:])}")
+
+
+HUGE_INTS = [str(2**31), str(2**63 - 1), str(2**63), str(10**30), str(-(10**30))]
+# --classes stays at most 300 and --raters below 9, so no run allocates more
+# than a few MiB: `phantom` builds every rater before it writes one
+PHANTOM_VALUES = {
+    "--classes": [*FLOAT_EXTREMES, "-1", "0", "1", "2", "3", "256", "257", "300", str(-(10**30))],
+    "--raters": [*FLOAT_EXTREMES, "-1", "0", "1", "3", "8", str(-(10**30))],
+    "--strength": [*FLOAT_EXTREMES, "0", "0.2", "-1", *HUGE_INTS],
+    "--jitter": [*FLOAT_EXTREMES, "0", "1", "3", "-1", *HUGE_INTS],
+    "--seed": [*FLOAT_EXTREMES, "0", "1", "-1", *HUGE_INTS],
+}
+# one value of each JSON kind, and no large integer, for a --config key
+CONFIG_KEYS = ["classes", "raters", "strength", "jitter", "seed", "kind", "dims", "Seed"]
+CONFIG_VALUES = [None, True, False, 0, -1, 2, 2.5, 1e308, "", "3", "x", [], ["3"], [3], {}, {"a": 1}]
+
+
+@st.composite
+def phantom_runs(draw):
+    """(a description, the phantom command line less --out, and the text of
+    a --config file or None): a kind, dims of 1-4 extents each at most 16
+    (mostly 2 or 3 positive ones), each other flag mostly absent, and a
+    config of up to three keys, also mostly absent."""
+    dims = draw(st.lists(st.integers(1, 16), min_size=2, max_size=3)
+                | st.lists(st.integers(-1, 16), min_size=1, max_size=4))
+    argv = ["phantom", "--kind", draw(st.sampled_from(KINDS)), "--dims", ",".join(map(str, dims))]
+    for flag, values in PHANTOM_VALUES.items():
+        value = draw(st.none() | st.none() | st.none() | st.sampled_from(values))
+        if value is not None:
+            argv.append(f"{flag}={value}")
+    config = draw(st.none() | st.none()
+                  | st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_VALUES), max_size=3))
+    return " ".join(argv[1:]) + f" config {config}", argv, None if config is None else json.dumps(config)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run=phantom_runs())
+def test_phantom_flag_and_config_extremes_never_end_internal(tmp_path_factory, run):
+    description, argv, config = run
+    d = tmp_path_factory.mktemp("fuzz")
+    if config is not None:
+        (d / "config.json").write_text(config)
+        argv = argv + ["--config", str(d / "config.json")]
+    out = d / "out.svlv"
+    _check_exit(argv + ["--out", str(out)], out, description)

@@ -408,13 +408,23 @@ def test_valid_sidecar_numbers_read_as_floats(tmp_path, rng):
     assert vol.num_classes == 3
 
 
+def _four_more_bytes(monkeypatch):
+    """Make every stat, of an open file and of a path, see 4 bytes more than the file holds."""
+    for name in ("fstat", "stat"):
+        def grown(*args, real=getattr(tensor_io.os, name), **kw):
+            st = real(*args, **kw)
+            return SimpleNamespace(st_dev=st.st_dev, st_ino=st.st_ino, st_size=st.st_size + 4,
+                                   st_mtime_ns=st.st_mtime_ns)
+
+        monkeypatch.setattr(tensor_io.os, name, grown)
+
+
 def test_short_payload_read_is_a_payload_error(tmp_path, rng, monkeypatch):
     path = tmp_path / "v.svlv"
     write_volume(random_labels(rng, (3, 4), 3), path)
     path.write_bytes(path.read_bytes()[:-4])
-    fstat = tensor_io.os.fstat
     # the size check sees the 12 payload bytes it wants; the read finds 8
-    monkeypatch.setattr(tensor_io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    _four_more_bytes(monkeypatch)
     with pytest.raises(VolumeFormatError, match="expected 12 payload bytes, read 8") as err:
         read_volume(path)
     assert err.value.field == "payload"
@@ -495,8 +505,7 @@ def test_row_read_names_its_rows_and_file_in_a_payload_fault(tmp_path):
 def test_short_row_read_is_a_payload_error(tmp_path, monkeypatch):
     path, _ = _three_class_rows(tmp_path)
     path.write_bytes(path.read_bytes()[:-4])
-    fstat = tensor_io.os.fstat
-    monkeypatch.setattr(tensor_io.os, "fstat", lambda fd: SimpleNamespace(st_size=fstat(fd).st_size + 4))
+    _four_more_bytes(monkeypatch)
     # rows 3:5 are 12 floats of each plane; the last plane's lack its last one
     with pytest.raises(VolumeFormatError, match="expected 144 payload bytes, read 140") as err:
         read_volume(path, slice(3, 5))
@@ -568,16 +577,16 @@ def test_a_file_changed_during_the_slab_check_is_an_os_error(tmp_path, monkeypat
     other = _other_prediction(tmp_path, vol)
     checked = []
 
-    read_rows = tensor_io._read_rows
+    read = tensor_io.VolumeFile._read
 
-    def read_then_swap(fh, head, rows):
+    def read_then_swap(volume, kind, rows, name=None):
         checked.append(rows)
-        part = read_rows(fh, head, rows)
+        part = read(volume, kind, rows, name)
         if rows.stop == 5:  # the last slab: the next read would be a plane's
             rename_over(path, other)
         return part
 
-    monkeypatch.setattr(tensor_io, "_read_rows", read_then_swap)
+    monkeypatch.setattr(tensor_io.VolumeFile, "_read", read_then_swap)
     with sum_block(12), pytest.raises(OSError, match="changed while it was being read"):
         with open_prediction(path):
             pytest.fail("a file changed during its check was opened")

@@ -26,7 +26,8 @@ any missing parent of it, when it writes the first file into it, so a run
 that fails before its first write leaves no directory either. `evaluate`
 checks its flags, and the JSON shape of a --region-merge map, before it
 reads anything. Each input is opened once (`tensor_io.open_volume`),
-checked once, and read only through that handle. Every input's header,
+checked once, and read only through that handle, which also says whether
+it holds labels or f32 values (`VolumeFile.kind`). Every input's header,
 sidecar and kind (a logit volume is any f32 file), the grids of an
 `evaluate` or `loss` pair or of `fuse`'s raters, `encode`'s --alpha, the
 --sigma of `encode` and `fuse` at their inputs' rank, and the class ids and
@@ -37,6 +38,8 @@ scores its pair one slab of rows at a time. `evaluate` checks --pred one
 slab of rows at a time, then reads it one class plane at a time. An input
 read more than once (each `loss` operand, `evaluate --pred`) that changes
 between two reads is an I/O error: "PATH changed while it was being read".
+So is a read of any input that finds fewer bytes than the size checked at
+open: the file changed under it.
 `encode` and `fuse` build their soft volume one class plane at a time into
 one reused float32 plane, which `tensor_io.write_volume` writes as soon as it
 is built; the staged payload is checked one slab of rows at a time before it
@@ -67,7 +70,7 @@ from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
 from .engine import SvlsKernel
 from .loss import LossReport, cross_entropy, softmax
-from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_rater_set
+from .phantom import KINDS, PhantomSpec, generate_labels, generate_miscalibrated, generate_raters
 from .seg_metrics import check_regions, check_tolerance, score_segmentation
 from .smoothing import RaterSet, check_alpha, label_smooth, moh_fuse, msvls_fuse, one_hot_encode, svls_smooth
 from .volume import LabelVolume, LogitVolume, SoftLabelVolume, argmax_labels, check_same_grid, slabs
@@ -283,7 +286,7 @@ def _open(inputs: contextlib.ExitStack, path: str, kind: type, flag: str) -> ten
     given to `flag` until `inputs` closes, checking its header, sidecar and
     kind and reading none of its payload."""
     volume = inputs.enter_context(tensor_io.open_volume(path))
-    labels = volume.header.dtype_code == tensor_io.DTYPE_LABELS
+    labels = volume.kind is LabelVolume
     if labels != (kind is LabelVolume):
         held, wanted = ("labels", kind._KIND) if labels else ("probabilities", "label")
         raise CliError(f"{path} holds {held}; {flag} needs a {wanted} volume")
@@ -474,8 +477,7 @@ def run_phantom(plan: dict) -> int:
     )
     base_provenance = {"method": "phantom", "kind": spec.kind, "seed": spec.seed}
     if plan["raters"] is not None:
-        raters = generate_rater_set(spec, plan["raters"], plan["jitter"])
-        for j, rater in enumerate(raters.raters):
+        for j, rater in enumerate(generate_raters(spec, plan["raters"], plan["jitter"])):  # each written as made
             path = os.path.join(plan["out"], f"rater{j:02d}{VOLUME_SUFFIX}")
             tensor_io.write_volume(rater, path, provenance={**base_provenance, "rater": j, "jitter": plan["jitter"]})
         return 0

@@ -6,11 +6,15 @@ bit-identical output on any platform (numpy's PCG64 generator is stable).
 one `volume.slabs` slab of rows at a time, so their float64 distances and
 int64 draws are held one slab at a time: each voxel's distance is computed
 alone, and successive int64 draws of one generator continue its stream.
+`generate_raters` yields the jittered raters of a phantom one at a time, so
+`phantom --raters D` writes each as it is made; `generate_rater_set` holds
+the same raters as one RaterSet.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +33,7 @@ KINDS = (
 
 DEFAULT_SPACING = 1.0
 MAX_EXTENT = 2**32 - 1  # the container stores each extent as a u32
+MAX_JITTER = 2**63 - 1  # generate_raters draws its offsets as int64
 BASE_ACCURACY = 0.7  # share of generate_miscalibrated's voxels whose predicted class is the label
 
 
@@ -133,25 +138,32 @@ def generate_labels(spec: PhantomSpec) -> LabelVolume:
     return LabelVolume(data, _spacing(spec), spec.num_classes)
 
 
-def generate_rater_set(spec: PhantomSpec, num_raters: int, jitter: int) -> RaterSet:
-    """D copies of the base phantom, each translated by at most `jitter` voxels.
+def generate_raters(spec: PhantomSpec, num_raters: int, jitter: int) -> Iterator[LabelVolume]:
+    """Yield D copies of the base phantom, one at a time, each translated by
+    at most `jitter` voxels, so a caller that writes each as it comes holds
+    one rater besides the base.
 
     Each rater draws its own integer offset vector from a stream seeded with
     (spec.seed, rater index); out-of-range reads replicate the border. With
-    jitter 0 all raters are identical to the base volume.
+    jitter 0 all raters are identical to the base volume. The offsets are
+    int64 draws, so a jitter above 2**63 - 1 is rejected.
     """
     _check_int(num_raters, f"need at least 1 rater, got {num_raters}", 1)
     _check_int(jitter, f"jitter must be >= 0, got {jitter}", 0)
+    _check_int(jitter, f"jitter must be <= {MAX_JITTER} (an int64 offset), got {jitter}", 0, MAX_JITTER)
     base = generate_labels(spec)
-    raters = []
     for j in range(num_raters):
         rng = np.random.default_rng([spec.seed, j])
         offsets = rng.integers(-jitter, jitter + 1, size=base.rank)
         index = [np.clip(np.arange(n) - off, 0, n - 1) for n, off in zip(base.dims, offsets)]
         shifted = base.data[np.ix_(*index)]
         shifted.setflags(write=False)  # fresh: the container adopts it without a copy
-        raters.append(LabelVolume(shifted, base.spacing, base.num_classes))
-    return RaterSet(tuple(raters))
+        yield LabelVolume(shifted, base.spacing, base.num_classes)
+
+
+def generate_rater_set(spec: PhantomSpec, num_raters: int, jitter: int) -> RaterSet:
+    """The raters of `generate_raters`, held together as one RaterSet."""
+    return RaterSet(tuple(generate_raters(spec, num_raters, jitter)))
 
 
 def generate_miscalibrated(labels: LabelVolume, strength: float, seed: int = 0) -> SoftLabelVolume:

@@ -11,24 +11,29 @@ little-endian regardless of host:
                 probability volumes (leading class axis first)
     then        raw row-major little-endian payload, nothing after it
 
-`open_volume` opens a file and checks it once, before it reads a payload
-byte: the header against the file size, and the sidecar against the header.
-It yields a `VolumeFile`, which holds the file and serves every read of it.
-The handle records the file's device, inode, size and `mtime_ns`, and each
-read first checks that its path still names that file: a file renamed over
-it or rewritten is an `OSError`, `PATH changed while it was being read`.
-`read_header` returns what a file and its sidecar declare, as one
-`VolumeHeader`. `read_volume` and `read_logits` take a path or an open
-`VolumeFile` and read the whole payload, or with `rows` (a slice of the
-first spatial axis) only those rows of each class plane, each read at its
-plane's offset into one fresh array that the container adopts;
-`read_logits` rejects a label dtype code before the payload. A payload
-fault of a row read names the rows and the file first:
-`payload: rows 33:34 of PATH: voxel (0, 7, 2) probabilities sum to ...`,
-where the voxel index is the slab's own. `VolumeFile.check_slabs` checks a
-payload so, one `volume.slabs` slab of rows at a time; `open_prediction` is
-`open_volume` of a probability file so checked, whose class planes
-(`data[c]`) are then read one contiguous run of the file each.
+`open_volume`, the one opener, opens a file and checks it once, before it
+reads a payload byte: the header against the file size, and the sidecar
+against the header. It yields a `VolumeFile`, which holds the file and
+serves every read of it; its `kind`, decided once, is LabelVolume for a u8
+file and SoftLabelVolume for an f32 one. The handle records the file's
+device, inode, size and `mtime_ns`, and each read first checks that its
+path still names that file: a file renamed over it or rewritten is an
+`OSError`, `PATH changed while it was being read`. Each read then fills a
+fresh array from one class plane, from a given row on, with one seek and
+one readinto (`VolumeFile._fill`); the size was checked at open, so a short
+read also means that the file changed, and is that same `OSError` on whole,
+row, class-plane and slab-check reads alike.
+`read_volume` and `read_logits` take a path or an open `VolumeFile` and
+read the whole payload, or with `rows` (a slice of the first spatial axis)
+only those rows of each class plane, each read at its plane's offset into
+one fresh array that the container adopts; `read_logits` rejects a label
+file before the payload. A payload fault of a row read names the rows and
+the file first: `payload: rows 33:34 of PATH: voxel (0, 7, 2) probabilities
+sum to ...`, where the voxel index is the slab's own.
+`VolumeFile.check_slabs` checks a payload so, one `volume.slabs` slab of
+rows at a time. The class planes of an f32 file (`data[c]`) are read one
+contiguous run of the file each; a label file has none, and its `data[c]`
+is a `dtype` fault before any byte is read.
 
 A JSON sidecar at `<path>.json` carries what the payload cannot: spacing
 (mm per axis, a list of numbers), num_classes (an integer) and provenance
@@ -256,17 +261,21 @@ def _identity(stat) -> tuple[int, int, int, int]:
 class VolumeFile:
     """A volume file held open (module docstring): its header and sidecar
     are checked once, into `header`, unless a staged file's `head` is given.
-    Like a volume it has `dims`, `num_classes`, `spacing`, and as `data` its
-    class planes: `len()` is the class count, and item c reads plane c of an
-    f32 file into a fresh read-only array. So `volume.check_same_grid`,
-    `volume.top_class` and the calibration metrics take it as they take a
-    SoftLabelVolume."""
+    `kind` is the container a plain read makes of it: LabelVolume for a u8
+    file, SoftLabelVolume for an f32 one. Like a volume it has `dims`,
+    `num_classes`, `spacing`, and as `data` its class planes: `len()` is the
+    class count, and item c reads plane c of an f32 file into a fresh
+    read-only array; a label file has no class planes, so its item c is a
+    `dtype` fault. So `volume.check_same_grid`, `volume.top_class` and the
+    calibration metrics take it as they take a SoftLabelVolume."""
 
     def __init__(self, fh, path, head: VolumeHeader | None = None):
         stat = os.fstat(fh.fileno())
         self._fh, self.path, self._identity = fh, path, _identity(stat)
         self.header = head or _check_header(fh, path, stat.st_size)
         self.dims, self.num_classes, self.spacing = self.header.dims, self.header.num_classes, self.header.spacing
+        self.kind = LabelVolume if self.header.dtype_code == DTYPE_LABELS else SoftLabelVolume
+        self._dtype = _DTYPES[self.header.dtype_code]
         self._start = 16 + 4 * len(self.header.shape)  # the first payload byte
 
     @property
@@ -281,13 +290,23 @@ class VolumeFile:
         if _identity(os.stat(self.path)) != self._identity:
             raise OSError(f"{self.path} changed while it was being read")
 
+    def _fill(self, out: np.ndarray, c: int, row: int = 0) -> None:
+        """Fill `out` from class plane `c` (a label file's one plane is 0),
+        starting at row `row` of its first spatial axis, with one seek and
+        one readinto. The size was checked at open and the identity before
+        the read, so a short read means the file changed."""
+        n, *rest = self.dims
+        self._fh.seek(self._start + self._dtype.itemsize * math.prod(rest) * (c * n + row))
+        if self._fh.readinto(out) != out.nbytes:
+            raise OSError(f"{self.path} changed while it was being read")
+
     def __getitem__(self, c) -> np.ndarray:
+        if self.kind is LabelVolume:
+            raise VolumeFormatError("dtype", f"{self.path} holds labels, which have no class planes")
         c = range(self.num_classes)[operator.index(c)]
         self.check_unchanged()
-        plane = np.empty(self.dims, _DTYPES[DTYPE_PROBS])
-        self._fh.seek(self._start + c * plane.nbytes)
-        if self._fh.readinto(plane) != plane.nbytes:
-            raise OSError(f"{self.path} changed while it was being read")
+        plane = np.empty(self.dims, self._dtype)
+        self._fill(plane, c)
         plane.setflags(write=False)
         return plane
 
@@ -296,26 +315,19 @@ class VolumeFile:
         None) of each class plane, each read at its plane's offset into one
         fresh array, as the container `kind`. With `rows`, a payload fault
         names the rows and `name`, by default `path`."""
-        head = self.header
-        n, *rest = head.dims
+        n, *rest = self.dims
         part = range(n)[slice(None) if rows is None else rows]
         if part.step != 1 or not part:
             raise ValueError(f"rows must be a non-empty run of the {n} rows, got {rows}")
         self.check_unchanged()
-        lead = head.shape[:1] if head.dtype_code == DTYPE_PROBS else ()  # the class axis
-        dtype = _DTYPES[head.dtype_code]
-        row = dtype.itemsize * math.prod(rest)
-        data = np.empty((*lead, len(part), *rest), dtype)
-        read = 0
+        lead = () if self.kind is LabelVolume else (self.num_classes,)  # the class axis
+        data = np.empty((*lead, len(part), *rest), self._dtype)
         for c, plane in enumerate(data if lead else [data]):
-            self._fh.seek(self._start + row * (c * n + part.start))
-            read += self._fh.readinto(plane)
-        if read != data.nbytes:
-            raise VolumeFormatError("payload", f"expected {data.nbytes} payload bytes, read {read}")
+            self._fill(plane, c, part.start)
         data.setflags(write=False)  # fresh: the container adopts it without a copy
-        args = (head.num_classes,) if kind is LabelVolume else ()
+        args = (self.num_classes,) if kind is LabelVolume else ()
         where = "" if rows is None else f"rows {part.start}:{part.stop} of {name or self.path}: "
-        return _fault_of("payload", kind, data, head.spacing, *args, where=where)
+        return _fault_of("payload", kind, data, self.spacing, *args, where=where)
 
     def check_slabs(self, kind, name=None) -> None:
         """Check the payload one `volume.slabs` slab of rows at a time, as
@@ -334,24 +346,17 @@ def open_volume(path):
         yield VolumeFile(fh, path)
 
 
-def read_header(path) -> VolumeHeader:
-    """Check a volume file as every read does before its first payload byte,
-    and read no payload: the header, the file size and the sidecar."""
-    with open_volume(path) as volume:
-        return volume.header
-
-
 def _opened(source):
     """A context holding the open VolumeFile `source`, or the file it names."""
     return contextlib.nullcontext(source) if isinstance(source, VolumeFile) else open_volume(source)
 
 
 def read_volume(source, rows=None):
-    """Read a label or probability volume (decided by the dtype code) from a
-    path or an open VolumeFile, or with `rows` only those rows of its first
+    """Read a label or probability volume (its handle's `kind`) from a path
+    or an open VolumeFile, or with `rows` only those rows of its first
     spatial axis."""
     with _opened(source) as volume:
-        return volume._read(LabelVolume if volume.header.dtype_code == DTYPE_LABELS else SoftLabelVolume, rows)
+        return volume._read(volume.kind, rows)
 
 
 def read_logits(source, rows=None) -> LogitVolume:
@@ -360,22 +365,9 @@ def read_logits(source, rows=None) -> LogitVolume:
     first spatial axis; a label file is rejected before any payload byte is
     read."""
     with _opened(source) as volume:
-        if volume.header.dtype_code != DTYPE_PROBS:
+        if volume.kind is LabelVolume:
             raise VolumeFormatError("dtype", "logits must use the f32 dtype code")
         return volume._read(LogitVolume, rows)
-
-
-@contextlib.contextmanager
-def open_prediction(path):
-    """Open a probability file, check it one `volume.slabs` slab of rows at a
-    time, as `read_volume(path, rows)` checks it (a payload fault names its
-    rows and the file), and yield it as a `VolumeFile`, which holds no
-    plane. A label file is rejected before any payload byte is read."""
-    with open_volume(path) as volume:
-        if volume.header.dtype_code != DTYPE_PROBS:
-            raise VolumeFormatError("dtype", "a prediction must use the f32 dtype code")
-        volume.check_slabs(SoftLabelVolume)
-        yield volume
 
 
 def _sig6(x: float):

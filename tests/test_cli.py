@@ -14,9 +14,11 @@ import svls
 from svls import (
     LabelVolume,
     LogitVolume,
+    PhantomSpec,
     RaterSet,
     SoftLabelVolume,
     SvlsKernel,
+    generate_rater_set,
     label_smooth,
     moh_fuse,
     msvls_fuse,
@@ -378,6 +380,29 @@ def test_phantom_rater_directory(tmp_path, capsys):
         ["phantom", "--kind", "straight_boundary", "--dims", "8,6", "--raters", "3",
          "--jitter", "1", "--seed", "5", "--out", str(out)], capsys,
     )
+    assert code == 0
+    assert sorted(p.name for p in out.glob("*.svlv")) == ["rater00.svlv", "rater01.svlv", "rater02.svlv"]
+    # the raters written as they are made are those of the library's rater set
+    raters = generate_rater_set(PhantomSpec("straight_boundary", (8, 6), seed=5), 3, 1).raters
+    assert [read_volume(out / f"rater{j:02d}.svlv").data.tobytes() for j in range(3)] == [
+        r.data.tobytes() for r in raters]
+
+
+@pytest.mark.parametrize("jitter", [2**63, 10**30])
+def test_phantom_jitter_beyond_an_int64_offset_is_named(tmp_path, capsys, jitter):
+    out = tmp_path / "raters"
+    code, _, err = run(["phantom", "--kind", "homogeneous", "--dims", "4,4", "--raters", "3",
+                        "--jitter", str(jitter), "--out", str(out)], capsys)
+    assert code == 1
+    assert one_error_line(err) == {
+        "error": "validation", "message": f"jitter must be <= {2**63 - 1} (an int64 offset), got {jitter}"}
+    assert not out.exists()
+
+
+def test_phantom_jitter_of_the_largest_int64_offset_runs(tmp_path, capsys):
+    out = tmp_path / "raters"
+    code, _, _ = run(["phantom", "--kind", "straight_boundary", "--dims", "4,4", "--raters", "3",
+                      "--jitter", str(2**63 - 1), "--out", str(out)], capsys)
     assert code == 0
     assert sorted(p.name for p in out.glob("*.svlv")) == ["rater00.svlv", "rater01.svlv", "rater02.svlv"]
 
@@ -1346,6 +1371,25 @@ def test_every_subcommand_keeps_the_heap_it_frees(tmp_path, rng, capsys, monkeyp
     paths = write_loss_files(tmp_path, rng, (4, 5, 6))
     assert run([a.format(d=tmp_path, **paths) for a in argv], capsys)[0] == 0
     assert calls == ["kept"]
+
+
+@pytest.mark.parametrize("platform", ["linux", "darwin", "win32"])
+def test_keep_freed_heap_pins_both_malloc_thresholds_on_linux_only(monkeypatch, platform):
+    opened, calls = [], []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: opened.append(name) or Libc())
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    cli._keep_freed_heap()
+    if platform == "linux":
+        # M_MMAP_THRESHOLD at glibc's 64-bit maximum, then M_TRIM_THRESHOLD at twice that
+        assert opened == [None] and calls == [(-3, 32 << 20), (-1, 64 << 20)]
+    else:
+        assert opened == [] and calls == []
 
 
 def test_sidecar_num_classes_overflow_exits_with_validation_line(tmp_path, rng, capsys):

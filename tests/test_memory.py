@@ -56,7 +56,10 @@ then reads it one class plane (0.25x) at a time, for each sweep of
 planes and their sorted population. It peaked at 1.88x while it held the
 whole prediction from its read to the last metric.
 A homogeneous phantom peaks at 1.0x its uint8 labels, which the container
-adopts; 2.0x while it copied them.
+adopts; 2.0x while it copied them. `phantom --raters D` writes each rater
+as it is made, so at 16x16x16 (4 KiB a rater) its peak for 64 raters is
+within a quarter of a rater of its peak for 2; 66 raters above it while it
+held every rater before the first write.
 The Surface Dice tolerance ball peaks at 9.0 bytes per offset, its float64
 squared lengths and the boolean ball, summed from each axis's 1-D squares;
 56 bytes while it took them from a rank-by-ball int64 offset grid. A
@@ -67,6 +70,7 @@ of the cube), with numpy's 128 KiB of ufunc buffers while they are summed;
 while it held a float64 index grid of every axis.
 """
 
+import gc
 import shutil
 import tracemalloc
 
@@ -88,6 +92,7 @@ from svls import (
     one_hot_encode,
     svls_smooth,
 )
+from svls import tensor_io
 from svls.cli import main
 from svls.loss import cross_entropy, softmax
 from svls.seg_metrics import _tolerance_ball
@@ -112,6 +117,7 @@ CLI_ENCODE_BOUND = 1.0  # encode --method ls
 BALL_BYTES_BOUND = 16  # traced bytes per offset of a Surface Dice tolerance ball
 PHANTOM_BYTES_BOUND = 2.5  # traced bytes per voxel of a nested-spheres phantom
 HOMOGENEOUS_BOUND = 1.2  # a homogeneous phantom, per byte of its labels
+RATER_BYTES = 16**3  # one uint8 rater of a 16x16x16 phantom
 
 
 def write_loss_inputs(d, dims):
@@ -306,3 +312,26 @@ def test_homogeneous_phantom_peak():
     ratio = peak_ratio(lambda: generate_labels(spec), payload=64**3)
     # at least the uint8 labels, adopted by the container without a copy
     assert 1.0 <= ratio <= HOMOGENEOUS_BOUND, ratio
+
+
+def test_cli_phantom_raters_peak_does_not_grow_with_their_count(tmp_path, monkeypatch):
+    # each write leaves reference cycles of the pure-Python JSON encoder, which pile
+    # up with the rater count until the collector reaches them; collected after each
+    # write, they stay out of the peak, which then counts the arrays the run holds
+    write = tensor_io.write_volume
+
+    def write_and_collect(*args, **kwargs):
+        write(*args, **kwargs)
+        gc.collect()
+
+    monkeypatch.setattr(tensor_io, "write_volume", write_and_collect)
+
+    def phantom(raters):
+        argv = ["phantom", "--kind", "nested_spheres", "--dims", "16,16,16", "--classes", "3",
+                "--raters", str(raters), "--jitter", "2", "--out", str(tmp_path / str(raters))]
+        return lambda: main(argv)
+
+    phantom(2)()  # first-call caches stay out of both peaks
+    few, many = (peak_ratio(phantom(d), payload=RATER_BYTES) for d in (2, 64))
+    assert len(list((tmp_path / "64").glob("rater*.svlv"))) == 64
+    assert many - few <= 2, (few, many)

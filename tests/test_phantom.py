@@ -214,6 +214,14 @@ def test_spec_takes_the_largest_extent_the_container_holds():
     assert PhantomSpec("homogeneous", (2**32 - 1, 1)).dims == (2**32 - 1, 1)
 
 
+def test_rater_set_rejects_a_jitter_beyond_an_int64_offset():
+    spec = PhantomSpec("straight_boundary", (4, 3))
+    with pytest.raises(ValueError) as info:
+        generate_rater_set(spec, 2, 2**63)
+    assert str(info.value) == f"jitter must be <= {2**63 - 1} (an int64 offset), got {2**63}"
+    assert len(generate_rater_set(spec, 2, 2**63 - 1).raters) == 2
+
+
 def test_spec_takes_numpy_integers_as_python_ints():
     spec = PhantomSpec("homogeneous", (np.int64(2), np.uint8(3)), num_classes=np.int32(2), seed=np.int64(1))
     assert spec.dims == (2, 3) and all(type(d) is int for d in spec.dims)

@@ -18,7 +18,7 @@ from svls.loss import LossReport
 from svls.seg_metrics import SegmentationScores
 from svls.tensor_io import (
     VolumeFormatError,
-    open_prediction,
+    open_volume,
     read_logits,
     read_volume,
     write_report,
@@ -386,7 +386,13 @@ def test_probability_class_count_must_match_the_payloads(tmp_path, rng):
     assert str(err.value) == "num_classes: sidecar says 5 classes, payload has 3"
 
 
-@pytest.mark.parametrize("reader", [tensor_io.read_header, read_volume, read_logits])
+def header_of(path):
+    """The header and sidecar that opening `path` checks, with no payload read."""
+    with open_volume(path) as volume:
+        return volume.header
+
+
+@pytest.mark.parametrize("reader", [header_of, read_volume, read_logits])
 def test_f32_class_axis_of_one_is_rejected_before_the_payload(tmp_path, monkeypatch, reader):
     # header and sidecar agree on one class; the payload holds the plane of class 0
     path = tmp_path / "v.svlv"
@@ -417,17 +423,6 @@ def _four_more_bytes(monkeypatch):
                                    st_mtime_ns=st.st_mtime_ns)
 
         monkeypatch.setattr(tensor_io.os, name, grown)
-
-
-def test_short_payload_read_is_a_payload_error(tmp_path, rng, monkeypatch):
-    path = tmp_path / "v.svlv"
-    write_volume(random_labels(rng, (3, 4), 3), path)
-    path.write_bytes(path.read_bytes()[:-4])
-    # the size check sees the 12 payload bytes it wants; the read finds 8
-    _four_more_bytes(monkeypatch)
-    with pytest.raises(VolumeFormatError, match="expected 12 payload bytes, read 8") as err:
-        read_volume(path)
-    assert err.value.field == "payload"
 
 
 @pytest.mark.parametrize("kind", ["labels", "probs", "logits"])
@@ -502,20 +497,32 @@ def test_row_read_names_its_rows_and_file_in_a_payload_fault(tmp_path):
     assert str(err.value).startswith("payload: voxel (3, 1, 0) probabilities sum to 1.1")
 
 
-def test_short_row_read_is_a_payload_error(tmp_path, monkeypatch):
-    path, _ = _three_class_rows(tmp_path)
+SHORT_READS = {
+    "whole": read_volume,
+    "rows": lambda volume: read_volume(volume, slice(3, 5)),
+    "plane": lambda volume: volume.data[2],
+    "slab-check": lambda volume: volume.check_slabs(SoftLabelVolume),
+}
+
+
+@pytest.mark.parametrize("read", SHORT_READS)
+def test_a_short_read_is_an_os_error(tmp_path, monkeypatch, read):
+    path, vol = _three_class_rows(tmp_path)
     path.write_bytes(path.read_bytes()[:-4])
+    # the size check sees the payload bytes it wants; the last plane's read finds 4 fewer
     _four_more_bytes(monkeypatch)
-    # rows 3:5 are 12 floats of each plane; the last plane's lack its last one
-    with pytest.raises(VolumeFormatError, match="expected 144 payload bytes, read 140") as err:
-        read_volume(path, slice(3, 5))
-    assert err.value.field == "payload"
-    assert read_volume(path, slice(0, 3)).dims == (3, 2, 3)
+    with open_volume(path) as volume:
+        with sum_block(12), pytest.raises(OSError) as err:  # slabs of two rows
+            SHORT_READS[read](volume)
+        assert str(err.value) == f"{path} changed while it was being read"
+        # reads that end before the missing bytes still succeed
+        assert read_volume(volume, slice(0, 3)).dims == (3, 2, 3)
+        assert volume.data[1].tobytes() == vol.data[1].tobytes()
 
 
 def test_prediction_reads_each_class_plane_on_demand(tmp_path):
     path, vol = _three_class_rows(tmp_path)
-    with open_prediction(path) as pred:
+    with open_volume(path) as pred:
         assert (pred.dims, pred.num_classes, pred.spacing) == (vol.dims, 3, vol.spacing)
         assert len(pred.data) == 3
         for c in (0, 1, 2, -1):
@@ -538,20 +545,25 @@ def test_prediction_is_checked_slab_by_slab_and_names_the_rows_of_a_fault(tmp_pa
     struct.pack_into("<f", blob, offset, float("nan"))
     path.write_bytes(bytes(blob))
     with sum_block(12), pytest.raises(VolumeFormatError) as err:  # slabs of two rows
-        with open_prediction(path):
-            pass
+        with open_volume(path) as pred:
+            pred.check_slabs(SoftLabelVolume)
     start = row - row % 2
     assert err.value.field == "payload"
     assert str(err.value).startswith(f"payload: rows {start}:{min(start + 2, 5)} of {path}: probabilities must lie")
 
 
 def test_prediction_reader_rejects_a_label_file_before_its_payload(tmp_path, rng, monkeypatch):
-    path = _sidecar_fault_volume(tmp_path, rng, "labels", lambda side: None)
+    # a 3-class label file has no class planes: each item is a dtype fault, not a read of float32
+    path = tmp_path / "v.svlv"
+    write_volume(random_labels(rng, (4, 4, 4), 3), path)
     forbid_payload_read(monkeypatch)
-    with pytest.raises(VolumeFormatError, match="a prediction must use the f32 dtype code") as err:
-        with open_prediction(path):
-            pass
-    assert err.value.field == "dtype"
+    with open_volume(path) as labels:
+        assert labels.kind is LabelVolume and len(labels.data) == 3
+        for c in range(3):
+            with pytest.raises(VolumeFormatError) as err:
+                labels.data[c]
+            assert err.value.field == "dtype"
+            assert str(err.value) == f"dtype: {path} holds labels, which have no class planes"
 
 
 def _other_prediction(tmp_path, vol):
@@ -565,7 +577,7 @@ def _other_prediction(tmp_path, vol):
 def test_a_plane_read_of_a_changed_file_is_an_os_error(tmp_path, change):
     path, vol = _three_class_rows(tmp_path)
     other = _other_prediction(tmp_path, vol)
-    with open_prediction(path) as pred:
+    with open_volume(path) as pred:
         assert pred.data[0].tobytes() == vol.data[0].tobytes()
         change(path, other)
         with pytest.raises(OSError, match=f"{path} changed while it was being read"):
@@ -588,8 +600,9 @@ def test_a_file_changed_during_the_slab_check_is_an_os_error(tmp_path, monkeypat
 
     monkeypatch.setattr(tensor_io.VolumeFile, "_read", read_then_swap)
     with sum_block(12), pytest.raises(OSError, match="changed while it was being read"):
-        with open_prediction(path):
-            pytest.fail("a file changed during its check was opened")
+        with open_volume(path) as pred:
+            pred.check_slabs(SoftLabelVolume)
+            pytest.fail("a file changed during its check passed it")
     assert checked == [slice(0, 2), slice(2, 4), slice(4, 5)]
 
 
@@ -597,7 +610,7 @@ def test_a_short_plane_read_is_an_os_error(tmp_path, rng, monkeypatch):
     # planes of 16 KiB, past what the file's read buffer holds of them
     path = tmp_path / "v.svlv"
     write_volume(one_hot_encode(random_labels(rng, (4, 32, 32), 3)), path)
-    with open_prediction(path) as pred:
+    with open_volume(path) as pred:
         recorded, stat = os.stat(path), os.stat
         os.truncate(path, recorded.st_size - 4)
         # a change no stat shows: the reader relies on the read's length alone
@@ -613,7 +626,7 @@ def test_header_read_checks_the_sidecar_without_the_payload(tmp_path, rng, monke
     path = _sidecar_fault_volume(tmp_path, rng, kind, fault)
     forbid_payload_read(monkeypatch)
     with pytest.raises(VolumeFormatError) as err:
-        tensor_io.read_header(path)
+        header_of(path)
     assert err.value.field == field
 
 
@@ -621,7 +634,9 @@ def test_header_read_checks_the_sidecar_without_the_payload(tmp_path, rng, monke
 def test_header_read_declares_the_volumes_grid(tmp_path, rng, monkeypatch, kind):
     path = _sidecar_fault_volume(tmp_path, rng, kind, _set("spacing", [2, 0.5]))
     forbid_payload_read(monkeypatch)
-    head = tensor_io.read_header(path)
+    with open_volume(path) as volume:
+        head = volume.header
+        assert volume.kind is (LabelVolume if kind == "labels" else SoftLabelVolume)
     assert (head.dims, head.num_classes, head.spacing) == ((3, 4), 3, (2.0, 0.5))
     assert all(type(s) is float for s in head.spacing)
     assert head.shape == ((3, 4) if kind == "labels" else (3, 3, 4))

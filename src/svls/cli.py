@@ -64,8 +64,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import tensor_io
 from .calibration import calibrate_report, check_num_bins, check_tace_params
 from .engine import SvlsKernel
@@ -326,15 +324,14 @@ def run_encode(plan: dict) -> int:
             if method == "svls":
                 SvlsKernel(len(source.dims), plan["sigma"])  # its sigma rule, at this volume's rank
             labels = tensor_io.read_volume(source)
-        plane = np.empty(labels.dims, np.float32)  # each class is built into it and written in turn
         provenance = {"method": method, "source": os.path.basename(src)}
         if method == "onehot":
-            soft = one_hot_encode(labels, plane=plane)
+            soft = one_hot_encode(labels, streamed=True)
         elif method == "ls":
-            soft = label_smooth(labels, plan["alpha"], plane=plane)
+            soft = label_smooth(labels, plan["alpha"], streamed=True)
             provenance["alpha"] = plan["alpha"]
         else:
-            soft = svls_smooth(labels, plan["sigma"], plane=plane)
+            soft = svls_smooth(labels, plan["sigma"], streamed=True)
             provenance["sigma"] = plan["sigma"]
         tensor_io.write_volume(soft, dst, provenance=provenance)
         log.info("encoded %s -> %s", src, dst)
@@ -350,16 +347,15 @@ def run_fuse(plan: dict) -> int:
         if plan["method"] == "msvls":
             SvlsKernel(len(files.raters[0].dims), plan["sigma"])  # its sigma rule, at the raters' rank
         raters = RaterSet(tuple(tensor_io.read_volume(f) for f in files.raters))
-    plane = np.empty(raters.raters[0].dims, np.float32)  # each class is built into it and written in turn
     provenance = {
         "method": plan["method"],
         "rater_files": [os.path.basename(p) for p in paths],
     }
     if plan["method"] == "msvls":
-        fused = msvls_fuse(raters, plan["sigma"], plane=plane)
+        fused = msvls_fuse(raters, plan["sigma"], streamed=True)
         provenance["sigma"] = plan["sigma"]
     else:
-        fused = moh_fuse(raters, plane=plane)
+        fused = moh_fuse(raters, streamed=True)
     tensor_io.write_volume(fused, plan["out"], provenance=provenance)
     return 0
 
@@ -374,8 +370,8 @@ def streamed_loss(target_path: str, pred_path: str, pred_kind: str) -> LossRepor
     both open files, the prediction first, each checked by its container;
     logits go through `softmax`, and the pair through `cross_entropy`. Each
     is one slab of the loss's slab rule, so the `math.fsum` of their
-    `loss_sum`s is the library's, bit for bit, and no per-voxel grid is
-    kept. A file that changes between two slab reads is an OSError.
+    `loss_sum`s is the library's, bit for bit. A file that changes between
+    two slab reads is an OSError.
     """
     logits = pred_kind == "logits"
     with contextlib.ExitStack() as inputs:

@@ -13,15 +13,16 @@ loss math: both containers and their checks live in `volume`.
 Every step of softmax and cross_entropy is per voxel, so a slab of rows
 scores as it would inside the whole volume. The loss total has one slab
 rule: the `math.fsum` of the float64 numpy sums of the `volume.slabs` slabs
-of the per-voxel losses, over the voxel count. So the `loss` subcommand
-(`cli.streamed_loss`) scores a file one such slab of rows at a time, adds
-up their sums and gets the library's total, holding no whole operand.
+of the per-voxel losses, over the voxel count. cross_entropy keeps no
+per-voxel grid, and the `loss` subcommand (`cli.streamed_loss`) scores a
+file one such slab of rows at a time, adds up their sums and gets the
+library's report, holding no whole operand.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +34,12 @@ LOG_FLOOR = 1e-12  # the loss is undefined at p=0; predictions are clamped here
 @dataclass(frozen=True)
 class LossReport:
     """The summed cross-entropy of `voxels` voxels by the slab rule of the
-    module docstring, and the per-voxel grid if one is kept (not compared).
-    Reports of disjoint slabs add up: their union's `loss_sum` is the
-    `math.fsum` of theirs.
+    module docstring. Reports of disjoint slabs add up: their union's
+    `loss_sum` is the `math.fsum` of theirs.
     """
 
     loss_sum: float
     voxels: int
-    per_voxel: np.ndarray | None = field(default=None, compare=False)
 
     @property
     def total(self) -> float:  # the unweighted voxel mean
@@ -71,27 +70,27 @@ def softmax(logits: LogitVolume) -> SoftLabelVolume:
 
 
 def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossReport:
-    """Per-voxel -sum_c target*log(predicted) and their sum by the slab rule.
+    """The sum of the per-voxel -sum_c target*log(predicted) by the slab rule.
 
     The terms are summed one slab of rows (`volume.slabs`) at a time, in
     class order from class 0's term, then negated: per voxel one float64 sum
     over the class axis, without a float64 copy of either whole volume.
-    Class 0's term is computed in the sum's own slab and each later term in
-    one reusable float64 slab of scratch, so the loss holds its float64
-    per-voxel plane and one slab whatever the class count.
+    Class 0's term is computed in the slab that holds the sum and each later
+    term in a second one, both reused for every slab, so the loss holds two
+    float64 slabs whatever the volume size and class count.
     """
     for operand in (target, predicted):
         if not isinstance(operand, SoftLabelVolume):
             raise TypeError(f"cross_entropy scores probability volumes, got a {type(operand).__name__}")
     check_same_grid(target, predicted)
-    per_voxel = np.empty(target.dims, dtype=np.float64)
     parts = slabs(target.dims)
-    scratch = np.empty_like(per_voxel[parts[0]])
+    acc_slab = np.empty((parts[0].stop,) + target.dims[1:], dtype=np.float64)
+    term_slab = np.empty_like(acc_slab)
     sums = []
     for part in parts:
-        acc = per_voxel[part]
+        acc = acc_slab[: part.stop - part.start]
         for c, (t, p) in enumerate(zip(target.data[:, part], predicted.data[:, part])):
-            term = scratch[: part.stop - part.start] if c else acc
+            term = term_slab[: len(acc)] if c else acc
             np.maximum(p, LOG_FLOOR, out=term, dtype=np.float64)
             np.log(term, out=term)
             term *= t
@@ -99,7 +98,7 @@ def cross_entropy(target: SoftLabelVolume, predicted: SoftLabelVolume) -> LossRe
                 acc += term
         np.negative(acc, out=acc)
         sums.append(acc.sum())
-    return LossReport(math.fsum(sums), per_voxel.size, per_voxel)
+    return LossReport(math.fsum(sums), math.prod(target.dims))
 
 
 def ce_gradient(target: SoftLabelVolume, logits: LogitVolume) -> np.ndarray:

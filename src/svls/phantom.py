@@ -126,14 +126,12 @@ def generate_labels(spec: PhantomSpec) -> LabelVolume:
         mid = (lo + hi) // 2
         data[box[:-1] + (slice(lo, mid),)] = 1
         data[box[:-1] + (slice(mid, hi),)] = 2
-    elif spec.kind == "miscalibrated_pred":
+    else:  # miscalibrated_pred, the last kind PhantomSpec admits
         # base labels for the miscalibration generator: seeded uniform draws
         rng = np.random.default_rng(spec.seed)
         data = np.empty(dims, dtype=np.uint8)
         for part in slabs(dims):
             data[part] = rng.integers(0, spec.num_classes, size=data[part].shape)
-    else:  # pragma: no cover - PhantomSpec already validated the kind
-        raise ValueError(spec.kind)
     data.setflags(write=False)  # fresh: the container adopts it without a copy
     return LabelVolume(data, _spacing(spec), spec.num_classes)
 

@@ -29,9 +29,9 @@ Votes are counted in the smallest unsigned dtype holding the rater count.
 widest shell (4 voxels in 2D, 12 in 3D) times the rater count would not fit.
 
 Each entry point returns a SoftLabelVolume that adopts the one float32 array
-its planes were built into. Given `plane`, a float32 array of the volume's
-dims, it builds nothing yet: it returns a `SoftPlanes` whose iteration runs
-the same loop, building each class plane into `plane` in turn, so that
+its planes were built into. With `streamed=True` it builds nothing yet: it
+returns a `SoftPlanes` whose iteration runs the same loop, building each
+class plane in turn into one float32 plane of the volume's dims, so that
 `tensor_io.write_volume` writes each plane as it is built and no whole soft
 volume is held (how the CLI's `encode` and `fuse` write).
 """
@@ -94,26 +94,23 @@ def _class_planes(raters: RaterSet, fill, out) -> Iterator[np.ndarray]:
         yield out[c]
 
 
-def _encoded(raters: RaterSet, fill, plane):
+def _encoded(raters: RaterSet, fill, streamed: bool):
     """The soft volume whose class planes `fill` writes: built whole into
-    one fresh array, or with `plane` a `SoftPlanes` that builds each class
-    into it as it is iterated (module docstring)."""
+    one fresh array, or when `streamed` a `SoftPlanes` that builds each
+    class into one fresh plane as it is iterated (module docstring)."""
     first = raters.raters[0]
-    if plane is None:
-        out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
-        for _ in _class_planes(raters, fill, out):
-            pass
-        out.setflags(write=False)  # fresh: the container adopts it without a copy
-        return SoftLabelVolume(out, first.spacing)
-    if not (plane.shape == first.dims and plane.dtype == np.float32 and plane.flags.c_contiguous
-            and plane.flags.writeable):
-        raise ValueError(f"plane must be a writable C-contiguous float32 array of dims {first.dims}, "
-                         f"got {plane.dtype} of shape {plane.shape}")
-    planes = _class_planes(raters, fill, (plane,) * first.num_classes)
-    return SoftPlanes(planes, first.dims, first.num_classes, first.spacing)
+    if streamed:
+        plane = np.empty(first.dims, dtype=np.float32)
+        planes = _class_planes(raters, fill, (plane,) * first.num_classes)
+        return SoftPlanes(planes, first.dims, first.num_classes, first.spacing)
+    out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
+    for _ in _class_planes(raters, fill, out):
+        pass
+    out.setflags(write=False)  # fresh: the container adopts it without a copy
+    return SoftLabelVolume(out, first.spacing)
 
 
-def _per_voxel(transform):
+def _voxelwise(transform):
     """A fill that writes `transform(votes, num_raters)`, a float64 per-voxel
     step, one slab of rows at a time."""
     def fill(votes, num_raters, plane):
@@ -123,12 +120,12 @@ def _per_voxel(transform):
     return fill
 
 
-def moh_fuse(raters: RaterSet, *, plane=None) -> SoftLabelVolume | SoftPlanes:
+def moh_fuse(raters: RaterSet, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
     """Per-voxel fraction of raters voting for each class."""
-    return _encoded(raters, _per_voxel(lambda votes, num_raters: votes / num_raters), plane)
+    return _encoded(raters, _voxelwise(lambda votes, num_raters: votes / num_raters), streamed)
 
 
-def msvls_fuse(raters: RaterSet, sigma: float, *, plane=None) -> SoftLabelVolume | SoftPlanes:
+def msvls_fuse(raters: RaterSet, sigma: float, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
     """SVLS of the rater vote shares, equal by linearity to the mean of the
     per-rater SVLS maps.
 
@@ -142,12 +139,12 @@ def msvls_fuse(raters: RaterSet, sigma: float, *, plane=None) -> SoftLabelVolume
     def smooth(votes, num_raters, plane):
         engine.correlate_padded(votes, kernel.weights, (num_raters, kernel.total_weight), plane)
 
-    return _encoded(raters, smooth, plane)
+    return _encoded(raters, smooth, streamed)
 
 
-def svls_smooth(labels: LabelVolume, sigma: float, *, plane=None) -> SoftLabelVolume | SoftPlanes:
+def svls_smooth(labels: LabelVolume, sigma: float, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
     """Spatially varying soft targets for one annotation, from the stencil of its rank and `sigma`."""
-    return msvls_fuse(RaterSet((labels,)), sigma, plane=plane)
+    return msvls_fuse(RaterSet((labels,)), sigma, streamed=streamed)
 
 
 def check_alpha(alpha: float) -> None:
@@ -156,14 +153,14 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
-def label_smooth(labels: LabelVolume, alpha: float, *, plane=None) -> SoftLabelVolume | SoftPlanes:
+def label_smooth(labels: LabelVolume, alpha: float, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
     """Uniformly smoothed targets: annotated class gets (1-alpha)+alpha/N,
     every other class gets alpha/N."""
     check_alpha(alpha)
     n = labels.num_classes
-    return _encoded(RaterSet((labels,)), _per_voxel(lambda votes, _: alpha / n + votes * (1.0 - alpha)), plane)
+    return _encoded(RaterSet((labels,)), _voxelwise(lambda votes, _: alpha / n + votes * (1.0 - alpha)), streamed)
 
 
-def one_hot_encode(labels: LabelVolume, *, plane=None) -> SoftLabelVolume | SoftPlanes:
+def one_hot_encode(labels: LabelVolume, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
     """Expand a label volume into indicator probability planes, one per class."""
-    return moh_fuse(RaterSet((labels,)), plane=plane)
+    return moh_fuse(RaterSet((labels,)), streamed=streamed)

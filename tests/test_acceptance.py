@@ -166,10 +166,10 @@ def test_criterion_06_gradient_matches_finite_differences():
             plus, minus = base.copy(), base.copy()
             plus[idx] += h
             minus[idx] -= h
-            voxel = idx[1:]
+            # a score moves only its own voxel's loss, so the sum's difference is that voxel's
             fd = (
-                cross_entropy(target, softmax(LogitVolume(plus, spacing))).per_voxel[voxel]
-                - cross_entropy(target, softmax(LogitVolume(minus, spacing))).per_voxel[voxel]
+                cross_entropy(target, softmax(LogitVolume(plus, spacing))).loss_sum
+                - cross_entropy(target, softmax(LogitVolume(minus, spacing))).loss_sum
             ) / (2 * h)
             worst = max(worst, abs(fd - grad[idx]))
     ok = worst <= 1e-5

@@ -66,8 +66,9 @@ def test_cross_entropy_exact_one_hot_is_zero(rng):
     vol = LabelVolume(rng.integers(0, 3, size=(3, 3)).astype(np.uint8), SPACING2, 3)
     target = one_hot_encode(vol)
     report = cross_entropy(target, target)
+    # every voxel's loss is >= 0, so a zero sum is a zero loss at every voxel
+    assert report.loss_sum == 0.0
     assert report.total == 0.0
-    assert np.all(report.per_voxel == 0.0)
 
 
 def test_cross_entropy_uniform_prediction():
@@ -80,9 +81,10 @@ def test_cross_entropy_boundary_self_entropy():
     data = np.zeros((3, 3), dtype=np.uint8)
     data[0, :] = 1
     target = svls_smooth(LabelVolume(data, SPACING2, 2), 1.0)
-    report = cross_entropy(target, target)
-    center = report.per_voxel[1, 1]
-    assert center == pytest.approx(BOUNDARY_ENTROPY, abs=1e-6)
+    center = SoftLabelVolume(target.data[:, 1:2, 1:2], SPACING2)
+    report = cross_entropy(center, center)
+    assert report.voxels == 1
+    assert report.loss_sum == pytest.approx(BOUNDARY_ENTROPY, abs=1e-6)
 
 
 def test_cross_entropy_shape_mismatch():
@@ -105,14 +107,16 @@ def test_cross_entropy_total_is_mean_of_per_voxel(rng):
     target = random_simplex(rng, 3, (4, 5))
     predicted = random_simplex(rng, 3, (4, 5))
     report = cross_entropy(target, predicted)
-    assert report.total == pytest.approx(report.per_voxel.mean(), abs=1e-12)
+    per_voxel = whole_volume_cross_entropy(target.data, predicted.data, LOG_FLOOR)
+    assert report.voxels == per_voxel.size
+    assert report.total == pytest.approx(per_voxel.mean(), abs=1e-12)
     assert report.total >= 0.0
 
 
-def slab_rule_total(grid):
-    """The total of a per-voxel loss grid by the slab rule: the `math.fsum`
-    of numpy's float64 sums of its `volume.slabs` slabs, over its size."""
-    return math.fsum(grid[part].sum() for part in volume.slabs(grid.shape)) / grid.size
+def slab_rule_sum(grid):
+    """The sum of a per-voxel loss grid by the slab rule: the `math.fsum` of
+    numpy's float64 sums of its `volume.slabs` slabs."""
+    return math.fsum(grid[part].sum() for part in volume.slabs(grid.shape))
 
 
 # How far the slab rule's total may lie from the exactly rounded mean
@@ -144,9 +148,10 @@ def test_total_is_within_a_derived_bound_of_the_exactly_rounded_mean(seed, rows,
     target = random_simplex(rng, 3, dims)
     predicted = softmax(LogitVolume(scale * rng.standard_normal((3,) + dims), target.spacing))
     report = cross_entropy(target, predicted)
-    assert report.voxels == report.per_voxel.size
-    assert report.loss_sum == math.fsum(report.per_voxel[part].sum() for part in volume.slabs(dims))
-    exact = math.fsum(report.per_voxel.ravel()) / report.voxels
+    per_voxel = whole_volume_cross_entropy(target.data, predicted.data, LOG_FLOOR)
+    assert report.voxels == per_voxel.size
+    assert report.loss_sum == math.fsum(per_voxel[part].sum() for part in volume.slabs(dims))
+    exact = math.fsum(per_voxel.ravel()) / report.voxels
     assert abs(report.total - exact) <= TOTAL_ULPS * math.ulp(exact)
 
 
@@ -190,10 +195,10 @@ def test_gradient_matches_finite_differences(rng):
             plus, minus = base.copy(), base.copy()
             plus[idx] += h
             minus[idx] -= h
-            voxel = idx[1:]
+            # a score moves only its own voxel's loss, so the sum's difference is that voxel's
             fd = (
-                cross_entropy(target, softmax(LogitVolume(plus, SPACING2))).per_voxel[voxel]
-                - cross_entropy(target, softmax(LogitVolume(minus, SPACING2))).per_voxel[voxel]
+                cross_entropy(target, softmax(LogitVolume(plus, SPACING2))).loss_sum
+                - cross_entropy(target, softmax(LogitVolume(minus, SPACING2))).loss_sum
             ) / (2 * h)
             assert abs(fd - grad[idx]) <= 1e-5
 
@@ -236,9 +241,7 @@ def assert_whole_volume_oracle_bytes(target, scores):
     for pred, expected_pred in ((predicted, expected_probs), (target, target.data)):
         report = cross_entropy(target, pred)
         expected = whole_volume_cross_entropy(target.data, expected_pred, LOG_FLOOR)
-        # bytes, not values: the sign of a zero loss counts too
-        assert report.per_voxel.tobytes() == expected.tobytes()
-        assert (report.total, report.voxels) == (slab_rule_total(expected), expected.size)
+        assert (report.loss_sum, report.voxels) == (slab_rule_sum(expected), expected.size)
 
 
 @settings(max_examples=150, deadline=None)
@@ -280,7 +283,6 @@ def test_streamed_loss_keeps_the_whole_volume_oracles_bytes(tmp_path_factory, cu
         assert len(volume.slabs(dims)) == num_slabs
         report = streamed_loss(str(d / "target.svlv"), str(d / "pred.svlv"), kind)
         library = cross_entropy(target, softmax(predicted) if kind == "logits" else predicted)
-        expected_total = slab_rule_total(expected)
-    assert (report.total, report.voxels) == (expected_total, expected.size)
-    assert report.per_voxel is None
-    assert report == library  # equal sums and voxel counts; per_voxel is not compared
+        expected_sum = slab_rule_sum(expected)
+    assert (report.loss_sum, report.voxels) == (expected_sum, expected.size)
+    assert report == library

@@ -2,72 +2,52 @@
 
 numpy reports its data buffers to tracemalloc, so these peaks count every
 array a call holds at once and nothing of the wall clock or the process
-RSS. On the 4-class volume of 1 MiB below, a float32 read peaks at 1.19x
-its payload: the payload and one float64 slab (`volume.slabs`, 0.125x) of
-the voxel sums' deviation from 1. It peaked at 1.57x while that deviation
-was a whole float64 plane, 2.07x while the sums were a second one.
-Reading, softmaxing and scoring float32 logits against a target peaks at
-4.40x. The `loss` subcommand on logits peaks at 1.14x, and at 0.28x on a
-64x64x64 cube (4 MiB): it holds one slab of rows of both operands as read
-from their files, its float64 probabilities and its loss, and adds up the
-slabs' loss sums. A slab is a quarter of the 1 MiB volume and a sixteenth
-of the cube. On probabilities it peaks at 0.87x, the same without the
-softmax. It peaked at 1.64x, 0.78x and 1.37x while it kept the whole
-float64 per-voxel loss (0.5x) to take its mean; at 3.63x and 2.78x on
-logits, and at 2.74x on probabilities, while it read both whole operands
-before scoring them; at 3.75x and 3.56x while it softmaxed the whole
-prediction into float64 before it read the target. A batch of two cubes peaked at 6.80x while the first
-pair's volumes stayed bound as the second pair was read.
-With softmax's divisor and the loss's scratch whole float64 planes the
-library path and the subcommand peaked at 4.82x and 4.13x; before the
-containers adopted fresh arrays and logits stayed float32 the first peaked
-at 8.50x, and the subcommand at 5.39x while it read the target first.
-SVLS and MSVLS (three raters) peak at 1.57x: the float32 result, one
-class's uint8 vote count and shell sums (0.25x), and two float64 slabs
-(0.25x) in which the stencil sums, divides and rounds into the result. They
-peaked at 1.95x while each class's correlation was a whole float64 plane
-(0.5x), and at 2.38x while the weighted shells took a second one and the
-last pair sum outlived the shell loop. LS, one-hot and MOH (three raters)
-peak at 1.25-1.31x: the float32 result, one class's vote count and float64
-slabs of the per-voxel step; 1.63x while that step took a whole float64
-plane. `argmax_labels` peaks at 0.38x with its one class-plane sweep, 1.50x
-with an int64 `np.argmax`. The calibration report of a float32 prediction
-peaks at 0.75x: each metric sorts its float32 population in place and sums
-one bin at a time, widening it to float64 one fixed-size block at a time. A
-miscalibrated prediction, whose confidences all fall in one bin, peaks at
-0.68x; it peaked at 1.06x, and the smoothed one at 0.88x, while each bin
-was widened whole. It peaked at 1.38x while TACE copied its population into
-`np.partition` and both metrics binned through an int64 `np.digitize`
-index, 1.75x while `reliability` took `np.argmax` and `max` apart, and
-2.00x while reliability and TACE binned float64 copies of the kept
-probabilities.
-The `encode` and `fuse` subcommands build each class plane into one reused
-float32 plane (0.25x) and write it at once, then read the staged file back
-one slab of rows (0.25x at this size) at a time to check it before it is
-renamed into place: `encode --method svls` peaks at 0.94x, `fuse --method
-msvls` (three raters) at 1.08x, with the vote count, its shell sums and the
-stencil's two float64 slabs beside the plane, and `encode --method ls` at
-0.82x. They peaked at 1.68x, 1.82x and 1.43x while each held the whole
-float32 result from its first class plane until the write.
-The `evaluate` subcommand on a 4-class SVLS-smoothed prediction of this
-size peaks at 0.88x: it checks the prediction one slab of rows at a time,
-then reads it one class plane (0.25x) at a time, for each sweep of
-`top_class` and for each class of TACE, so the largest step holds about two
-planes and their sorted population. It peaked at 1.88x while it held the
-whole prediction from its read to the last metric.
+RSS. On the 4-class volume of 1 MiB below:
+
+- A float32 read peaks at 1.21x: the payload and one float64 slab
+  (`volume.slabs`, 0.125x) of the voxel sums' deviation from 1.
+- `cross_entropy` of two float32 volumes read before it peaks at 0.32x: the
+  two float64 slabs it sums the class terms in, and no per-voxel grid.
+  Reading, softmaxing and scoring float32 logits against a target peaks at
+  4.41x, most of it the whole float64 probabilities.
+- The `loss` subcommand on logits peaks at 1.13x, and at 0.28x on a
+  64x64x64 cube (4 MiB), for one cube and for a batch of two: it holds one
+  slab of rows of both operands as read from their files, its float64
+  probabilities and its loss, and adds up the slabs' loss sums. A slab is
+  a quarter of the 1 MiB volume and a sixteenth of the cube. On
+  probabilities it peaks at 0.89x, the same without the softmax.
+- SVLS and MSVLS (three raters) peak at 1.57x: the float32 result, one
+  class's uint8 vote count and shell sums (0.25x), and two float64 slabs
+  (0.25x) in which the stencil sums, divides and rounds into the result.
+  LS, one-hot and MOH (three raters) peak at 1.25-1.32x: the float32
+  result, one class's vote count and float64 slabs of the per-voxel step.
+- `argmax_labels` peaks at 0.38x with its one class-plane sweep.
+- The calibration report of a float32 prediction peaks at 0.75x: each
+  metric sorts its float32 population in place and sums one bin at a time,
+  widening it to float64 one fixed-size block at a time. A miscalibrated
+  prediction, whose confidences all fall in one bin, peaks at 0.68x.
+- The `encode` and `fuse` subcommands build each class plane into one
+  reused float32 plane (0.25x) and write it at once, then read the staged
+  file back one slab of rows (0.25x at this size) at a time to check it
+  before it is renamed into place: `encode --method svls` peaks at 0.94x,
+  `fuse --method msvls` (three raters) at 1.08x, with the vote count, its
+  shell sums and the stencil's two float64 slabs beside the plane, and
+  `encode --method ls` at 0.68x.
+- The `evaluate` subcommand on a 4-class SVLS-smoothed prediction of this
+  size peaks at 0.89x: it checks the prediction one slab of rows at a
+  time, then reads it one class plane (0.25x) at a time, for each sweep of
+  `top_class` and for each class of TACE, so the largest step holds about
+  two planes and their sorted population.
+
 A homogeneous phantom peaks at 1.0x its uint8 labels, which the container
-adopts; 2.0x while it copied them. `phantom --raters D` writes each rater
-as it is made, so at 16x16x16 (4 KiB a rater) its peak for 64 raters is
-within a quarter of a rater of its peak for 2; 66 raters above it while it
-held every rater before the first write.
-The Surface Dice tolerance ball peaks at 9.0 bytes per offset, its float64
-squared lengths and the boolean ball, summed from each axis's 1-D squares;
-56 bytes while it took them from a rank-by-ball int64 offset grid. A
-nested-spheres phantom of 64x64x64 peaks at 2.0 bytes per voxel: its uint8
-labels and the float64 distances of one slab of rows (0.5 bytes per voxel
-of the cube), with numpy's 128 KiB of ufunc buffers while they are summed;
-10.0 bytes while it built the distances of the whole grid, and 48 bytes
-while it held a float64 index grid of every axis.
+adopts. `phantom --raters D` writes each rater as it is made, so at
+16x16x16 (4 KiB a rater) its peak for 64 raters is within a quarter of a
+rater of its peak for 2. The Surface Dice tolerance ball peaks at 9.0
+bytes per offset, its float64 squared lengths and the boolean ball, summed
+from each axis's 1-D squares. A nested-spheres phantom of 64x64x64 peaks
+at 2.0 bytes per voxel: its uint8 labels and the float64 distances of one
+slab of rows (0.5 bytes per voxel of the cube), with numpy's 128 KiB of
+ufunc buffers while they are summed.
 """
 
 import gc
@@ -103,6 +83,7 @@ PAYLOAD = 4 * 4 * int(np.prod(DIMS))  # 4 float32 class planes: 1 MiB
 CUBE = (64, 64, 64)  # 16 slabs of 4 rows: 4 MiB
 
 READ_BOUND = 1.3
+CROSS_ENTROPY_BOUND = 0.4
 LOSS_BOUND = 4.5
 CLI_LOSS_BOUND = 1.3
 CLI_LOSS_CUBE_BOUND = 0.35
@@ -152,6 +133,14 @@ def test_read_volume_peak(paths):
     target, _ = paths
     ratio = peak_ratio(lambda: read_volume(target))
     assert 1.0 <= ratio <= READ_BOUND, ratio
+
+
+def test_cross_entropy_peak(paths):
+    target, _ = paths
+    first, second = read_volume(target), read_volume(target)
+    ratio = peak_ratio(lambda: cross_entropy(first, second))
+    # at least its two float64 slabs, each an eighth of the payload
+    assert 0.25 <= ratio <= CROSS_ENTROPY_BOUND, ratio
 
 
 def test_loss_from_logits_peak(paths):

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -375,34 +376,16 @@ ENCODERS = {
 def test_streamed_planes_are_the_whole_volumes_built_into_one_plane(rng, name):
     raters = RaterSet(tuple(random_labels(rng, (5, 6, 7), 3, spacing=(1.0, 2.0, 0.5)) for _ in range(3)))
     whole = ENCODERS[name](raters.raters[0], raters)
-    plane = np.full((5, 6, 7), np.nan, np.float32)
-    planes = ENCODERS[name](raters.raters[0], raters, plane=plane)
+    planes = ENCODERS[name](raters.raters[0], raters, streamed=True)
     assert isinstance(planes, SoftPlanes)
     assert (planes.dims, planes.num_classes, planes.spacing) == (whole.dims, 3, whole.spacing)
-    assert np.isnan(plane).all()  # nothing is built before the planes are asked for
+    # nothing is built before the planes are asked for
+    assert inspect.getgeneratorstate(planes.data) == inspect.GEN_CREATED
     built = []
     for c, each in enumerate(planes.data):
-        assert each is plane
-        assert each.tobytes() == whole.data[c].tobytes()
-        built.append(c)
-    assert built == [0, 1, 2]
+        assert each.tobytes() == whole.data[c].tobytes()  # checked before the next class overwrites it
+        built.append(each)
+    assert len(built) == 3
+    assert all(each is built[0] for each in built)  # one plane, reused for every class
+    assert (built[0].shape, built[0].dtype) == (whole.dims, np.float32)
     assert list(planes.data) == []  # the planes are built once
-
-
-@pytest.mark.parametrize("plane", [
-    np.empty((5, 6), np.float32),
-    np.empty((5, 6, 7), np.float64),
-    np.empty((5, 6, 14), np.float32)[:, :, ::2],
-    np.empty((5, 6, 7), np.float32).view(np.dtype(np.float32).newbyteorder()),
-], ids=["dims", "dtype", "strided", "byte-swapped"])
-def test_a_plane_of_another_shape_dtype_or_layout_is_rejected(rng, plane):
-    labels = random_labels(rng, (5, 6, 7), 3)
-    with pytest.raises(ValueError, match=r"plane must be a writable C-contiguous float32 array of dims \(5, 6, 7\)"):
-        svls_smooth(labels, 1.0, plane=plane)
-
-
-def test_a_read_only_plane_is_rejected(rng):
-    plane = np.empty((5, 6, 7), np.float32)
-    plane.setflags(write=False)
-    with pytest.raises(ValueError, match="plane must be a writable"):
-        label_smooth(random_labels(rng, (5, 6, 7), 3), 0.1, plane=plane)

@@ -163,7 +163,7 @@ def test_a_staged_payload_is_checked_as_its_container_before_it_lands(tmp_path, 
 def test_soft_planes_are_written_as_the_whole_volume_is(tmp_path, rng):
     labels = random_labels(rng, (5, 6, 7), 4, spacing=(1.0, 0.5, 2.0))
     write_volume(svls.svls_smooth(labels, 1.0), tmp_path / "whole.svlv", provenance={"method": "svls"})
-    planes = svls.svls_smooth(labels, 1.0, plane=np.empty((5, 6, 7), np.float32))
+    planes = svls.svls_smooth(labels, 1.0, streamed=True)
     with sum_block(42):  # a staged check of five slabs
         write_volume(planes, tmp_path / "planes.svlv", provenance={"method": "svls"})
     for suffix in ("", ".json"):

@@ -47,8 +47,8 @@ or a report, are staged as temp files and then renamed into place, payload
 first, so a failed write leaves no file of its output. `write_volume` is the
 one writer: it writes a payload one class plane at a time (a
 `smoothing.SoftPlanes` builds each plane as it is written), and before the
-rename it checks the staged payload with `VolumeFile.check_slabs`, as a
-reader checks it. Neither holds a whole volume.
+rename it opens and checks the staged pair as a reader opens and checks an
+input (`open_volume`, `check_slabs`). Neither holds a whole volume.
 """
 
 from __future__ import annotations
@@ -91,31 +91,35 @@ def sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
-def _write_files(*files, check=None) -> None:
-    """Commit one output: stage each `(path, chunks)` as a temp file beside
-    `path` (its missing parents made), writing the chunks, bytes or
-    C-contiguous arrays, in order; with `check`, call `check(staged)` with
-    the first file's temp path, which raises to refuse the output; then
-    rename the temp files into place in order. A failure removes the temp
-    files and every file already renamed."""
-    staged, renamed = [], []
+def _write_files(path, chunks, sidecar=None, check=None) -> None:
+    """Commit one output: stage `chunks` (bytes or C-contiguous arrays) as a
+    temp file beside `path`, and the bytes `sidecar`, if any, at the temp
+    file's own `sidecar_path`; call `check(staged)`, if given, to refuse the
+    output by raising; then rename both into place, payload first. A failure
+    removes the staged files and every file already renamed."""
+    directory = os.path.dirname(str(path)) or "."
+    os.makedirs(directory, exist_ok=True)
+    fd, staged = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    files = [(staged, path, chunks)]
+    if sidecar is not None:
+        files.append((sidecar_path(staged), sidecar_path(path), (sidecar,)))
+    made, renamed = [], []
     try:
-        for path, chunks in files:
-            directory = os.path.dirname(str(path)) or "."
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-            staged.append(tmp)
+        for name, _, parts in files:
+            if made:  # the sidecar, made exclusively as mkstemp made the payload
+                fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+            made.append(name)
             with os.fdopen(fd, "wb") as fh:
-                for chunk in chunks:
+                for chunk in parts:
                     fh.write(chunk)
-            os.chmod(tmp, 0o644)  # mkstemp creates 0600; match regular file creation
+            os.chmod(name, 0o644)  # staged 0600; match regular file creation
         if check is not None:
-            check(staged[0])
-        for tmp, (path, _) in zip(staged, files):
-            os.replace(tmp, path)
-            renamed.append(path)
+            check(staged)
+        for name, target, _ in files:
+            os.replace(name, target)
+            renamed.append(target)
     except BaseException:
-        for name in [*staged, *renamed]:
+        for name in [*made, *renamed]:
             if os.path.lexists(name):
                 os.unlink(name)
         raise
@@ -126,28 +130,28 @@ def write_volume(volume, path, provenance=None) -> None:
     into place first and the sidecar last, and a failure leaves neither.
 
     The payload is written one class plane at a time (a label volume is one
-    plane), and before the rename the staged file is read back and checked
-    one `volume.slabs` slab of rows at a time, as its container checks it
-    (a `smoothing.SoftPlanes` as a SoftLabelVolume); a fault names its rows
-    and `path`. So a SoftPlanes, whose planes are built as they are written,
-    is never held whole, and what lands at `path` always reads back.
+    plane). Before the rename the staged pair is opened with `open_volume`
+    and checked with `check_slabs`, as a reader opens and checks an input
+    (a `smoothing.SoftPlanes` as a SoftLabelVolume); a slab fault names its
+    rows and `path`. So a SoftPlanes, whose planes are built as they are
+    written, is never held whole, and what lands at `path` always reads back.
 
     LogitVolume payloads use the f32 dtype code and are readable only via
     read_logits (their voxel sums are not probability sums). A float64
-    value beyond float32 range is rejected before any file is made, since
+    logit beyond float32 range is rejected before any file is made, since
     f32 would hold it as inf, and so is a provenance that JSON cannot hold
     (NaN, infinity, or a value of no JSON kind).
     """
     if isinstance(volume, LabelVolume):
         dtype_code, kind, planes = DTYPE_LABELS, LabelVolume, (volume.data,)
-    elif isinstance(volume, (SoftLabelVolume, LogitVolume)):
-        dtype_code, kind, planes = DTYPE_PROBS, type(volume), volume.data
+    elif isinstance(volume, (SoftLabelVolume, SoftPlanes)):
+        dtype_code, kind, planes = DTYPE_PROBS, SoftLabelVolume, volume.data
+    elif isinstance(volume, LogitVolume):
+        dtype_code, kind, planes = DTYPE_PROBS, LogitVolume, volume.data
         with np.errstate(over="ignore"):  # a float64 score beyond float32 range becomes inf, rejected here
             if planes.dtype != np.float32 and not all(np.isfinite(p.astype("<f4")).all() for p in planes):
                 raise ValueError("values beyond float32 range cannot be written as f32, "
                                  f"largest magnitude {np.abs(planes).max()}")
-    elif isinstance(volume, SoftPlanes):
-        dtype_code, kind, planes = DTYPE_PROBS, SoftLabelVolume, volume.data
     else:
         raise TypeError(f"cannot serialize {type(volume).__name__}")
     provenance = dict(provenance or {})
@@ -155,15 +159,15 @@ def write_volume(volume, path, provenance=None) -> None:
     meta = {"spacing": list(volume.spacing), "num_classes": volume.num_classes, "provenance": provenance}
     sidecar = json.dumps(meta, indent=2, allow_nan=False) + "\n"  # before any file: JSON has no NaN
     shape = volume.dims if dtype_code == DTYPE_LABELS else (volume.num_classes, *volume.dims)
-    head = VolumeHeader(dtype_code, shape, tuple(volume.spacing), volume.num_classes, provenance)
+    header = MAGIC + struct.pack(f"<{3 + len(shape)}I", VERSION, dtype_code, len(volume.dims), *shape)
     dtype = _DTYPES[dtype_code]
-    payload = itertools.chain((_header_bytes(head),), (p.astype(dtype, copy=False) for p in planes))
+    payload = itertools.chain((header,), (p.astype(dtype, copy=False) for p in planes))
 
     def check(staged):
-        with open(staged, "rb") as fh:
-            VolumeFile(fh, staged, head).check_slabs(kind, path)
+        with open_volume(staged) as written:
+            written.check_slabs(kind, path)
 
-    _write_files((path, payload), (sidecar_path(path), (sidecar.encode("utf-8"),)), check=check)
+    _write_files(path, payload, sidecar.encode("utf-8"), check=check)
 
 
 def _fault_of(field: str, call, *args, where: str = ""):
@@ -180,8 +184,7 @@ class VolumeHeader:
     """What a volume file and its sidecar declare, checked: the dtype code,
     the extents of the payload (the class axis first in an f32 file), the
     spacing, the class count and the provenance. `dims` and `num_classes`
-    are those of the volume it holds, so two headers go through
-    `volume.check_same_grid` as volumes do."""
+    are those of the volume it holds."""
 
     dtype_code: int
     shape: tuple[int, ...]
@@ -250,17 +253,13 @@ def _check_header(fh, path, file_size: int) -> VolumeHeader:
     return VolumeHeader(dtype_code, axes, spacing, num_classes, provenance)
 
 
-def _header_bytes(head: VolumeHeader) -> bytes:
-    return MAGIC + struct.pack(f"<{3 + len(head.shape)}I", VERSION, head.dtype_code, len(head.dims), *head.shape)
-
-
 def _identity(stat) -> tuple[int, int, int, int]:
     return stat.st_dev, stat.st_ino, stat.st_size, stat.st_mtime_ns
 
 
 class VolumeFile:
-    """A volume file held open (module docstring): its header and sidecar
-    are checked once, into `header`, unless a staged file's `head` is given.
+    """A volume file held open by `open_volume` (module docstring): its
+    header and sidecar are checked once, into `header`.
     `kind` is the container a plain read makes of it: LabelVolume for a u8
     file, SoftLabelVolume for an f32 one. Like a volume it has `dims`,
     `num_classes`, `spacing`, and as `data` its class planes: `len()` is the
@@ -269,10 +268,10 @@ class VolumeFile:
     `dtype` fault. So `volume.check_same_grid`, `volume.top_class` and the
     calibration metrics take it as they take a SoftLabelVolume."""
 
-    def __init__(self, fh, path, head: VolumeHeader | None = None):
+    def __init__(self, fh, path):
         stat = os.fstat(fh.fileno())
         self._fh, self.path, self._identity = fh, path, _identity(stat)
-        self.header = head or _check_header(fh, path, stat.st_size)
+        self.header = _check_header(fh, path, stat.st_size)
         self.dims, self.num_classes, self.spacing = self.header.dims, self.header.num_classes, self.header.spacing
         self.kind = LabelVolume if self.header.dtype_code == DTYPE_LABELS else SoftLabelVolume
         self._dtype = _DTYPES[self.header.dtype_code]
@@ -426,4 +425,4 @@ def write_report(report, path) -> None:
         if rows_name is not None:
             doc[rows_name] = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(doc, indent=2) + "\n"
-    _write_files((path, (text.encode("utf-8"),)))
+    _write_files(path, (text.encode("utf-8"),))

@@ -16,6 +16,7 @@ from svls import LabelVolume, LogitVolume, SoftLabelVolume, one_hot_encode, tens
 from svls.calibration import CalibrationReport, ReliabilityBin
 from svls.loss import LossReport
 from svls.seg_metrics import SegmentationScores
+from svls.smoothing import SoftPlanes
 from svls.tensor_io import (
     VolumeFormatError,
     open_volume,
@@ -91,9 +92,22 @@ def test_written_files_are_world_readable(tmp_path, rng):
         assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
 
 
+def test_staged_files_are_private_until_written(tmp_path, rng, monkeypatch):
+    # the payload and the sidecar are each staged 0600 and made 0644 only once written
+    modes, fdopen = [], tensor_io.os.fdopen
+
+    def recording(fd, mode):
+        modes.append(os.fstat(fd).st_mode & 0o777)
+        return fdopen(fd, mode)
+
+    monkeypatch.setattr(tensor_io.os, "fdopen", recording)
+    write_volume(random_labels(rng, (2, 2), 2), tmp_path / "v.svlv")
+    assert modes == [0o600, 0o600]
+
+
 def test_failed_write_raises_and_leaves_no_file(tmp_path):
     with pytest.raises(TypeError):
-        tensor_io._write_files((tmp_path / "out" / "v.svlv", (b"SVLV", object())))
+        tensor_io._write_files(tmp_path / "out" / "v.svlv", (b"SVLV", object()))
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -118,6 +132,42 @@ def test_failed_sidecar_staging_leaves_no_file_of_the_volume(tmp_path, rng, monk
     monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: SidecarFails(fdopen(fd, mode)))
     with pytest.raises(OSError, match="No space left"):
         write_volume(one_hot_encode(random_labels(rng, (3, 4), 2)), tmp_path / "v.svlv")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_staged_sidecar_the_reader_refuses_leaves_no_file(tmp_path, rng, monkeypatch):
+    # the sidecar's one chunk lands with a spacing of the wrong JSON kind
+    class SpacingSpoilt:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, chunk):
+            if isinstance(chunk, bytes) and chunk.startswith(b"{"):
+                chunk = json.dumps({**json.loads(chunk), "spacing": "1"}).encode("utf-8")
+            return self.fh.write(chunk)
+
+    fdopen = tensor_io.os.fdopen
+    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: SpacingSpoilt(fdopen(fd, mode)))
+    with pytest.raises(VolumeFormatError) as err:
+        write_volume(random_labels(rng, (3, 4), 2), tmp_path / "v.svlv")
+    assert str(err.value) == 'spacing: spacing must be a list of numbers, got "1"'
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("planes, found", [(3, 144), (1, 48)])
+def test_soft_planes_of_another_class_count_leave_no_file(tmp_path, planes, found):
+    # the header declares two class planes of 3x4 float32 values, 96 bytes
+    plane = np.full((3, 4), 0.5, np.float32)
+    with pytest.raises(VolumeFormatError) as err:
+        write_volume(SoftPlanes(iter([plane] * planes), (3, 4), 2, (1.0, 1.0)), tmp_path / "v.svlv")
+    assert err.value.field == "payload"
+    assert str(err.value) == f"payload: expected 96 payload bytes, found {found}"
     assert list(tmp_path.iterdir()) == []
 
 

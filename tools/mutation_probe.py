@@ -10,8 +10,9 @@ makes one `return VALUE`, VALUE not a constant, return the constant `None`.
 The mutated module is written, as `ast.unparse` text, into a temporary copy
 of `src/`, `tests/`, `pyproject.toml` and `README.md`; the repository itself
 is never written. Each mutant
-runs the module's own test file plus `test_cli.py` and `test_acceptance.py`
-with `pytest -x`. A mutant that passes them survived: either a test is
+runs the module's own test file plus `test_cli.py`, `test_acceptance.py` and
+`test_memory.py` (whose peak bounds catch a mutant that holds more than it
+should) with `pytest -x`. A mutant that passes them survived: either a test is
 missing or the mutant is equivalent; one that runs past TIMEOUT seconds
 (a loop that never ends) counts as killed. The unmutated module, unparsed
 the same way, must pass first.
@@ -109,7 +110,7 @@ def main(argv=None) -> int:
     path = ROOT / "src" / "svls" / f"{args.module}.py"
     source = path.read_text(encoding="utf-8")
     own = f"test_{args.module}.py"
-    names = [n for n in (own, "test_cli.py", "test_acceptance.py") if (ROOT / "tests" / n).exists()]
+    names = [n for n in (own, "test_cli.py", "test_acceptance.py", "test_memory.py") if (ROOT / "tests" / n).exists()]
     tests = [str(Path("tests") / n) for n in names]
     with tempfile.TemporaryDirectory(prefix="mutation_probe_") as tmp:
         copy = Path(tmp)

@@ -36,15 +36,19 @@ checked before any payload is read, with one message for each kind fault:
 "PATH holds labels; loss --pred needs a logit volume". `loss` then reads and
 scores its pair one slab of rows at a time. `evaluate` checks --pred one
 slab of rows at a time, then reads it one class plane at a time. An input
-read more than once (each `loss` operand, `evaluate --pred`) that changes
-between two reads is an I/O error: "PATH changed while it was being read".
-So is a read of any input that finds fewer bytes than the size checked at
-open: the file changed under it.
+read more than once (each `loss` operand, `evaluate --pred`, `encode --in`
+and every `fuse --in` rater) that changes between two reads is an I/O error:
+"PATH changed while it was being read". So is a read of any input that finds
+fewer bytes than the size checked at open: the file changed under it.
 `encode` and `fuse` build their soft volume one class plane at a time into
 one reused float32 plane, which `tensor_io.write_volume` writes as soon as it
 is built; the staged payload is checked one slab of rows at a time before it
 is renamed into place, so no whole soft volume is held and a bad plane
-leaves no output.
+leaves no output. Each class's votes are counted from one input at a time,
+read whole through its open file (`_LabelFile`) as they are counted and
+freed before the next is read, so no label volume is held beyond one read,
+and `fuse`'s peak does not grow with its rater count. Each input stays open
+until the output is committed.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.
@@ -312,6 +316,23 @@ def run_kernel(plan: dict) -> int:
     return 0
 
 
+class _LabelFile:
+    """An open label file as `smoothing` takes a label volume: the grid its
+    checked header declares, and as `data` its labels, read whole through
+    `tensor_io.read_volume` each time they are asked for. The class-plane
+    loop asks once per class, so no labels outlive one class's vote count,
+    and every read checks the labels and that the file is unchanged."""
+
+    def __init__(self, volume: tensor_io.VolumeFile):
+        self._volume = volume
+        self.dims, self.num_classes, self.spacing = volume.dims, volume.num_classes, volume.spacing
+        self.rank = len(volume.dims)
+
+    @property
+    def data(self):
+        return tensor_io.read_volume(self._volume).data
+
+
 def run_encode(plan: dict) -> int:
     method = plan["method"]
     if method == "ls":
@@ -319,44 +340,43 @@ def run_encode(plan: dict) -> int:
             raise CliError("--alpha is required for method ls")
         check_alpha(plan["alpha"])
     for src, _, dst in _iter_in_out(plan["in_path"], plan["out"], VOLUME_SUFFIX):
-        with contextlib.ExitStack() as inputs:
-            source = _open(inputs, src, LabelVolume, "encode --in")
-            if method == "svls":
-                SvlsKernel(len(source.dims), plan["sigma"])  # its sigma rule, at this volume's rank
-            labels = tensor_io.read_volume(source)
         provenance = {"method": method, "source": os.path.basename(src)}
-        if method == "onehot":
-            soft = one_hot_encode(labels, streamed=True)
-        elif method == "ls":
-            soft = label_smooth(labels, plan["alpha"], streamed=True)
-            provenance["alpha"] = plan["alpha"]
-        else:
-            soft = svls_smooth(labels, plan["sigma"], streamed=True)
-            provenance["sigma"] = plan["sigma"]
-        tensor_io.write_volume(soft, dst, provenance=provenance)
+        with contextlib.ExitStack() as inputs:
+            labels = _LabelFile(_open(inputs, src, LabelVolume, "encode --in"))
+            if method == "onehot":
+                soft = one_hot_encode(labels, streamed=True)
+            elif method == "ls":
+                soft = label_smooth(labels, plan["alpha"], streamed=True)
+                provenance["alpha"] = plan["alpha"]
+            else:
+                soft = svls_smooth(labels, plan["sigma"], streamed=True)  # its sigma rule, at this volume's rank
+                provenance["sigma"] = plan["sigma"]
+            tensor_io.write_volume(soft, dst, provenance=provenance)
         log.info("encoded %s -> %s", src, dst)
     return 0
 
 
 def run_fuse(plan: dict) -> int:
+    """Fuse the raters that --in names into one soft volume. Each rater's
+    header, then their grids and --sigma are checked before any payload is
+    read. Each class's votes are then counted from one rater at a time, read
+    whole through its open file, so one rater's labels are held whatever
+    the rater count; the files stay open until the output is committed."""
     paths = []
     for p in plan["in_paths"]:
         paths.extend(_volume_files(p) if os.path.isdir(p) else [p])
-    with contextlib.ExitStack() as inputs:
-        files = RaterSet(tuple(_open(inputs, p, LabelVolume, "fuse --in") for p in paths))  # its grid rule, unread
-        if plan["method"] == "msvls":
-            SvlsKernel(len(files.raters[0].dims), plan["sigma"])  # its sigma rule, at the raters' rank
-        raters = RaterSet(tuple(tensor_io.read_volume(f) for f in files.raters))
     provenance = {
         "method": plan["method"],
         "rater_files": [os.path.basename(p) for p in paths],
     }
-    if plan["method"] == "msvls":
-        fused = msvls_fuse(raters, plan["sigma"], streamed=True)
-        provenance["sigma"] = plan["sigma"]
-    else:
-        fused = moh_fuse(raters, streamed=True)
-    tensor_io.write_volume(fused, plan["out"], provenance=provenance)
+    with contextlib.ExitStack() as inputs:
+        raters = RaterSet(tuple(_LabelFile(_open(inputs, p, LabelVolume, "fuse --in")) for p in paths))
+        if plan["method"] == "msvls":
+            fused = msvls_fuse(raters, plan["sigma"], streamed=True)  # its sigma rule, at the raters' rank
+            provenance["sigma"] = plan["sigma"]
+        else:
+            fused = moh_fuse(raters, streamed=True)
+        tensor_io.write_volume(fused, plan["out"], provenance=provenance)
     return 0
 
 

@@ -5,7 +5,11 @@ each class it counts the raters that label each voxel with that class (0 or
 1 for a single annotation) and transforms that integer vote plane straight
 into the class's float32 output plane, one slab of rows (`volume.slabs`) at
 a time. Each slab is taken in float64 and rounded once, so no float64 array
-is a whole plane.
+is a whole plane. The loop asks each rater for its labels (`data`) as it
+counts that rater's votes for the class: a LabelVolume gives its own array,
+and a rater that reads its labels when asked, as the CLI's open label files
+do, is read once per class, so no rater's labels are held beyond one class's
+vote count, whatever the rater count.
 
   - one_hot_encode: the vote plane of one annotation as is.
   - label_smooth:   mix each one-hot vector with the uniform distribution.
@@ -33,7 +37,8 @@ its planes were built into. With `streamed=True` it builds nothing yet: it
 returns a `SoftPlanes` whose iteration runs the same loop, building each
 class plane in turn into one float32 plane of the volume's dims, so that
 `tensor_io.write_volume` writes each plane as it is built and no whole soft
-volume is held (how the CLI's `encode` and `fuse` write).
+volume is held (how the CLI's `encode` and `fuse` write, from raters that
+read their open label files, so that no whole label volume is held either).
 """
 
 from __future__ import annotations
@@ -49,7 +54,12 @@ from .volume import LabelVolume, SoftLabelVolume, check_same_grid, slabs
 
 @dataclass(frozen=True)
 class RaterSet:
-    """Ordered annotations of the same volume by D >= 1 experts."""
+    """Ordered annotations of the same volume by D >= 1 experts.
+
+    Each is a LabelVolume, or anything with a label volume's `dims`,
+    `rank`, `num_classes` and `spacing` whose `data` gives its labels each
+    time it is asked (module docstring). The grids are checked on those
+    attributes alone, before any labels are asked for."""
 
     raters: tuple[LabelVolume, ...]
 

@@ -6,6 +6,7 @@ import shlex
 import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1308,6 +1309,59 @@ def test_a_bad_class_plane_is_refused_before_any_output_lands(tmp_path, rng, cap
                                        "probabilities must lie in [0, 1], found range ["), error
     assert error["message"].endswith(", 1.5]"), error
     assert list(out.iterdir()) == []  # no output, sidecar or .tmp-*.part
+
+
+@pytest.mark.parametrize("change", [rename_over, rewrite_in_place], ids=["renamed-over", "rewritten-in-place"])
+@pytest.mark.parametrize("case", ["encode-svls", "fuse-msvls"])
+def test_an_input_changed_between_two_class_reads_is_an_io_error(tmp_path, rng, capsys, monkeypatch, case, change):
+    # each class's votes read every input again; after the first read of
+    # in0, another label file of its grid and size takes its place
+    argv, out = streamed_write(tmp_path, rng, case)
+    inputs = argv[argv.index("--in") + 1:argv.index("--method")]
+    other, _ = make_labels(tmp_path, rng, "other.svlv", (10, 4, 4), 4)
+    read, reads = tensor_io.read_volume, []
+
+    def read_then_change(source, rows=None):
+        volume = read(source, rows)
+        reads.append(source.path)
+        if len(reads) == 1:
+            change(Path(inputs[0]), other)
+        return volume
+
+    monkeypatch.setattr(tensor_io, "read_volume", read_then_change)
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (2, "")
+    assert one_error_line(err) == {"error": "io", "message": f"{inputs[0]} changed while it was being read"}
+    assert reads == inputs  # class 0's votes, one read of each input
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("case", ["encode-svls", "fuse-msvls", "fuse-moh"])
+def test_an_output_written_over_an_input_has_the_bytes_of_a_fresh_one(tmp_path, rng, capsys, case):
+    # the input is read once per class while the output is staged, and the
+    # staged output is renamed over it only once every class is built
+    argv, out = streamed_write(tmp_path, rng, case)
+    assert run(argv, capsys)[0] == 0
+    fresh = [(out / name).read_bytes() for name in ("o.svlv", "o.svlv.json")]
+    target = Path(argv[argv.index("--in") + 1])
+    assert run(argv[:-1] + [str(target)], capsys)[0] == 0
+    assert [Path(f"{target}{suffix}").read_bytes() for suffix in ("", ".json")] == fresh
+
+
+@pytest.mark.parametrize("case", ["encode-svls", "fuse-msvls"])
+def test_a_label_fault_found_while_writing_leaves_no_output(tmp_path, rng, capsys, case):
+    # the last input's last label is out of range, found by class 0's read of
+    # it after the output's temp file is made
+    argv, out = streamed_write(tmp_path, rng, case)
+    bad = Path(argv[argv.index("--method") - 1])
+    blob = bytearray(bad.read_bytes())
+    blob[-1] = 7
+    bad.write_bytes(bytes(blob))
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (1, "")
+    assert one_error_line(err) == {"error": "validation",
+                                   "message": "payload: labels must lie in [0, 4), found range [0, 7]"}
+    assert list(out.iterdir()) == []
 
 
 class _ThirdPlaneFails:

@@ -20,10 +20,11 @@ exits 1 with KIND `internal` and TEXT `<Type>: <text>`, never a traceback
 (SVLS_LOG=debug logs it).
 Each output is one commit: its files (a volume's payload and sidecar, or one
 report) are written to temp names and then renamed into place, so a failed
-write leaves no file of that output. A report is CSV when its path ends in
-`.csv` and JSON otherwise. Every subcommand makes an output's directory, and
-any missing parent of it, when it writes the first file into it, so a run
-that fails before its first write leaves no directory either. `evaluate`
+write leaves no file of that output, nor any directory it made for it. A
+report is CSV when its path ends in `.csv` and JSON otherwise. Every
+subcommand makes an output's directory, and any missing parent of it, when
+it writes the first file into it, so a run that fails before its first write
+leaves no directory either. `evaluate`
 checks its flags, and the JSON shape of a --region-merge map, before it
 reads anything. Each input is opened once (`tensor_io.open_volume`),
 checked once, and read only through that handle, which also says whether
@@ -40,15 +41,16 @@ read more than once (each `loss` operand, `evaluate --pred`, `encode --in`
 and every `fuse --in` rater) that changes between two reads is an I/O error:
 "PATH changed while it was being read". So is a read of any input that finds
 fewer bytes than the size checked at open: the file changed under it.
-`encode` and `fuse` build their soft volume one class plane at a time into
-one reused float32 plane, which `tensor_io.write_volume` writes as soon as it
-is built; the staged payload is checked one slab of rows at a time before it
-is renamed into place, so no whole soft volume is held and a bad plane
-leaves no output. Each class's votes are counted from one input at a time,
-read whole through its open file (`_LabelFile`) as they are counted and
-freed before the next is read, so no label volume is held beyond one read,
-and `fuse`'s peak does not grow with its rater count. Each input stays open
-until the output is committed.
+`encode` and `fuse` build their soft volume one class plane at a time, each
+plane one slab of rows at a time, and `tensor_io.write_volume` writes each
+slab as soon as it is rounded to float32; the staged payload is checked one
+slab of rows at a time before it is renamed into place, so no whole class
+plane of the soft volume is held and a bad plane leaves no output. Each
+class's votes are counted from one input at a time, read whole through its
+open file (`_LabelFile`) as they are counted and freed before the next is
+read, so no label volume is held beyond one read, and `fuse`'s peak does not
+grow with its rater count. Each input stays open until the output is
+committed.
 
 The SVLS_LOG environment variable (error|warn|info|debug) controls log
 verbosity; resolved run parameters are logged at info level.

@@ -31,7 +31,10 @@ The shell sums are whole-grid integer arrays; no float64 array is a whole
 plane. The result is built one slab of rows at a time (`volume.slabs`) in
 one float64 slab: the weighted shells are added in shell order, the sum is
 divided by each divisor in turn (the rater count, then the total weight),
-and the slab is written into the caller's plane, float32 for the encoders.
+and the slab is assigned to the caller's plane in row order: a float32
+array for the encoders that build a whole volume, or for the streamed ones
+a row writer that rounds each slab to float32 and writes it to the output
+file (`smoothing`).
 Per voxel these are the same operations in the same order as on a whole
 float64 plane, so the same bytes.
 """
@@ -114,7 +117,9 @@ def correlate_padded(counts: np.ndarray, weights: np.ndarray, divisors, out: np.
     Reads past the edge take the nearest in-range voxel (a replicated
     border), so `out` has the shape of `counts`. The counts must be uint8,
     uint16 or uint32; their shell sums are exact. Each voxel is taken in
-    float64 and rounded once, into `out`'s dtype; `out` is returned.
+    float64, and `out[rows] = slab` assigns each float64 slab of rows once,
+    in row order: an array rounds it into its dtype, a `smoothing` row
+    writer rounds it to float32 and writes it. `out` is returned.
     """
     counts = np.asarray(counts)
     weights = np.asarray(weights, dtype=np.float64)

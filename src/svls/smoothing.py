@@ -34,16 +34,18 @@ widest shell (4 voxels in 2D, 12 in 3D) times the rater count would not fit.
 
 Each entry point returns a SoftLabelVolume that adopts the one float32 array
 its planes were built into. With `streamed=True` it builds nothing yet: it
-returns a `SoftPlanes` whose iteration runs the same loop, building each
-class plane in turn into one float32 plane of the volume's dims, so that
-`tensor_io.write_volume` writes each plane as it is built and no whole soft
-volume is held (how the CLI's `encode` and `fuse` write, from raters that
-read their open label files, so that no whole label volume is held either).
+returns a `SoftPlanes`, which runs the same loop when it is written, each
+class plane into a `_RowWriter` that rounds each float64 slab to float32
+and hands it to the output file as it is built. So no whole class plane of
+the soft volume is held, float32 or float64 (how the CLI's `encode` and
+`fuse` write, from raters that read their open label files, so that no
+whole label volume is held either).
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,21 +80,40 @@ class RaterSet:
         return len(self.raters)
 
 
+class _RowWriter:
+    """A class plane of `shape` that is written as it is filled: `out[rows]
+    = slab` rounds the slab to little-endian float32 and hands it to
+    `write`. The slabs must come in row order, each starting where the last
+    one stopped, so the plane reaches the file in its own byte order."""
+
+    def __init__(self, write, shape: tuple[int, ...]):
+        self._write, self.shape, self.size = write, shape, math.prod(shape)
+        self._next = 0  # the first row not yet written
+
+    def __setitem__(self, rows: slice, slab: np.ndarray) -> None:
+        start, stop, step = rows.indices(self.shape[0])
+        if (start, step) != (self._next, 1) or slab.shape != (stop - start, *self.shape[1:]):
+            raise ValueError(f"the {self.shape} plane is written up to row {self._next}; "
+                             f"rows {start}:{stop} of shape {slab.shape} do not continue it")
+        self._write(slab.astype("<f4"))
+        self._next = stop
+
+
 @dataclass(frozen=True)
 class SoftPlanes:
-    """A soft-label volume built one class plane at a time: iterating `data`
-    builds class 0, 1, ... in turn into one reused float32 plane and yields
-    it, valid until the next one is built. `data` can be iterated once."""
+    """A soft-label volume built one class plane at a time as it is written:
+    `write_to(write)` builds class 0, 1, ... in turn, each into a
+    `_RowWriter` that hands each float32 slab of rows to `write`."""
 
-    data: Iterator[np.ndarray]
+    write_to: Callable[[Callable], None]
     dims: tuple[int, ...]
     num_classes: int
     spacing: tuple[float, ...]
 
 
-def _class_planes(raters: RaterSet, fill, out) -> Iterator[np.ndarray]:
-    """Let `fill(votes, num_raters, plane)` write each class's float32 plane
-    `out[c]` from its unsigned vote count, and yield it once written."""
+def _class_planes(raters: RaterSet, fill, out) -> None:
+    """Let `fill(votes, num_raters, plane)` write each class's plane `out[c]`,
+    in class order, from its unsigned vote count."""
     first, *rest = raters.raters
     dtype = np.min_scalar_type(len(raters))
     for c in range(first.num_classes):
@@ -101,21 +122,20 @@ def _class_planes(raters: RaterSet, fill, out) -> Iterator[np.ndarray]:
             votes += rater.data == c
         fill(votes, len(raters), out[c])
         del votes  # freed before the next class's votes are counted
-        yield out[c]
 
 
 def _encoded(raters: RaterSet, fill, streamed: bool):
     """The soft volume whose class planes `fill` writes: built whole into
-    one fresh array, or when `streamed` a `SoftPlanes` that builds each
-    class into one fresh plane as it is iterated (module docstring)."""
+    one fresh array, or when `streamed` a `SoftPlanes` that builds them as
+    it is written (module docstring)."""
     first = raters.raters[0]
     if streamed:
-        plane = np.empty(first.dims, dtype=np.float32)
-        planes = _class_planes(raters, fill, (plane,) * first.num_classes)
-        return SoftPlanes(planes, first.dims, first.num_classes, first.spacing)
+        def write_to(write):
+            _class_planes(raters, fill, [_RowWriter(write, first.dims) for _ in range(first.num_classes)])
+
+        return SoftPlanes(write_to, first.dims, first.num_classes, first.spacing)
     out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
-    for _ in _class_planes(raters, fill, out):
-        pass
+    _class_planes(raters, fill, out)
     out.setflags(write=False)  # fresh: the container adopts it without a copy
     return SoftLabelVolume(out, first.spacing)
 

@@ -44,17 +44,19 @@ of repairing them, with a VolumeFormatError naming the faulty field.
 
 Every output is one commit (`_write_files`): a volume's payload and sidecar,
 or a report, are staged as temp files and then renamed into place, payload
-first, so a failed write leaves no file of its output. `write_volume` is the
-one writer: it writes a payload one class plane at a time (a
-`smoothing.SoftPlanes` builds each plane as it is written), and before the
-rename it opens and checks the staged pair as a reader opens and checks an
-input (`open_volume`, `check_slabs`). Neither holds a whole volume.
+first, so a failed write leaves no file of its output, nor any directory
+made for it. Each payload is written through one path, a function handed
+the staged file's `write`. `write_volume` is the one writer: it writes a
+payload one class plane at a time (a `smoothing.SoftPlanes` builds each
+plane one float32 slab of rows at a time as it is written), and before
+the rename it opens and checks the staged pair as a reader opens and
+checks an input (`open_volume`, `check_slabs`). Neither holds a whole
+volume, nor a SoftPlanes' whole class plane.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import json
 import math
 import operator
@@ -91,27 +93,31 @@ def sidecar_path(path) -> str:
     return str(path) + ".json"
 
 
-def _write_files(path, chunks, sidecar=None, check=None) -> None:
-    """Commit one output: stage `chunks` (bytes or C-contiguous arrays) as a
-    temp file beside `path`, and the bytes `sidecar`, if any, at the temp
-    file's own `sidecar_path`; call `check(staged)`, if given, to refuse the
-    output by raising; then rename both into place, payload first. A failure
-    removes the staged files and every file already renamed."""
+def _write_files(path, payload, sidecar=None, check=None) -> None:
+    """Commit one output: stage a temp file beside `path`, into which
+    `payload(write)` writes through the file's `write`, and the bytes
+    `sidecar`, if any, at the temp file's own `sidecar_path`; call
+    `check(staged)`, if given, to refuse the output by raising; then rename
+    both into place, payload first. A failure removes the staged files,
+    every file already renamed and every directory this call made."""
     directory = os.path.dirname(str(path)) or "."
-    os.makedirs(directory, exist_ok=True)
-    fd, staged = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    files = [(staged, path, chunks)]
-    if sidecar is not None:
-        files.append((sidecar_path(staged), sidecar_path(path), (sidecar,)))
+    missing, parent = [], os.path.abspath(directory)
+    while not os.path.lexists(parent):  # innermost first
+        missing.append(parent)
+        parent = os.path.dirname(parent)
     made, renamed = [], []
     try:
-        for name, _, parts in files:
+        os.makedirs(directory, exist_ok=True)
+        fd, staged = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+        files = [(staged, path, payload)]
+        if sidecar is not None:
+            files.append((sidecar_path(staged), sidecar_path(path), lambda write: write(sidecar)))
+        for name, _, fill in files:
             if made:  # the sidecar, made exclusively as mkstemp made the payload
                 fd = os.open(name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
             made.append(name)
             with os.fdopen(fd, "wb") as fh:
-                for chunk in parts:
-                    fh.write(chunk)
+                fill(fh.write)
             os.chmod(name, 0o644)  # staged 0600; match regular file creation
         if check is not None:
             check(staged)
@@ -122,7 +128,19 @@ def _write_files(path, chunks, sidecar=None, check=None) -> None:
         for name in [*made, *renamed]:
             if os.path.lexists(name):
                 os.unlink(name)
+        for name in missing:
+            with contextlib.suppress(OSError):  # kept if anything else has landed in it
+                os.rmdir(name)
         raise
+
+
+def _arrays(planes, dtype):
+    """A payload that writes each of the arrays `planes` as `dtype`."""
+    def write_to(write):
+        for plane in planes:
+            write(plane.astype(dtype, copy=False))
+
+    return write_to
 
 
 def write_volume(volume, path, provenance=None) -> None:
@@ -130,11 +148,13 @@ def write_volume(volume, path, provenance=None) -> None:
     into place first and the sidecar last, and a failure leaves neither.
 
     The payload is written one class plane at a time (a label volume is one
-    plane). Before the rename the staged pair is opened with `open_volume`
-    and checked with `check_slabs`, as a reader opens and checks an input
-    (a `smoothing.SoftPlanes` as a SoftLabelVolume); a slab fault names its
-    rows and `path`. So a SoftPlanes, whose planes are built as they are
-    written, is never held whole, and what lands at `path` always reads back.
+    plane), and a `smoothing.SoftPlanes` writes each class plane one float32
+    slab of rows at a time as it is built. Before the rename the staged pair
+    is opened with `open_volume` and checked with `check_slabs`, as a reader
+    opens and checks an input (a SoftPlanes as a SoftLabelVolume); a slab
+    fault names its rows and `path`. So a SoftPlanes is never held whole,
+    not even one class plane of it, and what lands at `path` always reads
+    back.
 
     LogitVolume payloads use the f32 dtype code and are readable only via
     read_logits (their voxel sums are not probability sums). A float64
@@ -143,11 +163,14 @@ def write_volume(volume, path, provenance=None) -> None:
     (NaN, infinity, or a value of no JSON kind).
     """
     if isinstance(volume, LabelVolume):
-        dtype_code, kind, planes = DTYPE_LABELS, LabelVolume, (volume.data,)
-    elif isinstance(volume, (SoftLabelVolume, SoftPlanes)):
-        dtype_code, kind, planes = DTYPE_PROBS, SoftLabelVolume, volume.data
+        dtype_code, kind, write_planes = DTYPE_LABELS, LabelVolume, _arrays((volume.data,), "<u1")
+    elif isinstance(volume, SoftLabelVolume):
+        dtype_code, kind, write_planes = DTYPE_PROBS, SoftLabelVolume, _arrays(volume.data, "<f4")
+    elif isinstance(volume, SoftPlanes):
+        dtype_code, kind, write_planes = DTYPE_PROBS, SoftLabelVolume, volume.write_to
     elif isinstance(volume, LogitVolume):
-        dtype_code, kind, planes = DTYPE_PROBS, LogitVolume, volume.data
+        planes = volume.data
+        dtype_code, kind, write_planes = DTYPE_PROBS, LogitVolume, _arrays(planes, "<f4")
         with np.errstate(over="ignore"):  # a float64 score beyond float32 range becomes inf, rejected here
             if planes.dtype != np.float32 and not all(np.isfinite(p.astype("<f4")).all() for p in planes):
                 raise ValueError("values beyond float32 range cannot be written as f32, "
@@ -160,8 +183,10 @@ def write_volume(volume, path, provenance=None) -> None:
     sidecar = json.dumps(meta, indent=2, allow_nan=False) + "\n"  # before any file: JSON has no NaN
     shape = volume.dims if dtype_code == DTYPE_LABELS else (volume.num_classes, *volume.dims)
     header = MAGIC + struct.pack(f"<{3 + len(shape)}I", VERSION, dtype_code, len(volume.dims), *shape)
-    dtype = _DTYPES[dtype_code]
-    payload = itertools.chain((header,), (p.astype(dtype, copy=False) for p in planes))
+
+    def payload(write):
+        write(header)
+        write_planes(write)
 
     def check(staged):
         with open_volume(staged) as written:
@@ -425,4 +450,4 @@ def write_report(report, path) -> None:
         if rows_name is not None:
             doc[rows_name] = [dict(zip(columns, row)) for row in rows]
         text = json.dumps(doc, indent=2) + "\n"
-    _write_files(path, (text.encode("utf-8"),))
+    _write_files(path, lambda write: write(text.encode("utf-8")))

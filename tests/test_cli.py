@@ -1287,16 +1287,25 @@ def streamed_write(tmp_path, rng, case, dims=(10, 4, 4)):
 @pytest.mark.parametrize("case", ["encode-svls", "fuse-msvls"])
 @pytest.mark.parametrize("row", [0, 6, 9])
 def test_a_bad_class_plane_is_refused_before_any_output_lands(tmp_path, rng, capsys, monkeypatch, case, row):
-    # one voxel of class 2 is 1.5 when it is built; the staged payload is
-    # checked one two-row slab at a time before anything is renamed
+    # one voxel of class 2 is 1.5 in the slab that it is built in; the staged
+    # payload is checked one two-row slab at a time before anything is renamed
     argv, out = streamed_write(tmp_path, rng, case)
     class_planes = smoothing._class_planes
 
-    def one_bad_voxel(raters, fill, planes):
-        for c, plane in enumerate(class_planes(raters, fill, planes)):
-            if c == 2:
-                plane[row, 1, 3] = 1.5
-            yield plane
+    class OneBadVoxel:
+        """A row writer whose slab holding `row` is written with voxel (row, 1, 3) at 1.5."""
+
+        def __init__(self, plane):
+            self.plane, self.shape, self.size = plane, plane.shape, plane.size
+
+        def __setitem__(self, rows, slab):
+            if rows.start <= row < rows.stop:
+                slab = slab.copy()
+                slab[row - rows.start, 1, 3] = 1.5
+            self.plane[rows] = slab
+
+    def one_bad_voxel(raters, fill, out):
+        class_planes(raters, fill, [OneBadVoxel(plane) if c == 2 else plane for c, plane in enumerate(out)])
 
     monkeypatch.setattr(smoothing, "_class_planes", one_bad_voxel)
     with sum_block(32):
@@ -1364,8 +1373,24 @@ def test_a_label_fault_found_while_writing_leaves_no_output(tmp_path, rng, capsy
     assert list(out.iterdir()) == []
 
 
+def test_a_label_fault_found_while_writing_leaves_no_directory(tmp_path, rng, capsys):
+    # the output's missing directories are made with its temp file, before
+    # class 0's read of the input finds the label 7 of a 3-class file
+    src, _ = make_labels(tmp_path, rng, "labels.svlv", (6, 6, 6), 3)
+    blob = bytearray(src.read_bytes())
+    blob[-1] = 7
+    src.write_bytes(bytes(blob))
+    out = tmp_path / "new" / "deeper" / "o.svlv"
+    code, stdout, err = run(["encode", "--in", str(src), "--method", "svls", "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert one_error_line(err) == {"error": "validation",
+                                   "message": "payload: labels must lie in [0, 3), found range [0, 7]"}
+    assert not (tmp_path / "new").exists()
+
+
 class _ThirdPlaneFails:
-    """A staged file whose third array chunk, the third class plane, fails to be written."""
+    """A staged file whose third array chunk, the third class plane, fails to
+    be written (at the default slab size each plane here is one slab)."""
 
     def __init__(self, fh, planes):
         self.fh, self.planes = fh, planes
@@ -1392,7 +1417,7 @@ def test_a_failed_plane_write_leaves_no_output(tmp_path, rng, capsys, monkeypatc
     code, stdout, err = run(argv, capsys)
     assert (code, stdout) == (2, "")
     assert one_error_line(err) == {"error": "io", "message": "[Errno 28] No space left on device"}
-    assert planes == [(10, 4, 4)] * 3  # written one class plane at a time
+    assert planes == [(10, 4, 4)] * 3  # written one slab, here one class plane, at a time
     assert list(out.iterdir()) == []
 
 

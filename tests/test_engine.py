@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from svls import (LabelVolume, RaterSet, SvlsKernel, engine, label_smooth, moh_fuse, msvls_fuse, one_hot_encode,
-                  svls_smooth, volume)
+                  smoothing, svls_smooth, volume)
 
 from conftest import slab_cuts, sum_block
 from oracles import hp_svls_taps, naive_svls, ndimage_msvls
@@ -254,6 +254,21 @@ def test_correlate_divides_by_each_divisor_in_turn_and_rounds_once_into_its_outp
     out = np.empty(grid.shape, np.float32)
     assert engine.correlate_padded(grid, weights, divisors, out) is out
     assert out.tobytes() == whole.astype(np.float32).tobytes()
+
+
+@pytest.mark.parametrize("dims, block", [((7, 5), 10), ((5, 4, 3), 24)], ids=["2d", "3d"])
+def test_correlate_into_a_row_writer_writes_the_bytes_of_an_array_output(rng, dims, block):
+    # the row writer is fed in slabs of two rows, the array in one slab
+    grid = rng.integers(0, 4, size=dims, dtype=np.uint8)
+    kernel = SvlsKernel(len(dims), 1.0)
+    divisors = (3, kernel.total_weight)
+    out = engine.correlate_padded(grid, kernel.weights, divisors, np.empty(dims, np.float32))
+    chunks = []
+    writer = smoothing._RowWriter(chunks.append, dims)
+    with sum_block(block):
+        assert engine.correlate_padded(grid, kernel.weights, divisors, writer) is writer
+    assert [c.shape[0] for c in chunks] == [2] * (dims[0] // 2) + [1]
+    assert b"".join(chunks) == out.tobytes()
 
 
 @settings(max_examples=80, deadline=None)

@@ -26,16 +26,17 @@ RSS. On the 4-class volume of 1 MiB below:
   metric sorts its float32 population in place and sums one bin at a time,
   widening it to float64 one fixed-size block at a time. A miscalibrated
   prediction, whose confidences all fall in one bin, peaks at 0.68x.
-- The `encode` and `fuse` subcommands build each class plane into one
-  reused float32 plane (0.25x) and write it at once, then read the staged
-  file back one slab of rows (0.25x at this size) at a time to check it
-  before it is renamed into place: `encode --method svls` peaks at 0.89x,
-  `fuse --method msvls` (three raters) at 0.90x, with the vote count, its
-  shell sums and the stencil's two float64 slabs beside the plane, and
-  `encode --method ls` at 0.64x. They read each input whole once per class
-  as its votes are counted and hold no label volume beyond that, so at
-  64x64x64 the `fuse --method msvls` peak with 12 raters is within a fifth
-  of a rater of its peak with 3.
+- The `encode` and `fuse` subcommands build each class plane one slab of
+  rows at a time and write each float64 slab to the staged file as it is
+  rounded to float32, so no whole plane is held, then read the staged file
+  back one slab of rows (0.25x at this size) at a time to check it before
+  it is renamed into place: `encode --method svls` peaks at 0.65x and
+  `fuse --method msvls` (three raters) at 0.66x, holding the vote count,
+  its shell sums and the stencil's two float64 slabs, and `encode --method
+  ls` at 0.50x. They read each input whole once per class as its votes are
+  counted and hold no label volume beyond that, so at 64x64x64 the
+  `fuse --method msvls` peak with 12 raters is within a fifth of a rater
+  of its peak with 3.
 - The `evaluate` subcommand on a 4-class SVLS-smoothed prediction of this
   size peaks at 0.89x: it checks the prediction one slab of rows at a
   time, then reads it one class plane (0.25x) at a time, for each sweep of
@@ -96,8 +97,8 @@ ENCODE_BOUND = 1.4
 ARGMAX_BOUND = 0.6
 CALIBRATION_BOUND = 0.9
 CLI_EVALUATE_BOUND = 1.1
-CLI_SMOOTH_BOUND = 1.0  # encode --method svls, fuse --method msvls
-CLI_ENCODE_BOUND = 1.0  # encode --method ls
+CLI_SMOOTH_BOUND = 0.75  # encode --method svls, fuse --method msvls
+CLI_ENCODE_BOUND = 0.6  # encode --method ls
 BALL_BYTES_BOUND = 16  # traced bytes per offset of a Surface Dice tolerance ball
 PHANTOM_BYTES_BOUND = 2.5  # traced bytes per voxel of a nested-spheres phantom
 HOMOGENEOUS_BOUND = 1.2  # a homogeneous phantom, per byte of its labels
@@ -276,8 +277,9 @@ def test_cli_streamed_write_peak(tmp_path, command, bound):
     argv = [a.format(**paths) for a in command] + ["--out", str(out / "soft.svlv")]
     ratio = peak_ratio(lambda: main(argv))
     assert sorted(p.name for p in out.iterdir()) == ["soft.svlv", "soft.svlv.json"]
-    # at least the one float32 plane that each class is built into (0.25x),
-    # and a float64 slab of its per-voxel step or of the staged check (0.125x)
+    # at least what the staged check holds at once: one slab of rows of the
+    # four float32 class planes (0.25x) and the float64 slab of their voxel
+    # sums (0.125x)
     assert 0.375 <= ratio <= bound, ratio
 
 

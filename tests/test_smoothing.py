@@ -1,4 +1,3 @@
-import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -20,9 +19,9 @@ from svls import (
     one_hot_encode,
     svls_smooth,
 )
-from svls.smoothing import SoftPlanes
+from svls.smoothing import SoftPlanes, _RowWriter
 
-from conftest import random_labels
+from conftest import random_labels, sum_block
 from oracles import naive_svls, ndimage_msvls
 
 
@@ -372,20 +371,53 @@ ENCODERS = {
 }
 
 
+class _CountedReads:
+    """A label volume's grid whose `data` gives its labels and counts the times it is asked for them."""
+
+    def __init__(self, labels):
+        self.labels, self.reads = labels, 0
+        self.dims, self.rank, self.num_classes = labels.dims, labels.rank, labels.num_classes
+        self.spacing = labels.spacing
+
+    @property
+    def data(self):
+        self.reads += 1
+        return self.labels.data
+
+
 @pytest.mark.parametrize("name", ENCODERS)
 def test_streamed_planes_are_the_whole_volumes_built_into_one_plane(rng, name):
+    # each class plane is built into a row writer as the volume is written,
+    # and reaches the file one float32 slab of rows at a time
     raters = RaterSet(tuple(random_labels(rng, (5, 6, 7), 3, spacing=(1.0, 2.0, 0.5)) for _ in range(3)))
     whole = ENCODERS[name](raters.raters[0], raters)
-    planes = ENCODERS[name](raters.raters[0], raters, streamed=True)
+    counted = RaterSet(tuple(_CountedReads(r) for r in raters.raters))
+    planes = ENCODERS[name](counted.raters[0], counted, streamed=True)
     assert isinstance(planes, SoftPlanes)
     assert (planes.dims, planes.num_classes, planes.spacing) == (whole.dims, 3, whole.spacing)
-    # nothing is built before the planes are asked for
-    assert inspect.getgeneratorstate(planes.data) == inspect.GEN_CREATED
-    built = []
-    for c, each in enumerate(planes.data):
-        assert each.tobytes() == whole.data[c].tobytes()  # checked before the next class overwrites it
-        built.append(each)
-    assert len(built) == 3
-    assert all(each is built[0] for each in built)  # one plane, reused for every class
-    assert (built[0].shape, built[0].dtype) == (whole.dims, np.float32)
-    assert list(planes.data) == []  # the planes are built once
+    assert [r.reads for r in counted.raters] == [0, 0, 0]  # nothing is built before the write
+    chunks = []
+    with sum_block(84):  # slabs of two rows
+        planes.write_to(chunks.append)
+    assert b"".join(chunks) == whole.data.tobytes()
+    slab_shapes = [(2, 6, 7), (2, 6, 7), (1, 6, 7)]
+    assert [(c.shape, c.dtype.str) for c in chunks] == [(shape, "<f4") for shape in slab_shapes * 3]
+    # the planes are built once: each class reads each rater it counts once
+    assert [r.reads for r in counted.raters] == ([3, 3, 3] if name in ("moh", "msvls") else [3, 0, 0])
+
+
+@pytest.mark.parametrize("rows, shape", [
+    (slice(3, 4), (1, 3)),  # a row skipped
+    (slice(0, 2), (2, 3)),  # rows written again
+    (slice(2, 4, 2), (1, 3)),  # every other row
+    (slice(2, 4), (1, 3)),  # a slab of fewer rows than it is written to
+    (slice(2, 4), (2, 4)),  # a slab of another row shape
+])
+def test_a_row_writer_refuses_rows_that_do_not_continue_its_plane(rows, shape):
+    chunks = []
+    writer = _RowWriter(chunks.append, (4, 3))
+    writer[0:2] = np.zeros((2, 3))
+    with pytest.raises(ValueError, match=r"the \(4, 3\) plane is written up to row 2; rows "):
+        writer[rows] = np.ones(shape)
+    writer[2:4] = np.ones((2, 3))
+    assert b"".join(chunks) == np.float32([0] * 6 + [1] * 6).tobytes()

@@ -106,8 +106,22 @@ def test_staged_files_are_private_until_written(tmp_path, rng, monkeypatch):
 
 
 def test_failed_write_raises_and_leaves_no_file(tmp_path):
+    def payload(write):
+        write(b"SVLV")
+        write(object())
+
     with pytest.raises(TypeError):
-        tensor_io._write_files(tmp_path / "out" / "v.svlv", (b"SVLV", object()))
+        tensor_io._write_files(tmp_path / "out" / "v.svlv", payload)
+    assert not (tmp_path / "out").exists()  # nor the directory made for it
+
+
+def test_a_failed_write_removes_only_the_directories_it_made(tmp_path):
+    # `out` was there before the write; `new` and `new/deeper` were made for it
+    (tmp_path / "out").mkdir()
+    nothing = SoftPlanes(lambda write: None, (3, 4), 2, (1.0, 1.0))
+    with pytest.raises(VolumeFormatError):
+        write_volume(nothing, tmp_path / "out" / "new" / "deeper" / "v.svlv")
+    assert list(tmp_path.iterdir()) == [tmp_path / "out"]
     assert list((tmp_path / "out").iterdir()) == []
 
 
@@ -165,7 +179,8 @@ def test_soft_planes_of_another_class_count_leave_no_file(tmp_path, planes, foun
     # the header declares two class planes of 3x4 float32 values, 96 bytes
     plane = np.full((3, 4), 0.5, np.float32)
     with pytest.raises(VolumeFormatError) as err:
-        write_volume(SoftPlanes(iter([plane] * planes), (3, 4), 2, (1.0, 1.0)), tmp_path / "v.svlv")
+        write_volume(SoftPlanes(lambda write: [write(plane) for _ in range(planes)], (3, 4), 2, (1.0, 1.0)),
+                     tmp_path / "v.svlv")
     assert err.value.field == "payload"
     assert str(err.value) == f"payload: expected 96 payload bytes, found {found}"
     assert list(tmp_path.iterdir()) == []
@@ -207,7 +222,7 @@ def test_a_staged_payload_is_checked_as_its_container_before_it_lands(tmp_path, 
         write_volume(vol, path)
     assert err.value.field == "payload"
     assert str(err.value).startswith(f"payload: rows 0:2 of {path}: {message}")
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()  # nor the directory made for it
 
 
 def test_soft_planes_are_written_as_the_whole_volume_is(tmp_path, rng):

@@ -346,12 +346,12 @@ def run_encode(plan: dict) -> int:
         with contextlib.ExitStack() as inputs:
             labels = _LabelFile(_open(inputs, src, LabelVolume, "encode --in"))
             if method == "onehot":
-                soft = one_hot_encode(labels, streamed=True)
+                soft = one_hot_encode(labels)
             elif method == "ls":
-                soft = label_smooth(labels, plan["alpha"], streamed=True)
+                soft = label_smooth(labels, plan["alpha"])
                 provenance["alpha"] = plan["alpha"]
             else:
-                soft = svls_smooth(labels, plan["sigma"], streamed=True)  # its sigma rule, at this volume's rank
+                soft = svls_smooth(labels, plan["sigma"])  # its sigma rule, at this volume's rank
                 provenance["sigma"] = plan["sigma"]
             tensor_io.write_volume(soft, dst, provenance=provenance)
         log.info("encoded %s -> %s", src, dst)
@@ -374,10 +374,10 @@ def run_fuse(plan: dict) -> int:
     with contextlib.ExitStack() as inputs:
         raters = RaterSet(tuple(_LabelFile(_open(inputs, p, LabelVolume, "fuse --in")) for p in paths))
         if plan["method"] == "msvls":
-            fused = msvls_fuse(raters, plan["sigma"], streamed=True)  # its sigma rule, at the raters' rank
+            fused = msvls_fuse(raters, plan["sigma"])  # its sigma rule, at the raters' rank
             provenance["sigma"] = plan["sigma"]
         else:
-            fused = moh_fuse(raters, streamed=True)
+            fused = moh_fuse(raters)
         tensor_io.write_volume(fused, plan["out"], provenance=provenance)
     return 0
 

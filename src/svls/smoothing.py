@@ -32,14 +32,15 @@ Votes are counted in the smallest unsigned dtype holding the rater count.
 `engine.correlate_padded` takes only such counts, and widens them where the
 widest shell (4 voxels in 2D, 12 in 3D) times the rater count would not fit.
 
-Each entry point returns a SoftLabelVolume that adopts the one float32 array
-its planes were built into. With `streamed=True` it builds nothing yet: it
-returns a `SoftPlanes`, which runs the same loop when it is written, each
-class plane into a `_RowWriter` that rounds each float64 slab to float32
-and hands it to the output file as it is built. So no whole class plane of
-the soft volume is held, float32 or float64 (how the CLI's `encode` and
-`fuse` write, from raters that read their open label files, so that no
-whole label volume is held either).
+What each entry point returns follows from its raters. From LabelVolumes
+alone it returns a SoftLabelVolume that adopts the one float32 array its
+planes were built into. If any rater reads its labels when asked, it builds
+nothing yet: it returns a `SoftPlanes`, which runs the same loop when it is
+written, each class plane into a `_RowWriter` that rounds each float64 slab
+to float32 and hands it to the output file as it is built. So no whole
+class plane of the soft volume is held, float32 or float64, nor any whole
+label volume (how the CLI's `encode` and `fuse` write from their open label
+files).
 """
 
 from __future__ import annotations
@@ -60,7 +61,8 @@ class RaterSet:
 
     Each is a LabelVolume, or anything with a label volume's `dims`,
     `rank`, `num_classes` and `spacing` whose `data` gives its labels each
-    time it is asked (module docstring). The grids are checked on those
+    time it is asked; one such rater makes the encoders return a
+    `SoftPlanes` (module docstring). The grids are checked on those
     attributes alone, before any labels are asked for."""
 
     raters: tuple[LabelVolume, ...]
@@ -124,20 +126,22 @@ def _class_planes(raters: RaterSet, fill, out) -> None:
         del votes  # freed before the next class's votes are counted
 
 
-def _encoded(raters: RaterSet, fill, streamed: bool):
-    """The soft volume whose class planes `fill` writes: built whole into
-    one fresh array, or when `streamed` a `SoftPlanes` that builds them as
-    it is written (module docstring)."""
+def _encoded(raters: RaterSet, fill):
+    """The soft volume whose class planes `fill` writes: from LabelVolumes
+    alone, built whole into one fresh array; if any rater reads its labels
+    when asked, a `SoftPlanes` that builds them as it is written (module
+    docstring)."""
     first = raters.raters[0]
-    if streamed:
-        def write_to(write):
-            _class_planes(raters, fill, [_RowWriter(write, first.dims) for _ in range(first.num_classes)])
+    if all(isinstance(r, LabelVolume) for r in raters.raters):
+        out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
+        _class_planes(raters, fill, out)
+        out.setflags(write=False)  # fresh: the container adopts it without a copy
+        return SoftLabelVolume(out, first.spacing)
 
-        return SoftPlanes(write_to, first.dims, first.num_classes, first.spacing)
-    out = np.empty((first.num_classes,) + first.dims, dtype=np.float32)
-    _class_planes(raters, fill, out)
-    out.setflags(write=False)  # fresh: the container adopts it without a copy
-    return SoftLabelVolume(out, first.spacing)
+    def write_to(write):
+        _class_planes(raters, fill, [_RowWriter(write, first.dims) for _ in range(first.num_classes)])
+
+    return SoftPlanes(write_to, first.dims, first.num_classes, first.spacing)
 
 
 def _voxelwise(transform):
@@ -150,12 +154,12 @@ def _voxelwise(transform):
     return fill
 
 
-def moh_fuse(raters: RaterSet, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
+def moh_fuse(raters: RaterSet) -> SoftLabelVolume | SoftPlanes:
     """Per-voxel fraction of raters voting for each class."""
-    return _encoded(raters, _voxelwise(lambda votes, num_raters: votes / num_raters), streamed)
+    return _encoded(raters, _voxelwise(lambda votes, num_raters: votes / num_raters))
 
 
-def msvls_fuse(raters: RaterSet, sigma: float, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
+def msvls_fuse(raters: RaterSet, sigma: float) -> SoftLabelVolume | SoftPlanes:
     """SVLS of the rater vote shares, equal by linearity to the mean of the
     per-rater SVLS maps.
 
@@ -169,12 +173,12 @@ def msvls_fuse(raters: RaterSet, sigma: float, *, streamed=False) -> SoftLabelVo
     def smooth(votes, num_raters, plane):
         engine.correlate_padded(votes, kernel.weights, (num_raters, kernel.total_weight), plane)
 
-    return _encoded(raters, smooth, streamed)
+    return _encoded(raters, smooth)
 
 
-def svls_smooth(labels: LabelVolume, sigma: float, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
+def svls_smooth(labels: LabelVolume, sigma: float) -> SoftLabelVolume | SoftPlanes:
     """Spatially varying soft targets for one annotation, from the stencil of its rank and `sigma`."""
-    return msvls_fuse(RaterSet((labels,)), sigma, streamed=streamed)
+    return msvls_fuse(RaterSet((labels,)), sigma)
 
 
 def check_alpha(alpha: float) -> None:
@@ -183,14 +187,14 @@ def check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must be in [0, 1], got {alpha}")
 
 
-def label_smooth(labels: LabelVolume, alpha: float, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
+def label_smooth(labels: LabelVolume, alpha: float) -> SoftLabelVolume | SoftPlanes:
     """Uniformly smoothed targets: annotated class gets (1-alpha)+alpha/N,
     every other class gets alpha/N."""
     check_alpha(alpha)
     n = labels.num_classes
-    return _encoded(RaterSet((labels,)), _voxelwise(lambda votes, _: alpha / n + votes * (1.0 - alpha)), streamed)
+    return _encoded(RaterSet((labels,)), _voxelwise(lambda votes, _: alpha / n + votes * (1.0 - alpha)))
 
 
-def one_hot_encode(labels: LabelVolume, *, streamed=False) -> SoftLabelVolume | SoftPlanes:
+def one_hot_encode(labels: LabelVolume) -> SoftLabelVolume | SoftPlanes:
     """Expand a label volume into indicator probability planes, one per class."""
-    return moh_fuse(RaterSet((labels,)), streamed=streamed)
+    return moh_fuse(RaterSet((labels,)))

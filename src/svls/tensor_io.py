@@ -63,7 +63,6 @@ import operator
 import os
 import struct
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -204,32 +203,16 @@ def _fault_of(field: str, call, *args, where: str = ""):
         raise VolumeFormatError(field, f"{where}{exc}")
 
 
-@dataclass(frozen=True)
-class VolumeHeader:
-    """What a volume file and its sidecar declare, checked: the dtype code,
-    the extents of the payload (the class axis first in an f32 file), the
-    spacing, the class count and the provenance. `dims` and `num_classes`
-    are those of the volume it holds."""
-
-    dtype_code: int
-    shape: tuple[int, ...]
-    spacing: tuple[float, ...]
-    num_classes: int
-    provenance: dict
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.shape if self.dtype_code == DTYPE_LABELS else self.shape[1:]
-
-
 _DTYPES = {DTYPE_LABELS: np.dtype("<u1"), DTYPE_PROBS: np.dtype("<f4")}
 
 
-def _check_header(fh, path, file_size: int) -> VolumeHeader:
+def _check_header(fh, path, file_size: int):
     """Check the header of the open file `fh` against its `file_size`,
     and the sidecar's JSON kinds (module docstring) against the header and
     the containers' spacing and class-count rules, an f32 file's class axis
-    included. Leaves `fh` at the first payload byte."""
+    included. Returns the checked dtype code, spatial extents, spacing,
+    class count and provenance, and leaves `fh` at the first payload
+    byte."""
     head = fh.read(16)
     if len(head) < 16:
         raise VolumeFormatError("header", f"file is {len(head)} bytes, header needs 16")
@@ -275,7 +258,7 @@ def _check_header(fh, path, file_size: int) -> VolumeHeader:
     if dtype_code == DTYPE_PROBS and axes[0] != num_classes:
         raise VolumeFormatError("num_classes", f"sidecar says {num_classes} classes, payload has {axes[0]}")
     _fault_of("num_classes", _check_num_classes if dtype_code == DTYPE_LABELS else _check_class_axis, num_classes)
-    return VolumeHeader(dtype_code, axes, spacing, num_classes, provenance)
+    return dtype_code, axes[-rank:], spacing, num_classes, provenance  # an f32 file's class axis comes first
 
 
 def _identity(stat) -> tuple[int, int, int, int]:
@@ -284,9 +267,10 @@ def _identity(stat) -> tuple[int, int, int, int]:
 
 class VolumeFile:
     """A volume file held open by `open_volume` (module docstring): its
-    header and sidecar are checked once, into `header`.
-    `kind` is the container a plain read makes of it: LabelVolume for a u8
-    file, SoftLabelVolume for an f32 one. Like a volume it has `dims`,
+    header and sidecar are checked once, into `dims`, `num_classes`,
+    `spacing`, `kind` and the sidecar's `provenance`. `kind` is the
+    container a plain read makes of it: LabelVolume for a u8 file,
+    SoftLabelVolume for an f32 one. Like a volume it has `dims`,
     `num_classes`, `spacing`, and as `data` its class planes: `len()` is the
     class count, and item c reads plane c of an f32 file into a fresh
     read-only array; a label file has no class planes, so its item c is a
@@ -296,11 +280,10 @@ class VolumeFile:
     def __init__(self, fh, path):
         stat = os.fstat(fh.fileno())
         self._fh, self.path, self._identity = fh, path, _identity(stat)
-        self.header = _check_header(fh, path, stat.st_size)
-        self.dims, self.num_classes, self.spacing = self.header.dims, self.header.num_classes, self.header.spacing
-        self.kind = LabelVolume if self.header.dtype_code == DTYPE_LABELS else SoftLabelVolume
-        self._dtype = _DTYPES[self.header.dtype_code]
-        self._start = 16 + 4 * len(self.header.shape)  # the first payload byte
+        dtype_code, self.dims, self.spacing, self.num_classes, self.provenance = _check_header(fh, path, stat.st_size)
+        self.kind = LabelVolume if dtype_code == DTYPE_LABELS else SoftLabelVolume
+        self._dtype = _DTYPES[dtype_code]
+        self._start = fh.tell()  # the first payload byte
 
     @property
     def data(self) -> VolumeFile:

@@ -78,6 +78,30 @@ def rewrite_in_place(path, other):
     os.utime(path, ns=(before.st_atime_ns, max(path.stat().st_mtime_ns, before.st_mtime_ns + 10**9)))
 
 
+class _StagedFile:
+    """A staged output file that writes `edit(chunk)` for each chunk written to it."""
+
+    def __init__(self, fh, edit):
+        self.fh, self.edit = fh, edit
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, chunk):
+        return self.fh.write(self.edit(chunk))
+
+
+def edit_staged_writes(monkeypatch, edit):
+    """Pass each chunk that `tensor_io` writes to a staged file, payload or
+    sidecar, through `edit(chunk)`, which returns the chunk to write or
+    raises to make the write fail."""
+    fdopen = tensor_io.os.fdopen
+    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: _StagedFile(fdopen(fd, mode), edit))
+
+
 @contextlib.contextmanager
 def sum_block(block):
     """Run the body with `volume.SUM_BLOCK`, and so every slab, set to `block` voxels."""

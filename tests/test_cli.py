@@ -33,7 +33,8 @@ from svls.cli import main
 from svls.tensor_io import read_volume, write_report, write_volume
 from svls.volume import slabs
 
-from conftest import forbid_payload_read, random_labels, rename_over, rewrite_in_place, set_sidecar_token, sum_block
+from conftest import (edit_staged_writes, forbid_payload_read, random_labels, rename_over, rewrite_in_place,
+                      set_sidecar_token, sum_block)
 
 
 def run(args, capsys):
@@ -1388,32 +1389,19 @@ def test_a_label_fault_found_while_writing_leaves_no_directory(tmp_path, rng, ca
     assert not (tmp_path / "new").exists()
 
 
-class _ThirdPlaneFails:
-    """A staged file whose third array chunk, the third class plane, fails to
-    be written (at the default slab size each plane here is one slab)."""
-
-    def __init__(self, fh, planes):
-        self.fh, self.planes = fh, planes
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, chunk):
-        if isinstance(chunk, np.ndarray):
-            self.planes.append(chunk.shape)
-            if len(self.planes) == 3:
-                raise OSError(28, "No space left on device")
-        return self.fh.write(chunk)
-
-
 @pytest.mark.parametrize("case", STREAMED_WRITES)
 def test_a_failed_plane_write_leaves_no_output(tmp_path, rng, capsys, monkeypatch, case):
     argv, out = streamed_write(tmp_path, rng, case)
-    planes, fdopen = [], tensor_io.os.fdopen
-    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: _ThirdPlaneFails(fdopen(fd, mode), planes))
+    planes = []
+
+    def third_plane_fails(chunk):  # at the default slab size each class plane here is one slab
+        if isinstance(chunk, np.ndarray):
+            planes.append(chunk.shape)
+            if len(planes) == 3:
+                raise OSError(28, "No space left on device")
+        return chunk
+
+    edit_staged_writes(monkeypatch, third_plane_fails)
     code, stdout, err = run(argv, capsys)
     assert (code, stdout) == (2, "")
     assert one_error_line(err) == {"error": "io", "message": "[Errno 28] No space left on device"}

@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from svls import (
     LabelVolume,
     RaterSet,
+    SoftLabelVolume,
     SvlsKernel,
     argmax_labels,
     label_smooth,
@@ -363,11 +364,11 @@ def test_msvls_center_is_the_correctly_rounded_exact_shell_sum(rank, num_raters,
 
 # every encoder, called on one label volume and on a rater set led by it
 ENCODERS = {
-    "onehot": lambda labels, raters, **kw: one_hot_encode(labels, **kw),
-    "ls": lambda labels, raters, **kw: label_smooth(labels, 0.2, **kw),
-    "svls": lambda labels, raters, **kw: svls_smooth(labels, 1.0, **kw),
-    "moh": lambda labels, raters, **kw: moh_fuse(raters, **kw),
-    "msvls": lambda labels, raters, **kw: msvls_fuse(raters, 1.0, **kw),
+    "onehot": lambda labels, raters: one_hot_encode(labels),
+    "ls": lambda labels, raters: label_smooth(labels, 0.2),
+    "svls": lambda labels, raters: svls_smooth(labels, 1.0),
+    "moh": lambda labels, raters: moh_fuse(raters),
+    "msvls": lambda labels, raters: msvls_fuse(raters, 1.0),
 }
 
 
@@ -391,8 +392,9 @@ def test_streamed_planes_are_the_whole_volumes_built_into_one_plane(rng, name):
     # and reaches the file one float32 slab of rows at a time
     raters = RaterSet(tuple(random_labels(rng, (5, 6, 7), 3, spacing=(1.0, 2.0, 0.5)) for _ in range(3)))
     whole = ENCODERS[name](raters.raters[0], raters)
+    assert type(whole) is SoftLabelVolume  # LabelVolume raters: built whole
     counted = RaterSet(tuple(_CountedReads(r) for r in raters.raters))
-    planes = ENCODERS[name](counted.raters[0], counted, streamed=True)
+    planes = ENCODERS[name](counted.raters[0], counted)
     assert isinstance(planes, SoftPlanes)
     assert (planes.dims, planes.num_classes, planes.spacing) == (whole.dims, 3, whole.spacing)
     assert [r.reads for r in counted.raters] == [0, 0, 0]  # nothing is built before the write
@@ -404,6 +406,21 @@ def test_streamed_planes_are_the_whole_volumes_built_into_one_plane(rng, name):
     assert [(c.shape, c.dtype.str) for c in chunks] == [(shape, "<f4") for shape in slab_shapes * 3]
     # the planes are built once: each class reads each rater it counts once
     assert [r.reads for r in counted.raters] == ([3, 3, 3] if name in ("moh", "msvls") else [3, 0, 0])
+
+
+@pytest.mark.parametrize("name", ["moh", "msvls"])
+@pytest.mark.parametrize("counted_at", [0, 1])
+def test_one_rater_that_reads_when_asked_makes_the_whole_set_stream(rng, name, counted_at):
+    raters = [random_labels(rng, (4, 5), 3) for _ in range(2)]
+    whole = ENCODERS[name](None, RaterSet(tuple(raters)))
+    raters[counted_at] = counted = _CountedReads(raters[counted_at])
+    planes = ENCODERS[name](None, RaterSet(tuple(raters)))
+    assert isinstance(planes, SoftPlanes)
+    assert counted.reads == 0  # nothing is built before the write
+    chunks = []
+    planes.write_to(chunks.append)
+    assert b"".join(chunks) == whole.data.tobytes()
+    assert counted.reads == 3
 
 
 @pytest.mark.parametrize("rows, shape", [

@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 import svls
 from svls import LabelVolume, LogitVolume, SoftLabelVolume, one_hot_encode, tensor_io
 from svls.calibration import CalibrationReport, ReliabilityBin
+from svls.cli import _LabelFile
 from svls.loss import LossReport
 from svls.seg_metrics import SegmentationScores
 from svls.smoothing import SoftPlanes
@@ -27,7 +28,8 @@ from svls.tensor_io import (
 )
 from svls.volume import top_class
 
-from conftest import forbid_payload_read, random_labels, rename_over, rewrite_in_place, set_sidecar_token, sum_block
+from conftest import (edit_staged_writes, forbid_payload_read, random_labels, rename_over, rewrite_in_place,
+                      set_sidecar_token, sum_block)
 
 
 def test_label_roundtrip_bit_exact(tmp_path, rng):
@@ -127,23 +129,12 @@ def test_a_failed_write_removes_only_the_directories_it_made(tmp_path):
 
 def test_failed_sidecar_staging_leaves_no_file_of_the_volume(tmp_path, rng, monkeypatch):
     # the payload is staged, then the write of the sidecar's one chunk fails
-    class SidecarFails:
-        def __init__(self, fh):
-            self.fh = fh
+    def sidecar_fails(chunk):
+        if isinstance(chunk, bytes) and chunk.startswith(b"{"):
+            raise OSError(28, "No space left on device")
+        return chunk
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, chunk):
-            if isinstance(chunk, bytes) and chunk.startswith(b"{"):
-                raise OSError(28, "No space left on device")
-            return self.fh.write(chunk)
-
-    fdopen = tensor_io.os.fdopen
-    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: SidecarFails(fdopen(fd, mode)))
+    edit_staged_writes(monkeypatch, sidecar_fails)
     with pytest.raises(OSError, match="No space left"):
         write_volume(one_hot_encode(random_labels(rng, (3, 4), 2)), tmp_path / "v.svlv")
     assert list(tmp_path.iterdir()) == []
@@ -151,23 +142,12 @@ def test_failed_sidecar_staging_leaves_no_file_of_the_volume(tmp_path, rng, monk
 
 def test_a_staged_sidecar_the_reader_refuses_leaves_no_file(tmp_path, rng, monkeypatch):
     # the sidecar's one chunk lands with a spacing of the wrong JSON kind
-    class SpacingSpoilt:
-        def __init__(self, fh):
-            self.fh = fh
+    def spacing_spoilt(chunk):
+        if isinstance(chunk, bytes) and chunk.startswith(b"{"):
+            return json.dumps({**json.loads(chunk), "spacing": "1"}).encode("utf-8")
+        return chunk
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, chunk):
-            if isinstance(chunk, bytes) and chunk.startswith(b"{"):
-                chunk = json.dumps({**json.loads(chunk), "spacing": "1"}).encode("utf-8")
-            return self.fh.write(chunk)
-
-    fdopen = tensor_io.os.fdopen
-    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: SpacingSpoilt(fdopen(fd, mode)))
+    edit_staged_writes(monkeypatch, spacing_spoilt)
     with pytest.raises(VolumeFormatError) as err:
         write_volume(random_labels(rng, (3, 4), 2), tmp_path / "v.svlv")
     assert str(err.value) == 'spacing: spacing must be a list of numbers, got "1"'
@@ -186,25 +166,6 @@ def test_soft_planes_of_another_class_count_leave_no_file(tmp_path, planes, foun
     assert list(tmp_path.iterdir()) == []
 
 
-class _FirstValueFlipped:
-    """A staged file whose first array chunk lands with its first value set to `value`."""
-
-    def __init__(self, fh, value):
-        self.fh, self.value, self.flipped = fh, value, False
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, chunk):
-        if isinstance(chunk, np.ndarray) and not self.flipped:
-            chunk = chunk.copy()
-            chunk.flat[0], self.flipped = self.value, True
-        return self.fh.write(chunk)
-
-
 @pytest.mark.parametrize("kind, value, message", [
     ("labels", 255, "labels must lie in [0, 3), found range [0, 255]"),
     ("probs", math.nan, "probabilities must lie in [0, 1]"),
@@ -215,8 +176,16 @@ def test_a_staged_payload_is_checked_as_its_container_before_it_lands(tmp_path, 
     labels = random_labels(rng, (5, 2, 3), 3)
     vol = {"labels": labels, "probs": one_hot_encode(labels),
            "logits": LogitVolume(rng.normal(size=(3, 5, 2, 3)).astype(np.float32), labels.spacing)}[kind]
-    fdopen = tensor_io.os.fdopen
-    monkeypatch.setattr(tensor_io.os, "fdopen", lambda fd, mode: _FirstValueFlipped(fdopen(fd, mode), value))
+    flipped = []
+
+    def first_value_flipped(chunk):  # the first array chunk lands with its first value set to `value`
+        if isinstance(chunk, np.ndarray) and not flipped:
+            chunk = chunk.copy()
+            chunk.flat[0] = value
+            flipped.append(True)
+        return chunk
+
+    edit_staged_writes(monkeypatch, first_value_flipped)
     path = tmp_path / "out" / "v.svlv"
     with sum_block(12), pytest.raises(VolumeFormatError) as err:  # slabs of two rows
         write_volume(vol, path)
@@ -227,10 +196,13 @@ def test_a_staged_payload_is_checked_as_its_container_before_it_lands(tmp_path, 
 
 def test_soft_planes_are_written_as_the_whole_volume_is(tmp_path, rng):
     labels = random_labels(rng, (5, 6, 7), 4, spacing=(1.0, 0.5, 2.0))
+    write_volume(labels, tmp_path / "labels.svlv")
     write_volume(svls.svls_smooth(labels, 1.0), tmp_path / "whole.svlv", provenance={"method": "svls"})
-    planes = svls.svls_smooth(labels, 1.0, streamed=True)
-    with sum_block(42):  # a staged check of five slabs
-        write_volume(planes, tmp_path / "planes.svlv", provenance={"method": "svls"})
+    with open_volume(tmp_path / "labels.svlv") as source:
+        planes = svls.svls_smooth(_LabelFile(source), 1.0)  # labels read from the open file when asked
+        assert isinstance(planes, SoftPlanes)
+        with sum_block(42):  # a staged check of five slabs
+            write_volume(planes, tmp_path / "planes.svlv", provenance={"method": "svls"})
     for suffix in ("", ".json"):
         assert (tmp_path / f"planes.svlv{suffix}").read_bytes() == (tmp_path / f"whole.svlv{suffix}").read_bytes()
 
@@ -452,9 +424,9 @@ def test_probability_class_count_must_match_the_payloads(tmp_path, rng):
 
 
 def header_of(path):
-    """The header and sidecar that opening `path` checks, with no payload read."""
+    """What opening `path` checks of its header and sidecar, with no payload read."""
     with open_volume(path) as volume:
-        return volume.header
+        return volume.dims, volume.num_classes, volume.spacing, volume.kind, volume.provenance
 
 
 @pytest.mark.parametrize("reader", [header_of, read_volume, read_logits])
@@ -699,14 +671,11 @@ def test_header_read_checks_the_sidecar_without_the_payload(tmp_path, rng, monke
 def test_header_read_declares_the_volumes_grid(tmp_path, rng, monkeypatch, kind):
     path = _sidecar_fault_volume(tmp_path, rng, kind, _set("spacing", [2, 0.5]))
     forbid_payload_read(monkeypatch)
-    with open_volume(path) as volume:
-        head = volume.header
-        assert volume.kind is (LabelVolume if kind == "labels" else SoftLabelVolume)
-    assert (head.dims, head.num_classes, head.spacing) == ((3, 4), 3, (2.0, 0.5))
-    assert all(type(s) is float for s in head.spacing)
-    assert head.shape == ((3, 4) if kind == "labels" else (3, 3, 4))
-    assert head.dtype_code == (tensor_io.DTYPE_LABELS if kind == "labels" else tensor_io.DTYPE_PROBS)
-    assert head.provenance == {"tool_version": svls.__version__}
+    dims, num_classes, spacing, read_as, provenance = header_of(path)
+    assert (dims, num_classes, spacing) == ((3, 4), 3, (2.0, 0.5))
+    assert all(type(s) is float for s in spacing)
+    assert read_as is (LabelVolume if kind == "labels" else SoftLabelVolume)
+    assert provenance == {"tool_version": svls.__version__}
 
 
 def test_logit_reader_rejects_a_label_file_before_its_payload(tmp_path, rng, monkeypatch):
